@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable
 
+from .algorithm import activation_step
 from .lattice import Cell
 from .config import ConfigError, all_in_configuration, load, save
 from .oracle import StateSpaceTooLarge
@@ -32,12 +34,36 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+def _named_shape(name: str) -> Support:
+    try:
+        return generators.shape_by_name(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load_support(args: argparse.Namespace) -> Support:
     if args.shape:
-        try:
-            return generators.shape_by_name(args.shape)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return _named_shape(args.shape)
     if args.random is not None:
         return generators.random_support(args.random, args.seed)
     try:
@@ -171,7 +197,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def cmd_search_unfair(args: argparse.Namespace) -> int:
     candidates: list[Support] = []
     if args.shape:
-        candidates.append(generators.shape_by_name(args.shape))
+        candidates.append(_named_shape(args.shape))
     else:
         for n in range(2, args.max_n + 1):
             candidates.extend(generators.enumerate_supports(n))
@@ -199,20 +225,32 @@ def cmd_search_unfair(args: argparse.Namespace) -> int:
     return 1
 
 
+def _trace_cells(path: str, support: Support) -> list[Cell]:
+    """The activated cells of a trace log, in order."""
+    cells = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            try:
+                cell = Cell(int(parts[1]), int(parts[2]))
+            except (IndexError, ValueError):
+                raise UsageError(
+                    f"trace line {lineno}: expected 'step q r ...', got {raw.strip()!r}"
+                ) from None
+            if cell not in support.cells:
+                raise UsageError(
+                    f"trace line {lineno}: cell ({cell.q} {cell.r}) is not in the configuration"
+                )
+            cells.append(cell)
+    return cells
+
+
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = load(args.config)
     if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            steps = []
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                steps.append(Cell(int(parts[1]), int(parts[2])))
-        from .algorithm import activation_step
-
-        for cell in steps[: args.frame]:
+        for cell in _trace_cells(args.trace, cfg.support)[: args.frame]:
             cfg, _ = activation_step(cfg, cell)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_svg(cfg))
@@ -230,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a configuration file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--shape", help="named shape (triangle3, lineN, hexagonK, parallelogramWxH)")
-    src.add_argument("--random", type=int, metavar="N", help="random support of N cells")
+    src.add_argument("--random", type=_int_at_least(1), metavar="N", help="random support of N cells")
     src.add_argument("--file", help="shape file (one 'q r' per line)")
     p.add_argument("--init", choices=("erosion", "all-in", "random"), default="erosion")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--conflict-prob", type=float, default=0.25)
+    p.add_argument("--conflict-prob", type=_probability, default=0.25)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
@@ -242,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--scheduler", default="random", help="random | roundrobin | script:PATH")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=1_000_000)
     p.add_argument("--trace", help="write a trace log to this path")
     p.set_defaults(fn=cmd_run)
 
@@ -252,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enum", help="sweep all simply connected supports of size N")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument(
         "--check",
         required=True,
@@ -274,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--frame", type=int, default=0)
+    p.add_argument("--frame", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_render)
 
     return parser

@@ -129,11 +129,16 @@ class Configuration:
 
     def with_register(self, c: Cell, reg: Registers) -> "Configuration":
         """Copy of this configuration with one register replaced (re-validated)."""
+        return self.with_registers({c: reg})
+
+    def with_registers(self, updates: Mapping[Cell, Registers]) -> "Configuration":
+        """Copy of this configuration with the given registers replaced (re-validated)."""
         new = Configuration.__new__(Configuration)
         new.support = self.support
         new.portmaps = self.portmaps
         new.regs = dict(self.regs)
-        new.regs[c] = _check_register(self.support, c, self.portmaps[c], reg)
+        for c, reg in updates.items():
+            new.regs[c] = _check_register(self.support, c, self.portmaps[c], reg)
         return new
 
     # -- derived edge facts ---------------------------------------------------

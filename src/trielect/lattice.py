@@ -60,6 +60,26 @@ def direction_from(a: Cell, b: Cell) -> Dir:
         raise ValueError(f"cells {a} and {b} are not adjacent") from None
 
 
+def _cyclic_run_table() -> tuple[bool, ...]:
+    table = []
+    for mask in range(1 << N_DIRS):
+        runs = sum(
+            1
+            for d in range(N_DIRS)
+            if mask >> d & 1 and not mask >> ((d - 1) % N_DIRS) & 1
+        )
+        table.append(runs <= 1)
+    return tuple(table)
+
+
+#: ``CYCLIC_RUN[mask]`` is True iff the set bits of a six-bit direction (or
+#: port) mask form one cyclically contiguous run.  The empty and the full
+#: mask both pass.  This is the one reading of "consecutive ports" that the
+#: rule checkers, the reference step, the packed oracle and the scheduler's
+#: compiled engine share.
+CYCLIC_RUN = _cyclic_run_table()
+
+
 def common_neighbors(a: Cell, b: Cell) -> set[Cell]:
     """The two cells adjacent to both endpoints of an edge."""
     d = direction_from(a, b)

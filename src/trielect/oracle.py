@@ -9,9 +9,10 @@ an edge whose far side is already Out.
 
 The per-particle transition implemented here is an independent, table
 driven rewrite of the reference step; tests compare the two pointwise.
-Everything the step needs is precomputed per support: incident edge bit
-positions, occupied-direction masks, a 64-entry cyclic-run table and the
-triangle bit patterns.
+Everything the step needs is precomputed per support by
+``CompiledSupport``, which the scheduler's engine shares: incident edge
+bit positions, occupied directions and the triangle bit patterns; the
+64-entry cyclic-run table is ``lattice.CYCLIC_RUN``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .lattice import Cell, N_DIRS, PortMap, direction_from, neighbor
+from .lattice import CYCLIC_RUN, DIR_OFFSETS, Cell, N_DIRS, PortMap, dir_to_port
 from .config import (
     ALL_IN,
     Configuration,
@@ -34,25 +35,79 @@ def _popcount6(m: int) -> int:
     return bin(m).count("1")
 
 
-def _consec_table() -> tuple[bool, ...]:
-    table = []
-    for mask in range(64):
-        if mask == 0 or mask == 63:
-            table.append(True)
-            continue
-        runs = 0
-        for d in range(N_DIRS):
-            if mask >> d & 1 and not mask >> ((d - 1) % N_DIRS) & 1:
-                runs += 1
-        table.append(runs == 1)
-    return tuple(table)
-
-
-_CONSEC = _consec_table()
-
-
 class StateSpaceTooLarge(ValueError):
     pass
+
+
+class CompiledSupport:
+    """Flat per-cell tables of one support, in the packed half-edge layout.
+
+    Cells are numbered ``0..n-1`` in sorted order.  Edge ``i`` is the
+    ``i``-th edge of ``Support.edges()``; half-edge ``2i`` is its smaller
+    endpoint's Out flag and ``2i+1`` the larger one's, so ``h ^ 1`` is
+    always the far side of half-edge ``h``.  For cell ``ci``:
+
+      - ``dirs[ci]``: directions toward occupied neighbours, ascending;
+      - ``half[ci]``: the cell's own half-edges in that order;
+      - ``nbrs[ci]``: the neighbours' cell numbers in that order;
+      - ``tri_dirs[ci]``: directions ``d`` whose neighbours at ``d`` and
+        ``d + 1`` are both occupied, i.e. the triangles at the cell;
+      - ``tri_far[ci]``: for each such triangle, the half-edge of the
+        neighbour at ``d`` toward the neighbour at ``d + 1``.
+
+    Tables are tuples; equal direction tuples are shared between cells,
+    and every half-edge number is one int object, so a thousand-cell
+    support compiles to well under a megabyte.
+    """
+
+    __slots__ = ("cells", "n_half_edges", "dirs", "half", "nbrs", "tri_dirs", "tri_far")
+
+    def __init__(self, support: Support):
+        self.cells: tuple[Cell, ...] = tuple(support)
+        index = {c: i for i, c in enumerate(self.cells)}
+        # Cell numbers by direction; plain (q, r) tuples hash like Cells.
+        around = [[index.get((q + dq, r + dr)) for dq, dr in DIR_OFFSETS] for q, r in self.cells]
+        half_at: list[list[int | None]] = [[None] * N_DIRS for _ in self.cells]
+        n_half = 0
+        for i, row in enumerate(around):
+            for d, j in enumerate(row):
+                if j is not None and i < j:
+                    half_at[i][d] = n_half
+                    half_at[j][(d + 3) % N_DIRS] = n_half + 1
+                    n_half += 2
+        self.n_half_edges = n_half
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.dirs: list[tuple[int, ...]] = []
+        self.half: list[tuple[int, ...]] = []
+        self.nbrs: list[tuple[int, ...]] = []
+        self.tri_dirs: list[tuple[int, ...]] = []
+        self.tri_far: list[tuple[int, ...]] = []
+        for row, hrow in zip(around, half_at):
+            ds, hs, ns, tds, far = [], [], [], [], []
+            for d, j in enumerate(row):
+                if j is None:
+                    continue
+                ds.append(d)
+                hs.append(hrow[d])
+                ns.append(j)
+                if row[(d + 1) % N_DIRS] is not None:
+                    tds.append(d)
+                    far.append(half_at[j][(d + 2) % N_DIRS])
+            self.dirs.append(shared.setdefault(tuple(ds), tuple(ds)))
+            self.half.append(tuple(hs))
+            self.nbrs.append(tuple(ns))
+            self.tri_dirs.append(shared.setdefault(tuple(tds), tuple(tds)))
+            self.tri_far.append(tuple(far))
+
+    def flags(self, config: Configuration) -> bytearray:
+        """The Out flag of every half-edge of ``config``, one byte each."""
+        out = bytearray(self.n_half_edges)
+        for ci, p in enumerate(self.cells):
+            pm, reg = config.portmaps[p], config.regs[p]
+            for h, d in zip(self.half[ci], self.dirs[ci]):
+                if reg[dir_to_port(pm, d)] is OUT:
+                    out[h] = 1
+        return out
 
 
 class ConfigGraph:
@@ -60,49 +115,30 @@ class ConfigGraph:
 
     def __init__(self, support: Support):
         self.support = support
-        self.cells: tuple[Cell, ...] = tuple(support)
         self.edges: tuple[tuple[Cell, Cell], ...] = tuple(support.edges())
         self.n_edges = len(self.edges)
-        edge_index = {e: i for i, e in enumerate(self.edges)}
-
-        def edge_bits(a: Cell, b: Cell) -> tuple[int, int]:
-            """(a's out-bit position, b's out-bit position) for edge ab."""
-            if a < b:
-                i = edge_index[(a, b)]
-                return 2 * i, 2 * i + 1
-            i = edge_index[(b, a)]
-            return 2 * i + 1, 2 * i
+        self._compiled = compiled = CompiledSupport(support)
+        self.cells: tuple[Cell, ...] = compiled.cells
 
         # Incident structure per cell: (my_bit, other_bit, direction).
         self._inc: list[tuple[tuple[int, int, int], ...]] = []
         # Triangle structure per cell: bit positions of the six half-edges.
         self._tri: list[tuple[tuple[int, int, int, int, int, int], ...]] = []
-        for c in self.cells:
-            inc = []
-            for n in support.occupied_neighbors(c):
-                mine, other = edge_bits(c, n)
-                inc.append((mine, other, direction_from(c, n)))
-            self._inc.append(tuple(inc))
-            tris = []
-            for d in range(N_DIRS):
-                q, r = neighbor(c, d), neighbor(c, (d + 1) % N_DIRS)
-                if q in support.cells and r in support.cells:
-                    pq_p, pq_q = edge_bits(c, q)
-                    pr_p, pr_r = edge_bits(c, r)
-                    qr_q, qr_r = edge_bits(q, r)
-                    tris.append((pq_p, pq_q, pr_p, pr_r, qr_q, qr_r))
-            self._tri.append(tuple(tris))
+        for ci, half in enumerate(compiled.half):
+            dirs = compiled.dirs[ci]
+            self._inc.append(tuple((h, h ^ 1, d) for h, d in zip(half, dirs)))
+            at = dict(zip(dirs, half))
+            self._tri.append(tuple(
+                (at[d], at[d] ^ 1, at[(d + 1) % N_DIRS], at[(d + 1) % N_DIRS] ^ 1, far, far ^ 1)
+                for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci])
+            ))
 
-        # Global triangle list (each unordered triangle once) for validity.
-        self._triangles: list[tuple[int, int, int, int, int, int]] = []
-        for c in self.cells:
-            for d in range(N_DIRS):
-                q, r = neighbor(c, d), neighbor(c, (d + 1) % N_DIRS)
-                if q in support.cells and r in support.cells and c < q and c < r:
-                    pq_p, pq_q = edge_bits(c, q)
-                    pr_p, pr_r = edge_bits(c, r)
-                    qr_q, qr_r = edge_bits(q, r)
-                    self._triangles.append((pq_p, pq_q, pr_p, pr_r, qr_q, qr_r))
+        # Global triangle list (each unordered triangle once) for validity:
+        # the copy seen from the smallest corner, whose two half-edges on
+        # the triangle are then both even.
+        self._triangles: list[tuple[int, int, int, int, int, int]] = [
+            t for tris in self._tri for t in tris if not (t[0] & 1 or t[2] & 1)
+        ]
 
     # -- state transitions ---------------------------------------------------
 
@@ -120,7 +156,7 @@ class ConfigGraph:
         for mine, _, d in inc:
             if new >> mine & 1:
                 outmask |= 1 << d
-        ok = _popcount6(outmask) <= 3 and _CONSEC[outmask]
+        ok = _popcount6(outmask) <= 3 and CYCLIC_RUN[outmask]
         if ok:
             for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._tri[ci]:
                 pq = (new >> pq_p & 1, new >> pq_q & 1)
@@ -158,7 +194,7 @@ class ConfigGraph:
             for mine, _, d in self._inc[ci]:
                 if state >> mine & 1:
                     outmask |= 1 << d
-            if _popcount6(outmask) > 3 or not _CONSEC[outmask]:
+            if _popcount6(outmask) > 3 or not CYCLIC_RUN[outmask]:
                 return False
         for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._triangles:
             pq = (state >> pq_p & 1, state >> pq_q & 1)
@@ -188,13 +224,7 @@ class ConfigGraph:
     def pack(self, config: Configuration) -> int:
         if config.support.cells != self.support.cells:
             raise ValueError("configuration lives on a different support")
-        state = 0
-        for i, (a, b) in enumerate(self.edges):
-            if config.link_toward(a, b) is OUT:
-                state |= 1 << 2 * i
-            if config.link_toward(b, a) is OUT:
-                state |= 1 << (2 * i + 1)
-        return state
+        return sum(1 << h for h, flag in enumerate(self._compiled.flags(config)) if flag)
 
     def unpack(
         self, state: int, portmaps: Mapping[Cell, PortMap] | None = None

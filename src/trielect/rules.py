@@ -18,20 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Cell, N_DIRS, neighbor
+from .lattice import CYCLIC_RUN, Cell, N_DIRS, neighbor
 from .config import Configuration, EdgeOrientation
 
 
 def _consecutive_cyclic(ports: tuple[int, ...]) -> bool:
-    """True iff the ports form one contiguous run on the 6-cycle (empty passes)."""
-    k = len(ports)
-    if k <= 1:
-        return True
-    if k >= N_DIRS:
-        return True
-    present = set(ports)
-    runs = sum(1 for p in present if (p - 1) % N_DIRS not in present)
-    return runs == 1
+    """True iff the distinct ports form one contiguous run on the 6-cycle (empty passes)."""
+    mask = 0
+    for p in ports:
+        mask |= 1 << p
+    return CYCLIC_RUN[mask]
 
 
 def check_r1(c: Configuration, p: Cell) -> bool:

@@ -5,26 +5,48 @@ among activable particles realises the required fairness: any
 configuration recurring forever keeps every one-step successor reachable
 with fixed positive probability, so every successor also recurs.  Round
 robin and scripted drivers exist for determinism and for replaying
-adversarial executions; the concurrent random-set driver is exploratory
-only and takes no part in any acceptance gate.
+adversarial executions.
 
-Activability is tracked incrementally: activating a particle can change
-activability only for itself and its six neighbours.
+``run`` compiles the support once (``oracle.CompiledSupport``) and keeps
+the state as a ``bytearray`` of per-half-edge Out flags in the oracle's
+packed layout.  One activation reads only the activated particle's
+half-edges, their far sides and the far edges of its triangles, and can
+change activability only for that particle and its six neighbours, so a
+step costs O(1) table work instead of copying the configuration.  The
+activable particles are kept as a sorted list of cell numbers, updated
+with ``bisect`` for those seven cells only.  Cell numbers follow the
+support's sorted cell order, so the list equals the one a rebuild from
+scratch would give, and ``live[rng.randrange(len(live))]`` picks the same
+particle with the same random draws: every run is bit-identical to
+driving ``algorithm.activation_step`` step by step, which the tests
+check against an object-based reference loop.
+
+``Configuration`` stays the boundary: ``run`` takes one and returns one.
+When per-step checks or traces are asked for, it also keeps the current
+``Configuration`` and counts rule violations with ``rules.check_r2/3/4``
+on the activated particle and its neighbours, the only particles whose
+status a step can change; ``violation_count`` is the full recount.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Sequence, Union
 
-from .lattice import Cell
-from .config import Configuration, EdgeOrientation
+from .lattice import CYCLIC_RUN, Cell, N_DIRS, dir_to_port
+from .config import IN, OUT, Configuration, EdgeOrientation, Registers
 from .support import SupportError, format_shape_text
-from .algorithm import ActivationEffect, activation_step, step_register
-from .rules import check_r2, check_r3, check_r4, _consecutive_cyclic
+from .oracle import CompiledSupport
+from .rules import check_r2, check_r3, check_r4, is_valid, sinks, _consecutive_cyclic
+
+# ``activation_step`` and ``step_register`` stay importable from this
+# module: the benchmark's traced run wraps them here, beside
+# ``violation_count``.
+from .algorithm import ActivationEffect, activation_step, is_activable, step_register  # noqa: F401
 
 
 # -- scheduler kinds -------------------------------------------------------------
@@ -51,13 +73,7 @@ class Scripted:
             raise ValueError("scripted schedule must list at least one cell")
 
 
-@dataclass(frozen=True)
-class ConcurrentRandomSet:
-    seed: int
-    inclusion_probability: float = 0.5
-
-
-SchedulerKind = Union[RandomSequential, RoundRobin, Scripted, ConcurrentRandomSet]
+SchedulerKind = Union[RandomSequential, RoundRobin, Scripted]
 
 
 class Outcome(Enum):
@@ -98,16 +114,16 @@ class StepInvariantError(AssertionError):
 
 def detect_final(c: Configuration) -> bool:
     """True iff no particle's activation would change any register."""
-    return not any(_is_activable(c, p) for p in c.support)
+    return not any(is_activable(c, p) for p in c.support)
+
+
+def _violates(c: Configuration, p: Cell) -> bool:
+    return not (check_r2(c, p) and check_r3(c, p) and check_r4(c, p))
 
 
 def violation_count(c: Configuration) -> int:
     """Number of particles breaking the out-degree, consecutiveness or triangle rule."""
-    return sum(
-        1
-        for p in c.support
-        if not (check_r2(c, p) and check_r3(c, p) and check_r4(c, p))
-    )
+    return sum(1 for p in c.support if _violates(c, p))
 
 
 def shape_hash(c: Configuration) -> str:
@@ -120,9 +136,70 @@ def _kind_label(kind: SchedulerKind) -> str:
         return f"random seed={kind.seed}"
     if isinstance(kind, RoundRobin):
         return "roundrobin"
-    if isinstance(kind, Scripted):
-        return f"script len={len(kind.cells)}"
-    return f"concurrent seed={kind.seed} p={kind.inclusion_probability}"
+    return f"script len={len(kind.cells)}"
+
+
+# -- the compiled engine ------------------------------------------------------------
+
+
+def _fire(
+    out: bytearray,
+    half: tuple[int, ...],
+    dirs: tuple[int, ...],
+    tri_dirs: tuple[int, ...],
+    tri_far: tuple[int, ...],
+) -> tuple[int, int, bool, bool, int]:
+    """One activation of a cell, computed from the Out flags ``out``.
+
+    The arguments after ``out`` are the cell's rows of a
+    ``CompiledSupport``.  Returns ``(before, after, line1, line2,
+    conflicts)``: the cell's Out flags before and after as masks over
+    directions, then the fields of its ``ActivationEffect``.  ``out`` is
+    not written.
+
+    Resolving conflicts and then line 1 leave the cell Out exactly on the
+    edges whose far side is In, so every edge at the cell is directed
+    when line 2's test runs; a triangle is then a directed 3-cycle iff
+    the cell points at exactly one of its two neighbours there and the
+    far edge runs from that neighbour to the other.
+    """
+    before = after = conflicts = 0
+    line1 = False
+    for h, d in zip(half, dirs):
+        if out[h ^ 1]:
+            if out[h]:
+                before |= 1 << d
+                conflicts += 1
+        else:
+            if out[h]:
+                before |= 1 << d
+            else:
+                line1 = True
+            after |= 1 << d
+    ok = after.bit_count() <= 3 and CYCLIC_RUN[after]
+    if ok:
+        twice = after | after << N_DIRS
+        for d, far in zip(tri_dirs, tri_far):
+            toward = twice >> d & 3  # 1: Out toward the first neighbour only, 2: the second
+            if toward == 1:
+                if out[far] and not out[far ^ 1]:
+                    ok = False
+                    break
+            elif toward == 2:
+                if out[far ^ 1] and not out[far]:
+                    ok = False
+                    break
+    return before, after if ok else 0, line1, not ok, conflicts
+
+
+def _register(c: Configuration, p: Cell, dirs: tuple[int, ...], mask: int) -> Registers:
+    """The register of ``p`` that is Out exactly toward the directions in ``mask``."""
+    pm = c.portmaps[p]
+    reg = [IN] * N_DIRS
+    for d in dirs:
+        if mask >> d & 1:
+            reg[dir_to_port(pm, d)] = OUT
+    return tuple(reg)
 
 
 # -- the driver --------------------------------------------------------------------
@@ -148,127 +225,124 @@ def run(
         unknown = sorted(set(kind.cells) - c0.support.cells)
         if unknown:
             raise SupportError(f"scripted cells not in the support: {unknown}")
-    cells = tuple(c0.support)
-    config = c0
-    activable = {p: _is_activable(config, p) for p in cells}
-    rng = (
-        random.Random(kind.seed)
-        if isinstance(kind, (RandomSequential, ConcurrentRandomSet))
-        else None
-    )
+    compiled = CompiledSupport(c0.support)
+    cells = compiled.cells
+    n = len(cells)
+    half, dirs, nbrs = compiled.half, compiled.dirs, compiled.nbrs
+    tri_dirs, tri_far = compiled.tri_dirs, compiled.tri_far
+    out = compiled.flags(c0)
+
+    activable = bytearray(n)
+    for ci in range(n):
+        before, after, *_ = _fire(out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci])
+        activable[ci] = before != after
+    live = [ci for ci in range(n) if activable[ci]]
+
+    rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
+    round_robin = isinstance(kind, RoundRobin)
     rr_index = 0
+    script: list[int] = []
+    if isinstance(kind, Scripted):
+        number = {p: ci for ci, p in enumerate(cells)}
+        script = [number[p] for p in kind.cells]
     script_index = 0
+
+    tracing = record_trace or trace_file is not None
+    observed = check_invariants or tracing
     events: list[TraceEvent] = []
-    prev_violations = violation_count(config) if check_invariants else None
+    config = c0
+    # Unobserved runs skip the Configuration; they write it once at the end.
+    final_masks: dict[int, int] = {}
+    if observed:
+        violating = bytearray(_violates(c0, p) for p in cells)
+        violations = sum(violating)
 
     if trace_file is not None:
         trace_file.write(
-            f"# trace shape={shape_hash(config)} scheduler={_kind_label(kind)}"
+            f"# trace shape={shape_hash(c0)} scheduler={_kind_label(kind)}"
             f" cap={max_steps}\n"
         )
 
-    def finish(final_config: Configuration, steps: int) -> ExecutionResult:
-        if check_invariants:
-            from .rules import is_valid, sinks
-
-            if not is_valid(final_config) or len(sinks(final_config)) != 1:
+    def result(outcome: Outcome) -> ExecutionResult:
+        final = config if observed else c0.with_registers({
+            cells[ci]: _register(c0, cells[ci], dirs[ci], mask)
+            for ci, mask in final_masks.items()
+        })
+        if outcome is Outcome.FINAL and check_invariants:
+            if not is_valid(final) or len(sinks(final)) != 1:
                 raise StepInvariantError(
-                    "final configuration is not a valid single-sink state",
-                    final_config,
+                    "final configuration is not a valid single-sink state", final
                 )
-        return ExecutionResult(Outcome.FINAL, final_config, steps, events)
+        return ExecutionResult(outcome, final, step, events)
 
     step = 0
     while step < max_steps:
-        live = [p for p in cells if activable[p]]
         if not live:
-            return finish(config, step)
+            return result(Outcome.FINAL)
 
-        if isinstance(kind, RandomSequential):
-            chosen: tuple[Cell, ...] = (live[rng.randrange(len(live))],)
-        elif isinstance(kind, RoundRobin):
-            while not activable[cells[rr_index % len(cells)]]:
+        if rng is not None:
+            ci = live[rng.randrange(len(live))]
+        elif round_robin:
+            while not activable[rr_index % n]:
                 rr_index += 1
-            chosen = (cells[rr_index % len(cells)],)
+            ci = rr_index % n
             rr_index += 1
-        elif isinstance(kind, Scripted):
-            chosen = (kind.cells[script_index % len(kind.cells)],)
+        else:
+            ci = script[script_index % len(script)]
             script_index += 1
-        else:
-            picked = [p for p in live if rng.random() < kind.inclusion_probability]
-            chosen = tuple(picked) if picked else (live[rng.randrange(len(live))],)
 
-        if len(chosen) == 1:
-            config, effect = activation_step(config, chosen[0])
-        else:
-            config, effect = _concurrent_step(config, chosen)
+        before, after, line1, line2, conflicts = _fire(
+            out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci]
+        )
         step += 1
+        changed = before != after
+        if changed:
+            for h, d in zip(half[ci], dirs[ci]):
+                out[h] = after >> d & 1
+            for x in (ci, *nbrs[ci]):
+                b, a, *_ = _fire(out, half[x], dirs[x], tri_dirs[x], tri_far[x])
+                now = b != a
+                if now != activable[x]:
+                    activable[x] = now
+                    if now:
+                        insort(live, x)
+                    else:
+                        del live[bisect_left(live, x)]
+            if not observed:
+                final_masks[ci] = after
 
-        touched = set(chosen)
-        for p in chosen:
-            touched.update(config.support.occupied_neighbors(p))
-        for p in touched:
-            activable[p] = _is_activable(config, p)
-
-        post_violations = None
+        if not observed:
+            continue
+        p = cells[ci]
+        prev_violations = violations
+        if changed:
+            config = config.with_register(p, _register(config, p, dirs[ci], after))
+            for x in (ci, *nbrs[ci]):
+                v = _violates(config, cells[x])
+                violations += v - violating[x]
+                violating[x] = v
         if check_invariants:
-            post_violations = violation_count(config)
-            if len(chosen) == 1:
-                p = chosen[0]
-                if not (check_r2(config, p) and check_r3(config, p) and check_r4(config, p)):
-                    raise StepInvariantError(
-                        f"step {step}: activated particle {p} violates a repairable rule",
-                        config,
-                    )
-                if post_violations > prev_violations:
-                    raise StepInvariantError(
-                        f"step {step}: violation count rose {prev_violations} -> {post_violations}",
-                        config,
-                    )
-            prev_violations = post_violations
-        elif trace_file is not None or record_trace:
-            post_violations = violation_count(config)
-
-        if record_trace or trace_file is not None:
-            event = TraceEvent(step - 1, chosen, effect, post_violations)
+            if violating[ci]:
+                raise StepInvariantError(
+                    f"step {step}: activated particle {p} violates a repairable rule",
+                    config,
+                )
+            if violations > prev_violations:
+                raise StepInvariantError(
+                    f"step {step}: violation count rose {prev_violations} -> {violations}",
+                    config,
+                )
+        if tracing:
+            effect = ActivationEffect(changed, line1, line2, conflicts)
             if record_trace:
-                events.append(event)
+                events.append(TraceEvent(step - 1, (p,), effect, violations))
             if trace_file is not None:
-                for p in chosen:
-                    trace_file.write(
-                        f"{event.step} {p.q} {p.r} "
-                        f"{int(effect.line1_fired)} {int(effect.line2_fired)} "
-                        f"{int(effect.changed)} {post_violations}\n"
-                    )
+                trace_file.write(
+                    f"{step - 1} {p.q} {p.r} {int(line1)} {int(line2)} "
+                    f"{int(changed)} {violations}\n"
+                )
 
-    if detect_final(config):
-        return finish(config, step)
-    return ExecutionResult(Outcome.CAP_EXCEEDED, config, step, events)
-
-
-def _is_activable(c: Configuration, p: Cell) -> bool:
-    _, effect = step_register(c, p)
-    return effect.changed
-
-
-def _concurrent_step(
-    config: Configuration, chosen: tuple[Cell, ...]
-) -> tuple[Configuration, ActivationEffect]:
-    """All chosen particles read the same pre-state and write simultaneously."""
-    new_regs = {}
-    changed = line1 = line2 = False
-    conflicts = 0
-    for p in chosen:
-        reg, effect = step_register(config, p)
-        new_regs[p] = reg
-        changed |= effect.changed
-        line1 |= effect.line1_fired
-        line2 |= effect.line2_fired
-        conflicts += effect.conflicts_resolved
-    out = config
-    for p, reg in new_regs.items():
-        out = out.with_register(p, reg)
-    return out, ActivationEffect(changed, line1, line2, conflicts)
+    return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)
 
 
 # -- periodic-cycle analysis ---------------------------------------------------------

@@ -5,13 +5,31 @@ package: enumeration by rooted canonical growth instead of canonical-form
 deduplication, hole detection by labelling empty components instead of a
 frame flood fill, and sink/orientation facts recomputed from first
 principles.  Expected values frozen into the tests were produced by these
-functions.
+functions.  ``reference_run`` is the object-based loop that
+``scheduler.run`` replaced, kept as the oracle its compiled engine must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import random
+
+from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import Cell, neighbors
 from trielect.config import Configuration, EdgeOrientation
+from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
+from trielect.scheduler import (
+    ExecutionResult,
+    Outcome,
+    RandomSequential,
+    RoundRobin,
+    StepInvariantError,
+    TraceEvent,
+    _kind_label,
+    detect_final,
+    shape_hash,
+    violation_count,
+)
 
 
 def empty_component_count(cells: frozenset[Cell]) -> int:
@@ -127,3 +145,78 @@ def brute_sinks(c: Configuration) -> set[Cell]:
             conflicted.add(a)
             conflicted.add(b)
     return {p for p, k in targets.items() if k == 0 and p not in conflicted}
+
+
+def reference_run(
+    c0: Configuration,
+    kind,
+    max_steps: int = 1_000_000,
+    record_trace: bool = False,
+    check_invariants: bool = False,
+    trace_file=None,
+) -> ExecutionResult:
+    """``scheduler.run`` on the object path, O(n) work per step.
+
+    Each step rebuilds the live list in sorted cell order, activates with
+    ``activation_step``, refreshes activability of the activated particle
+    and its neighbours with ``is_activable`` and recounts violations over
+    the whole support.
+    """
+    cells = tuple(c0.support)
+    config = c0
+    activable = {p: is_activable(config, p) for p in cells}
+    rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
+    rr_index = script_index = 0
+    events: list[TraceEvent] = []
+    prev = violation_count(config) if check_invariants else None
+    if trace_file is not None:
+        trace_file.write(
+            f"# trace shape={shape_hash(config)} scheduler={_kind_label(kind)} cap={max_steps}\n"
+        )
+
+    def finish(steps: int) -> ExecutionResult:
+        if check_invariants and (not is_valid(config) or len(sinks(config)) != 1):
+            raise StepInvariantError("final configuration is not a valid single-sink state", config)
+        return ExecutionResult(Outcome.FINAL, config, steps, events)
+
+    step = 0
+    while step < max_steps:
+        live = [p for p in cells if activable[p]]
+        if not live:
+            return finish(step)
+        if rng is not None:
+            p = live[rng.randrange(len(live))]
+        elif isinstance(kind, RoundRobin):
+            while not activable[cells[rr_index % len(cells)]]:
+                rr_index += 1
+            p = cells[rr_index % len(cells)]
+            rr_index += 1
+        else:
+            p = kind.cells[script_index % len(kind.cells)]
+            script_index += 1
+        config, effect = activation_step(config, p)
+        step += 1
+        for q in (p, *config.support.occupied_neighbors(p)):
+            activable[q] = is_activable(config, q)
+
+        post = None
+        if check_invariants:
+            post = violation_count(config)
+            if not (check_r2(config, p) and check_r3(config, p) and check_r4(config, p)):
+                raise StepInvariantError(f"step {step}: {p} violates a repairable rule", config)
+            if post > prev:
+                raise StepInvariantError(f"step {step}: violation count rose", config)
+            prev = post
+        elif record_trace or trace_file is not None:
+            post = violation_count(config)
+        if record_trace:
+            events.append(TraceEvent(step - 1, (p,), effect, post))
+        if trace_file is not None:
+            trace_file.write(
+                f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} {int(effect.line2_fired)} "
+                f"{int(effect.changed)} {post}\n"
+            )
+
+    if detect_final(config):
+        return finish(step)
+    return ExecutionResult(Outcome.CAP_EXCEEDED, config, step, events)

@@ -197,3 +197,39 @@ def test_run_rejects_alien_script_cells(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--scheduler", f"script:{script}"])
     assert rc == 2
     assert "scripted cells" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, trace_text",
+    [
+        (["run", "--config", "{cfg}", "--max-steps", "-1"], None),
+        (["gen", "--random", "0", "--out", "{out}"], None),
+        (["gen", "--shape", "line2", "--init", "random", "--conflict-prob", "2", "--out", "{out}"], None),
+        (["enum", "--n", "0", "--check", "silence"], None),
+        (["search-unfair", "--shape", "nope"], None),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"], "garbage\n"),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--frame", "1", "--out", "{out}"],
+         "0 9 9 1 0 1 0\n"),
+        (["render", "--config", "{cfg}", "--frame", "-1", "--out", "{out}"], None),
+    ],
+)
+def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
+    cfg = tmp_path / "p.cfg"
+    main(["gen", "--shape", "line2", "--init", "all-in", "--out", str(cfg)])
+    trace = tmp_path / "bad.trace"
+    if trace_text is not None:
+        trace.write_text(trace_text)
+    capsys.readouterr()
+    paths = {"cfg": str(cfg), "out": str(tmp_path / "out"), "trace": str(trace)}
+    assert _exit_code([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err

@@ -4,25 +4,32 @@ import random
 import pytest
 
 from trielect.lattice import Cell
-from trielect.algorithm import activation_step
+from trielect.algorithm import ActivationEffect, activation_step, step_register
 from trielect.config import all_in_configuration
 from trielect.generators import (
+    enumerate_supports,
     erosion_orientation,
+    hexagon,
     random_portmaps,
     random_registers,
     random_support,
 )
+from trielect.oracle import CompiledSupport, ConfigGraph
 from trielect.rules import is_valid, sinks
 from trielect.scheduler import (
-    ConcurrentRandomSet,
     Outcome,
     RandomSequential,
     RoundRobin,
     Scripted,
+    _fire,
+    _register,
     analyze_cycle,
     detect_final,
     run,
+    violation_count,
 )
+
+from reference import reference_run
 
 
 def test_detect_final(tri, hex1):
@@ -126,17 +133,6 @@ def test_trace_file_format(tmp_path, tri):
         assert parts[3] in "01" and parts[4] in "01" and parts[5] in "01"
 
 
-def test_concurrent_mode_runs_and_terminates():
-    rng = random.Random(4)
-    for _ in range(10):
-        s = random_support(rng.randint(3, 8), rng.randrange(10**9))
-        cfg = random_registers(s, rng.randrange(10**9), 0.1)
-        res = run(cfg, ConcurrentRandomSet(rng.randrange(10**9), 0.5),
-                  max_steps=20000)
-        if res.outcome is Outcome.FINAL:
-            assert is_valid(res.config)
-
-
 def test_analyze_cycle_rejects_non_periodic(tri):
     a = all_in_configuration(tri)
     b, _ = activation_step(a, Cell(0, 0))
@@ -161,3 +157,87 @@ def test_analyze_cycle_on_found_cycle(hexagon_cycle):
     assert rep.clean
     assert rep.stable_out_violations == () and rep.unstable_spread_violations == ()
     assert rep.stable_edges and rep.unstable_edges
+
+
+# -- the compiled engine against the object-based reference ---------------------
+
+
+def _seeded_runs():
+    """One random start per size 1..25, each with all three scheduler kinds."""
+    rng = random.Random(2024)
+    for n in range(1, 26):
+        s = random_support(n, rng.randrange(2**31))
+        cfg = random_registers(
+            s, rng.randrange(2**31), 0.2, random_portmaps(s, rng.randrange(2**31))
+        )
+        script = Scripted(tuple(rng.choice(sorted(s.cells)) for _ in range(7)))
+        for kind in (RandomSequential(rng.randrange(2**31)), RoundRobin(), script):
+            yield cfg, kind, 200 if kind is script else 10**6
+
+
+def _assert_same_run(drive_args, record_trace, check_invariants, with_file):
+    cfg, kind, cap = drive_args
+    got_file, want_file = (io.StringIO(), io.StringIO()) if with_file else (None, None)
+    flags = dict(record_trace=record_trace, check_invariants=check_invariants)
+    got = run(cfg, kind, cap, trace_file=got_file, **flags)
+    want = reference_run(cfg, kind, cap, trace_file=want_file, **flags)
+    assert (got.outcome, got.steps) == (want.outcome, want.steps)
+    assert got.config == want.config
+    assert got.events == want.events
+    if with_file:
+        assert got_file.getvalue() == want_file.getvalue()
+
+
+@pytest.mark.parametrize(
+    "record_trace, check_invariants, with_file",
+    [(False, False, False), (True, False, False), (False, True, False), (True, True, True)],
+)
+def test_run_matches_reference_run(record_trace, check_invariants, with_file):
+    for args in _seeded_runs():
+        _assert_same_run(args, record_trace, check_invariants, with_file)
+
+
+def test_run_matches_reference_run_on_a_thousand_cells():
+    s = hexagon(18)
+    cfg = random_registers(s, 41, 0.25, random_portmaps(s, 40))
+    assert len(s) >= 1000
+    _assert_same_run((cfg, RandomSequential(42), 10**6), False, False, False)
+
+
+def test_engine_step_matches_reference_and_packed_steps():
+    """Every cell of every state of every support with n <= 4."""
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            graph = ConfigGraph(s)
+            compiled = CompiledSupport(s)
+            rows = list(zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far))
+            for state in graph.all_states():
+                cfg = graph.unpack(state, portmaps)
+                out = compiled.flags(cfg)
+                assert out == bytes(state >> h & 1 for h in range(compiled.n_half_edges))
+                for ci, (p, row) in enumerate(zip(compiled.cells, rows)):
+                    half, dirs = row[:2]
+                    before, after, line1, line2, conflicts = _fire(out, *row)
+                    reg, effect = step_register(cfg, p)
+                    assert _register(cfg, p, dirs, before) == cfg.regs[p]
+                    assert _register(cfg, p, dirs, after) == reg
+                    assert ActivationEffect(before != after, line1, line2, conflicts) == effect
+                    packed = state
+                    for h, d in zip(half, dirs):
+                        packed = packed & ~(1 << h) | (after >> d & 1) << h
+                    assert packed == graph.successor(state, ci)
+
+
+def test_incremental_violation_count_matches_full_recount():
+    rng = random.Random(31)
+    for _ in range(20):
+        s = random_support(rng.randint(3, 20), rng.randrange(2**31))
+        cfg = random_registers(s, rng.randrange(2**31), 0.2, random_portmaps(s, rng.randrange(2**31)))
+        res = run(cfg, RandomSequential(rng.randrange(2**31)), record_trace=True)
+        replay = cfg
+        for event in res.events:
+            replay, _ = activation_step(replay, event.activated[0])
+            assert event.post_violation_count == violation_count(replay)
+        assert replay == res.config
