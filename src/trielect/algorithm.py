@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .lattice import Cell, N_DIRS, neighbor, port_to_dir
 from .config import Configuration, IN, OUT, Registers
-from .rules import _consecutive_cyclic, check_r4
+from .rules import check_r2, check_r3, check_r4
 from . import views as _views
 
 
@@ -78,18 +78,9 @@ def step_register(
 
 def _r234_with(c: Configuration, p: Cell, reg: Registers, use_local_r4: bool) -> bool:
     """R2, R3 and R4 at ``p`` with ``p``'s register hypothetically replaced."""
-    pm = c.portmaps[p]
-    outs = tuple(
-        port
-        for port in range(N_DIRS)
-        if reg[port] is OUT and neighbor(p, port_to_dir(pm, port)) in c.support.cells
-    )
-    if len(outs) > 3 or not _consecutive_cyclic(outs):
-        return False
     trial = c.with_register(p, reg)
-    if use_local_r4:
-        return _views.local_check_r4(trial, p)
-    return check_r4(trial, p)
+    r4 = _views.local_check_r4 if use_local_r4 else check_r4
+    return check_r2(trial, p) and check_r3(trial, p) and r4(trial, p)
 
 
 def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:

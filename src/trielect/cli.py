@@ -15,7 +15,7 @@ from typing import Callable
 
 from .algorithm import activation_step
 from .lattice import Cell
-from .config import ConfigError, all_in_configuration, load, save
+from .config import ConfigError, Configuration, all_in_configuration, load, save
 from .oracle import StateSpaceTooLarge
 from .support import Support, SupportError, check_angle_census, boundary_witness, parse_shape_text
 from . import generators, oracle
@@ -27,6 +27,7 @@ from .scheduler import (
     RoundRobin,
     Scripted,
     run as drive,
+    shape_hash,
 )
 
 
@@ -225,11 +226,21 @@ def cmd_search_unfair(args: argparse.Namespace) -> int:
     return 1
 
 
-def _trace_cells(path: str, support: Support) -> list[Cell]:
-    """The activated cells of a trace log, in order."""
+def _trace_cells(path: str, cfg: Configuration) -> list[Cell]:
+    """The activated cells of a trace log, in order.
+
+    A ``# trace shape=<hash>`` header must name the shape of ``cfg``.
+    """
+    expected = f"shape={shape_hash(cfg)}"
     cells = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            header = raw.split()
+            if header[:2] == ["#", "trace"] and expected not in header:
+                raise UsageError(
+                    f"trace line {lineno}: header {raw.strip()!r} does not name "
+                    f"this configuration's {expected}"
+                )
             parts = raw.split("#", 1)[0].split()
             if not parts:
                 continue
@@ -239,7 +250,7 @@ def _trace_cells(path: str, support: Support) -> list[Cell]:
                 raise UsageError(
                     f"trace line {lineno}: expected 'step q r ...', got {raw.strip()!r}"
                 ) from None
-            if cell not in support.cells:
+            if cell not in cfg.support.cells:
                 raise UsageError(
                     f"trace line {lineno}: cell ({cell.q} {cell.r}) is not in the configuration"
                 )
@@ -250,7 +261,7 @@ def _trace_cells(path: str, support: Support) -> list[Cell]:
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = load(args.config)
     if args.trace:
-        for cell in _trace_cells(args.trace, cfg.support)[: args.frame]:
+        for cell in _trace_cells(args.trace, cfg)[: args.frame]:
             cfg, _ = activation_step(cfg, cell)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_svg(cfg))
@@ -296,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("unique-sink", "silence", "reach", "angle-census", "boundary-witness"),
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(fn=cmd_enum)
 
     p = sub.add_parser("search-unfair", help="look for a periodic execution")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--shape", help="search one named shape")
-    src.add_argument("--max-n", type=int, help="scan all supports up to N cells")
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    src.add_argument("--max-n", type=_int_at_least(1), help="scan all supports up to N cells")
+    p.add_argument("--max-states", type=_int_at_least(1), default=2_000_000)
     p.add_argument("--out-config", help="write the cycle's initial configuration here")
     p.add_argument("--out-script", help="write the cyclic activation script here")
     p.set_defaults(fn=cmd_search_unfair)

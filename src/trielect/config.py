@@ -66,6 +66,14 @@ class EdgeOrientation(Enum):
         return self
 
 
+#: ``LINK_ORIENTATION[a is OUT][b is OUT]`` is the orientation that the
+#: links ``a`` and ``b`` at the two ends of edge a-b give it.
+LINK_ORIENTATION: tuple[tuple[EdgeOrientation, EdgeOrientation], ...] = (
+    (EdgeOrientation.UNDIRECTED, EdgeOrientation.B_TO_A),
+    (EdgeOrientation.A_TO_B, EdgeOrientation.CONFLICT),
+)
+
+
 def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
     return {c: IDENTITY_PORTMAP for c in support}
 
@@ -146,11 +154,8 @@ class Configuration:
     def orientation(self, a: Cell, b: Cell) -> EdgeOrientation:
         if a not in self.support.cells or b not in self.support.cells:
             raise ConfigError(f"edge {a}-{b} is not between occupied cells")
-        side_a = self.link_toward(a, b)  # raises if not adjacent
-        side_b = self.link_toward(b, a)
-        if side_a is OUT:
-            return EdgeOrientation.CONFLICT if side_b is OUT else EdgeOrientation.A_TO_B
-        return EdgeOrientation.B_TO_A if side_b is OUT else EdgeOrientation.UNDIRECTED
+        # link_toward raises if the cells are not adjacent
+        return LINK_ORIENTATION[self.link_toward(a, b) is OUT][self.link_toward(b, a) is OUT]
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""

@@ -3,13 +3,16 @@
 Enumeration grows simply connected supports one cell at a time,
 deduplicating canonical translates at every size; growth from simply
 connected shapes is complete because any such shape can lose an erodible
-boundary cell and stay simply connected.  The erosion orientation walks
-that reduction forwards: repeatedly remove a particle whose remaining
-neighbours are one to three cells on consecutive ports and whose removal
-keeps the rest connected, then direct every edge from the earlier-removed
-to the later-removed endpoint.  The result satisfies all four validity
-rules, is globally acyclic, and its unique sink is the last particle
-standing.
+boundary cell and stay simply connected.  Growth and erosion share one
+local test, ``lattice.CYCLIC_RUN`` over ``lattice.neighbor_mask``: adding
+an empty neighbour of a simply connected shape keeps it simply connected
+exactly when the cell's occupied neighbours form one cyclic run, and
+removing a cell whose occupied neighbours form one run of one to three
+cells cannot disconnect the rest, because that run is itself a path.  The
+erosion orientation walks that reduction forwards: repeatedly remove such
+a particle, then direct every edge from the earlier-removed to the
+later-removed endpoint.  The result satisfies all four validity rules, is
+globally acyclic, and its unique sink is the last particle standing.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from typing import Callable, Iterable, Mapping
 
 from .lattice import (
     ALL_PORTMAPS,
+    CYCLIC_RUN,
     Cell,
     N_DIRS,
     PortMap,
     dir_to_port,
     direction_from,
     neighbor,
+    neighbor_mask,
     neighbors,
 )
 from .config import ALL_IN, Configuration, OUT, identity_portmaps
@@ -65,52 +70,34 @@ def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
                 nb for c in shape for nb in neighbors(c) if nb not in cellset
             }
             for nb in frontier:
-                cand = canon(cellset | {nb})
-                if cand in grown:
-                    continue
-                if _simply_connected_cells(cand):
-                    grown.add(cand)
+                if CYCLIC_RUN[neighbor_mask(nb, cellset)]:
+                    grown.add(canon(cellset | {nb}))
         shapes = grown
     return [Support(shape) for shape in sorted(shapes)]
 
 
-def _simply_connected_cells(cells: tuple[Cell, ...]) -> bool:
-    # Same complement flood fill as Support, without paying for construction.
-    cellset = set(cells)
-    q0 = min(c.q for c in cells) - 1
-    r0 = min(c.r for c in cells) - 1
-    q1 = max(c.q for c in cells) + 1
-    r1 = max(c.r for c in cells) + 1
-    start = Cell(q0, r0)
-    seen = {start}
-    stack = [start]
-    empties = (q1 - q0 + 1) * (r1 - r0 + 1) - len(cellset)
-    while stack:
-        c = stack.pop()
-        for nb in neighbors(c):
-            if q0 <= nb.q <= q1 and r0 <= nb.r <= r1 and nb not in cellset and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == empties
-
-
 def random_support(n: int, seed: int) -> Support:
-    """Random simply connected support grown cell by cell."""
+    """Random simply connected support grown cell by cell.
+
+    Each step shuffles the sorted frontier and adds the first cell whose
+    occupied neighbours form one cyclic run.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     cells = {Cell(0, 0)}
+    frontier = set(neighbors(Cell(0, 0)))
     while len(cells) < n:
-        frontier = sorted(
-            {nb for c in cells for nb in neighbors(c) if nb not in cells}
-        )
-        rng.shuffle(frontier)
-        for nb in frontier:
-            if _simply_connected_cells(tuple(cells | {nb})):
-                cells.add(nb)
+        candidates = sorted(frontier)
+        rng.shuffle(candidates)
+        for nb in candidates:
+            if CYCLIC_RUN[neighbor_mask(nb, cells)]:
                 break
         else:
             raise SupportError("no simply-connectivity-preserving extension found")
+        cells.add(nb)
+        frontier.discard(nb)
+        frontier.update(x for x in neighbors(nb) if x not in cells)
     return Support(cells)
 
 
@@ -121,44 +108,30 @@ def erosion_order(s: Support) -> list[Cell]:
     """Removal order: each step takes the smallest erodible cell.
 
     A cell is erodible while others remain if its remaining occupied
-    neighbours number 1..3, sit on consecutive ports, and removing it
-    keeps the remainder connected.
+    neighbours number 1..3 and sit on consecutive ports; removing it then
+    keeps the remainder connected and simply connected.
     """
     if not s.is_simply_connected():
         raise SupportError("erosion orientation requires a simply connected support")
     remaining = set(s.cells)
+    ordered = sorted(remaining)
     order: list[Cell] = []
-    while len(remaining) > 1:
-        for c in sorted(remaining):
+    while len(ordered) > 1:
+        for i, c in enumerate(ordered):
             if _erodible(c, remaining):
                 order.append(c)
                 remaining.remove(c)
+                del ordered[i]
                 break
         else:
-            raise ErosionError(f"no erodible particle among {sorted(remaining)}")
-    order.extend(remaining)
+            raise ErosionError(f"no erodible particle among {ordered}")
+    order.extend(ordered)
     return order
 
 
 def _erodible(c: Cell, remaining: set[Cell]) -> bool:
-    occ_dirs = [d for d in range(N_DIRS) if neighbor(c, d) in remaining]
-    if not 1 <= len(occ_dirs) <= 3:
-        return False
-    present = set(occ_dirs)
-    runs = sum(1 for d in present if (d - 1) % N_DIRS not in present)
-    if runs != 1:
-        return False
-    rest = remaining - {c}
-    start = next(iter(rest))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for nb in neighbors(x):
-            if nb in rest and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(rest)
+    mask = neighbor_mask(c, remaining)
+    return 1 <= mask.bit_count() <= 3 and CYCLIC_RUN[mask]
 
 
 def erosion_orientation(

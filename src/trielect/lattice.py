@@ -12,7 +12,7 @@ may leak a global direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Container, Iterator, NamedTuple
 
 #: Global direction index, 0..5 counter-clockwise.
 Dir = int
@@ -78,6 +78,25 @@ def _cyclic_run_table() -> tuple[bool, ...]:
 #: rule checkers, the reference step, the packed oracle and the scheduler's
 #: compiled engine share.
 CYCLIC_RUN = _cyclic_run_table()
+
+
+def neighbor_mask(c: Cell, occupied: Container[Cell]) -> int:
+    """Six-bit mask whose bit ``d`` is set iff the neighbour of ``c`` in
+    direction ``d`` belongs to ``occupied`` (a cell set or a Support).
+
+    ``CYCLIC_RUN[neighbor_mask(c, cells)]`` is the local test of the
+    triangular grid: a cell with some but not all of its neighbours in a
+    simply connected set, those neighbours forming one cyclic run, can be
+    added to or removed from the set without disconnecting it or opening
+    a hole; with two or more runs it cannot.
+    """
+    q, r = c
+    mask = 0
+    for d, (dq, dr) in enumerate(DIR_OFFSETS):
+        # A plain pair hashes and compares equal to the Cell it names.
+        if (q + dq, r + dr) in occupied:
+            mask |= 1 << d
+    return mask
 
 
 def common_neighbors(a: Cell, b: Cell) -> set[Cell]:

@@ -31,10 +31,6 @@ from .config import (
 from .support import Support
 
 
-def _popcount6(m: int) -> int:
-    return bin(m).count("1")
-
-
 class StateSpaceTooLarge(ValueError):
     pass
 
@@ -156,7 +152,7 @@ class ConfigGraph:
         for mine, _, d in inc:
             if new >> mine & 1:
                 outmask |= 1 << d
-        ok = _popcount6(outmask) <= 3 and CYCLIC_RUN[outmask]
+        ok = outmask.bit_count() <= 3 and CYCLIC_RUN[outmask]
         if ok:
             for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._tri[ci]:
                 pq = (new >> pq_p & 1, new >> pq_q & 1)
@@ -194,7 +190,7 @@ class ConfigGraph:
             for mine, _, d in self._inc[ci]:
                 if state >> mine & 1:
                     outmask |= 1 << d
-            if _popcount6(outmask) > 3 or not CYCLIC_RUN[outmask]:
+            if outmask.bit_count() > 3 or not CYCLIC_RUN[outmask]:
                 return False
         for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._triangles:
             pq = (state >> pq_p & 1, state >> pq_q & 1)

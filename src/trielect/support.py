@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .lattice import (
+    CYCLIC_RUN,
     Cell,
     N_DIRS,
     common_neighbors,
-    neighbor,
+    neighbor_mask,
     neighbors,
 )
 
@@ -268,46 +269,24 @@ class Support:
 
     # -- boundary classification -------------------------------------------
 
-    def occupied_dirs(self, c: Cell) -> tuple[int, ...]:
-        return tuple(
-            d for d in range(N_DIRS) if neighbor(c, d) in self.cells
-        )
-
     def classify(self, p: Cell) -> BoundaryClass:
         """Trichotomy of a boundary particle: pending / articulation / angle."""
         if p not in self.cells:
             raise SupportError(f"{p} is not occupied")
         if p not in self.boundary():
             raise SupportError(f"{p} is not on the boundary")
-        occ = self.occupied_dirs(p)
-        if len(occ) == 1:
+        mask = neighbor_mask(p, self.cells)
+        occupied = mask.bit_count()
+        if occupied == 1:
             return PENDING
         if p in self.articulation_points():
             return ARTICULATION
-        arc = _single_cyclic_arc(occ)
-        if arc is None:
+        if not occupied or not CYCLIC_RUN[mask]:
             raise BoundaryStructureError(
-                f"occupied neighbours of {p} form several arcs but {p} is not "
+                f"occupied neighbours of {p} do not form one arc but {p} is not "
                 "an articulation point; support cannot be simply connected"
             )
-        return angle_class(60 * (len(arc) - 1))
-
-
-def _single_cyclic_arc(dirs: Sequence[int]) -> tuple[int, ...] | None:
-    """Return ``dirs`` reordered as one cyclic run, or None if not contiguous."""
-    present = set(dirs)
-    if not present or len(present) == N_DIRS:
-        return None
-    # Rotate to a position whose predecessor is absent, then take the run.
-    for start in range(N_DIRS):
-        if start in present and (start - 1) % N_DIRS not in present:
-            run = []
-            d = start
-            while d in present:
-                run.append(d)
-                d = (d + 1) % N_DIRS
-            return tuple(run) if len(run) == len(present) else None
-    return None
+        return angle_class(60 * (occupied - 1))
 
 
 # -- boundary polygon -------------------------------------------------------

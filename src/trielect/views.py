@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import Cell, N_DIRS, neighbor, port_to_dir
-from .config import Configuration, EdgeOrientation, LinkState, OUT
+from .config import LINK_ORIENTATION, Configuration, EdgeOrientation, OUT
 
 #: Sequence of (exit port at step i, entry port at step i+1) pairs.
 PathLabel = tuple[tuple[int, int], ...]
@@ -146,12 +146,6 @@ def relative_chirality(c: Configuration, p: Cell, q: Cell, r: Cell) -> int:
     return sp * sq
 
 
-def _orientation_from_links(side_a: LinkState, side_b: LinkState) -> EdgeOrientation:
-    if side_a is OUT:
-        return EdgeOrientation.CONFLICT if side_b is OUT else EdgeOrientation.A_TO_B
-    return EdgeOrientation.B_TO_A if side_b is OUT else EdgeOrientation.UNDIRECTED
-
-
 def local_check_r4(c: Configuration, p: Cell) -> bool:
     """Triangle rule at ``p`` computed from view_3(p) and neighbour registers.
 
@@ -171,9 +165,9 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
         q_to_r, r_to_q = _infer(
             labels, c.port_of(p, r), c.port_of(p, q), c.port_of(q, p), c.port_of(r, p)
         )
-        pq = _orientation_from_links(c.link_toward(p, q), c.link(q, c.port_of(q, p)))
-        pr = _orientation_from_links(c.link_toward(p, r), c.link(r, c.port_of(r, p)))
-        qr = _orientation_from_links(c.link(q, q_to_r), c.link(r, r_to_q))
+        pq = c.orientation(p, q)
+        pr = c.orientation(p, r)
+        qr = LINK_ORIENTATION[c.link(q, q_to_r) is OUT][c.link(r, r_to_q) is OUT]
         fwd = (
             pq is EdgeOrientation.A_TO_B
             and qr is EdgeOrientation.A_TO_B

@@ -5,7 +5,9 @@ package: enumeration by rooted canonical growth instead of canonical-form
 deduplication, hole detection by labelling empty components instead of a
 frame flood fill, and sink/orientation facts recomputed from first
 principles.  Expected values frozen into the tests were produced by these
-functions.  ``reference_run`` is the object-based loop that
+functions.  ``reference_random_support``, ``reference_erosion_order`` and
+``reference_boundary_class`` re-derive with flood fills what the package
+reads off one cyclic-run lookup.  ``reference_run`` is the object-based loop that
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
 reproduce bit for bit.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 import random
 
 from trielect.algorithm import activation_step, is_activable
-from trielect.lattice import Cell, neighbors
+from trielect.lattice import Cell, neighbor, neighbors
+from trielect.support import Support
 from trielect.config import Configuration, EdgeOrientation
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
@@ -103,6 +106,71 @@ def simply_connected_shape_count(n: int) -> int:
     return sum(
         1 for shape in rooted_growth_shapes(n) if empty_component_count(shape) == 0
     )
+
+
+def _connected(cells: set[Cell]) -> bool:
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbors(stack.pop()):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(cells)
+
+
+def _runs(dirs: list[int]) -> int:
+    """Number of maximal cyclic runs among the directions ``dirs``."""
+    return sum(1 for d in dirs if (d - 1) % 6 not in dirs)
+
+
+def reference_random_support(n: int, seed: int) -> Support:
+    """``generators.random_support`` with a flood fill per candidate cell.
+
+    Each step rebuilds the frontier, draws the same shuffle and keeps the
+    first candidate after which no empty component is enclosed.
+    """
+    rng = random.Random(seed)
+    cells = {Cell(0, 0)}
+    while len(cells) < n:
+        frontier = sorted({nb for c in cells for nb in neighbors(c) if nb not in cells})
+        rng.shuffle(frontier)
+        cells.add(
+            next(nb for nb in frontier if empty_component_count(frozenset(cells | {nb})) == 0)
+        )
+    return Support(cells)
+
+
+def reference_erosion_order(s: Support) -> list[Cell]:
+    """``generators.erosion_order`` that also floods the rest for connectivity."""
+    remaining = set(s.cells)
+    order = []
+    while len(remaining) > 1:
+        for c in sorted(remaining):
+            occ = [d for d in range(6) if neighbor(c, d) in remaining]
+            if 1 <= len(occ) <= 3 and _runs(occ) == 1 and _connected(remaining - {c}):
+                order.append(c)
+                remaining.remove(c)
+                break
+        else:
+            raise AssertionError(f"no erodible cell among {sorted(remaining)}")
+    return order + sorted(remaining)
+
+
+def reference_boundary_class(cells: frozenset[Cell], p: Cell) -> str:
+    """Boundary class of ``p`` as ``str(BoundaryClass)``, from first principles:
+    one occupied neighbour is pending, a cell whose removal disconnects the
+    rest is an articulation point, otherwise the occupied neighbours must
+    form one run of k cells spanning 60 * (k - 1) degrees.
+    """
+    occ = [d for d in range(6) if neighbor(p, d) in cells]
+    if len(occ) == 1:
+        return "pending"
+    if not _connected(set(cells) - {p}):
+        return "articulation"
+    assert _runs(occ) == 1, f"{p} is no articulation point but has {_runs(occ)} arcs"
+    return f"angle({60 * (len(occ) - 1)})"
 
 
 def directed_edge_list(c: Configuration) -> list[tuple[Cell, Cell]]:

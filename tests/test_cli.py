@@ -169,6 +169,19 @@ def test_render_trace_frame(tmp_path, capsys):
     assert 'class="edge directed"' in svg.read_text()
 
 
+def test_render_rejects_trace_of_another_shape(tmp_path, capsys):
+    small, large = tmp_path / "h1.cfg", tmp_path / "h2.cfg"
+    trace = tmp_path / "h1.trace"
+    main(["gen", "--shape", "hexagon1", "--init", "all-in", "--out", str(small)])
+    main(["gen", "--shape", "hexagon2", "--init", "all-in", "--out", str(large)])
+    main(["run", "--config", str(small), "--scheduler", "roundrobin", "--trace", str(trace)])
+    capsys.readouterr()
+    argv = ["render", "--trace", str(trace), "--frame", "3", "--out", str(tmp_path / "f.svg")]
+    assert main(argv + ["--config", str(small)]) == 0
+    assert main(argv + ["--config", str(large)]) == 2
+    assert "does not name this configuration's shape=" in capsys.readouterr().err
+
+
 def test_usage_error_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--shape", "hexagon1"])  # missing --out
@@ -219,6 +232,12 @@ def _exit_code(argv):
         (["render", "--config", "{cfg}", "--trace", "{trace}", "--frame", "1", "--out", "{out}"],
          "0 9 9 1 0 1 0\n"),
         (["render", "--config", "{cfg}", "--frame", "-1", "--out", "{out}"], None),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"],
+         "# trace shape=000000000000 scheduler=roundrobin cap=10\n0 0 0 1 0 1 0\n"),
+        (["search-unfair", "--max-n", "0"], None),
+        (["search-unfair", "--max-n", "2", "--max-states", "-1"], None),
+        (["enum", "--n", "2", "--check", "silence", "--jobs", "0"], None),
+        (["enum", "--n", "2", "--check", "silence", "--jobs", "-2"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

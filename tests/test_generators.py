@@ -23,6 +23,8 @@ from trielect.support import SupportError, canonical_cells
 from reference import (
     empty_component_count,
     globally_acyclic,
+    reference_erosion_order,
+    reference_random_support,
     rooted_growth_shapes,
     simply_connected_shape_count,
 )
@@ -74,6 +76,20 @@ def test_random_support_properties():
         assert s.is_simply_connected()
     assert random_support(8, 5).cells == random_support(8, 5).cells
     assert len(random_support(1, 0)) == 1
+
+
+def test_random_support_matches_flood_fill_grower():
+    for seed in (0, 1, 7, 101):
+        for n in range(1, 41):
+            assert random_support(n, seed).cells == reference_random_support(n, seed).cells
+    assert random_support(150, 11).cells == reference_random_support(150, 11).cells
+
+
+def test_erosion_order_matches_flood_fill_reference():
+    supports = [s for n in range(1, 7) for s in enumerate_supports(n)]
+    supports += [random_support(n, seed) for n in (12, 40, 150) for seed in (2, 3)]
+    for s in supports:
+        assert erosion_order(s) == reference_erosion_order(s)
 
 
 def test_erosion_order_line():

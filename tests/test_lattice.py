@@ -10,10 +10,12 @@ from trielect.lattice import (
     dir_to_port,
     direction_from,
     neighbor,
+    neighbor_mask,
     neighbors,
     opposite,
     port_to_dir,
 )
+from trielect.support import Support
 
 
 def test_neighbors_of_origin():
@@ -85,6 +87,16 @@ def test_direction_from_roundtrip():
     c = Cell(4, -2)
     for d in range(N_DIRS):
         assert direction_from(c, neighbor(c, d)) == d
+
+
+def test_neighbor_mask_reads_sets_and_supports():
+    c = Cell(4, -2)
+    for mask in range(1 << N_DIRS):
+        cells = {neighbor(c, d) for d in range(N_DIRS) if mask >> d & 1}
+        assert neighbor_mask(c, cells) == mask
+        assert neighbor_mask(c, cells | {c, Cell(9, 9)}) == mask
+        if mask:
+            assert neighbor_mask(c, Support(cells | {c})) == mask
 
 
 def test_portmap_validation():

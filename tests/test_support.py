@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trielect.lattice import Cell
+from trielect.lattice import CYCLIC_RUN, Cell, neighbor_mask, neighbors
 from trielect.support import (
     FlatPairWitness,
     PendingWitness,
@@ -22,7 +22,7 @@ from trielect.support import (
 )
 from trielect.generators import enumerate_supports, hexagon, ring18
 
-from reference import empty_component_count
+from reference import empty_component_count, reference_boundary_class, rooted_growth_shapes
 
 
 def test_constructor_rejects_empty_and_disconnected():
@@ -47,6 +47,26 @@ def test_simply_connected_matches_component_oracle():
     for cells in sampled:
         s = Support(cells)
         assert s.is_simply_connected() == (empty_component_count(s.cells) == 0)
+
+
+def test_cyclic_run_growth_test_matches_flood_fill():
+    # Adding an empty neighbour to a simply connected shape keeps it simply
+    # connected exactly when the cell's occupied neighbours form one run.
+    for n in range(1, 7):
+        for shape in rooted_growth_shapes(n):
+            if empty_component_count(shape):
+                continue
+            frontier = {nb for c in shape for nb in neighbors(c)} - shape
+            for c in frontier:
+                grows = CYCLIC_RUN[neighbor_mask(c, shape)]
+                assert grows == (empty_component_count(shape | {c}) == 0), (sorted(shape), c)
+
+
+def test_classify_matches_reference():
+    for n in range(2, 7):
+        for s in enumerate_supports(n):
+            for c in s.boundary():
+                assert str(s.classify(c)) == reference_boundary_class(s.cells, c)
 
 
 def test_boundary(hex1, line3):
