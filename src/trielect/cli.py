@@ -102,6 +102,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load(args.config)
+    _require_simply_connected(cfg.support)
     if args.scheduler == "random":
         kind = RandomSequential(args.seed)
     elif args.scheduler == "roundrobin":

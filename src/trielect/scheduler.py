@@ -21,11 +21,14 @@ particle with the same random draws: every run is bit-identical to
 driving ``algorithm.activation_step`` step by step, which the tests
 check against an object-based reference loop.
 
-``Configuration`` stays the boundary: ``run`` takes one and returns one.
-When per-step checks or traces are asked for, it also keeps the current
-``Configuration`` and counts rule violations with ``rules.check_r2/3/4``
-on the activated particle and its neighbours, the only particles whose
-status a step can change; ``violation_count`` is the full recount.
+``Configuration`` stays the boundary: ``run`` takes one and returns one,
+built once at the end from the registers that changed.  When per-step
+checks or traces are asked for, ``_breaks`` reads R2, R3 and R4 off the
+same Out flags for the activated particle and its neighbours, the only
+particles whose status a step can change, and keeps the violation count
+up to date; a configuration is built mid-run only for the step that
+breaks a check.  ``violation_count`` is the object-path full recount
+through ``rules.check_r2/3/4``.
 """
 
 from __future__ import annotations
@@ -192,6 +195,48 @@ def _fire(
     return before, after if ok else 0, line1, not ok, conflicts
 
 
+def _breaks(
+    out: bytearray,
+    half: tuple[int, ...],
+    dirs: tuple[int, ...],
+    tri_dirs: tuple[int, ...],
+    tri_far: tuple[int, ...],
+) -> bool:
+    """True iff the cell breaks R2, R3 or R4 under the Out flags ``out``.
+
+    Takes the cell's rows of a ``CompiledSupport``, like ``_fire``, but
+    assumes nothing about the edges: ``mine`` and ``theirs`` are the
+    masks of the cell's own and the far-side Out flags, and an edge is
+    directed away from the cell (``pout``) or toward it (``pin``) only
+    when exactly one side is Out.  Undirected and conflict edges never
+    close a cycle, as in ``rules.check_r4``.  A triangle at direction
+    ``d`` is a directed 3-cycle one way round when the cell points at the
+    neighbour at ``d``, the neighbour at ``d + 1`` points at the cell and
+    the far edge runs from the first to the second; the other way round
+    swaps all three.
+    """
+    mine = theirs = 0
+    for h, d in zip(half, dirs):
+        if out[h]:
+            mine |= 1 << d
+        if out[h ^ 1]:
+            theirs |= 1 << d
+    if mine.bit_count() > 3 or not CYCLIC_RUN[mine]:
+        return True
+    pout = mine & ~theirs
+    pin = theirs & ~mine
+    # Bit d of ``fwd``: Out toward d, In from d + 1; of ``bwd``: the reverse.
+    fwd = pout & (pin >> 1 | (pin & 1) << (N_DIRS - 1))
+    bwd = pin & (pout >> 1 | (pout & 1) << (N_DIRS - 1))
+    if fwd | bwd:
+        for d, far in zip(tri_dirs, tri_far):
+            if fwd >> d & 1 and out[far] and not out[far ^ 1]:
+                return True
+            if bwd >> d & 1 and out[far ^ 1] and not out[far]:
+                return True
+    return False
+
+
 def _register(c: Configuration, p: Cell, dirs: tuple[int, ...], mask: int) -> Registers:
     """The register of ``p`` that is Out exactly toward the directions in ``mask``."""
     pm = c.portmaps[p]
@@ -250,11 +295,12 @@ def run(
     tracing = record_trace or trace_file is not None
     observed = check_invariants or tracing
     events: list[TraceEvent] = []
-    config = c0
-    # Unobserved runs skip the Configuration; they write it once at the end.
+    # Out masks of the cells whose register changed, by cell number.
     final_masks: dict[int, int] = {}
     if observed:
-        violating = bytearray(_violates(c0, p) for p in cells)
+        violating = bytearray(
+            _breaks(out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci]) for ci in range(n)
+        )
         violations = sum(violating)
 
     if trace_file is not None:
@@ -263,11 +309,14 @@ def run(
             f" cap={max_steps}\n"
         )
 
-    def result(outcome: Outcome) -> ExecutionResult:
-        final = config if observed else c0.with_registers({
+    def current() -> Configuration:
+        return c0.with_registers({
             cells[ci]: _register(c0, cells[ci], dirs[ci], mask)
             for ci, mask in final_masks.items()
         })
+
+    def result(outcome: Outcome) -> ExecutionResult:
+        final = current()
         if outcome is Outcome.FINAL and check_invariants:
             if not is_valid(final) or len(sinks(final)) != 1:
                 raise StepInvariantError(
@@ -308,29 +357,27 @@ def run(
                         insort(live, x)
                     else:
                         del live[bisect_left(live, x)]
-            if not observed:
-                final_masks[ci] = after
+            final_masks[ci] = after
 
         if not observed:
             continue
         p = cells[ci]
         prev_violations = violations
         if changed:
-            config = config.with_register(p, _register(config, p, dirs[ci], after))
             for x in (ci, *nbrs[ci]):
-                v = _violates(config, cells[x])
+                v = _breaks(out, half[x], dirs[x], tri_dirs[x], tri_far[x])
                 violations += v - violating[x]
                 violating[x] = v
         if check_invariants:
             if violating[ci]:
                 raise StepInvariantError(
                     f"step {step}: activated particle {p} violates a repairable rule",
-                    config,
+                    current(),
                 )
             if violations > prev_violations:
                 raise StepInvariantError(
                     f"step {step}: violation count rose {prev_violations} -> {violations}",
-                    config,
+                    current(),
                 )
         if tracing:
             effect = ActivationEffect(changed, line1, line2, conflicts)

@@ -275,13 +275,15 @@ class Support:
             raise SupportError(f"{p} is not occupied")
         if p not in self.boundary():
             raise SupportError(f"{p} is not on the boundary")
+        if len(self.cells) == 1:
+            raise SupportError(f"{p} is a lone particle, which has no boundary class")
         mask = neighbor_mask(p, self.cells)
         occupied = mask.bit_count()
         if occupied == 1:
             return PENDING
         if p in self.articulation_points():
             return ARTICULATION
-        if not occupied or not CYCLIC_RUN[mask]:
+        if not CYCLIC_RUN[mask]:
             raise BoundaryStructureError(
                 f"occupied neighbours of {p} do not form one arc but {p} is not "
                 "an articulation point; support cannot be simply connected"

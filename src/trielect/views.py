@@ -15,13 +15,24 @@ second common neighbour; from it p recovers q's handedness relative to
 its own and the full orientation of every edge in the triangle, which is
 all the triangle rule needs.  Depth 3 suffices and is the default
 everywhere.
+
+Because a label names at most one walk, "label in view_3(p)" is answered
+by walking it: ``in_view`` follows the exit ports from p and checks each
+entry port against the port the next cell assigns to the edge, a
+handful of lookups per question.  The formula asks about a dozen such
+questions per triangle, so ``local_check_r4`` and
+``infer_triangle_labels`` never build the whole view; ``build_view``
+is the definition of view_k and the reference ``in_view`` is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from .lattice import Cell, N_DIRS, neighbor, port_to_dir
+from .lattice import DIR_OFFSETS, Cell, N_DIRS, dir_to_port, neighbor, port_to_dir
 from .config import LINK_ORIENTATION, Configuration, EdgeOrientation, OUT
 
 #: Sequence of (exit port at step i, entry port at step i+1) pairs.
@@ -71,8 +82,36 @@ def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
     return View(owner=p, depth=k, labels=frozenset(labels))
 
 
+def in_view(c: Configuration, p: Cell, label: PathLabel) -> bool:
+    """``label in build_view(c, p).labels``, decided by walking the label.
+
+    Holds iff the label is non-empty, no longer than ``VIEW_DEPTH``, and
+    the walk it names exists: every exit port leads to an occupied cell
+    whose port back along the edge is the recorded entry port.
+    """
+    if not 0 < len(label) <= VIEW_DEPTH:
+        return False
+    cells, portmaps = c.support.cells, c.portmaps
+    q, r = p
+    pm = portmaps[p]
+    for exit_port, entry_port in label:
+        if not 0 <= exit_port < N_DIRS:
+            return False
+        d = port_to_dir(pm, exit_port)
+        dq, dr = DIR_OFFSETS[d]
+        q += dq
+        r += dr
+        # A plain pair hashes and compares equal to the Cell it names.
+        if (q, r) not in cells:
+            return False
+        pm = portmaps[(q, r)]
+        if dir_to_port(pm, (d + 3) % N_DIRS) != entry_port:
+            return False
+    return True
+
+
 def _formula_holds(
-    labels: frozenset[PathLabel],
+    has: Callable[[PathLabel], bool],
     p0: int,
     p1: int,
     q1: int,
@@ -82,28 +121,30 @@ def _formula_holds(
 ) -> bool:
     """Membership formula deciding whether edge qr is labelled (x, y).
 
-    p0/p1 are p's ports toward r/q; q1 and r1 are the ports q and r assign
-    to their edges with p.  The derived port numbers continue each
-    particle's 0..5 progression in the sense fixed by the candidate.
+    ``has`` answers view_3(p) membership.  p0/p1 are p's ports toward
+    r/q; q1 and r1 are the ports q and r assign to their edges with p.
+    The derived port numbers continue each particle's 0..5 progression in
+    the sense fixed by the candidate.
     """
     q0 = (2 * q1 - x) % N_DIRS
     r2 = (2 * r1 - y) % N_DIRS
     r5 = (2 * y - r1) % N_DIRS
     p2 = (2 * p1 - p0) % N_DIRS
-    around = ((p1, q1), (x, y), (r1, p0)) in labels
-    around_back = ((p0, r1), (y, x), (q1, p1)) in labels
-    other_triangle = ((p1, q1), (q0, r2)) in labels and ((p2, r5),) in labels
-    return around and around_back and not other_triangle
+    return (
+        has(((p1, q1), (x, y), (r1, p0)))  # around the triangle
+        and has(((p0, r1), (y, x), (q1, p1)))  # and back
+        and not (has(((p1, q1), (q0, r2))) and has(((p2, r5),)))  # not the other triangle
+    )
 
 
 def _infer(
-    labels: frozenset[PathLabel], p0: int, p1: int, q1: int, r1: int
+    has: Callable[[PathLabel], bool], p0: int, p1: int, q1: int, r1: int
 ) -> tuple[int, int]:
     matches = [
         (x, y)
         for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS)
         for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS)
-        if _formula_holds(labels, p0, p1, q1, r1, x, y)
+        if _formula_holds(has, p0, p1, q1, r1, x, y)
     ]
     if len(matches) != 1:
         raise ChiralityInferenceError(
@@ -115,8 +156,8 @@ def _infer(
 def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[int, int]:
     """True port labels (q's port toward r, r's port toward q), seen from p.
 
-    Uses only view_3(p) plus the labels p's neighbours assign to their
-    shared edges, never q's or r's port maps.
+    Uses only view_3(p) membership (``in_view``) plus the labels p's
+    neighbours assign to their shared edges, never q's or r's port maps.
     """
     for a, b in ((p, q), (q, r), (r, p)):
         if b not in (neighbor(a, d) for d in range(N_DIRS)):
@@ -125,9 +166,8 @@ def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[
     p0 = c.port_of(p, r)
     q1 = c.port_of(q, p)
     r1 = c.port_of(r, p)
-    labels = build_view(c, p, VIEW_DEPTH).labels
     try:
-        return _infer(labels, p0, p1, q1, r1)
+        return _infer(partial(in_view, c, p), p0, p1, q1, r1)
     except ChiralityInferenceError as exc:
         raise ChiralityInferenceError(f"edge {q}-{r} seen from {p}: {exc}") from None
 
@@ -155,15 +195,13 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
     """
     cells = c.support.cells
     nbs = [neighbor(p, d) for d in range(N_DIRS)]
-    labels: frozenset[PathLabel] | None = None
+    has = partial(in_view, c, p)
     for d in range(N_DIRS):
         q, r = nbs[d], nbs[(d + 1) % N_DIRS]
         if q not in cells or r not in cells:
             continue
-        if labels is None:
-            labels = build_view(c, p, VIEW_DEPTH).labels
         q_to_r, r_to_q = _infer(
-            labels, c.port_of(p, r), c.port_of(p, q), c.port_of(q, p), c.port_of(r, p)
+            has, c.port_of(p, r), c.port_of(p, q), c.port_of(q, p), c.port_of(r, p)
         )
         pq = c.orientation(p, q)
         pr = c.orientation(p, r)

@@ -1,6 +1,7 @@
 import pytest
 
 from trielect.cli import main
+from trielect.config import save
 from trielect.generators import ring18
 from trielect.support import format_shape_text
 
@@ -37,6 +38,14 @@ def test_gen_rejects_ring18_file(tmp_path, capsys):
 def test_gen_rejects_ring18_shape_name(tmp_path):
     rc = main(["gen", "--shape", "ring18", "--init", "all-in", "--out", str(tmp_path / "r.cfg")])
     assert rc == 2
+
+
+def test_verify_checks_ring18(tmp_path, capsys):
+    # run refuses a support with holes, but verify checks any configuration
+    ring = tmp_path / "ring18.cfg"
+    save(ring18(), str(ring))
+    assert main(["verify", "--config", str(ring)]) == 1
+    assert capsys.readouterr().out.startswith("valid=no sinks=18")
 
 
 def test_gen_unknown_shape(tmp_path):
@@ -238,16 +247,19 @@ def _exit_code(argv):
         (["search-unfair", "--max-n", "2", "--max-states", "-1"], None),
         (["enum", "--n", "2", "--check", "silence", "--jobs", "0"], None),
         (["enum", "--n", "2", "--check", "silence", "--jobs", "-2"], None),
+        (["run", "--config", "{ring}"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
     cfg = tmp_path / "p.cfg"
     main(["gen", "--shape", "line2", "--init", "all-in", "--out", str(cfg)])
+    ring = tmp_path / "ring18.cfg"
+    save(ring18(), str(ring))
     trace = tmp_path / "bad.trace"
     if trace_text is not None:
         trace.write_text(trace_text)
     capsys.readouterr()
-    paths = {"cfg": str(cfg), "out": str(tmp_path / "out"), "trace": str(trace)}
+    paths = {"cfg": str(cfg), "ring": str(ring), "out": str(tmp_path / "out"), "trace": str(trace)}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error: " in err

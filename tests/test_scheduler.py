@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from trielect.lattice import Cell
+import reference
+import trielect.scheduler as scheduler
+from trielect.lattice import Cell, N_DIRS, neighbor, port_to_dir
 from trielect.algorithm import ActivationEffect, activation_step, step_register
-from trielect.config import all_in_configuration
+from trielect.config import IN, OUT, all_in_configuration
 from trielect.generators import (
     enumerate_supports,
     erosion_orientation,
@@ -15,14 +17,17 @@ from trielect.generators import (
     random_support,
 )
 from trielect.oracle import CompiledSupport, ConfigGraph
-from trielect.rules import is_valid, sinks
+from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
     Outcome,
     RandomSequential,
     RoundRobin,
     Scripted,
+    StepInvariantError,
+    _breaks,
     _fire,
     _register,
+    _violates,
     analyze_cycle,
     detect_final,
     run,
@@ -241,3 +246,119 @@ def test_incremental_violation_count_matches_full_recount():
             replay, _ = activation_step(replay, event.activated[0])
             assert event.post_violation_count == violation_count(replay)
         assert replay == res.config
+
+
+def test_breaks_matches_rule_checks_on_every_small_state():
+    """``_breaks`` equals ``_violates`` (not R2 and R3 and R4, on the object path)
+    at every cell of every 4^E state, conflicts included, of every support with n <= 4."""
+    rng = random.Random(7)
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            graph = ConfigGraph(s)
+            compiled = CompiledSupport(s)
+            rows = list(zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far))
+            for state in graph.all_states():
+                cfg = graph.unpack(state, portmaps)
+                out = compiled.flags(cfg)
+                for p, row in zip(compiled.cells, rows):
+                    assert _breaks(out, *row) == _violates(cfg, p), (state, p)
+
+
+def test_breaks_matches_rule_checks_on_random_configurations():
+    rng = random.Random(11)
+    r4_only = 0
+    for n in (5, 9, 17, 33, 70, 150):
+        for conflict_prob in (0.1, 0.4):
+            s = random_support(n, rng.randrange(2**31))
+            cfg = random_registers(
+                s, rng.randrange(2**31), conflict_prob, random_portmaps(s, rng.randrange(2**31))
+            )
+            compiled = CompiledSupport(s)
+            out = compiled.flags(cfg)
+            rows = zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far)
+            for p, row in zip(compiled.cells, rows):
+                assert _breaks(out, *row) == _violates(cfg, p), p
+                r4_only += check_r2(cfg, p) and check_r3(cfg, p) and not check_r4(cfg, p)
+    assert r4_only  # the triangle branch was exercised
+
+
+class _SkipLine2Once:
+    """``scheduler._fire`` that skips line 2 on one activation.
+
+    ``run`` calls ``_fire`` once per cell to seed activability, then once
+    per activation, followed, when that activation changed the register,
+    by one refresh call for the activated cell and each of its
+    neighbours.  On the first activation numbered ``start`` or later at
+    which line 2 fires, this wrapper returns the mask line 1 left instead.
+    """
+
+    def __init__(self, n_cells: int, start: int):
+        self.refreshes = n_cells
+        self.start = start
+        self.activations = 0
+        self.skipped_at = None
+
+    def __call__(self, out, half, dirs, tri_dirs, tri_far):
+        before, after, line1, line2, conflicts = _fire(out, half, dirs, tri_dirs, tri_far)
+        if self.refreshes:
+            self.refreshes -= 1
+            return before, after, line1, line2, conflicts
+        self.activations += 1
+        if line2 and self.skipped_at is None and self.activations >= self.start:
+            self.skipped_at = self.activations
+            after = sum(1 << d for h, d in zip(half, dirs) if not out[h ^ 1])
+            line2 = False
+        if before != after:
+            self.refreshes = 1 + len(half)
+        return before, after, line1, line2, conflicts
+
+
+class _ActivationStepSkippingLine2Once:
+    """``activation_step`` that skips line 2 on one activation, as above."""
+
+    def __init__(self, start: int):
+        self.start = start
+        self.activations = 0
+        self.skipped_at = None
+
+    def __call__(self, c, p):
+        new, effect = activation_step(c, p)
+        self.activations += 1
+        if not effect.line2_fired or self.skipped_at is not None or self.activations < self.start:
+            return new, effect
+        self.skipped_at = self.activations
+        pm = c.portmaps[p]
+        reg = []
+        for port in range(N_DIRS):
+            n = neighbor(p, port_to_dir(pm, port))
+            line1_out = n in c.support.cells and c.link_toward(n, p) is IN
+            reg.append(OUT if line1_out else IN)
+        reg = tuple(reg)
+        changed = reg != c.regs[p]
+        effect = ActivationEffect(changed, effect.line1_fired, False, effect.conflicts_resolved)
+        return (c.with_register(p, reg) if changed else c), effect
+
+
+def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch):
+    rng = random.Random(53)
+    s = random_support(14, rng.randrange(2**31))
+    cfg = random_registers(s, rng.randrange(2**31), 0.2, random_portmaps(s, rng.randrange(2**31)))
+    kind = RandomSequential(rng.randrange(2**31))
+    start = 6
+
+    fire = _SkipLine2Once(len(s), start)
+    monkeypatch.setattr(scheduler, "_fire", fire)
+    with pytest.raises(StepInvariantError) as got:
+        run(cfg, kind, check_invariants=True)
+    monkeypatch.undo()
+
+    step = _ActivationStepSkippingLine2Once(start)
+    monkeypatch.setattr(reference, "activation_step", step)
+    with pytest.raises(StepInvariantError) as want:
+        reference_run(cfg, kind, check_invariants=True)
+
+    assert fire.skipped_at is not None and fire.skipped_at == step.skipped_at
+    assert f"step {fire.skipped_at}:" in str(got.value)
+    assert got.value.config == want.value.config
+    assert got.value.config != cfg

@@ -108,6 +108,13 @@ def test_classify_rejects_off_boundary(hex1):
         hex1.classify(Cell(9, 9))
 
 
+def test_classify_rejects_lone_particle():
+    single = Support([Cell(0, 0)])
+    assert single.is_simply_connected()
+    with pytest.raises(SupportError, match="lone particle"):
+        single.classify(Cell(0, 0))
+
+
 def test_articulation_points(hex1, line3):
     assert line3.articulation_points() == frozenset({Cell(1, 0)})
     assert hex1.articulation_points() == frozenset()

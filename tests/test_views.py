@@ -1,11 +1,14 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
-from trielect.lattice import ALL_PORTMAPS, Cell
+from trielect.lattice import ALL_PORTMAPS, N_DIRS, Cell
 from trielect.config import ALL_IN, Configuration, OUT
 from trielect.generators import (
+    enumerate_supports,
+    hexagon,
     random_portmaps,
     random_registers,
     random_support,
@@ -14,7 +17,11 @@ from trielect.generators import (
 from trielect.rules import check_r4, triangles_at
 from trielect.support import Support
 from trielect.views import (
+    VIEW_DEPTH,
+    _formula_holds,
+    _infer,
     build_view,
+    in_view,
     infer_triangle_labels,
     local_check_r4,
     relative_chirality,
@@ -142,3 +149,60 @@ def test_local_r4_detects_directed_triangle():
     for c in tri:
         assert not local_check_r4(cfg, c)
         assert not check_r4(cfg, c)
+
+
+def _membership_cases():
+    """Every support with n <= 4, triangle3, hexagon1 and hexagon2 under random port maps."""
+    rng = random.Random(314)
+    supports = [s for n in range(1, 5) for s in enumerate_supports(n)]
+    supports += [triangle3(), hexagon(1), hexagon(2)]
+    for s in supports:
+        yield random_registers(s, 0, 0.0, random_portmaps(s, rng.randrange(10**9)))
+
+
+def _altered(label, i, exit_port=None, entry_port=None):
+    step = (
+        label[i][0] if exit_port is None else exit_port,
+        label[i][1] if entry_port is None else entry_port,
+    )
+    return label[:i] + (step,) + label[i + 1:]
+
+
+def test_in_view_matches_build_view():
+    """Every label of view_4, so every view_3 label and every 4-step walk,
+    plus view_3 labels with one exit or entry port altered."""
+    for cfg in _membership_cases():
+        for p in cfg.support:
+            view = build_view(cfg, p, VIEW_DEPTH).labels
+            assert not in_view(cfg, p, ())
+            for label in build_view(cfg, p, VIEW_DEPTH + 1).labels:
+                assert in_view(cfg, p, label) == (label in view), label
+            for label in view:
+                for i in range(len(label)):
+                    for port in range(-1, N_DIRS + 1):
+                        for altered in (_altered(label, i, entry_port=port),
+                                        _altered(label, i, exit_port=port)):
+                            assert in_view(cfg, p, altered) == (altered in view), altered
+
+
+def test_in_view_answers_every_formula_query():
+    """Every label the membership formula asks about, for all four candidates."""
+    for cfg in _membership_cases():
+        for p in cfg.support:
+            view = build_view(cfg, p, VIEW_DEPTH).labels
+            for q, r in triangles_at(cfg, p):
+                ports = (cfg.port_of(p, r), cfg.port_of(p, q), cfg.port_of(q, p), cfg.port_of(r, p))
+                p0, p1, q1, r1 = ports
+                asked = []
+
+                def record(label):
+                    asked.append(label)
+                    return True  # keeps the formula asking every question
+
+                for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS):
+                    for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS):
+                        _formula_holds(record, p0, p1, q1, r1, x, y)
+                assert len(asked) == 16
+                for label in asked:
+                    assert in_view(cfg, p, label) == (label in view), label
+                assert _infer(partial(in_view, cfg, p), *ports) == _infer(view.__contains__, *ports)
