@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .algorithm import activation_step
 from .lattice import Cell
@@ -174,16 +175,33 @@ def _enum_one(payload: tuple[str, tuple[tuple[int, int], ...]]) -> tuple[bool, s
     raise UsageError(f"unknown check {check!r}")
 
 
+def _with_progress(
+    results: Iterable[tuple[bool, str]], total: int, label: str
+) -> Iterator[tuple[bool, str]]:
+    """Pass ``results`` through, writing ``<label> done=i/total seconds=…``
+    to stderr after about every tenth of them and after the last."""
+    start = time.perf_counter()
+    every = max(1, total // 10)
+    for i, result in enumerate(results, start=1):
+        yield result
+        if i % every == 0 or i == total:
+            seconds = time.perf_counter() - start
+            print(f"{label} done={i}/{total} seconds={seconds:.2f}", file=sys.stderr)
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     supports = generators.enumerate_supports(args.n)
     payloads = [
         (args.check, tuple((c.q, c.r) for c in s.cells)) for s in supports
     ]
+    label = f"enum check={args.check}"
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_enum_one, payloads, chunksize=16))
+            # ``map`` yields in input order as results arrive.
+            outcomes = pool.map(_enum_one, payloads, chunksize=16)
+            results = list(_with_progress(outcomes, len(payloads), label))
     else:
-        results = [_enum_one(p) for p in payloads]
+        results = list(_with_progress(map(_enum_one, payloads), len(payloads), label))
     failures = [(p, detail) for (ok, detail), p in zip(results, payloads) if not ok]
     print(f"check={args.check} n={args.n} supports={len(supports)}")
     if failures:
@@ -197,32 +215,38 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 
 def cmd_search_unfair(args: argparse.Namespace) -> int:
-    candidates: list[Support] = []
     if args.shape:
-        candidates.append(_named_shape(args.shape))
+        groups = [(None, [_named_shape(args.shape)])]
     else:
-        for n in range(2, args.max_n + 1):
-            candidates.extend(generators.enumerate_supports(n))
-        candidates.sort(key=lambda s: (len(s), len(s.edges())))
-    for support in candidates:
-        if 3 ** len(support.edges()) > args.max_states:
-            continue
-        found = oracle.find_unfair_cycle(support, max_states=args.max_states)
-        if found is None:
-            continue
-        print(
-            f"cycle found: {len(support)} cells, {len(support.edges())} edges, "
-            f"period {found.period}"
+        # Smallest supports first, fewest edges first within a size.
+        groups = (
+            (n, sorted(generators.enumerate_supports(n), key=lambda s: len(s.edges())))
+            for n in range(2, args.max_n + 1)
         )
-        if args.out_config:
-            save(found.initial_config(), args.out_config)
-            print(f"initial configuration written to {args.out_config}")
-        if args.out_script:
-            with open(args.out_script, "w", encoding="utf-8") as fh:
-                for c in found.script:
-                    fh.write(f"{c.q} {c.r}\n")
-            print(f"activation script written to {args.out_script}")
-        return 0
+    for n, candidates in groups:
+        start = time.perf_counter()
+        for support in candidates:
+            if 3 ** len(support.edges()) > args.max_states:
+                continue
+            found = oracle.find_unfair_cycle(support, max_states=args.max_states)
+            if found is None:
+                continue
+            print(
+                f"cycle found: {len(support)} cells, {len(support.edges())} edges, "
+                f"period {found.period}"
+            )
+            if args.out_config:
+                save(found.initial_config(), args.out_config)
+                print(f"initial configuration written to {args.out_config}")
+            if args.out_script:
+                with open(args.out_script, "w", encoding="utf-8") as fh:
+                    for c in found.script:
+                        fh.write(f"{c.q} {c.r}\n")
+                print(f"activation script written to {args.out_script}")
+            return 0
+        if n is not None:
+            seconds = time.perf_counter() - start
+            print(f"n={n} supports={len(candidates)} seconds={seconds:.2f}", file=sys.stderr)
     print("no cycle found within budget")
     return 1
 

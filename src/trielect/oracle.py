@@ -7,12 +7,11 @@ initialisation including Out/Out; the conflict-free subspace (3^E) is
 closed under sequential activation because no step ever writes Out onto
 an edge whose far side is already Out.
 
-The per-particle transition implemented here is an independent, table
-driven rewrite of the reference step; tests compare the two pointwise.
-Everything the step needs is precomputed per support by
-``CompiledSupport``, which the scheduler's engine shares: incident edge
-bit positions, occupied directions and the triangle bit patterns; the
-64-entry cyclic-run table is ``lattice.CYCLIC_RUN``.
+``ConfigGraph`` steps and checks whole states with mask algebra (a pair
+swap, the identity ``mine = not theirs``, per-cell own-pattern tables and
+3-bit triangle cycle masks), an independent rewrite of the reference step
+that tests compare pointwise.  ``CompiledSupport`` holds the geometry the
+scheduler's engine shares; the cyclic-run table is ``lattice.CYCLIC_RUN``.
 """
 
 from __future__ import annotations
@@ -107,7 +106,27 @@ class CompiledSupport:
 
 
 class ConfigGraph:
-    """Sequential successor relation over the packed states of one support."""
+    """Sequential successor relation over the packed states of one support.
+
+    Every method reads a whole state with a few int operations.  ``LO``
+    is the mask of the even bits, and ``swap_pairs(s) = (s >> 1 & LO) |
+    (s & LO) << 1`` holds the Out flag of half-edge ``h ^ 1`` at bit ``h``.
+    So ``nsw = ~swap_pairs(state)`` marks the half-edges whose far side is
+    In, and ``state & nsw`` those directed away from their owner.
+
+    An activated cell with own half-edges ``own`` is Out on exactly
+    ``own & nsw`` after resolving conflicts and line 1 (``mine = not
+    theirs``).  Its own-pattern table maps that pattern to -1 if it breaks
+    R2 or R3, else to the far half-edges that close a directed triangle
+    when directed away from their owner.  Line 2 fires iff the entry
+    meets ``state & nsw | pattern``; the successor is ``state & ~own``
+    plus the pattern unless line 2 fires.
+
+    Every edge is directed iff ``(state ^ state >> 1) & LO == LO``.  R2
+    and R3 hold at a cell iff its entry for ``state & own`` is not -1; R4
+    fails iff ``state & nsw`` covers one of a triangle's two 3-bit cycle
+    masks.  A cell is a sink iff ``state & own == 0``.
+    """
 
     def __init__(self, support: Support):
         self.support = support
@@ -116,104 +135,66 @@ class ConfigGraph:
         self._compiled = compiled = CompiledSupport(support)
         self.cells: tuple[Cell, ...] = compiled.cells
 
-        # Incident structure per cell: (my_bit, other_bit, direction).
-        self._inc: list[tuple[tuple[int, int, int], ...]] = []
-        # Triangle structure per cell: bit positions of the six half-edges.
-        self._tri: list[tuple[tuple[int, int, int, int, int, int], ...]] = []
-        for ci, half in enumerate(compiled.half):
-            dirs = compiled.dirs[ci]
-            self._inc.append(tuple((h, h ^ 1, d) for h, d in zip(half, dirs)))
+        self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
+        # Per cell: (own half-edges, every other half-edge, own-pattern table).
+        self._rows: list[tuple[int, int, dict[int, int]]] = []
+        cycles: dict[int, None] = {}
+        for ci, (half, dirs) in enumerate(zip(compiled.half, compiled.dirs)):
+            own = sum(1 << h for h in half)
+            self._rows.append((own, ~own, _own_pattern_table(compiled, ci)))
+            # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
+            # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
+            # the same two masks, so the dict keeps each triangle once.
             at = dict(zip(dirs, half))
-            self._tri.append(tuple(
-                (at[d], at[d] ^ 1, at[(d + 1) % N_DIRS], at[(d + 1) % N_DIRS] ^ 1, far, far ^ 1)
-                for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci])
-            ))
-
-        # Global triangle list (each unordered triangle once) for validity:
-        # the copy seen from the smallest corner, whose two half-edges on
-        # the triangle are then both even.
-        self._triangles: list[tuple[int, int, int, int, int, int]] = [
-            t for tris in self._tri for t in tris if not (t[0] & 1 or t[2] & 1)
-        ]
+            for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci]):
+                pq, pr = at[d], at[(d + 1) % N_DIRS]
+                cycles[1 << pq | 1 << far | 1 << (pr ^ 1)] = None
+                cycles[1 << pr | 1 << (far ^ 1) | 1 << (pq ^ 1)] = None
+        self._cycles: tuple[int, ...] = tuple(cycles)
 
     # -- state transitions ---------------------------------------------------
 
+    def successors(self, state: int) -> list[tuple[int, int]]:
+        """(cell index, next state) for every activable cell, in cell order."""
+        lo = self._lo
+        nsw = ~((state >> 1 & lo) | (state & lo) << 1)
+        away = state & nsw
+        out = []
+        for ci, (own, keep, table) in enumerate(self._rows):
+            after = own & nsw
+            if (away | after) & table[after]:
+                after = 0
+            if after != state & own:
+                out.append((ci, state & keep | after))
+        return out
+
     def successor(self, state: int, ci: int) -> int:
         """State after activating cell index ``ci`` (equal state if not activable)."""
-        inc = self._inc[ci]
-        new = state
-        for mine, other, _ in inc:
-            if state >> mine & 1 and state >> other & 1:
-                new &= ~(1 << mine)
-        for mine, other, _ in inc:
-            if not (new >> mine & 1) and not (new >> other & 1):
-                new |= 1 << mine
-        outmask = 0
-        for mine, _, d in inc:
-            if new >> mine & 1:
-                outmask |= 1 << d
-        ok = outmask.bit_count() <= 3 and CYCLIC_RUN[outmask]
-        if ok:
-            for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._tri[ci]:
-                pq = (new >> pq_p & 1, new >> pq_q & 1)
-                pr = (new >> pr_p & 1, new >> pr_r & 1)
-                qr = (new >> qr_q & 1, new >> qr_r & 1)
-                if pq == (1, 0) and qr == (1, 0) and pr == (0, 1):
-                    ok = False
-                    break
-                if pr == (1, 0) and qr == (0, 1) and pq == (0, 1):
-                    ok = False
-                    break
-        if not ok:
-            for mine, _, _ in inc:
-                new &= ~(1 << mine)
-        return new
+        return dict(self.successors(state)).get(ci, state)
 
     def activable(self, state: int, ci: int) -> bool:
         return self.successor(state, ci) != state
 
-    def successors(self, state: int) -> list[tuple[int, int]]:
-        """(cell index, next state) for every activable cell."""
-        out = []
-        for ci in range(len(self.cells)):
-            nxt = self.successor(state, ci)
-            if nxt != state:
-                out.append((ci, nxt))
-        return out
-
     def is_final(self, state: int) -> bool:
-        return all(self.successor(state, ci) == state for ci in range(len(self.cells)))
+        return not self.successors(state)
 
     def r234_ok(self, state: int) -> bool:
-        for ci in range(len(self.cells)):
-            outmask = 0
-            for mine, _, d in self._inc[ci]:
-                if state >> mine & 1:
-                    outmask |= 1 << d
-            if outmask.bit_count() > 3 or not CYCLIC_RUN[outmask]:
+        for own, _, table in self._rows:
+            if table[state & own] < 0:
                 return False
-        for pq_p, pq_q, pr_p, pr_r, qr_q, qr_r in self._triangles:
-            pq = (state >> pq_p & 1, state >> pq_q & 1)
-            pr = (state >> pr_p & 1, state >> pr_r & 1)
-            qr = (state >> qr_q & 1, state >> qr_r & 1)
-            if pq == (1, 0) and qr == (1, 0) and pr == (0, 1):
-                return False
-            if pr == (1, 0) and qr == (0, 1) and pq == (0, 1):
+        lo = self._lo
+        away = state & ~((state >> 1 & lo) | (state & lo) << 1)
+        for cycle in self._cycles:
+            if away & cycle == cycle:
                 return False
         return True
 
     def is_valid(self, state: int) -> bool:
-        for i in range(self.n_edges):
-            if (state >> 2 * i) & 3 not in (1, 2):
-                return False
-        return self.r234_ok(state)
+        lo = self._lo
+        return (state ^ state >> 1) & lo == lo and self.r234_ok(state)
 
     def sinks(self, state: int) -> list[Cell]:
-        out = []
-        for ci, c in enumerate(self.cells):
-            if not any(state >> mine & 1 for mine, _, _ in self._inc[ci]):
-                out.append(c)
-        return out
+        return [c for c, (own, _, _) in zip(self.cells, self._rows) if not state & own]
 
     # -- conversions -----------------------------------------------------------
 
@@ -242,44 +223,61 @@ class ConfigGraph:
 
     def conflict_free_states(self) -> Iterator[int]:
         """All 3^E states without any Out/Out edge, in base-3 index order."""
+        lo = self._lo
         state = 0
-        digits = [0] * self.n_edges
-        yield 0
-        total = 3**self.n_edges
-        for _ in range(total - 1):
-            i = 0
-            while digits[i] == 2:
-                digits[i] = 0
-                state &= ~(3 << 2 * i)
-                i += 1
-            digits[i] += 1
-            state = (state & ~(3 << 2 * i)) | (digits[i] << 2 * i)
+        for _ in range(3**self.n_edges):
             yield state
+            twos = (state >> 1 & ~state & lo) * 3  # every edge with code 2
+            carry = (twos + 1) & ~twos  # the lowest edge without: add 1 there, clear below
+            state = (state & ~(carry - 1)) + carry
 
     def conflict_free_index(self, state: int) -> int:
+        """Position of ``state`` in ``conflict_free_states``: its edge codes
+        read as base-3 digits, four edges (one byte) at a time."""
         idx = 0
         mult = 1
-        for i in range(self.n_edges):
-            code = state >> 2 * i & 3
-            if code == 3:
+        while state:
+            digits = _BASE3_BYTE[state & 0xFF]
+            if digits < 0:
                 raise ValueError("state has a conflict edge")
-            idx += code * mult
-            mult *= 3
+            idx += digits * mult
+            mult *= 81
+            state >>= 8
         return idx
 
-    def dump(self, fh, max_states: int = 1 << 16) -> int:
-        """Line-delimited node/edge dump: ``state valid final`` then
-        ``state cell_q cell_r successor`` per transition.  Returns the
-        number of states written."""
-        total = 1 << 2 * self.n_edges
-        if total > max_states:
-            raise StateSpaceTooLarge(f"4^{self.n_edges} states is over budget")
-        for state in self.all_states():
-            fh.write(f"n {state} {int(self.is_valid(state))} {int(self.is_final(state))}\n")
-            for ci, nxt in self.successors(state):
-                c = self.cells[ci]
-                fh.write(f"e {state} {c.q} {c.r} {nxt}\n")
-        return total
+
+def _own_pattern_table(compiled: CompiledSupport, ci: int) -> dict[int, int]:
+    """Cell ``ci``'s entry for every pattern of Out flags on its own half-edges:
+    -1 if it breaks R2 or R3, else, for each triangle where the cell points
+    at exactly one of its two neighbours, that neighbour's half-edge on the
+    far edge, which closes a directed 3-cycle when directed away from it."""
+    patterns = [(0, 0)]  # (own half-edges, directions), each grown from a smaller subset
+    for h, d in zip(compiled.half[ci], compiled.dirs[ci]):
+        patterns += [(bits | 1 << h, mask | 1 << d) for bits, mask in patterns]
+    table = {}
+    for bits, mask in patterns:
+        if mask.bit_count() > 3 or not CYCLIC_RUN[mask]:
+            table[bits] = -1
+            continue
+        close = 0
+        twice = mask | mask << N_DIRS
+        for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci]):
+            toward = twice >> d & 3  # 1: Out toward the neighbour at d only, 2: at d + 1 only
+            if toward == 1:
+                close |= 1 << far
+            elif toward == 2:
+                close |= 1 << (far ^ 1)
+        table[bits] = close
+    return table
+
+
+#: ``_BASE3_BYTE[b]``: the four edge codes of byte ``b`` read as base-3
+#: digits, lowest edge first, or -1 if one of them is Out/Out (code 3).
+_BASE3_BYTE = tuple(
+    -1 if any(b >> 2 * j & 3 == 3 for j in range(4))
+    else sum((b >> 2 * j & 3) * 3**j for j in range(4))
+    for b in range(256)
+)
 
 
 # -- report types ------------------------------------------------------------------
@@ -354,11 +352,14 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
     valid = 0
     counterexamples = []
     total = 1 << e
-    for bits in range(total):
-        state = 0
-        for i in range(e):
-            code = 1 if not (bits >> i & 1) else 2
-            state |= code << 2 * i
+    # Orientation k sets bit 2i of ``flip`` iff bit i of k is set: edge i
+    # then has code 2 (Out at its larger endpoint), else code 1.  Stepping
+    # through the sub-masks of LO in increasing order keeps the order of k.
+    lo = graph._lo
+    flip = 0
+    for _ in range(total):
+        state = lo ^ flip | flip << 1
+        flip = (flip - lo) & lo
         if not graph.r234_ok(state):
             continue
         valid += 1
@@ -428,40 +429,36 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     total = 3**graph.n_edges
     if total > max_states:
         raise StateSpaceTooLarge(f"3^{graph.n_edges} states is over budget")
-    n_cells = len(graph.cells)
     color = bytearray(total)  # 0 white, 1 gray, 2 black
     depth_of: dict[int, int] = {}
 
-    for seed in graph.conflict_free_states():
-        if color[graph.conflict_free_index(seed)]:
+    for seed_idx, seed in enumerate(graph.conflict_free_states()):
+        if color[seed_idx]:
             continue
-        # Frames: [state, next cell index to try, activating cell index from parent]
-        stack: list[list[int]] = [[seed, 0, -1]]
-        color[graph.conflict_free_index(seed)] = 1
+        # Frames: [state, its index, its remaining successors, activating cell index from parent]
+        stack: list[list] = [[seed, seed_idx, iter(graph.successors(seed)), -1]]
+        color[seed_idx] = 1
         depth_of[seed] = 0
         while stack:
             frame = stack[-1]
-            state, child = frame[0], frame[1]
-            if child >= n_cells:
-                color[graph.conflict_free_index(state)] = 2
-                del depth_of[state]
+            move = next(frame[2], None)
+            if move is None:
+                color[frame[1]] = 2
+                del depth_of[frame[0]]
                 stack.pop()
                 continue
-            frame[1] += 1
-            nxt = graph.successor(state, child)
-            if nxt == state:
-                continue
+            child, nxt = move
             idx = graph.conflict_free_index(nxt)
             if color[idx] == 1:
                 start = depth_of[nxt]
-                states = [stack[i][0] for i in range(start, len(stack))]
-                cells = [graph.cells[stack[i][2]] for i in range(start + 1, len(stack))]
+                states = [entry[0] for entry in stack[start:]]
+                cells = [graph.cells[entry[3]] for entry in stack[start + 1:]]
                 cells.append(graph.cells[child])
                 return UnfairCycle(s, tuple(states), tuple(cells))
             if color[idx] == 0:
                 color[idx] = 1
                 depth_of[nxt] = len(stack)
-                stack.append([nxt, 0, child])
+                stack.append([nxt, idx, iter(graph.successors(nxt)), child])
     return None
 
 

@@ -126,18 +126,18 @@ def test_criterion_1_unique_sink_exhaustive():
 def test_criterion_2_silence():
     states = 0
     bad = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for support in enumerate_supports(n):
             rep = check_silence(support)
             states += rep.states
             bad += len(rep.mismatches)
-    _report(2, bad == 0, f"final <=> valid over {states} register states, n<=4")
+    _report(2, bad == 0, f"final <=> valid over {states} register states, n<=5")
 
 
 def test_criterion_3_reachability():
     states = 0
     bad = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for support in enumerate_supports(n):
             rep = check_reachability(support)
             states += rep.states
@@ -145,7 +145,7 @@ def test_criterion_3_reachability():
     _report(
         3,
         bad == 0,
-        f"a valid final state is reachable from every one of {states} states, n<=4",
+        f"a valid final state is reachable from every one of {states} states, n<=5",
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trielect.cli import main
@@ -140,6 +142,23 @@ def test_search_unfair_and_replay(tmp_path, capsys):
 def test_search_unfair_not_found_on_small_shapes(capsys):
     assert main(["search-unfair", "--max-n", "3"]) == 1
     assert "no cycle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweeps_report_progress_on_stderr(capsys, jobs):
+    assert main(["enum", "--n", "4", "--check", "silence", "--jobs", jobs]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "check=silence n=4 supports=44\n0 counterexamples\n"
+    lines = captured.err.splitlines()
+    done = [re.fullmatch(r"enum check=silence done=(\d+)/44 seconds=\d+\.\d\d", l) for l in lines]
+    assert all(done) and len(done) == 11  # every fourth support, then the last
+    assert [int(m.group(1)) for m in done] == [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44]
+    assert main(["search-unfair", "--max-n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "no cycle found within budget\n"
+    assert [re.sub(r"seconds=\d+\.\d\d$", "seconds=S", l) for l in captured.err.splitlines()] == [
+        "n=2 supports=3 seconds=S", "n=3 supports=11 seconds=S", "n=4 supports=44 seconds=S",
+    ]
 
 
 def test_render_counts(tmp_path):

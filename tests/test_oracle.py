@@ -3,11 +3,14 @@ import random
 import pytest
 
 from trielect.lattice import Cell
-from trielect.algorithm import activation_step, is_activable
+from trielect.algorithm import activation_step
 from trielect.config import EdgeOrientation
 from trielect.generators import (
     enumerate_supports,
     erosion_orientation,
+    hexagon,
+    line,
+    random_portmaps,
     random_registers,
     random_support,
     triangle3,
@@ -22,7 +25,7 @@ from trielect.oracle import (
     remove_particle,
 )
 from trielect.rules import is_valid, sinks
-from trielect.scheduler import Outcome, Scripted, run
+from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
 
@@ -85,16 +88,50 @@ def test_packed_successor_agrees_with_reference_step():
             assert graph.activable(state, ci) == effect.changed
 
 
-def test_packed_validity_and_sinks_agree():
+def _packed_states_to_check():
+    """(graph, port maps, state) triples: every state of every support
+    with n <= 3, then seeded random states with n = 5..14: uniform over
+    4^E (a quarter of the edges Out/Out), conflict-free-leaning registers
+    and the valid erosion orientation."""
     rng = random.Random(8)
-    for _ in range(40):
-        s = random_support(rng.randint(2, 8), rng.randrange(10**9))
-        graph = ConfigGraph(s)
-        cfg = random_registers(s, rng.randrange(10**9), 0.25)
-        state = graph.pack(cfg)
-        assert graph.is_valid(state) == is_valid(cfg)
-        assert set(graph.sinks(state)) == set(sinks(cfg))
-        assert graph.is_final(state) == (not any(is_activable(cfg, p) for p in s))
+    for n in (1, 2, 3):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            for state in graph.all_states():
+                yield graph, portmaps, state
+    for n in range(5, 15):
+        for _ in range(6):
+            s = random_support(n, rng.randrange(2**31))
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            for _ in range(8):
+                yield graph, portmaps, rng.getrandbits(2 * graph.n_edges)
+            yield graph, portmaps, graph.pack(random_registers(s, rng.randrange(2**31), 0.1))
+            yield graph, portmaps, graph.pack(erosion_orientation(s))
+
+
+def test_packed_validity_and_sinks_agree():
+    """The packed predicates and steps equal the object path pointwise."""
+    seen = {"conflict": 0, "valid": 0, "final": 0, "activable": 0}
+    for graph, portmaps, state in _packed_states_to_check():
+        cfg = graph.unpack(state, portmaps)
+        assert graph.is_valid(state) == is_valid(cfg), state
+        assert graph.sinks(state) == sorted(sinks(cfg)), state
+        assert graph.is_final(state) == detect_final(cfg), state
+        expected = []
+        for ci, cell in enumerate(graph.cells):
+            stepped, effect = activation_step(cfg, cell)
+            nxt = graph.pack(stepped)
+            assert graph.successor(state, ci) == nxt, (state, ci)
+            if effect.changed:
+                expected.append((ci, nxt))
+        assert graph.successors(state) == expected, state
+        seen["conflict"] += any(state >> 2 * i & 3 == 3 for i in range(graph.n_edges))
+        seen["valid"] += graph.is_valid(state)
+        seen["final"] += graph.is_final(state)
+        seen["activable"] += bool(expected)
+    assert all(seen.values()), seen
 
 
 def test_erosion_state_is_final_and_valid(hex1):
@@ -104,15 +141,32 @@ def test_erosion_state_is_final_and_valid(hex1):
 
 
 def test_conflict_free_enumeration():
-    s = triangle3()
-    graph = ConfigGraph(s)
-    states = list(graph.conflict_free_states())
-    assert len(states) == 3 ** len(s.edges())
-    assert len(set(states)) == len(states)
-    for st in states:
-        for i in range(graph.n_edges):
-            assert (st >> 2 * i) & 3 != 3
-        assert graph.conflict_free_index(st) == states.index(st)
+    """The base-3 index, read a byte (four edges) at a time, is the
+    enumeration position on supports with E = 3, 4, 5, 8 and 12 (hexagon1,
+    whose 3^12 states are sampled), and a conflict edge raises wherever it is."""
+    supports = [
+        triangle3(),
+        line(5),
+        line(6),
+        next(s for s in enumerate_supports(6) if len(s.edges()) == 8),
+        hexagon(1),
+    ]
+    assert [len(s.edges()) for s in supports] == [3, 4, 5, 8, 12]
+    sample = random.Random(12)
+    for support in supports:
+        graph = ConfigGraph(support)
+        e = graph.n_edges
+        states = list(graph.conflict_free_states())
+        assert len(states) == len(set(states)) == 3**e
+        positions = range(3**e) if e <= 8 else sample.sample(range(3**e), 2000) + [0, 3**e - 1]
+        for i in positions:
+            st = states[i]
+            assert all(st >> 2 * j & 3 != 3 for j in range(e))
+            assert graph.conflict_free_index(st) == i
+        for j in range(e):  # a conflict edge in every byte position, alone and in a busy state
+            for st in (0, states[-1]):
+                with pytest.raises(ValueError):
+                    graph.conflict_free_index(st | 3 << 2 * j)
 
 
 def test_find_unfair_cycle_single_particle():
@@ -161,21 +215,3 @@ def test_remove_particle(hex1):
             assert smaller.orientation(q, n) is not EdgeOrientation.CONFLICT
     with pytest.raises(ValueError):
         remove_particle(cfg, Cell(9, 9))
-
-
-def test_config_graph_dump():
-    import io
-
-    s = Support([Cell(0, 0), Cell(1, 0)])
-    graph = ConfigGraph(s)
-    buf = io.StringIO()
-    count = graph.dump(buf)
-    lines = buf.getvalue().splitlines()
-    assert count == 4
-    nodes = [l for l in lines if l.startswith("n ")]
-    edges = [l for l in lines if l.startswith("e ")]
-    assert len(nodes) == 4
-    # undirected and conflict states are activable; directed ones are final
-    assert len(edges) > 0
-    with pytest.raises(StateSpaceTooLarge):
-        graph.dump(io.StringIO(), max_states=2)
