@@ -83,19 +83,6 @@ def _r234_with(c: Configuration, p: Cell, reg: Registers, use_local_r4: bool) ->
     return check_r2(trial, p) and check_r3(trial, p) and r4(trial, p)
 
 
-def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:
-    """Yield ``p``'s side of every conflict edge; everything else untouched."""
-    reg = list(c.regs[p])
-    pm = c.portmaps[p]
-    changed = False
-    for port in range(N_DIRS):
-        n = neighbor(p, port_to_dir(pm, port))
-        if n in c.support.cells and reg[port] is OUT and c.link_toward(n, p) is OUT:
-            reg[port] = IN
-            changed = True
-    return c.with_register(p, tuple(reg)) if changed else c
-
-
 def activation_step(
     c: Configuration, p: Cell, use_local_r4: bool = False
 ) -> tuple[Configuration, ActivationEffect]:

@@ -7,11 +7,15 @@ initialisation including Out/Out; the conflict-free subspace (3^E) is
 closed under sequential activation because no step ever writes Out onto
 an edge whose far side is already Out.
 
-``ConfigGraph`` steps and checks whole states with mask algebra (a pair
-swap, the identity ``mine = not theirs``, per-cell own-pattern tables and
-3-bit triangle cycle masks), an independent rewrite of the reference step
-that tests compare pointwise.  ``CompiledSupport`` holds the geometry the
-scheduler's engine shares; the cyclic-run table is ``lattice.CYCLIC_RUN``.
+``RULE`` is the repair rule as one 64-entry table keyed by a cell's Out
+mask over directions: R2 and R3 broken or not, and the at most two
+triangles R4 must look at.  ``CompiledSupport`` holds the per-cell
+geometry the scheduler's engine shares, including ``far_at``, the far
+half-edge of each triangle that ``RULE`` names.  ``ConfigGraph`` steps
+and checks whole states with mask algebra (a pair swap, the identity
+``mine = not theirs``, per-cell own-pattern tables that map ``RULE`` to
+half-edge bits, and 3-bit triangle cycle masks), an independent rewrite
+of the reference step that tests compare pointwise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .lattice import CYCLIC_RUN, DIR_OFFSETS, Cell, N_DIRS, PortMap, dir_to_port
 from .config import (
     ALL_IN,
     Configuration,
-    IN,
     OUT,
     identity_portmaps,
 )
@@ -32,6 +35,31 @@ from .support import Support
 
 class StateSpaceTooLarge(ValueError):
     pass
+
+
+def _rule_table() -> tuple[tuple[tuple[int, int], ...] | None, ...]:
+    table = []
+    for mask in range(1 << N_DIRS):
+        if mask.bit_count() > 3 or not CYCLIC_RUN[mask]:
+            table.append(None)
+            continue
+        twice = mask | mask << N_DIRS
+        # ``twice >> d & 3`` is 1 where the run ends at d, 2 where it starts at d + 1.
+        table.append(tuple(
+            (d, toward - 1) for d in range(N_DIRS) if (toward := twice >> d & 3) in (1, 2)
+        ))
+    return tuple(table)
+
+
+#: ``RULE[mask]``: the repair rule at a cell whose Out flags over
+#: directions are ``mask``.  None if R2 or R3 breaks; else the ``(d,
+#: flip)`` pairs of the at most two triangles, at the ends of the Out run,
+#: that can close a directed 3-cycle: the cell is Out toward the neighbour
+#: at ``d`` only (flip 0) or at ``d + 1`` only (flip 1).  The cycle closes
+#: iff both near edges are directed and half-edge ``far_at[ci][d] ^ flip``
+#: is Out with its far side In.  The engine, its checks and ``ConfigGraph``
+#: all read R2, R3 and R4 from here.
+RULE = _rule_table()
 
 
 class CompiledSupport:
@@ -45,17 +73,17 @@ class CompiledSupport:
       - ``dirs[ci]``: directions toward occupied neighbours, ascending;
       - ``half[ci]``: the cell's own half-edges in that order;
       - ``nbrs[ci]``: the neighbours' cell numbers in that order;
-      - ``tri_dirs[ci]``: directions ``d`` whose neighbours at ``d`` and
-        ``d + 1`` are both occupied, i.e. the triangles at the cell;
-      - ``tri_far[ci]``: for each such triangle, the half-edge of the
-        neighbour at ``d`` toward the neighbour at ``d + 1``.
+      - ``far_at[ci]``: six entries by direction ``d``: the half-edge of
+        the neighbour at ``d`` toward the neighbour at ``d + 1``, or -1
+        where either is missing, i.e. no triangle there.  It is the far
+        edge ``RULE`` names.
 
     Tables are tuples; equal direction tuples are shared between cells,
     and every half-edge number is one int object, so a thousand-cell
     support compiles to well under a megabyte.
     """
 
-    __slots__ = ("cells", "n_half_edges", "dirs", "half", "nbrs", "tri_dirs", "tri_far")
+    __slots__ = ("cells", "n_half_edges", "dirs", "half", "nbrs", "far_at")
 
     def __init__(self, support: Support):
         self.cells: tuple[Cell, ...] = tuple(support)
@@ -75,10 +103,9 @@ class CompiledSupport:
         self.dirs: list[tuple[int, ...]] = []
         self.half: list[tuple[int, ...]] = []
         self.nbrs: list[tuple[int, ...]] = []
-        self.tri_dirs: list[tuple[int, ...]] = []
-        self.tri_far: list[tuple[int, ...]] = []
+        self.far_at: list[tuple[int, ...]] = []
         for row, hrow in zip(around, half_at):
-            ds, hs, ns, tds, far = [], [], [], [], []
+            ds, hs, ns, far = [], [], [], [-1] * N_DIRS
             for d, j in enumerate(row):
                 if j is None:
                     continue
@@ -86,13 +113,11 @@ class CompiledSupport:
                 hs.append(hrow[d])
                 ns.append(j)
                 if row[(d + 1) % N_DIRS] is not None:
-                    tds.append(d)
-                    far.append(half_at[j][(d + 2) % N_DIRS])
+                    far[d] = half_at[j][(d + 2) % N_DIRS]
             self.dirs.append(shared.setdefault(tuple(ds), tuple(ds)))
             self.half.append(tuple(hs))
             self.nbrs.append(tuple(ns))
-            self.tri_dirs.append(shared.setdefault(tuple(tds), tuple(tds)))
-            self.tri_far.append(tuple(far))
+            self.far_at.append(tuple(far))
 
     def flags(self, config: Configuration) -> bytearray:
         """The Out flag of every half-edge of ``config``, one byte each."""
@@ -116,11 +141,12 @@ class ConfigGraph:
 
     An activated cell with own half-edges ``own`` is Out on exactly
     ``own & nsw`` after resolving conflicts and line 1 (``mine = not
-    theirs``).  Its own-pattern table maps that pattern to -1 if it breaks
-    R2 or R3, else to the far half-edges that close a directed triangle
-    when directed away from their owner.  Line 2 fires iff the entry
-    meets ``state & nsw | pattern``; the successor is ``state & ~own``
-    plus the pattern unless line 2 fires.
+    theirs``).  Its own-pattern table is ``RULE`` with each entry mapped
+    to half-edge bits once: -1 where R2 or R3 breaks, else the bits
+    ``far[d] ^ flip`` that close a directed triangle when directed away
+    from their owner.  Line 2 fires iff the entry meets ``state & nsw |
+    pattern``; the successor is ``state & ~own`` plus the pattern unless
+    line 2 fires.
 
     Every edge is directed iff ``(state ^ state >> 1) & LO == LO``.  R2
     and R3 hold at a cell iff its entry for ``state & own`` is not -1; R4
@@ -139,14 +165,16 @@ class ConfigGraph:
         # Per cell: (own half-edges, every other half-edge, own-pattern table).
         self._rows: list[tuple[int, int, dict[int, int]]] = []
         cycles: dict[int, None] = {}
-        for ci, (half, dirs) in enumerate(zip(compiled.half, compiled.dirs)):
+        for half, dirs, far_at in zip(compiled.half, compiled.dirs, compiled.far_at):
             own = sum(1 << h for h in half)
-            self._rows.append((own, ~own, _own_pattern_table(compiled, ci)))
+            self._rows.append((own, ~own, _own_pattern_table(half, dirs, far_at)))
             # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
             # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
             # the same two masks, so the dict keeps each triangle once.
             at = dict(zip(dirs, half))
-            for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci]):
+            for d, far in enumerate(far_at):
+                if far < 0:
+                    continue
                 pq, pr = at[d], at[(d + 1) % N_DIRS]
                 cycles[1 << pq | 1 << far | 1 << (pr ^ 1)] = None
                 cycles[1 << pr | 1 << (far ^ 1) | 1 << (pq ^ 1)] = None
@@ -171,9 +199,6 @@ class ConfigGraph:
     def successor(self, state: int, ci: int) -> int:
         """State after activating cell index ``ci`` (equal state if not activable)."""
         return dict(self.successors(state)).get(ci, state)
-
-    def activable(self, state: int, ci: int) -> bool:
-        return self.successor(state, ci) != state
 
     def is_final(self, state: int) -> bool:
         return not self.successors(state)
@@ -246,29 +271,21 @@ class ConfigGraph:
         return idx
 
 
-def _own_pattern_table(compiled: CompiledSupport, ci: int) -> dict[int, int]:
-    """Cell ``ci``'s entry for every pattern of Out flags on its own half-edges:
-    -1 if it breaks R2 or R3, else, for each triangle where the cell points
-    at exactly one of its two neighbours, that neighbour's half-edge on the
-    far edge, which closes a directed 3-cycle when directed away from it."""
+def _own_pattern_table(
+    half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
+) -> dict[int, int]:
+    """A cell's ``RULE`` entry for every pattern of Out flags on its own
+    half-edges: -1 if it breaks R2 or R3, else the far half-edges that
+    close a directed 3-cycle when directed away from their owner."""
     patterns = [(0, 0)]  # (own half-edges, directions), each grown from a smaller subset
-    for h, d in zip(compiled.half[ci], compiled.dirs[ci]):
+    for h, d in zip(half, dirs):
         patterns += [(bits | 1 << h, mask | 1 << d) for bits, mask in patterns]
-    table = {}
-    for bits, mask in patterns:
-        if mask.bit_count() > 3 or not CYCLIC_RUN[mask]:
-            table[bits] = -1
-            continue
-        close = 0
-        twice = mask | mask << N_DIRS
-        for d, far in zip(compiled.tri_dirs[ci], compiled.tri_far[ci]):
-            toward = twice >> d & 3  # 1: Out toward the neighbour at d only, 2: at d + 1 only
-            if toward == 1:
-                close |= 1 << far
-            elif toward == 2:
-                close |= 1 << (far ^ 1)
-        table[bits] = close
-    return table
+    # The two triangles of an entry have different far edges, so the sum is their union.
+    return {
+        bits: -1 if (entry := RULE[mask]) is None
+        else sum(1 << (far[d] ^ flip) for d, flip in entry if far[d] >= 0)
+        for bits, mask in patterns
+    }
 
 
 #: ``_BASE3_BYTE[b]``: the four edge codes of byte ``b`` read as base-3
@@ -460,19 +477,3 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
                 depth_of[nxt] = len(stack)
                 stack.append([nxt, idx, iter(graph.successors(nxt)), child])
     return None
-
-
-# -- omniscient helpers ------------------------------------------------------------------
-
-
-def remove_particle(c: Configuration, p: Cell) -> Configuration:
-    """Configuration on the support minus ``p``: the vacated cell becomes
-    empty and every neighbour's port toward it is reset to In."""
-    if p not in c.support.cells:
-        raise ValueError(f"{p} is not occupied")
-    new_support = Support(c.support.cells - {p})
-    portmaps = {q: c.portmaps[q] for q in new_support}
-    regs = {q: list(c.regs[q]) for q in new_support}
-    for q in c.support.occupied_neighbors(p):
-        regs[q][c.port_of(q, p)] = IN
-    return Configuration(new_support, portmaps, {q: tuple(r) for q, r in regs.items()})

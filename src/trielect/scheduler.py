@@ -10,25 +10,30 @@ adversarial executions.
 ``run`` compiles the support once (``oracle.CompiledSupport``) and keeps
 the state as a ``bytearray`` of per-half-edge Out flags in the oracle's
 packed layout.  One activation reads only the activated particle's
-half-edges, their far sides and the far edges of its triangles, and can
-change activability only for that particle and its six neighbours, so a
-step costs O(1) table work instead of copying the configuration.  The
-activable particles are kept as a sorted list of cell numbers, updated
-with ``bisect`` for those seven cells only.  Cell numbers follow the
-support's sorted cell order, so the list equals the one a rebuild from
-scratch would give, and ``live[rng.randrange(len(live))]`` picks the same
-particle with the same random draws: every run is bit-identical to
-driving ``algorithm.activation_step`` step by step, which the tests
-check against an object-based reference loop.
+half-edges and their far sides, looks its new Out mask up in
+``oracle.RULE`` and reads the far edges of the at most two triangles
+the entry names; it can change activability only for that particle and
+its six neighbours, so a step costs O(1) table work instead of copying
+the configuration.  The activable particles are kept as a sorted list
+of cell numbers, updated with ``bisect`` for those seven cells only.
+Cell numbers follow the support's sorted cell order, so the list equals
+the one a rebuild from scratch would give, and
+``live[rng.randrange(len(live))]`` picks the same particle with the same
+random draws: every run is bit-identical to driving
+``algorithm.activation_step`` step by step, which the tests check
+against an object-based reference loop.
 
 ``Configuration`` stays the boundary: ``run`` takes one and returns one,
 built once at the end from the registers that changed.  When per-step
 checks or traces are asked for, ``_breaks`` reads R2, R3 and R4 off the
-same Out flags for the activated particle and its neighbours, the only
-particles whose status a step can change, and keeps the violation count
-up to date; a configuration is built mid-run only for the step that
-breaks a check.  ``violation_count`` is the object-path full recount
-through ``rules.check_r2/3/4``.
+same Out flags and ``RULE`` for the activated particle and its
+neighbours, the only particles whose status a step can change, and
+keeps the violation count up to date; a configuration is built mid-run
+only for the step that breaks a check.  The end-of-run check reads the
+flags too (``_valid_single_sink``): every edge has exactly one Out side,
+no particle breaks a rule and exactly one particle has no Out.
+``violation_count`` is the object-path full recount through
+``rules.check_r2/3/4``.
 """
 
 from __future__ import annotations
@@ -40,11 +45,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Sequence, Union
 
-from .lattice import CYCLIC_RUN, Cell, N_DIRS, dir_to_port
+from .lattice import Cell, N_DIRS, dir_to_port
 from .config import IN, OUT, Configuration, EdgeOrientation, Registers
 from .support import SupportError, format_shape_text
-from .oracle import CompiledSupport
-from .rules import check_r2, check_r3, check_r4, is_valid, sinks, _consecutive_cyclic
+from .oracle import RULE, CompiledSupport
+from .rules import check_r2, check_r3, check_r4, _consecutive_cyclic
 
 # ``activation_step`` and ``step_register`` stay importable from this
 # module: the benchmark's traced run wraps them here, beside
@@ -146,25 +151,20 @@ def _kind_label(kind: SchedulerKind) -> str:
 
 
 def _fire(
-    out: bytearray,
-    half: tuple[int, ...],
-    dirs: tuple[int, ...],
-    tri_dirs: tuple[int, ...],
-    tri_far: tuple[int, ...],
+    out: bytearray, half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
 ) -> tuple[int, int, bool, bool, int]:
     """One activation of a cell, computed from the Out flags ``out``.
 
     The arguments after ``out`` are the cell's rows of a
-    ``CompiledSupport``.  Returns ``(before, after, line1, line2,
-    conflicts)``: the cell's Out flags before and after as masks over
-    directions, then the fields of its ``ActivationEffect``.  ``out`` is
-    not written.
+    ``CompiledSupport`` (``half``, ``dirs`` and ``far_at``).  Returns
+    ``(before, after, line1, line2, conflicts)``: the cell's Out flags
+    before and after as masks over directions, then the fields of its
+    ``ActivationEffect``.  ``out`` is not written.
 
     Resolving conflicts and then line 1 leave the cell Out exactly on the
     edges whose far side is In, so every edge at the cell is directed
-    when line 2's test runs; a triangle is then a directed 3-cycle iff
-    the cell points at exactly one of its two neighbours there and the
-    far edge runs from that neighbour to the other.
+    when line 2's test runs: ``RULE`` alone decides R2 and R3, and a
+    triangle it names is a directed 3-cycle iff its far edge is.
     """
     before = after = conflicts = 0
     line1 = False
@@ -179,41 +179,29 @@ def _fire(
             else:
                 line1 = True
             after |= 1 << d
-    ok = after.bit_count() <= 3 and CYCLIC_RUN[after]
+    entry = RULE[after]
+    ok = entry is not None
     if ok:
-        twice = after | after << N_DIRS
-        for d, far in zip(tri_dirs, tri_far):
-            toward = twice >> d & 3  # 1: Out toward the first neighbour only, 2: the second
-            if toward == 1:
-                if out[far] and not out[far ^ 1]:
-                    ok = False
-                    break
-            elif toward == 2:
-                if out[far ^ 1] and not out[far]:
-                    ok = False
-                    break
+        for d, flip in entry:
+            h = far[d]
+            if h >= 0 and out[h ^ flip] and not out[h ^ flip ^ 1]:
+                ok = False
+                break
     return before, after if ok else 0, line1, not ok, conflicts
 
 
 def _breaks(
-    out: bytearray,
-    half: tuple[int, ...],
-    dirs: tuple[int, ...],
-    tri_dirs: tuple[int, ...],
-    tri_far: tuple[int, ...],
+    out: bytearray, half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
 ) -> bool:
     """True iff the cell breaks R2, R3 or R4 under the Out flags ``out``.
 
     Takes the cell's rows of a ``CompiledSupport``, like ``_fire``, but
     assumes nothing about the edges: ``mine`` and ``theirs`` are the
-    masks of the cell's own and the far-side Out flags, and an edge is
-    directed away from the cell (``pout``) or toward it (``pin``) only
-    when exactly one side is Out.  Undirected and conflict edges never
-    close a cycle, as in ``rules.check_r4``.  A triangle at direction
-    ``d`` is a directed 3-cycle one way round when the cell points at the
-    neighbour at ``d``, the neighbour at ``d + 1`` points at the cell and
-    the far edge runs from the first to the second; the other way round
-    swaps all three.
+    masks of the cell's own and the far-side Out flags, and bit ``d`` of
+    ``mine ^ theirs`` is set iff the edge at ``d`` is directed.  A
+    triangle ``RULE`` names closes a directed 3-cycle only when both its
+    near edges and its far edge are directed; undirected and conflict
+    edges never close one, as in ``rules.check_r4``.
     """
     mine = theirs = 0
     for h, d in zip(half, dirs):
@@ -221,20 +209,25 @@ def _breaks(
             mine |= 1 << d
         if out[h ^ 1]:
             theirs |= 1 << d
-    if mine.bit_count() > 3 or not CYCLIC_RUN[mine]:
+    entry = RULE[mine]
+    if entry is None:
         return True
-    pout = mine & ~theirs
-    pin = theirs & ~mine
-    # Bit d of ``fwd``: Out toward d, In from d + 1; of ``bwd``: the reverse.
-    fwd = pout & (pin >> 1 | (pin & 1) << (N_DIRS - 1))
-    bwd = pin & (pout >> 1 | (pout & 1) << (N_DIRS - 1))
-    if fwd | bwd:
-        for d, far in zip(tri_dirs, tri_far):
-            if fwd >> d & 1 and out[far] and not out[far ^ 1]:
-                return True
-            if bwd >> d & 1 and out[far ^ 1] and not out[far]:
-                return True
+    directed = mine ^ theirs
+    directed |= directed << N_DIRS
+    for d, flip in entry:
+        h = far[d]
+        if h >= 0 and directed >> d & 3 == 3 and out[h ^ flip] and not out[h ^ flip ^ 1]:
+            return True
     return False
+
+
+def _valid_single_sink(out: bytearray, half: list[tuple[int, ...]], violations: int) -> bool:
+    """True iff every edge has exactly one Out side (R1), no cell ``_breaks``
+    (``violations`` counts those that do) and exactly one cell of ``half``,
+    a ``CompiledSupport``'s per-cell half-edges, has no Out flag: a sink."""
+    if violations or not all(a != b for a, b in zip(out[::2], out[1::2])):
+        return False
+    return sum(not any(out[h] for h in hs) for hs in half) == 1
 
 
 def _register(c: Configuration, p: Cell, dirs: tuple[int, ...], mask: int) -> Registers:
@@ -273,13 +266,12 @@ def run(
     compiled = CompiledSupport(c0.support)
     cells = compiled.cells
     n = len(cells)
-    half, dirs, nbrs = compiled.half, compiled.dirs, compiled.nbrs
-    tri_dirs, tri_far = compiled.tri_dirs, compiled.tri_far
+    half, dirs, nbrs, far_at = compiled.half, compiled.dirs, compiled.nbrs, compiled.far_at
     out = compiled.flags(c0)
 
     activable = bytearray(n)
     for ci in range(n):
-        before, after, *_ = _fire(out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci])
+        before, after, *_ = _fire(out, half[ci], dirs[ci], far_at[ci])
         activable[ci] = before != after
     live = [ci for ci in range(n) if activable[ci]]
 
@@ -298,9 +290,7 @@ def run(
     # Out masks of the cells whose register changed, by cell number.
     final_masks: dict[int, int] = {}
     if observed:
-        violating = bytearray(
-            _breaks(out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci]) for ci in range(n)
-        )
+        violating = bytearray(_breaks(out, half[ci], dirs[ci], far_at[ci]) for ci in range(n))
         violations = sum(violating)
 
     if trace_file is not None:
@@ -318,7 +308,7 @@ def run(
     def result(outcome: Outcome) -> ExecutionResult:
         final = current()
         if outcome is Outcome.FINAL and check_invariants:
-            if not is_valid(final) or len(sinks(final)) != 1:
+            if not _valid_single_sink(out, half, violations):
                 raise StepInvariantError(
                     "final configuration is not a valid single-sink state", final
                 )
@@ -340,16 +330,14 @@ def run(
             ci = script[script_index % len(script)]
             script_index += 1
 
-        before, after, line1, line2, conflicts = _fire(
-            out, half[ci], dirs[ci], tri_dirs[ci], tri_far[ci]
-        )
+        before, after, line1, line2, conflicts = _fire(out, half[ci], dirs[ci], far_at[ci])
         step += 1
         changed = before != after
         if changed:
             for h, d in zip(half[ci], dirs[ci]):
                 out[h] = after >> d & 1
             for x in (ci, *nbrs[ci]):
-                b, a, *_ = _fire(out, half[x], dirs[x], tri_dirs[x], tri_far[x])
+                b, a, *_ = _fire(out, half[x], dirs[x], far_at[x])
                 now = b != a
                 if now != activable[x]:
                     activable[x] = now
@@ -365,7 +353,7 @@ def run(
         prev_violations = violations
         if changed:
             for x in (ci, *nbrs[ci]):
-                v = _breaks(out, half[x], dirs[x], tri_dirs[x], tri_far[x])
+                v = _breaks(out, half[x], dirs[x], far_at[x])
                 violations += v - violating[x]
                 violating[x] = v
         if check_invariants:

@@ -128,11 +128,6 @@ class Support:
     def __repr__(self) -> str:
         return f"Support({len(self.cells)} cells, bbox={self._bbox})"
 
-    @property
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        """(min_q, min_r, max_q, max_r)."""
-        return self._bbox
-
     def occupied_neighbors(self, c: Cell) -> tuple[Cell, ...]:
         return self._occ_adj[c]
 

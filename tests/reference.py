@@ -9,7 +9,8 @@ functions.  ``reference_random_support``, ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
 reads off one cyclic-run lookup.  ``reference_run`` is the object-based loop that
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
-reproduce bit for bit.
+reproduce bit for bit.  ``resolve_conflicts`` and ``remove_particle``
+are single-purpose configuration edits that only tests need.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import random
 
 from trielect.algorithm import activation_step, is_activable
-from trielect.lattice import Cell, neighbor, neighbors
+from trielect.lattice import Cell, N_DIRS, neighbor, neighbors, port_to_dir
 from trielect.support import Support
-from trielect.config import Configuration, EdgeOrientation
+from trielect.config import IN, OUT, Configuration, EdgeOrientation
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
     ExecutionResult,
@@ -213,6 +214,32 @@ def brute_sinks(c: Configuration) -> set[Cell]:
             conflicted.add(a)
             conflicted.add(b)
     return {p for p, k in targets.items() if k == 0 and p not in conflicted}
+
+
+def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:
+    """Yield ``p``'s side of every conflict edge; everything else untouched."""
+    reg = list(c.regs[p])
+    pm = c.portmaps[p]
+    changed = False
+    for port in range(N_DIRS):
+        n = neighbor(p, port_to_dir(pm, port))
+        if n in c.support.cells and reg[port] is OUT and c.link_toward(n, p) is OUT:
+            reg[port] = IN
+            changed = True
+    return c.with_register(p, tuple(reg)) if changed else c
+
+
+def remove_particle(c: Configuration, p: Cell) -> Configuration:
+    """Configuration on the support minus ``p``: the vacated cell becomes
+    empty and every neighbour's port toward it is reset to In."""
+    if p not in c.support.cells:
+        raise ValueError(f"{p} is not occupied")
+    new_support = Support(c.support.cells - {p})
+    portmaps = {q: c.portmaps[q] for q in new_support}
+    regs = {q: list(c.regs[q]) for q in new_support}
+    for q in c.support.occupied_neighbors(p):
+        regs[q][c.port_of(q, p)] = IN
+    return Configuration(new_support, portmaps, {q: tuple(r) for q, r in regs.items()})
 
 
 def reference_run(

