@@ -14,7 +14,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator
 
-from .algorithm import activation_step
 from .lattice import Cell
 from .config import ConfigError, Configuration, all_in_configuration, load, save
 from .oracle import StateSpaceTooLarge
@@ -286,8 +285,11 @@ def _trace_cells(path: str, cfg: Configuration) -> list[Cell]:
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = load(args.config)
     if args.trace:
-        for cell in _trace_cells(args.trace, cfg)[: args.frame]:
-            cfg, _ = activation_step(cfg, cell)
+        # Replaying the first ``frame`` events through the engine; a cell
+        # that is not activable at its turn is a no-op event, as in the run.
+        cells = tuple(_trace_cells(args.trace, cfg)[: args.frame])
+        if cells:
+            cfg = drive(cfg, Scripted(cells), max_steps=len(cells)).config
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_svg(cfg))
     print(f"wrote {args.out}")

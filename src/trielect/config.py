@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Mapping
 
 from .lattice import (
+    ALL_PORTMAPS,
     Cell,
     IDENTITY_PORTMAP,
     N_DIRS,
@@ -72,6 +73,36 @@ LINK_ORIENTATION: tuple[tuple[EdgeOrientation, EdgeOrientation], ...] = (
     (EdgeOrientation.UNDIRECTED, EdgeOrientation.B_TO_A),
     (EdgeOrientation.A_TO_B, EdgeOrientation.CONFLICT),
 )
+
+
+def _mask_tables() -> tuple[
+    dict[PortMap, tuple[Registers, ...]], dict[PortMap, dict[Registers, int]]
+]:
+    # The 64 registers by their mask over ports, shared by every port map.
+    by_ports = [
+        tuple(OUT if m >> port & 1 else IN for port in range(N_DIRS)) for m in range(1 << N_DIRS)
+    ]
+    registers: dict[PortMap, tuple[Registers, ...]] = {}
+    masks: dict[PortMap, dict[Registers, int]] = {}
+    for pm in ALL_PORTMAPS:
+        # ports[mask]: the mask over ports facing the directions in ``mask``,
+        # from its lowest direction and the entry for the rest.
+        ports = [0] * (1 << N_DIRS)
+        for d in range(N_DIRS):
+            ports[1 << d] = 1 << dir_to_port(pm, d)
+        for mask in range(1, 1 << N_DIRS):
+            ports[mask] = ports[mask & -mask] | ports[mask & (mask - 1)]
+        registers[pm] = regs = tuple(by_ports[p] for p in ports)
+        masks[pm] = dict(zip(regs, range(1 << N_DIRS)))
+    return registers, masks
+
+
+#: ``REGISTER[pm][mask]``: the register of a particle with port map ``pm``
+#: that is Out exactly toward the global directions in the six-bit
+#: ``mask``.  ``OUT_MASK[pm][reg]`` is the mask of register ``reg``.
+#: Neither table knows the support: a register Out toward an empty cell
+#: is rejected only where a ``Configuration`` is built or updated.
+REGISTER, OUT_MASK = _mask_tables()
 
 
 def identity_portmaps(support: Support) -> dict[Cell, PortMap]:

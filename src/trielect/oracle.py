@@ -9,13 +9,15 @@ an edge whose far side is already Out.
 
 ``RULE`` is the repair rule as one 64-entry table keyed by a cell's Out
 mask over directions: R2 and R3 broken or not, and the at most two
-triangles R4 must look at.  ``CompiledSupport`` holds the per-cell
-geometry the scheduler's engine shares, including ``far_at``, the far
-half-edge of each triangle that ``RULE`` names.  ``ConfigGraph`` steps
-and checks whole states with mask algebra (a pair swap, the identity
-``mine = not theirs``, per-cell own-pattern tables that map ``RULE`` to
-half-edge bits, and 3-bit triangle cycle masks), an independent rewrite
-of the reference step that tests compare pointwise.
+triangles R4 must look at; the scheduler's engine reads it too.
+``numbered_cells`` numbers a support's cells and their neighbours by
+direction for both.  ``CompiledSupport`` holds ``ConfigGraph``'s per-cell
+half-edge layout, including ``far_at``, the far half-edge of each
+triangle that ``RULE`` names.  ``ConfigGraph`` steps and checks whole
+states with mask algebra (a pair swap, the identity ``mine = not
+theirs``, per-cell own-pattern tables that map ``RULE`` to half-edge
+bits, and 3-bit triangle cycle masks), an independent rewrite of the
+reference step that tests compare pointwise.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .lattice import CYCLIC_RUN, DIR_OFFSETS, Cell, N_DIRS, PortMap, dir_to_port
+from .lattice import CYCLIC_RUN, DIR_OFFSETS, Cell, N_DIRS, PortMap
 from .config import (
     ALL_IN,
+    OUT_MASK,
     Configuration,
     OUT,
     identity_portmaps,
@@ -62,8 +65,19 @@ def _rule_table() -> tuple[tuple[tuple[int, int], ...] | None, ...]:
 RULE = _rule_table()
 
 
+def numbered_cells(support: Support) -> tuple[tuple[Cell, ...], list[tuple[int, ...]]]:
+    """The cells of ``support`` in sorted order, numbered ``0..n-1``, and per
+    cell its neighbours' numbers by direction, -1 where the cell is empty."""
+    cells = tuple(support)
+    index = {c: i for i, c in enumerate(cells)}
+    # Plain (q, r) tuples hash like Cells.
+    around = [tuple(index.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in cells]
+    return cells, around
+
+
 class CompiledSupport:
-    """Flat per-cell tables of one support, in the packed half-edge layout.
+    """Flat per-cell tables of one support in ``ConfigGraph``'s packed
+    half-edge layout.
 
     Cells are numbered ``0..n-1`` in sorted order.  Edge ``i`` is the
     ``i``-th edge of ``Support.edges()``; half-edge ``2i`` is its smaller
@@ -72,29 +86,23 @@ class CompiledSupport:
 
       - ``dirs[ci]``: directions toward occupied neighbours, ascending;
       - ``half[ci]``: the cell's own half-edges in that order;
-      - ``nbrs[ci]``: the neighbours' cell numbers in that order;
       - ``far_at[ci]``: six entries by direction ``d``: the half-edge of
         the neighbour at ``d`` toward the neighbour at ``d + 1``, or -1
         where either is missing, i.e. no triangle there.  It is the far
         edge ``RULE`` names.
 
-    Tables are tuples; equal direction tuples are shared between cells,
-    and every half-edge number is one int object, so a thousand-cell
-    support compiles to well under a megabyte.
+    Tables are tuples; equal direction tuples are shared between cells.
     """
 
-    __slots__ = ("cells", "n_half_edges", "dirs", "half", "nbrs", "far_at")
+    __slots__ = ("cells", "n_half_edges", "dirs", "half", "far_at")
 
     def __init__(self, support: Support):
-        self.cells: tuple[Cell, ...] = tuple(support)
-        index = {c: i for i, c in enumerate(self.cells)}
-        # Cell numbers by direction; plain (q, r) tuples hash like Cells.
-        around = [[index.get((q + dq, r + dr)) for dq, dr in DIR_OFFSETS] for q, r in self.cells]
+        self.cells, around = numbered_cells(support)
         half_at: list[list[int | None]] = [[None] * N_DIRS for _ in self.cells]
         n_half = 0
         for i, row in enumerate(around):
             for d, j in enumerate(row):
-                if j is not None and i < j:
+                if i < j:
                     half_at[i][d] = n_half
                     half_at[j][(d + 3) % N_DIRS] = n_half + 1
                     n_half += 2
@@ -102,32 +110,19 @@ class CompiledSupport:
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.dirs: list[tuple[int, ...]] = []
         self.half: list[tuple[int, ...]] = []
-        self.nbrs: list[tuple[int, ...]] = []
         self.far_at: list[tuple[int, ...]] = []
         for row, hrow in zip(around, half_at):
-            ds, hs, ns, far = [], [], [], [-1] * N_DIRS
+            ds, hs, far = [], [], [-1] * N_DIRS
             for d, j in enumerate(row):
-                if j is None:
+                if j < 0:
                     continue
                 ds.append(d)
                 hs.append(hrow[d])
-                ns.append(j)
-                if row[(d + 1) % N_DIRS] is not None:
+                if row[(d + 1) % N_DIRS] >= 0:
                     far[d] = half_at[j][(d + 2) % N_DIRS]
             self.dirs.append(shared.setdefault(tuple(ds), tuple(ds)))
             self.half.append(tuple(hs))
-            self.nbrs.append(tuple(ns))
             self.far_at.append(tuple(far))
-
-    def flags(self, config: Configuration) -> bytearray:
-        """The Out flag of every half-edge of ``config``, one byte each."""
-        out = bytearray(self.n_half_edges)
-        for ci, p in enumerate(self.cells):
-            pm, reg = config.portmaps[p], config.regs[p]
-            for h, d in zip(self.half[ci], self.dirs[ci]):
-                if reg[dir_to_port(pm, d)] is OUT:
-                    out[h] = 1
-        return out
 
 
 class ConfigGraph:
@@ -226,7 +221,14 @@ class ConfigGraph:
     def pack(self, config: Configuration) -> int:
         if config.support.cells != self.support.cells:
             raise ValueError("configuration lives on a different support")
-        return sum(1 << h for h, flag in enumerate(self._compiled.flags(config)) if flag)
+        compiled = self._compiled
+        state = 0
+        for p, half, dirs in zip(self.cells, compiled.half, compiled.dirs):
+            mask = OUT_MASK[config.portmaps[p]][config.regs[p]]
+            for h, d in zip(half, dirs):
+                if mask >> d & 1:
+                    state |= 1 << h
+        return state
 
     def unpack(
         self, state: int, portmaps: Mapping[Cell, PortMap] | None = None

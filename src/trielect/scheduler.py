@@ -7,33 +7,40 @@ with fixed positive probability, so every successor also recurs.  Round
 robin and scripted drivers exist for determinism and for replaying
 adversarial executions.
 
-``run`` compiles the support once (``oracle.CompiledSupport``) and keeps
-the state as a ``bytearray`` of per-half-edge Out flags in the oracle's
-packed layout.  One activation reads only the activated particle's
-half-edges and their far sides, looks its new Out mask up in
-``oracle.RULE`` and reads the far edges of the at most two triangles
-the entry names; it can change activability only for that particle and
-its six neighbours, so a step costs O(1) table work instead of copying
-the configuration.  The activable particles are kept as a sorted list
-of cell numbers, updated with ``bisect`` for those seven cells only.
-Cell numbers follow the support's sorted cell order, so the list equals
-the one a rebuild from scratch would give, and
+``run`` holds the paper's per-particle state directly: two lists of
+six-bit masks over global directions, ``mine[ci]`` (the particle's own
+Out flags) and ``theirs[ci]`` (bit ``d`` set iff the neighbour at ``d``
+is Out toward it).  Per support it builds only ``around[ci]``, the
+neighbours' cell numbers by direction (-1 where the cell is empty;
+``oracle.numbered_cells``), and ``present[ci]``, the mask of occupied
+directions.  One activation looks ``present & ~theirs`` up in
+``oracle.RULE`` and reads the at most two triangles it names off the
+masks of the neighbour the particle is Out toward.  A step writes
+``mine[ci]``, flips one ``theirs`` bit at each neighbour whose edge
+changed, and can change activability only for that particle and its six
+neighbours, so it costs O(1) table work instead of copying the
+configuration.  The activable particles are kept as a sorted list of
+cell numbers, updated with ``bisect`` for those seven cells only.  Cell
+numbers follow the support's sorted cell order, so the list equals the
+one a rebuild from scratch would give, and
 ``live[rng.randrange(len(live))]`` picks the same particle with the same
 random draws: every run is bit-identical to driving
 ``algorithm.activation_step`` step by step, which the tests check
 against an object-based reference loop.
 
-``Configuration`` stays the boundary: ``run`` takes one and returns one,
-built once at the end from the registers that changed.  When per-step
-checks or traces are asked for, ``_breaks`` reads R2, R3 and R4 off the
-same Out flags and ``RULE`` for the activated particle and its
-neighbours, the only particles whose status a step can change, and
-keeps the violation count up to date; a configuration is built mid-run
-only for the step that breaks a check.  The end-of-run check reads the
-flags too (``_valid_single_sink``): every edge has exactly one Out side,
-no particle breaks a rule and exactly one particle has no Out.
-``violation_count`` is the object-path full recount through
-``rules.check_r2/3/4``.
+``Configuration`` stays the boundary: ``run`` takes one and returns one.
+Registers become masks and masks registers through
+``config.OUT_MASK`` and ``config.REGISTER``; the final configuration is
+built once, from the masks that changed, through ``with_registers`` and
+its validation.  When per-step checks or traces are asked for,
+``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
+activated particle and its neighbours, the only particles whose status
+a step can change, and keeps the violation count up to date; a
+configuration is built mid-run only for the step that breaks a check.
+The end-of-run check reads the masks too (``_valid_single_sink``): R1
+holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
+a rule and exactly one particle has ``mine == 0``.  ``violation_count``
+is the object-path full recount through ``rules.check_r2/3/4``.
 """
 
 from __future__ import annotations
@@ -45,10 +52,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Sequence, Union
 
-from .lattice import Cell, N_DIRS, dir_to_port
-from .config import IN, OUT, Configuration, EdgeOrientation, Registers
-from .support import SupportError, format_shape_text
-from .oracle import RULE, CompiledSupport
+from .lattice import Cell, N_DIRS
+from .config import OUT_MASK, REGISTER, Configuration, EdgeOrientation
+from .support import Support, SupportError, format_shape_text
+from .oracle import RULE, numbered_cells
 from .rules import check_r2, check_r3, check_r4, _consecutive_cyclic
 
 # ``activation_step`` and ``step_register`` stay importable from this
@@ -147,97 +154,144 @@ def _kind_label(kind: SchedulerKind) -> str:
     return f"script len={len(kind.cells)}"
 
 
-# -- the compiled engine ------------------------------------------------------------
+# -- the mask engine ---------------------------------------------------------------
+
+
+def _corner_table() -> tuple[tuple[tuple[int, int, int], ...] | None, ...]:
+    table: list[tuple[tuple[int, int, int], ...] | None] = []
+    for entry in RULE:
+        if entry is None:
+            table.append(None)
+            continue
+        # Triangle (d, flip): the cell is Out only toward x, the neighbour at
+        # d + flip, and the cycle closes iff x is Out toward the other corner
+        # (at d + 2 from x for flip 0, at d + 5 for flip 1) and not the reverse.
+        table.append(tuple(
+            ((d + flip) % N_DIRS, 1 << (d + 2 + 3 * flip) % N_DIRS,
+             1 << d | 1 << (d + 1) % N_DIRS)
+            for d, flip in entry
+        ))
+    return tuple(table)
+
+
+#: ``_CORNERS[mask]``: ``RULE[mask]`` read from the cell's side.  None if
+#: R2 or R3 breaks; else one ``(x_dir, bit, near)`` triple per triangle:
+#: the direction of the neighbour ``x`` the cell is Out toward, the bit of
+#: ``x``'s Out mask on the triangle's far edge, and the cell's two near
+#: edges.  The triangle is a directed 3-cycle iff both near edges are
+#: directed and ``mine[x] & ~theirs[x] & bit``.
+_CORNERS = _corner_table()
+
+#: ``_FLIPS[mask]``: ``(d, 1 << (d + 3) % 6)`` for every direction ``d`` in
+#: ``mask``, i.e. the neighbour's ``theirs`` bit an Out flag toward ``d`` sets.
+_FLIPS = tuple(
+    tuple((d, 1 << (d + 3) % N_DIRS) for d in range(N_DIRS) if mask >> d & 1)
+    for mask in range(1 << N_DIRS)
+)
+
+
+def _layout(support: Support) -> tuple[tuple[Cell, ...], list[int], list[tuple[int, ...]]]:
+    """``(cells, present, around)`` of a support: ``oracle.numbered_cells``
+    plus ``present[ci]``, the mask of the directions whose cell is occupied."""
+    cells, around = numbered_cells(support)
+    present = [sum(1 << d for d, x in enumerate(a) if x >= 0) for a in around]
+    return cells, present, around
+
+
+def _masks(
+    c: Configuration, cells: tuple[Cell, ...], around: list[tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """``(mine, theirs)`` of ``c``: per cell, the directions it is Out
+    toward, and those whose neighbour is Out toward it."""
+    pms, regs = c.portmaps, c.regs
+    mine = [OUT_MASK[pms[p]][regs[p]] for p in cells]
+    theirs = [0] * len(cells)
+    for m, a in zip(mine, around):
+        for d, back in _FLIPS[m]:
+            theirs[a[d]] |= back
+    return mine, theirs
+
+
+def _with_masks(c: Configuration, masks: dict[Cell, int]) -> Configuration:
+    """``c`` with each cell of ``masks`` Out exactly toward its mask's directions."""
+    pms = c.portmaps
+    return c.with_registers({p: REGISTER[pms[p]][mask] for p, mask in masks.items()})
 
 
 def _fire(
-    out: bytearray, half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
-) -> tuple[int, int, bool, bool, int]:
-    """One activation of a cell, computed from the Out flags ``out``.
+    ci: int, mine: list[int], theirs: list[int], present: list[int], around: list[tuple[int, ...]]
+) -> int:
+    """The Out mask of cell ``ci`` after one activation; nothing is written.
 
-    The arguments after ``out`` are the cell's rows of a
-    ``CompiledSupport`` (``half``, ``dirs`` and ``far_at``).  Returns
-    ``(before, after, line1, line2, conflicts)``: the cell's Out flags
-    before and after as masks over directions, then the fields of its
-    ``ActivationEffect``.  ``out`` is not written.
-
-    Resolving conflicts and then line 1 leave the cell Out exactly on the
-    edges whose far side is In, so every edge at the cell is directed
-    when line 2's test runs: ``RULE`` alone decides R2 and R3, and a
-    triangle it names is a directed 3-cycle iff its far edge is.
+    Resolving conflicts and then line 1 leave the cell Out exactly toward
+    ``present & ~theirs``, so every edge at the cell is directed when
+    line 2's test runs: ``RULE`` alone decides R2 and R3, and a triangle
+    it names is a directed 3-cycle iff its far edge is.
     """
-    before = after = conflicts = 0
-    line1 = False
-    for h, d in zip(half, dirs):
-        if out[h ^ 1]:
-            if out[h]:
-                before |= 1 << d
-                conflicts += 1
-        else:
-            if out[h]:
-                before |= 1 << d
-            else:
-                line1 = True
-            after |= 1 << d
-    entry = RULE[after]
-    ok = entry is not None
-    if ok:
-        for d, flip in entry:
-            h = far[d]
-            if h >= 0 and out[h ^ flip] and not out[h ^ flip ^ 1]:
-                ok = False
-                break
-    return before, after if ok else 0, line1, not ok, conflicts
+    free = present[ci] & ~theirs[ci]
+    corners = _CORNERS[free]
+    if corners is None:
+        return 0
+    a = around[ci]
+    for xd, bit, _ in corners:
+        x = a[xd]
+        if mine[x] & ~theirs[x] & bit:
+            return 0
+    return free
 
 
-def _breaks(
-    out: bytearray, half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
-) -> bool:
-    """True iff the cell breaks R2, R3 or R4 under the Out flags ``out``.
+def _effect(before: int, after: int, theirs: int, present: int) -> ActivationEffect:
+    """The effect of an activation that took a cell's Out mask from
+    ``before`` to ``after``, given its ``theirs`` and ``present`` masks."""
+    free = present & ~theirs
+    return ActivationEffect(
+        before != after, bool(free & ~before), after != free, (before & theirs).bit_count()
+    )
 
-    Takes the cell's rows of a ``CompiledSupport``, like ``_fire``, but
-    assumes nothing about the edges: ``mine`` and ``theirs`` are the
-    masks of the cell's own and the far-side Out flags, and bit ``d`` of
-    ``mine ^ theirs`` is set iff the edge at ``d`` is directed.  A
-    triangle ``RULE`` names closes a directed 3-cycle only when both its
-    near edges and its far edge are directed; undirected and conflict
-    edges never close one, as in ``rules.check_r4``.
+
+def _set(
+    ci: int, after: int, mine: list[int], theirs: list[int], around: list[tuple[int, ...]]
+) -> None:
+    """Make ``after`` the Out mask of cell ``ci``, flipping the ``theirs``
+    bit of every neighbour whose edge changed."""
+    a = around[ci]
+    for d, back in _FLIPS[mine[ci] ^ after]:
+        theirs[a[d]] ^= back
+    mine[ci] = after
+
+
+def _breaks(ci: int, mine: list[int], theirs: list[int], around: list[tuple[int, ...]]) -> bool:
+    """True iff cell ``ci`` breaks R2, R3 or R4 under the masks.
+
+    Unlike ``_fire`` this assumes nothing about the edges: bit ``d`` of
+    ``mine ^ theirs`` is set iff the edge at ``d`` is directed, and a
+    triangle closes a directed 3-cycle only when both its near edges and
+    its far edge are directed; undirected and conflict edges never close
+    one, as in ``rules.check_r4``.
     """
-    mine = theirs = 0
-    for h, d in zip(half, dirs):
-        if out[h]:
-            mine |= 1 << d
-        if out[h ^ 1]:
-            theirs |= 1 << d
-    entry = RULE[mine]
-    if entry is None:
+    m = mine[ci]
+    corners = _CORNERS[m]
+    if corners is None:
         return True
-    directed = mine ^ theirs
-    directed |= directed << N_DIRS
-    for d, flip in entry:
-        h = far[d]
-        if h >= 0 and directed >> d & 3 == 3 and out[h ^ flip] and not out[h ^ flip ^ 1]:
-            return True
+    directed = m ^ theirs[ci]
+    a = around[ci]
+    for xd, bit, near in corners:
+        if directed & near == near:
+            x = a[xd]
+            if mine[x] & ~theirs[x] & bit:
+                return True
     return False
 
 
-def _valid_single_sink(out: bytearray, half: list[tuple[int, ...]], violations: int) -> bool:
-    """True iff every edge has exactly one Out side (R1), no cell ``_breaks``
-    (``violations`` counts those that do) and exactly one cell of ``half``,
-    a ``CompiledSupport``'s per-cell half-edges, has no Out flag: a sink."""
-    if violations or not all(a != b for a, b in zip(out[::2], out[1::2])):
+def _valid_single_sink(
+    mine: list[int], theirs: list[int], present: list[int], violations: int
+) -> bool:
+    """True iff every edge has exactly one Out side (R1: ``mine ^ theirs ==
+    present`` at every cell), no cell ``_breaks`` (``violations`` counts
+    those that do) and exactly one cell has no Out flag: a sink."""
+    if violations or any(m ^ t != p for m, t, p in zip(mine, theirs, present)):
         return False
-    return sum(not any(out[h] for h in hs) for hs in half) == 1
-
-
-def _register(c: Configuration, p: Cell, dirs: tuple[int, ...], mask: int) -> Registers:
-    """The register of ``p`` that is Out exactly toward the directions in ``mask``."""
-    pm = c.portmaps[p]
-    reg = [IN] * N_DIRS
-    for d in dirs:
-        if mask >> d & 1:
-            reg[dir_to_port(pm, d)] = OUT
-    return tuple(reg)
+    return mine.count(0) == 1
 
 
 # -- the driver --------------------------------------------------------------------
@@ -263,16 +317,12 @@ def run(
         unknown = sorted(set(kind.cells) - c0.support.cells)
         if unknown:
             raise SupportError(f"scripted cells not in the support: {unknown}")
-    compiled = CompiledSupport(c0.support)
-    cells = compiled.cells
+    cells, present, around = _layout(c0.support)
     n = len(cells)
-    half, dirs, nbrs, far_at = compiled.half, compiled.dirs, compiled.nbrs, compiled.far_at
-    out = compiled.flags(c0)
+    mine, theirs = _masks(c0, cells, around)
+    start = mine[:]
 
-    activable = bytearray(n)
-    for ci in range(n):
-        before, after, *_ = _fire(out, half[ci], dirs[ci], far_at[ci])
-        activable[ci] = before != after
+    activable = bytearray(_fire(ci, mine, theirs, present, around) != mine[ci] for ci in range(n))
     live = [ci for ci in range(n) if activable[ci]]
 
     rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
@@ -287,10 +337,8 @@ def run(
     tracing = record_trace or trace_file is not None
     observed = check_invariants or tracing
     events: list[TraceEvent] = []
-    # Out masks of the cells whose register changed, by cell number.
-    final_masks: dict[int, int] = {}
     if observed:
-        violating = bytearray(_breaks(out, half[ci], dirs[ci], far_at[ci]) for ci in range(n))
+        violating = bytearray(_breaks(ci, mine, theirs, around) for ci in range(n))
         violations = sum(violating)
 
     if trace_file is not None:
@@ -300,15 +348,12 @@ def run(
         )
 
     def current() -> Configuration:
-        return c0.with_registers({
-            cells[ci]: _register(c0, cells[ci], dirs[ci], mask)
-            for ci, mask in final_masks.items()
-        })
+        return _with_masks(c0, {cells[ci]: m for ci, m in enumerate(mine) if m != start[ci]})
 
     def result(outcome: Outcome) -> ExecutionResult:
         final = current()
         if outcome is Outcome.FINAL and check_invariants:
-            if not _valid_single_sink(out, half, violations):
+            if not _valid_single_sink(mine, theirs, present, violations):
                 raise StepInvariantError(
                     "final configuration is not a valid single-sink state", final
                 )
@@ -330,30 +375,32 @@ def run(
             ci = script[script_index % len(script)]
             script_index += 1
 
-        before, after, line1, line2, conflicts = _fire(out, half[ci], dirs[ci], far_at[ci])
+        before = mine[ci]
+        after = _fire(ci, mine, theirs, present, around)
         step += 1
         changed = before != after
         if changed:
-            for h, d in zip(half[ci], dirs[ci]):
-                out[h] = after >> d & 1
-            for x in (ci, *nbrs[ci]):
-                b, a, *_ = _fire(out, half[x], dirs[x], far_at[x])
-                now = b != a
+            _set(ci, after, mine, theirs, around)
+            for x in (ci, *around[ci]):
+                if x < 0:
+                    continue
+                now = _fire(x, mine, theirs, present, around) != mine[x]
                 if now != activable[x]:
                     activable[x] = now
                     if now:
                         insort(live, x)
                     else:
                         del live[bisect_left(live, x)]
-            final_masks[ci] = after
 
         if not observed:
             continue
         p = cells[ci]
         prev_violations = violations
         if changed:
-            for x in (ci, *nbrs[ci]):
-                v = _breaks(out, half[x], dirs[x], far_at[x])
+            for x in (ci, *around[ci]):
+                if x < 0:
+                    continue
+                v = _breaks(x, mine, theirs, around)
                 violations += v - violating[x]
                 violating[x] = v
         if check_invariants:
@@ -368,13 +415,13 @@ def run(
                     current(),
                 )
         if tracing:
-            effect = ActivationEffect(changed, line1, line2, conflicts)
+            effect = _effect(before, after, theirs[ci], present[ci])
             if record_trace:
                 events.append(TraceEvent(step - 1, (p,), effect, violations))
             if trace_file is not None:
                 trace_file.write(
-                    f"{step - 1} {p.q} {p.r} {int(line1)} {int(line2)} "
-                    f"{int(changed)} {violations}\n"
+                    f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} "
+                    f"{int(effect.line2_fired)} {int(changed)} {violations}\n"
                 )
 
     return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)

@@ -9,7 +9,9 @@ functions.  ``reference_random_support``, ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
 reads off one cyclic-run lookup.  ``reference_run`` is the object-based loop that
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
-reproduce bit for bit.  ``resolve_conflicts`` and ``remove_particle``
+reproduce bit for bit, and ``reference_replay`` the per-event loop
+``render --trace`` used before it replayed through the engine.
+``resolve_conflicts`` and ``remove_particle``
 are single-purpose configuration edits that only tests need.
 """
 
@@ -315,3 +317,12 @@ def reference_run(
     if detect_final(config):
         return finish(step)
     return ExecutionResult(Outcome.CAP_EXCEEDED, config, step, events)
+
+
+def reference_replay(c0: Configuration, cells) -> Configuration:
+    """``c0`` after activating ``cells`` in order on the object path, one
+    ``activation_step`` and one configuration copy per event."""
+    config = c0
+    for p in cells:
+        config, _ = activation_step(config, p)
+    return config

@@ -2,9 +2,12 @@ import re
 
 import pytest
 
+from reference import reference_replay
 from trielect.cli import main
-from trielect.config import save
+from trielect.config import load, save
 from trielect.generators import ring18
+from trielect.lattice import Cell
+from trielect.render import render_svg
 from trielect.support import format_shape_text
 
 
@@ -195,6 +198,21 @@ def test_render_trace_frame(tmp_path, capsys):
     ])
     assert rc == 0
     assert 'class="edge directed"' in svg.read_text()
+
+
+def test_render_trace_frames_match_the_object_path_replay(tmp_path, capsys):
+    cfg, trace, svg = tmp_path / "r.cfg", tmp_path / "r.trace", tmp_path / "r.svg"
+    main(["gen", "--random", "150", "--seed", "12", "--init", "random", "--out", str(cfg)])
+    main(["run", "--config", str(cfg), "--seed", "13", "--trace", str(trace)])
+    events = trace.read_text().splitlines()[1:]
+    cells = [Cell(int(q), int(r)) for _, q, r, *_ in (line.split() for line in events)]
+    start = load(str(cfg))
+    last = len(cells)
+    assert last > 100
+    for frame in (0, 1, last // 2, last, last + 5):
+        argv = ["render", "--config", str(cfg), "--trace", str(trace), "--frame", str(frame)]
+        assert main(argv + ["--out", str(svg)]) == 0
+        assert svg.read_text() == render_svg(reference_replay(start, cells[:frame])), frame
 
 
 def test_render_rejects_trace_of_another_shape(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import pytest
 
-from trielect.lattice import Cell, PortMap, IDENTITY_PORTMAP
+from trielect.lattice import ALL_PORTMAPS, Cell, N_DIRS, PortMap, IDENTITY_PORTMAP, port_to_dir
 from trielect.config import (
     ALL_IN,
+    OUT_MASK,
+    REGISTER,
     ConfigError,
     Configuration,
     EdgeOrientation,
@@ -100,6 +102,20 @@ def test_serialize_roundtrip_random():
         again = deserialize(cfg.serialize())
         assert again == cfg
         assert again.serialize() == cfg.serialize()
+
+
+def test_mask_register_tables_round_trip_for_every_port_map_and_mask():
+    assert set(REGISTER) == set(OUT_MASK) == set(ALL_PORTMAPS)
+    for pm in ALL_PORTMAPS:
+        assert len(OUT_MASK[pm]) == 1 << N_DIRS
+        for mask in range(1 << N_DIRS):
+            reg = REGISTER[pm][mask]
+            assert reg == tuple(
+                OUT if mask >> port_to_dir(pm, port) & 1 else IN for port in range(N_DIRS)
+            )
+            assert OUT_MASK[pm][reg] == mask
+            # Equal port maps built afresh and registers rebuilt from a list index alike.
+            assert OUT_MASK[PortMap(pm.offset, pm.chirality)][tuple(list(reg))] == mask
 
 
 def test_serialize_deterministic(tri):

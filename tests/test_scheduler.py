@@ -7,7 +7,7 @@ import reference
 import trielect.scheduler as scheduler
 from trielect.lattice import Cell, N_DIRS, neighbor, port_to_dir
 from trielect.algorithm import ActivationEffect, activation_step, step_register
-from trielect.config import IN, OUT, all_in_configuration
+from trielect.config import IN, OUT, REGISTER, ConfigError, all_in_configuration
 from trielect.generators import (
     enumerate_supports,
     erosion_orientation,
@@ -26,10 +26,14 @@ from trielect.scheduler import (
     Scripted,
     StepInvariantError,
     _breaks,
+    _effect,
     _fire,
-    _register,
+    _layout,
+    _masks,
+    _set,
     _valid_single_sink,
     _violates,
+    _with_masks,
     analyze_cycle,
     detect_final,
     run,
@@ -205,36 +209,78 @@ def test_run_matches_reference_run(record_trace, check_invariants, with_file):
 
 
 def test_run_matches_reference_run_on_a_thousand_cells():
+    """A random run from random registers with nothing observed, then round
+    robin with invariants checked and the trace file compared.
+
+    The reference recounts every particle's rules after each step (about
+    50 ms on a directed thousand-cell configuration), so the round-robin
+    start is the erosion orientation with one particle given arbitrary
+    registers: its repair spreads through a 103-step run with line 2
+    firing and conflicts resolved, not the 2,731 steps from fully random
+    registers.
+    """
     s = hexagon(18)
-    cfg = random_registers(s, 41, 0.25, random_portmaps(s, 40))
+    portmaps = random_portmaps(s, 40)
+    cfg = random_registers(s, 41, 0.25, portmaps)
     assert len(s) >= 1000
     _assert_same_run((cfg, RandomSequential(42), 10**6), False, False, False)
 
+    (p,) = random.Random(0).sample(sorted(s.cells), 1)
+    cfg = erosion_orientation(s, portmaps).with_register(p, cfg.regs[p])
+    _assert_same_run((cfg, RoundRobin(), 10**6), True, True, True)
+
+
+def _packed_masks(state, compiled):
+    """``(mine, theirs)`` read off a packed oracle state: per cell, the
+    directions of its own and of the far-side Out half-edges."""
+    mine, theirs = [], []
+    for half, dirs in zip(compiled.half, compiled.dirs):
+        mine.append(sum(1 << d for h, d in zip(half, dirs) if state >> h & 1))
+        theirs.append(sum(1 << d for h, d in zip(half, dirs) if state >> (h ^ 1) & 1))
+    return mine, theirs
+
 
 def test_engine_step_matches_reference_and_packed_steps():
-    """Every cell of every state of every support with n <= 4."""
+    """Every cell of every state of every support with n <= 4: the engine's
+    masks, its new mask and effect, and its write of the step."""
     rng = random.Random(5)
     for n in range(1, 5):
         for s in enumerate_supports(n):
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
             compiled = CompiledSupport(s)
-            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
+            cells, present, around = _layout(s)
+            assert cells == compiled.cells
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
-                out = compiled.flags(cfg)
-                assert out == bytes(state >> h & 1 for h in range(compiled.n_half_edges))
-                for ci, (p, row) in enumerate(zip(compiled.cells, rows)):
-                    half, dirs = row[:2]
-                    before, after, line1, line2, conflicts = _fire(out, *row)
+                mine, theirs = _masks(cfg, cells, around)
+                assert (mine, theirs) == _packed_masks(state, compiled)
+                for ci, (p, half, dirs) in enumerate(zip(cells, compiled.half, compiled.dirs)):
+                    before = mine[ci]
+                    after = _fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
-                    assert _register(cfg, p, dirs, before) == cfg.regs[p]
-                    assert _register(cfg, p, dirs, after) == reg
-                    assert ActivationEffect(before != after, line1, line2, conflicts) == effect
+                    assert REGISTER[cfg.portmaps[p]][before] == cfg.regs[p]
+                    assert REGISTER[cfg.portmaps[p]][after] == reg
+                    assert _effect(before, after, theirs[ci], present[ci]) == effect
                     packed = state
                     for h, d in zip(half, dirs):
                         packed = packed & ~(1 << h) | (after >> d & 1) << h
                     assert packed == graph.successor(state, ci)
+                    stepped = mine[:], theirs[:]
+                    _set(ci, after, *stepped, around)
+                    assert stepped == _packed_masks(packed, compiled)
+
+
+def test_final_configuration_rejects_out_toward_an_empty_cell():
+    s = random_support(12, 8)
+    cfg = random_registers(s, 9, 0.2, random_portmaps(s, 10))
+    cells, present, around = _layout(s)
+    mine, _ = _masks(cfg, cells, around)
+    assert _with_masks(cfg, dict(zip(cells, mine))) == cfg
+    ci = next(ci for ci, m in enumerate(present) if m != 0b111111)
+    empty = next(d for d in range(N_DIRS) if not present[ci] >> d & 1)
+    with pytest.raises(ConfigError, match="Out toward an empty cell"):
+        _with_masks(cfg, {cells[ci]: mine[ci] | 1 << empty})
 
 
 def test_incremental_violation_count_matches_full_recount():
@@ -259,15 +305,14 @@ def test_breaks_matches_rule_checks_on_every_small_state():
         for s in enumerate_supports(n):
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
-            compiled = CompiledSupport(s)
-            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
+            cells, present, around = _layout(s)
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
-                out = compiled.flags(cfg)
-                for p, row in zip(compiled.cells, rows):
-                    assert _breaks(out, *row) == _violates(cfg, p), (state, p)
-                violations = sum(_breaks(out, *row) for row in rows)
-                assert _valid_single_sink(out, compiled.half, violations) == (
+                mine, theirs = _masks(cfg, cells, around)
+                for ci, p in enumerate(cells):
+                    assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), (state, p)
+                violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
+                assert _valid_single_sink(mine, theirs, present, violations) == (
                     is_valid(cfg) and len(sinks(cfg)) == 1
                 ), state
 
@@ -281,16 +326,15 @@ def test_breaks_matches_rule_checks_on_random_configurations():
             cfg = random_registers(
                 s, rng.randrange(2**31), conflict_prob, random_portmaps(s, rng.randrange(2**31))
             )
-            compiled = CompiledSupport(s)
-            out = compiled.flags(cfg)
-            rows = list(zip(compiled.half, compiled.dirs, compiled.far_at))
-            for p, row in zip(compiled.cells, rows):
-                assert _breaks(out, *row) == _violates(cfg, p), p
+            cells, present, around = _layout(s)
+            mine, theirs = _masks(cfg, cells, around)
+            for ci, p in enumerate(cells):
+                assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), p
                 r4_only += check_r2(cfg, p) and check_r3(cfg, p) and not check_r4(cfg, p)
             for c in (cfg, erosion_orientation(s)):
-                flags = compiled.flags(c)
-                violations = sum(_breaks(flags, *row) for row in rows)
-                assert _valid_single_sink(flags, compiled.half, violations) == (
+                mine, theirs = _masks(c, cells, around)
+                violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
+                assert _valid_single_sink(mine, theirs, present, violations) == (
                     is_valid(c) and len(sinks(c)) == 1
                 )
     assert r4_only  # the triangle branch was exercised
@@ -312,19 +356,19 @@ class _SkipLine2Once:
         self.activations = 0
         self.skipped_at = None
 
-    def __call__(self, out, half, dirs, far):
-        before, after, line1, line2, conflicts = _fire(out, half, dirs, far)
+    def __call__(self, ci, mine, theirs, present, around):
+        after = _fire(ci, mine, theirs, present, around)
         if self.refreshes:
             self.refreshes -= 1
-            return before, after, line1, line2, conflicts
+            return after
         self.activations += 1
-        if line2 and self.skipped_at is None and self.activations >= self.start:
+        line1_mask = present[ci] & ~theirs[ci]
+        if after != line1_mask and self.skipped_at is None and self.activations >= self.start:
             self.skipped_at = self.activations
-            after = sum(1 << d for h, d in zip(half, dirs) if not out[h ^ 1])
-            line2 = False
-        if before != after:
-            self.refreshes = 1 + len(half)
-        return before, after, line1, line2, conflicts
+            after = line1_mask
+        if after != mine[ci]:
+            self.refreshes = 1 + present[ci].bit_count()
+        return after
 
 
 class _ActivationStepSkippingLine2Once:
@@ -392,9 +436,8 @@ def test_final_check_raises_on_a_final_state_that_is_not_valid_single_sink(monke
         run(cycle, RoundRobin(), check_invariants=True)
     assert got.value.config == cycle
 
-    def still(out, half, dirs, far):
-        before, _, line1, line2, conflicts = _fire(out, half, dirs, far)
-        return before, before, line1, line2, conflicts
+    def still(ci, mine, theirs, present, around):
+        return mine[ci]
 
     s = random_support(9, 4)
     cfg = random_registers(s, 5, 0.2, random_portmaps(s, 6))
