@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .lattice import Cell, N_DIRS, neighbor, port_to_dir
 from .config import Configuration, IN, OUT, Registers
 from .rules import check_r2, check_r3, check_r4
-from . import views as _views
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,7 @@ class ActivationEffect:
     conflicts_resolved: int
 
 
-def step_register(
-    c: Configuration, p: Cell, use_local_r4: bool = False
-) -> tuple[Registers, ActivationEffect]:
+def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffect]:
     """New register of ``p`` after one activation, without building the config."""
     pm = c.portmaps[p]
     before = c.regs[p]
@@ -66,7 +63,7 @@ def step_register(
             reg[port] = OUT
 
     line2 = False
-    if not _r234_with(c, p, tuple(reg), use_local_r4):
+    if not _r234_with(c, p, tuple(reg)):
         line2 = True
         for port, _ in occupied:
             if reg[port] is OUT:
@@ -76,26 +73,23 @@ def step_register(
     return after, ActivationEffect(after != before, line1, line2, conflicts)
 
 
-def _r234_with(c: Configuration, p: Cell, reg: Registers, use_local_r4: bool) -> bool:
+def _r234_with(c: Configuration, p: Cell, reg: Registers) -> bool:
     """R2, R3 and R4 at ``p`` with ``p``'s register hypothetically replaced."""
     trial = c.with_register(p, reg)
-    r4 = _views.local_check_r4 if use_local_r4 else check_r4
-    return check_r2(trial, p) and check_r3(trial, p) and r4(trial, p)
+    return check_r2(trial, p) and check_r3(trial, p) and check_r4(trial, p)
 
 
-def activation_step(
-    c: Configuration, p: Cell, use_local_r4: bool = False
-) -> tuple[Configuration, ActivationEffect]:
+def activation_step(c: Configuration, p: Cell) -> tuple[Configuration, ActivationEffect]:
     """Apply one activation of ``p``; only ``p``'s register may change."""
     if p not in c.support.cells:
         raise ValueError(f"{p} is not occupied")
-    reg, effect = step_register(c, p, use_local_r4)
+    reg, effect = step_register(c, p)
     if not effect.changed:
         return c, effect
     return c.with_register(p, reg), effect
 
 
-def is_activable(c: Configuration, p: Cell, use_local_r4: bool = False) -> bool:
+def is_activable(c: Configuration, p: Cell) -> bool:
     """True iff activating ``p`` would change its register."""
-    _, effect = step_register(c, p, use_local_r4)
+    _, effect = step_register(c, p)
     return effect.changed

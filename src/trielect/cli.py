@@ -370,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

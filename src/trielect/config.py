@@ -217,14 +217,19 @@ class Configuration:
 
 
 def _check_register(support: Support, c: Cell, pm: PortMap, reg: Registers) -> Registers:
-    reg = tuple(reg)
-    if len(reg) != N_DIRS or not all(isinstance(st, LinkState) for st in reg):
-        raise ConfigError(f"register of {c} must be six link states")
-    for p in range(N_DIRS):
-        if reg[p] is OUT and neighbor(c, port_to_dir(pm, p)) not in support.cells:
-            raise ConfigError(
-                f"cell ({c.q} {c.r}) port {p} is Out toward an empty cell"
-            )
+    try:
+        masks = OUT_MASK[pm]
+    except (TypeError, KeyError):
+        raise ConfigError(f"port map of {c} must be a PortMap") from None
+    try:
+        reg = tuple(reg)
+        mask = masks[reg]
+    except (TypeError, KeyError):
+        raise ConfigError(f"register of {c} must be six link states") from None
+    empty = mask & ~support.present[support.number[c]]
+    if empty:
+        port = min(dir_to_port(pm, d) for d in range(N_DIRS) if empty >> d & 1)
+        raise ConfigError(f"cell ({c.q} {c.r}) port {port} is Out toward an empty cell")
     return reg
 
 

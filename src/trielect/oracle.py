@@ -1,23 +1,24 @@
 """Brute-force ground truth over packed register states.
 
-A register state of a support is packed two bits per edge in canonical
-edge order: bit 2i is the smaller endpoint's Out flag on edge i, bit 2i+1
-the larger endpoint's.  The full space (4^E states) honours arbitrary
-initialisation including Out/Out; the conflict-free subspace (3^E) is
-closed under sequential activation because no step ever writes Out onto
-an edge whose far side is already Out.
+A register state of a support is packed two bits per edge: bit 2i is
+the smaller-numbered endpoint's Out flag on edge i, bit 2i+1 the larger
+one's.  Edges are numbered in one loop of ``ConfigGraph.__init__`` over
+``Support.around``, by smaller endpoint and then by direction, which is
+the order of ``Support.edges()``.  The full space (4^E states) honours
+arbitrary initialisation including Out/Out; the conflict-free subspace
+(3^E) is closed under sequential activation because no step ever writes
+Out onto an edge whose far side is already Out.
 
 ``RULE`` is the repair rule as one 64-entry table keyed by a cell's Out
 mask over directions: R2 and R3 broken or not, and the at most two
 triangles R4 must look at; the scheduler's engine reads it too.
-``numbered_cells`` numbers a support's cells and their neighbours by
-direction for both.  ``CompiledSupport`` holds ``ConfigGraph``'s per-cell
-half-edge layout, including ``far_at``, the far half-edge of each
-triangle that ``RULE`` names.  ``ConfigGraph`` steps and checks whole
-states with mask algebra (a pair swap, the identity ``mine = not
-theirs``, per-cell own-pattern tables that map ``RULE`` to half-edge
-bits, and 3-bit triangle cycle masks), an independent rewrite of the
-reference step that tests compare pointwise.
+``ConfigGraph`` numbers the half-edges of a support's cells and steps
+and checks whole states with mask algebra (a pair swap, the identity
+``mine = not theirs``, per-cell own-pattern tables that map ``RULE`` to
+half-edge bits, and 3-bit triangle cycle masks), an independent rewrite
+of the reference step that tests compare pointwise.  States convert to
+and from configurations through ``config.OUT_MASK`` and
+``config.REGISTER``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .lattice import CYCLIC_RUN, DIR_OFFSETS, Cell, N_DIRS, PortMap
+from .lattice import CYCLIC_RUN, Cell, N_DIRS, PortMap
 from .config import (
-    ALL_IN,
     OUT_MASK,
+    REGISTER,
     Configuration,
-    OUT,
     identity_portmaps,
 )
 from .support import Support
@@ -59,70 +59,10 @@ def _rule_table() -> tuple[tuple[tuple[int, int], ...] | None, ...]:
 #: flip)`` pairs of the at most two triangles, at the ends of the Out run,
 #: that can close a directed 3-cycle: the cell is Out toward the neighbour
 #: at ``d`` only (flip 0) or at ``d + 1`` only (flip 1).  The cycle closes
-#: iff both near edges are directed and half-edge ``far_at[ci][d] ^ flip``
-#: is Out with its far side In.  The engine, its checks and ``ConfigGraph``
-#: all read R2, R3 and R4 from here.
+#: iff both near edges are directed and the far edge, between those two
+#: neighbours, is directed away from the one at ``d + flip``.  The engine,
+#: its checks and ``ConfigGraph`` all read R2, R3 and R4 from here.
 RULE = _rule_table()
-
-
-def numbered_cells(support: Support) -> tuple[tuple[Cell, ...], list[tuple[int, ...]]]:
-    """The cells of ``support`` in sorted order, numbered ``0..n-1``, and per
-    cell its neighbours' numbers by direction, -1 where the cell is empty."""
-    cells = tuple(support)
-    index = {c: i for i, c in enumerate(cells)}
-    # Plain (q, r) tuples hash like Cells.
-    around = [tuple(index.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in cells]
-    return cells, around
-
-
-class CompiledSupport:
-    """Flat per-cell tables of one support in ``ConfigGraph``'s packed
-    half-edge layout.
-
-    Cells are numbered ``0..n-1`` in sorted order.  Edge ``i`` is the
-    ``i``-th edge of ``Support.edges()``; half-edge ``2i`` is its smaller
-    endpoint's Out flag and ``2i+1`` the larger one's, so ``h ^ 1`` is
-    always the far side of half-edge ``h``.  For cell ``ci``:
-
-      - ``dirs[ci]``: directions toward occupied neighbours, ascending;
-      - ``half[ci]``: the cell's own half-edges in that order;
-      - ``far_at[ci]``: six entries by direction ``d``: the half-edge of
-        the neighbour at ``d`` toward the neighbour at ``d + 1``, or -1
-        where either is missing, i.e. no triangle there.  It is the far
-        edge ``RULE`` names.
-
-    Tables are tuples; equal direction tuples are shared between cells.
-    """
-
-    __slots__ = ("cells", "n_half_edges", "dirs", "half", "far_at")
-
-    def __init__(self, support: Support):
-        self.cells, around = numbered_cells(support)
-        half_at: list[list[int | None]] = [[None] * N_DIRS for _ in self.cells]
-        n_half = 0
-        for i, row in enumerate(around):
-            for d, j in enumerate(row):
-                if i < j:
-                    half_at[i][d] = n_half
-                    half_at[j][(d + 3) % N_DIRS] = n_half + 1
-                    n_half += 2
-        self.n_half_edges = n_half
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.dirs: list[tuple[int, ...]] = []
-        self.half: list[tuple[int, ...]] = []
-        self.far_at: list[tuple[int, ...]] = []
-        for row, hrow in zip(around, half_at):
-            ds, hs, far = [], [], [-1] * N_DIRS
-            for d, j in enumerate(row):
-                if j < 0:
-                    continue
-                ds.append(d)
-                hs.append(hrow[d])
-                if row[(d + 1) % N_DIRS] >= 0:
-                    far[d] = half_at[j][(d + 2) % N_DIRS]
-            self.dirs.append(shared.setdefault(tuple(ds), tuple(ds)))
-            self.half.append(tuple(hs))
-            self.far_at.append(tuple(far))
 
 
 class ConfigGraph:
@@ -151,28 +91,44 @@ class ConfigGraph:
 
     def __init__(self, support: Support):
         self.support = support
-        self.edges: tuple[tuple[Cell, Cell], ...] = tuple(support.edges())
-        self.n_edges = len(self.edges)
-        self._compiled = compiled = CompiledSupport(support)
-        self.cells: tuple[Cell, ...] = compiled.cells
+        self.cells: tuple[Cell, ...] = support.order
+        around = support.around
+        # ``half_at[ci][d]``: the half-edge of cell ``ci`` toward direction
+        # ``d``, -1 where that cell is empty.  Half-edge ``h ^ 1`` is the far
+        # side of ``h``.
+        half_at = [[-1] * N_DIRS for _ in around]
+        n_half = 0
+        for ci, row in enumerate(around):
+            for d, cj in enumerate(row):
+                if ci < cj:
+                    half_at[ci][d] = n_half
+                    half_at[cj][(d + 3) % N_DIRS] = n_half + 1
+                    n_half += 2
+        self.half_at: tuple[tuple[int, ...], ...] = tuple(map(tuple, half_at))
+        self.n_edges = n_half // 2
 
         self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
         # Per cell: (own half-edges, every other half-edge, own-pattern table).
         self._rows: list[tuple[int, int, dict[int, int]]] = []
         cycles: dict[int, None] = {}
-        for half, dirs, far_at in zip(compiled.half, compiled.dirs, compiled.far_at):
-            own = sum(1 << h for h in half)
-            self._rows.append((own, ~own, _own_pattern_table(half, dirs, far_at)))
+        for row, half in zip(around, self.half_at):
+            # far[d]: the half-edge of the neighbour at d toward the one at
+            # d + 1, or -1 where either is missing: the far edge ``RULE`` names.
+            far = tuple(
+                half_at[cj][(d + 2) % N_DIRS] if cj >= 0 and row[(d + 1) % N_DIRS] >= 0 else -1
+                for d, cj in enumerate(row)
+            )
+            own = sum(1 << h for h in half if h >= 0)
+            self._rows.append((own, ~own, _own_pattern_table(half, far)))
             # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
             # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
             # the same two masks, so the dict keeps each triangle once.
-            at = dict(zip(dirs, half))
-            for d, far in enumerate(far_at):
-                if far < 0:
+            for d, f in enumerate(far):
+                if f < 0:
                     continue
-                pq, pr = at[d], at[(d + 1) % N_DIRS]
-                cycles[1 << pq | 1 << far | 1 << (pr ^ 1)] = None
-                cycles[1 << pr | 1 << (far ^ 1) | 1 << (pq ^ 1)] = None
+                pq, pr = half[d], half[(d + 1) % N_DIRS]
+                cycles[1 << pq | 1 << f | 1 << (pr ^ 1)] = None
+                cycles[1 << pr | 1 << (f ^ 1) | 1 << (pq ^ 1)] = None
         self._cycles: tuple[int, ...] = tuple(cycles)
 
     # -- state transitions ---------------------------------------------------
@@ -221,11 +177,12 @@ class ConfigGraph:
     def pack(self, config: Configuration) -> int:
         if config.support.cells != self.support.cells:
             raise ValueError("configuration lives on a different support")
-        compiled = self._compiled
+        pms, regs = config.portmaps, config.regs
         state = 0
-        for p, half, dirs in zip(self.cells, compiled.half, compiled.dirs):
-            mask = OUT_MASK[config.portmaps[p]][config.regs[p]]
-            for h, d in zip(half, dirs):
+        for p, half in zip(self.cells, self.half_at):
+            mask = OUT_MASK[pms[p]][regs[p]]
+            # A Configuration is never Out toward an empty cell, so h >= 0.
+            for d, h in enumerate(half):
                 if mask >> d & 1:
                     state |= 1 << h
         return state
@@ -234,14 +191,12 @@ class ConfigGraph:
         self, state: int, portmaps: Mapping[Cell, PortMap] | None = None
     ) -> Configuration:
         pms = dict(portmaps) if portmaps is not None else identity_portmaps(self.support)
-        regs = {c: list(ALL_IN) for c in self.cells}
-        cfg = Configuration(self.support, pms, {c: ALL_IN for c in self.cells})
-        for i, (a, b) in enumerate(self.edges):
-            if state >> 2 * i & 1:
-                regs[a][cfg.port_of(a, b)] = OUT
-            if state >> (2 * i + 1) & 1:
-                regs[b][cfg.port_of(b, a)] = OUT
-        return Configuration(self.support, pms, {c: tuple(r) for c, r in regs.items()})
+        regs = {}
+        for p, half in zip(self.cells, self.half_at):
+            if p in pms:  # Configuration reports a cell without a port map
+                mask = sum(1 << d for d, h in enumerate(half) if h >= 0 and state >> h & 1)
+                regs[p] = REGISTER[pms[p]][mask]
+        return Configuration(self.support, pms, regs)
 
     # -- state enumeration --------------------------------------------------------
 
@@ -273,15 +228,15 @@ class ConfigGraph:
         return idx
 
 
-def _own_pattern_table(
-    half: tuple[int, ...], dirs: tuple[int, ...], far: tuple[int, ...]
-) -> dict[int, int]:
+def _own_pattern_table(half: tuple[int, ...], far: tuple[int, ...]) -> dict[int, int]:
     """A cell's ``RULE`` entry for every pattern of Out flags on its own
-    half-edges: -1 if it breaks R2 or R3, else the far half-edges that
-    close a directed 3-cycle when directed away from their owner."""
+    half-edges (``half`` and ``far`` by direction, -1 where missing): -1 if
+    it breaks R2 or R3, else the far half-edges that close a directed
+    3-cycle when directed away from their owner."""
     patterns = [(0, 0)]  # (own half-edges, directions), each grown from a smaller subset
-    for h, d in zip(half, dirs):
-        patterns += [(bits | 1 << h, mask | 1 << d) for bits, mask in patterns]
+    for d, h in enumerate(half):
+        if h >= 0:
+            patterns += [(bits | 1 << h, mask | 1 << d) for bits, mask in patterns]
     # The two triangles of an entry have different far edges, so the sum is their union.
     return {
         bits: -1 if (entry := RULE[mask]) is None

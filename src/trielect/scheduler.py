@@ -10,12 +10,13 @@ adversarial executions.
 ``run`` holds the paper's per-particle state directly: two lists of
 six-bit masks over global directions, ``mine[ci]`` (the particle's own
 Out flags) and ``theirs[ci]`` (bit ``d`` set iff the neighbour at ``d``
-is Out toward it).  Per support it builds only ``around[ci]``, the
-neighbours' cell numbers by direction (-1 where the cell is empty;
-``oracle.numbered_cells``), and ``present[ci]``, the mask of occupied
-directions.  One activation looks ``present & ~theirs`` up in
-``oracle.RULE`` and reads the at most two triangles it names off the
-masks of the neighbour the particle is Out toward.  A step writes
+is Out toward it).  Cell numbers, ``around[ci]`` (the neighbours' cell
+numbers by direction, -1 where the cell is empty) and ``present[ci]``
+(the mask of occupied directions) are the support's own
+(``Support.order``, ``Support.around``, ``Support.present``); ``run``
+builds nothing per support.  One activation looks ``present & ~theirs``
+up in ``oracle.RULE`` and reads the at most two triangles it names off
+the masks of the neighbour the particle is Out toward.  A step writes
 ``mine[ci]``, flips one ``theirs`` bit at each neighbour whose edge
 changed, and can change activability only for that particle and its six
 neighbours, so it costs O(1) table work instead of copying the
@@ -54,8 +55,8 @@ from typing import IO, Sequence, Union
 
 from .lattice import Cell, N_DIRS
 from .config import OUT_MASK, REGISTER, Configuration, EdgeOrientation
-from .support import Support, SupportError, format_shape_text
-from .oracle import RULE, numbered_cells
+from .support import SupportError, format_shape_text
+from .oracle import RULE
 from .rules import check_r2, check_r3, check_r4, _consecutive_cyclic
 
 # ``activation_step`` and ``step_register`` stay importable from this
@@ -190,23 +191,13 @@ _FLIPS = tuple(
 )
 
 
-def _layout(support: Support) -> tuple[tuple[Cell, ...], list[int], list[tuple[int, ...]]]:
-    """``(cells, present, around)`` of a support: ``oracle.numbered_cells``
-    plus ``present[ci]``, the mask of the directions whose cell is occupied."""
-    cells, around = numbered_cells(support)
-    present = [sum(1 << d for d, x in enumerate(a) if x >= 0) for a in around]
-    return cells, present, around
-
-
-def _masks(
-    c: Configuration, cells: tuple[Cell, ...], around: list[tuple[int, ...]]
-) -> tuple[list[int], list[int]]:
-    """``(mine, theirs)`` of ``c``: per cell, the directions it is Out
-    toward, and those whose neighbour is Out toward it."""
+def _masks(c: Configuration) -> tuple[list[int], list[int]]:
+    """``(mine, theirs)`` of ``c`` by cell number: per cell, the directions
+    it is Out toward, and those whose neighbour is Out toward it."""
     pms, regs = c.portmaps, c.regs
-    mine = [OUT_MASK[pms[p]][regs[p]] for p in cells]
-    theirs = [0] * len(cells)
-    for m, a in zip(mine, around):
+    mine = [OUT_MASK[pms[p]][regs[p]] for p in c.support.order]
+    theirs = [0] * len(mine)
+    for m, a in zip(mine, c.support.around):
         for d, back in _FLIPS[m]:
             theirs[a[d]] |= back
     return mine, theirs
@@ -219,7 +210,11 @@ def _with_masks(c: Configuration, masks: dict[Cell, int]) -> Configuration:
 
 
 def _fire(
-    ci: int, mine: list[int], theirs: list[int], present: list[int], around: list[tuple[int, ...]]
+    ci: int,
+    mine: list[int],
+    theirs: list[int],
+    present: Sequence[int],
+    around: Sequence[tuple[int, ...]],
 ) -> int:
     """The Out mask of cell ``ci`` after one activation; nothing is written.
 
@@ -250,7 +245,7 @@ def _effect(before: int, after: int, theirs: int, present: int) -> ActivationEff
 
 
 def _set(
-    ci: int, after: int, mine: list[int], theirs: list[int], around: list[tuple[int, ...]]
+    ci: int, after: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
 ) -> None:
     """Make ``after`` the Out mask of cell ``ci``, flipping the ``theirs``
     bit of every neighbour whose edge changed."""
@@ -260,7 +255,9 @@ def _set(
     mine[ci] = after
 
 
-def _breaks(ci: int, mine: list[int], theirs: list[int], around: list[tuple[int, ...]]) -> bool:
+def _breaks(
+    ci: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
+) -> bool:
     """True iff cell ``ci`` breaks R2, R3 or R4 under the masks.
 
     Unlike ``_fire`` this assumes nothing about the edges: bit ``d`` of
@@ -284,7 +281,7 @@ def _breaks(ci: int, mine: list[int], theirs: list[int], around: list[tuple[int,
 
 
 def _valid_single_sink(
-    mine: list[int], theirs: list[int], present: list[int], violations: int
+    mine: list[int], theirs: list[int], present: Sequence[int], violations: int
 ) -> bool:
     """True iff every edge has exactly one Out side (R1: ``mine ^ theirs ==
     present`` at every cell), no cell ``_breaks`` (``violations`` counts
@@ -316,10 +313,12 @@ def run(
     if isinstance(kind, Scripted):
         unknown = sorted(set(kind.cells) - c0.support.cells)
         if unknown:
-            raise SupportError(f"scripted cells not in the support: {unknown}")
-    cells, present, around = _layout(c0.support)
+            listed = ", ".join(f"({c.q} {c.r})" for c in unknown)
+            raise SupportError(f"scripted cells not in the support: {listed}")
+    support = c0.support
+    cells, present, around = support.order, support.present, support.around
     n = len(cells)
-    mine, theirs = _masks(c0, cells, around)
+    mine, theirs = _masks(c0)
     start = mine[:]
 
     activable = bytearray(_fire(ci, mine, theirs, present, around) != mine[ci] for ci in range(n))
@@ -330,8 +329,7 @@ def run(
     rr_index = 0
     script: list[int] = []
     if isinstance(kind, Scripted):
-        number = {p: ci for ci, p in enumerate(cells)}
-        script = [number[p] for p in kind.cells]
+        script = [support.number[p] for p in kind.cells]
     script_index = 0
 
     tracing = record_trace or trace_file is not None

@@ -1,13 +1,20 @@
 """Occupied-cell sets and their boundary structure.
 
-A Support is a finite nonempty connected set of occupied cells.  Derived
-facts (adjacency, boundary, articulation points, simple connectivity) are
-computed once at construction or memoised on first use.  Boundary cells of
-a simply connected support fall into a strict trichotomy: pending (one
-occupied neighbour), articulation point, or a theta-angle particle whose
-occupied neighbours form a single cyclic arc spanning theta degrees.
-A 300-degree angle cannot occur: an arc of six would mean every
-neighbour is occupied, contradicting boundary membership.
+A Support is a finite nonempty connected set of occupied cells.  It
+numbers its cells once, at construction, in sorted order (``order[i]``
+is cell number ``i``, ``number`` maps back), and in the same neighbour
+pass keeps per cell ``around[i]``, its neighbours' numbers by direction
+(-1 where the cell is empty), and ``present[i]``, the six-bit mask of
+its occupied directions.  Connectivity, edges, the boundary and the
+boundary class read these; the scheduler's engine, the packed oracle and
+register validation read them too, so the numbering is decided here
+only.  Other derived facts (articulation points, simple connectivity)
+are memoised on first use.  Boundary cells of a simply connected support
+fall into a strict trichotomy: pending (one occupied neighbour),
+articulation point, or a theta-angle particle whose occupied neighbours
+form a single cyclic arc spanning theta degrees.  A 300-degree angle
+cannot occur: an arc of six would mean every neighbour is occupied,
+contradicting boundary membership.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from typing import Iterable, Iterator, Union
 
 from .lattice import (
     CYCLIC_RUN,
+    DIR_OFFSETS,
     Cell,
     N_DIRS,
     common_neighbors,
-    neighbor_mask,
     neighbors,
 )
 
@@ -65,13 +72,18 @@ def angle_class(degrees: int) -> BoundaryClass:
     return BoundaryClass(BoundaryKind.ANGLE, degrees)
 
 
+_ALL_DIRS = (1 << N_DIRS) - 1
+
+
 class Support:
     """Immutable connected set of occupied cells with cached geometry."""
 
     __slots__ = (
         "cells",
-        "_sorted",
-        "_occ_adj",
+        "order",
+        "number",
+        "around",
+        "present",
         "_bbox",
         "_boundary",
         "_simply_connected",
@@ -84,10 +96,13 @@ class Support:
         if not cellset:
             raise SupportError("support must contain at least one cell")
         self.cells = cellset
-        self._sorted = tuple(sorted(cellset))
-        self._occ_adj = {
-            c: tuple(n for n in neighbors(c) if n in cellset) for c in self._sorted
-        }
+        self.order = order = tuple(sorted(cellset))
+        self.number = number = {c: i for i, c in enumerate(order)}
+        # Plain (q, r) pairs hash like the Cells they name.
+        self.around = around = tuple(
+            tuple(number.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in order
+        )
+        self.present = tuple(sum(1 << d for d, j in enumerate(row) if j >= 0) for row in around)
         qs = [c.q for c in cellset]
         rs = [c.r for c in cellset]
         self._bbox = (min(qs), min(rs), max(qs), max(rs))
@@ -99,14 +114,15 @@ class Support:
         self._blocks: tuple[frozenset[Cell], ...] | None = None
 
     def _is_connected(self) -> bool:
-        seen = {self._sorted[0]}
-        stack = [self._sorted[0]]
+        seen = bytearray(len(self.order))
+        seen[0] = 1
+        stack = [0]
         while stack:
-            for n in self._occ_adj[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == len(self.cells)
+            for j in self.around[stack.pop()]:
+                if j >= 0 and not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+        return all(seen)
 
     # -- basic queries ----------------------------------------------------
 
@@ -117,7 +133,7 @@ class Support:
         return c in self.cells
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(self._sorted)
+        return iter(self.order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Support) and self.cells == other.cells
@@ -129,16 +145,15 @@ class Support:
         return f"Support({len(self.cells)} cells, bbox={self._bbox})"
 
     def occupied_neighbors(self, c: Cell) -> tuple[Cell, ...]:
-        return self._occ_adj[c]
+        """The occupied neighbours of ``c``, by direction."""
+        order = self.order
+        return tuple(order[j] for j in self.around[self.number[c]] if j >= 0)
 
     def edges(self) -> list[tuple[Cell, Cell]]:
-        """All occupied adjacent pairs, canonically ordered (a < b, sorted)."""
-        out = []
-        for c in self._sorted:
-            for n in self._occ_adj[c]:
-                if c < n:
-                    out.append((c, n))
-        return out
+        """All occupied adjacent pairs ``(a, b)`` with ``a < b``: by ``a``, then
+        by the direction from ``a`` to ``b``."""
+        order = self.order
+        return [(order[i], order[j]) for i, row in enumerate(self.around) for j in row if i < j]
 
     # -- boundary and holes -----------------------------------------------
 
@@ -146,7 +161,7 @@ class Support:
         """Occupied cells with at least one empty neighbour."""
         if self._boundary is None:
             self._boundary = frozenset(
-                c for c in self._sorted if len(self._occ_adj[c]) < N_DIRS
+                c for c, mask in zip(self.order, self.present) if mask != _ALL_DIRS
             )
         return self._boundary
 
@@ -207,14 +222,14 @@ class Support:
         edge_stack: list[tuple[Cell, Cell]] = []
         counter = 0
 
-        root = self._sorted[0]
+        root = self.order[0]
         if len(self.cells) == 1:
             self._articulation = frozenset()
             self._blocks = (frozenset({root}),)
             return
 
         parent[root] = None
-        stack: list[tuple[Cell, Iterator[Cell]]] = [(root, iter(self._occ_adj[root]))]
+        stack: list[tuple[Cell, Iterator[Cell]]] = [(root, iter(self.occupied_neighbors(root)))]
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
@@ -230,7 +245,7 @@ class Support:
                     edge_stack.append((u, v))
                     if u is root:
                         root_children += 1
-                    stack.append((v, iter(self._occ_adj[v])))
+                    stack.append((v, iter(self.occupied_neighbors(v))))
                     advanced = True
                     break
                 elif v != parent[u] and disc[v] < disc[u]:
@@ -266,13 +281,14 @@ class Support:
 
     def classify(self, p: Cell) -> BoundaryClass:
         """Trichotomy of a boundary particle: pending / articulation / angle."""
-        if p not in self.cells:
+        i = self.number.get(p)
+        if i is None:
             raise SupportError(f"{p} is not occupied")
-        if p not in self.boundary():
+        mask = self.present[i]
+        if mask == _ALL_DIRS:
             raise SupportError(f"{p} is not on the boundary")
         if len(self.cells) == 1:
             raise SupportError(f"{p} is a lone particle, which has no boundary class")
-        mask = neighbor_mask(p, self.cells)
         occupied = mask.bit_count()
         if occupied == 1:
             return PENDING

@@ -34,7 +34,6 @@ from trielect.scheduler import (
     _kind_label,
     detect_final,
     shape_hash,
-    violation_count,
 )
 
 
@@ -255,9 +254,10 @@ def reference_run(
     """``scheduler.run`` on the object path, O(n) work per step.
 
     Each step rebuilds the live list in sorted cell order, activates with
-    ``activation_step``, refreshes activability of the activated particle
-    and its neighbours with ``is_activable`` and recounts violations over
-    the whole support.
+    ``activation_step``, and refreshes the activability and the rule checks
+    (``check_r2``/``check_r3``/``check_r4``) of the activated particle and
+    its occupied neighbours, the only particles a step can affect, keeping
+    a running violation count.
     """
     cells = tuple(c0.support)
     config = c0
@@ -265,7 +265,10 @@ def reference_run(
     rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
     rr_index = script_index = 0
     events: list[TraceEvent] = []
-    prev = violation_count(config) if check_invariants else None
+    observed = check_invariants or record_trace or trace_file is not None
+    if observed:
+        violating = {p: not _rules_hold(config, p) for p in cells}
+        violations = sum(violating.values())
     if trace_file is not None:
         trace_file.write(
             f"# trace shape={shape_hash(config)} scheduler={_kind_label(kind)} cap={max_steps}\n"
@@ -293,19 +296,24 @@ def reference_run(
             script_index += 1
         config, effect = activation_step(config, p)
         step += 1
-        for q in (p, *config.support.occupied_neighbors(p)):
+        near = (p, *config.support.occupied_neighbors(p))
+        for q in near:
             activable[q] = is_activable(config, q)
 
         post = None
+        if observed:
+            prev = violations
+            if effect.changed:
+                for q in near:
+                    bad = not _rules_hold(config, q)
+                    violations += bad - violating[q]
+                    violating[q] = bad
+            post = violations
         if check_invariants:
-            post = violation_count(config)
-            if not (check_r2(config, p) and check_r3(config, p) and check_r4(config, p)):
+            if violating[p]:
                 raise StepInvariantError(f"step {step}: {p} violates a repairable rule", config)
             if post > prev:
                 raise StepInvariantError(f"step {step}: violation count rose", config)
-            prev = post
-        elif record_trace or trace_file is not None:
-            post = violation_count(config)
         if record_trace:
             events.append(TraceEvent(step - 1, (p,), effect, post))
         if trace_file is not None:
@@ -317,6 +325,10 @@ def reference_run(
     if detect_final(config):
         return finish(step)
     return ExecutionResult(Outcome.CAP_EXCEEDED, config, step, events)
+
+
+def _rules_hold(c: Configuration, p: Cell) -> bool:
+    return check_r2(c, p) and check_r3(c, p) and check_r4(c, p)
 
 
 def reference_replay(c0: Configuration, cells) -> Configuration:

@@ -178,16 +178,6 @@ def test_locality_far_cells_do_not_matter():
         tried += 1
 
 
-def test_local_r4_flag_gives_identical_steps():
-    rng = random.Random(31415)
-    for _ in range(60):
-        cfg = random_config(rng, n_lo=3, n_hi=8)
-        p = rng.choice(sorted(cfg.support.cells))
-        omniscient, eo = step_register(cfg, p)
-        local, el = step_register(cfg, p, use_local_r4=True)
-        assert omniscient == local and eo == el
-
-
 def test_activation_rejects_unoccupied(tri):
     with pytest.raises(ValueError):
         activation_step(all_in_configuration(tri), Cell(5, 5))

@@ -255,7 +255,7 @@ def test_run_rejects_alien_script_cells(tmp_path, capsys):
     script.write_text("9 9\n")
     rc = main(["run", "--config", str(cfg), "--scheduler", f"script:{script}"])
     assert rc == 2
-    assert "scripted cells" in capsys.readouterr().err
+    assert "scripted cells not in the support: (9 9)\n" in capsys.readouterr().err
 
 
 def _exit_code(argv):
@@ -285,6 +285,10 @@ def _exit_code(argv):
         (["enum", "--n", "2", "--check", "silence", "--jobs", "0"], None),
         (["enum", "--n", "2", "--check", "silence", "--jobs", "-2"], None),
         (["run", "--config", "{ring}"], None),
+        (["verify", "--config", "{binary}"], None),
+        (["gen", "--file", "{binary}", "--out", "{out}"], None),
+        (["run", "--config", "{cfg}", "--scheduler", "script:{binary}"], None),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"], b"\xff\xfe"),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
@@ -292,11 +296,21 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text)
     main(["gen", "--shape", "line2", "--init", "all-in", "--out", str(cfg)])
     ring = tmp_path / "ring18.cfg"
     save(ring18(), str(ring))
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe")  # not UTF-8
     trace = tmp_path / "bad.trace"
-    if trace_text is not None:
+    if isinstance(trace_text, bytes):
+        trace.write_bytes(trace_text)
+    elif trace_text is not None:
         trace.write_text(trace_text)
     capsys.readouterr()
-    paths = {"cfg": str(cfg), "ring": str(ring), "out": str(tmp_path / "out"), "trace": str(trace)}
+    paths = {
+        "cfg": str(cfg),
+        "ring": str(ring),
+        "binary": str(binary),
+        "out": str(tmp_path / "out"),
+        "trace": str(trace),
+    }
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error: " in err

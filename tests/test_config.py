@@ -1,6 +1,14 @@
 import pytest
 
-from trielect.lattice import ALL_PORTMAPS, Cell, N_DIRS, PortMap, IDENTITY_PORTMAP, port_to_dir
+from trielect.lattice import (
+    ALL_PORTMAPS,
+    Cell,
+    N_DIRS,
+    PortMap,
+    IDENTITY_PORTMAP,
+    neighbor,
+    port_to_dir,
+)
 from trielect.config import (
     ALL_IN,
     OUT_MASK,
@@ -75,6 +83,49 @@ def test_empty_port_out_rejected():
     with pytest.raises(ConfigError) as exc:
         pair_config(reg(p1=OUT), ALL_IN)
     assert "(0 0)" in str(exc.value) and "port 1" in str(exc.value)
+
+
+def test_out_toward_empty_names_the_lowest_offending_port_for_every_port_map():
+    s = random_support(6, 4)
+    for pm in ALL_PORTMAPS:
+        cfg = all_in_configuration(s, {c: pm for c in s})
+        for c in s:
+            for mask in range(1 << N_DIRS):
+                links = tuple(OUT if mask >> port & 1 else IN for port in range(N_DIRS))
+                offending = [
+                    port
+                    for port in range(N_DIRS)
+                    if links[port] is OUT and neighbor(c, port_to_dir(pm, port)) not in s.cells
+                ]
+                if not offending:
+                    assert cfg.with_register(c, links).regs[c] == links
+                    continue
+                message = f"cell ({c.q} {c.r}) port {offending[0]} is Out toward an empty cell"
+                with pytest.raises(ConfigError) as exc:
+                    cfg.with_register(c, links)
+                assert str(exc.value) == message
+                with pytest.raises(ConfigError) as exc:
+                    Configuration(s, cfg.portmaps, {**cfg.regs, c: links})
+                assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [None, 5, "IIIIII", ("I",) * 6, (IN,) * 5, (IN,) * 7, [[IN]] * 6, (1,) * 6, (IN,) * 5 + ("O",)],
+)
+def test_register_that_is_not_six_link_states_is_a_config_error(bad):
+    c = pair_config()
+    with pytest.raises(ConfigError, match="must be six link states"):
+        c.with_register(Cell(0, 0), bad)
+    with pytest.raises(ConfigError, match="must be six link states"):
+        Configuration(c.support, c.portmaps, {**c.regs, Cell(0, 0): bad})
+
+
+def test_port_map_that_is_not_a_port_map_is_a_config_error():
+    c = pair_config()
+    for bad in (None, (0, 1), [0, 1]):
+        with pytest.raises(ConfigError, match="must be a PortMap"):
+            Configuration(c.support, {**c.portmaps, Cell(0, 0): bad}, c.regs)
 
 
 def test_with_register_validates():

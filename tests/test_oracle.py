@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trielect.lattice import Cell
+from trielect.lattice import Cell, direction_from
 from trielect.algorithm import activation_step
 from trielect.config import EdgeOrientation
 from trielect.generators import (
@@ -74,6 +74,22 @@ def test_pack_unpack_roundtrip():
         state = graph.pack(cfg)
         assert graph.pack(graph.unpack(state)) == state
         assert graph.unpack(state) == cfg  # identity port maps on both sides
+
+
+def test_half_edges_follow_the_support_edge_order():
+    """The packed format: half-edge 2i is the smaller endpoint's side of
+    ``Support.edges()[i]`` and 2i + 1 the larger one's; none is missing."""
+    supports = [s for n in range(1, 6) for s in enumerate_supports(n)] + [hexagon(3)]
+    for s in supports:
+        graph = ConfigGraph(s)
+        edges = s.edges()
+        assert graph.n_edges == len(edges)
+        assert sorted(h for row in graph.half_at for h in row if h >= 0) == list(
+            range(2 * len(edges))
+        )
+        for i, (a, b) in enumerate(edges):
+            assert graph.half_at[s.number[a]][direction_from(a, b)] == 2 * i
+            assert graph.half_at[s.number[b]][direction_from(b, a)] == 2 * i + 1
 
 
 def test_packed_successor_agrees_with_reference_step():

@@ -16,7 +16,7 @@ from trielect.generators import (
     random_registers,
     random_support,
 )
-from trielect.oracle import CompiledSupport, ConfigGraph
+from trielect.oracle import ConfigGraph
 from trielect.support import Support
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
@@ -28,7 +28,6 @@ from trielect.scheduler import (
     _breaks,
     _effect,
     _fire,
-    _layout,
     _masks,
     _set,
     _valid_single_sink,
@@ -170,7 +169,7 @@ def test_analyze_cycle_on_found_cycle(hexagon_cycle):
     assert rep.stable_edges and rep.unstable_edges
 
 
-# -- the compiled engine against the object-based reference ---------------------
+# -- the mask engine against the object-based reference -------------------------
 
 
 def _seeded_runs():
@@ -209,34 +208,23 @@ def test_run_matches_reference_run(record_trace, check_invariants, with_file):
 
 
 def test_run_matches_reference_run_on_a_thousand_cells():
-    """A random run from random registers with nothing observed, then round
-    robin with invariants checked and the trace file compared.
-
-    The reference recounts every particle's rules after each step (about
-    50 ms on a directed thousand-cell configuration), so the round-robin
-    start is the erosion orientation with one particle given arbitrary
-    registers: its repair spreads through a 103-step run with line 2
-    firing and conflicts resolved, not the 2,731 steps from fully random
-    registers.
-    """
+    """From the same random registers: a random run with nothing observed,
+    then round robin (2,731 steps) with invariants checked and the trace
+    file compared."""
     s = hexagon(18)
-    portmaps = random_portmaps(s, 40)
-    cfg = random_registers(s, 41, 0.25, portmaps)
+    cfg = random_registers(s, 41, 0.25, random_portmaps(s, 40))
     assert len(s) >= 1000
     _assert_same_run((cfg, RandomSequential(42), 10**6), False, False, False)
-
-    (p,) = random.Random(0).sample(sorted(s.cells), 1)
-    cfg = erosion_orientation(s, portmaps).with_register(p, cfg.regs[p])
     _assert_same_run((cfg, RoundRobin(), 10**6), True, True, True)
 
 
-def _packed_masks(state, compiled):
+def _packed_masks(state, graph):
     """``(mine, theirs)`` read off a packed oracle state: per cell, the
     directions of its own and of the far-side Out half-edges."""
     mine, theirs = [], []
-    for half, dirs in zip(compiled.half, compiled.dirs):
-        mine.append(sum(1 << d for h, d in zip(half, dirs) if state >> h & 1))
-        theirs.append(sum(1 << d for h, d in zip(half, dirs) if state >> (h ^ 1) & 1))
+    for half in graph.half_at:
+        mine.append(sum(1 << d for d, h in enumerate(half) if h >= 0 and state >> h & 1))
+        theirs.append(sum(1 << d for d, h in enumerate(half) if h >= 0 and state >> (h ^ 1) & 1))
     return mine, theirs
 
 
@@ -248,14 +236,13 @@ def test_engine_step_matches_reference_and_packed_steps():
         for s in enumerate_supports(n):
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
-            compiled = CompiledSupport(s)
-            cells, present, around = _layout(s)
-            assert cells == compiled.cells
+            cells, present, around = s.order, s.present, s.around
+            assert cells == graph.cells
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
-                mine, theirs = _masks(cfg, cells, around)
-                assert (mine, theirs) == _packed_masks(state, compiled)
-                for ci, (p, half, dirs) in enumerate(zip(cells, compiled.half, compiled.dirs)):
+                mine, theirs = _masks(cfg)
+                assert (mine, theirs) == _packed_masks(state, graph)
+                for ci, (p, half) in enumerate(zip(cells, graph.half_at)):
                     before = mine[ci]
                     after = _fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
@@ -263,19 +250,20 @@ def test_engine_step_matches_reference_and_packed_steps():
                     assert REGISTER[cfg.portmaps[p]][after] == reg
                     assert _effect(before, after, theirs[ci], present[ci]) == effect
                     packed = state
-                    for h, d in zip(half, dirs):
-                        packed = packed & ~(1 << h) | (after >> d & 1) << h
+                    for d, h in enumerate(half):
+                        if h >= 0:
+                            packed = packed & ~(1 << h) | (after >> d & 1) << h
                     assert packed == graph.successor(state, ci)
                     stepped = mine[:], theirs[:]
                     _set(ci, after, *stepped, around)
-                    assert stepped == _packed_masks(packed, compiled)
+                    assert stepped == _packed_masks(packed, graph)
 
 
 def test_final_configuration_rejects_out_toward_an_empty_cell():
     s = random_support(12, 8)
     cfg = random_registers(s, 9, 0.2, random_portmaps(s, 10))
-    cells, present, around = _layout(s)
-    mine, _ = _masks(cfg, cells, around)
+    cells, present = s.order, s.present
+    mine, _ = _masks(cfg)
     assert _with_masks(cfg, dict(zip(cells, mine))) == cfg
     ci = next(ci for ci, m in enumerate(present) if m != 0b111111)
     empty = next(d for d in range(N_DIRS) if not present[ci] >> d & 1)
@@ -305,10 +293,10 @@ def test_breaks_matches_rule_checks_on_every_small_state():
         for s in enumerate_supports(n):
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
-            cells, present, around = _layout(s)
+            cells, present, around = s.order, s.present, s.around
             for state in graph.all_states():
                 cfg = graph.unpack(state, portmaps)
-                mine, theirs = _masks(cfg, cells, around)
+                mine, theirs = _masks(cfg)
                 for ci, p in enumerate(cells):
                     assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), (state, p)
                 violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
@@ -326,13 +314,13 @@ def test_breaks_matches_rule_checks_on_random_configurations():
             cfg = random_registers(
                 s, rng.randrange(2**31), conflict_prob, random_portmaps(s, rng.randrange(2**31))
             )
-            cells, present, around = _layout(s)
-            mine, theirs = _masks(cfg, cells, around)
+            cells, present, around = s.order, s.present, s.around
+            mine, theirs = _masks(cfg)
             for ci, p in enumerate(cells):
                 assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), p
                 r4_only += check_r2(cfg, p) and check_r3(cfg, p) and not check_r4(cfg, p)
             for c in (cfg, erosion_orientation(s)):
-                mine, theirs = _masks(c, cells, around)
+                mine, theirs = _masks(c)
                 violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
                 assert _valid_single_sink(mine, theirs, present, violations) == (
                     is_valid(c) and len(sinks(c)) == 1

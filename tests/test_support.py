@@ -20,7 +20,7 @@ from trielect.support import (
     parse_shape_text,
     symmetry_canonical_cells,
 )
-from trielect.generators import enumerate_supports, hexagon, ring18
+from trielect.generators import enumerate_supports, hexagon, random_support, ring18
 
 from reference import empty_component_count, reference_boundary_class, rooted_growth_shapes
 
@@ -47,6 +47,29 @@ def test_simply_connected_matches_component_oracle():
     for cells in sampled:
         s = Support(cells)
         assert s.is_simply_connected() == (empty_component_count(s.cells) == 0)
+
+
+def test_cell_numbering_agrees_with_the_lattice():
+    """``order``, ``number``, ``around`` and ``present`` against
+    ``lattice.neighbors`` and ``neighbor_mask``, and the edges, occupied
+    neighbours and boundary read off them, on every support with n <= 6,
+    the ring and seeded random supports of up to 300 cells."""
+    rng = random.Random(19)
+    supports = [s for n in range(1, 7) for s in enumerate_supports(n)]
+    supports.append(ring18().support)
+    supports += [random_support(n, rng.randrange(2**31)) for n in (7, 25, 60, 150, 300)]
+    for s in supports:
+        cells = sorted(s.cells)
+        assert s.order == tuple(cells) == tuple(s)
+        assert s.number == {c: i for i, c in enumerate(cells)}
+        assert len(s.around) == len(s.present) == len(cells)
+        for i, c in enumerate(cells):
+            nbs = neighbors(c)
+            assert s.around[i] == tuple(cells.index(nb) if nb in s.cells else -1 for nb in nbs)
+            assert s.present[i] == neighbor_mask(c, s.cells)
+            assert s.occupied_neighbors(c) == tuple(nb for nb in nbs if nb in s.cells)
+        assert s.edges() == [(a, b) for a in cells for b in neighbors(a) if b in s.cells and a < b]
+        assert s.boundary() == {c for c in cells if any(nb not in s.cells for nb in neighbors(c))}
 
 
 def test_cyclic_run_growth_test_matches_flood_fill():
