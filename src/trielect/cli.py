@@ -75,9 +75,8 @@ def _load_support(args: argparse.Namespace) -> Support:
 
 
 def _require_simply_connected(s: Support) -> None:
-    holes = s.hole_cells()
-    if holes:
-        sample = sorted(holes)[0]
+    if not s.is_simply_connected():
+        sample = min(s.hole_cells())
         raise UsageError(
             f"support is not simply connected: enclosed empty cell at ({sample.q} {sample.r})"
         )
@@ -361,13 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, SupportError, StateSpaceTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ConfigError, SupportError, StateSpaceTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -177,7 +177,10 @@ class Configuration:
         new.portmaps = self.portmaps
         new.regs = dict(self.regs)
         for c, reg in updates.items():
-            new.regs[c] = _check_register(self.support, c, self.portmaps[c], reg)
+            pm = self.portmaps.get(c)
+            if pm is None:
+                raise ConfigError(f"cell {c} is not in the support")
+            new.regs[c] = _check_register(self.support, c, pm, reg)
         return new
 
     # -- derived edge facts ---------------------------------------------------

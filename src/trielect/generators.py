@@ -4,15 +4,18 @@ Enumeration grows simply connected supports one cell at a time,
 deduplicating canonical translates at every size; growth from simply
 connected shapes is complete because any such shape can lose an erodible
 boundary cell and stay simply connected.  Growth and erosion share one
-local test, ``lattice.CYCLIC_RUN`` over ``lattice.neighbor_mask``: adding
-an empty neighbour of a simply connected shape keeps it simply connected
-exactly when the cell's occupied neighbours form one cyclic run, and
-removing a cell whose occupied neighbours form one run of one to three
-cells cannot disconnect the rest, because that run is itself a path.  The
-erosion orientation walks that reduction forwards: repeatedly remove such
-a particle, then direct every edge from the earlier-removed to the
-later-removed endpoint.  The result satisfies all four validity rules, is
-globally acyclic, and its unique sink is the last particle standing.
+local test, ``lattice.CYCLIC_RUN`` over a mask of occupied directions:
+adding an empty neighbour of a simply connected shape keeps it simply
+connected exactly when the cell's occupied neighbours form one cyclic
+run, and removing a cell whose occupied neighbours form one run of one to
+three cells cannot disconnect the rest, because that run is itself a
+path.  The erosion orientation walks that reduction forwards: repeatedly
+remove such a particle, then direct every edge from the earlier-removed
+to the later-removed endpoint.  The result satisfies all four validity
+rules, is globally acyclic, and its unique sink is the last particle
+standing.  Erosion and both register initialisations work on the
+support's cell numbers, with one Out mask per cell that
+``config.REGISTER`` turns into a register under the cell's port map.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from .lattice import (
     Cell,
     N_DIRS,
     PortMap,
-    dir_to_port,
     direction_from,
     neighbor,
     neighbor_mask,
     neighbors,
 )
-from .config import ALL_IN, Configuration, OUT, identity_portmaps
+from .config import ALL_IN, REGISTER, Configuration, identity_portmaps
 from .support import (
     Support,
     SupportError,
@@ -111,43 +113,47 @@ def erosion_order(s: Support) -> list[Cell]:
     neighbours number 1..3 and sit on consecutive ports; removing it then
     keeps the remainder connected and simply connected.
     """
+    return [s.order[i] for i in _erode(s)[0]]
+
+
+def _erode(s: Support) -> tuple[list[int], list[int]]:
+    """``erosion_order`` by cell number (numbers follow sorted order), and by
+    number the mask of the neighbours each cell still had when it went."""
     if not s.is_simply_connected():
         raise SupportError("erosion orientation requires a simply connected support")
-    remaining = set(s.cells)
-    ordered = sorted(remaining)
-    order: list[Cell] = []
-    while len(ordered) > 1:
-        for i, c in enumerate(ordered):
-            if _erodible(c, remaining):
-                order.append(c)
-                remaining.remove(c)
-                del ordered[i]
+    around = s.around
+    present = list(s.present)
+    left = list(range(len(present)))
+    gone: list[int] = []
+    while len(left) > 1:
+        for k, i in enumerate(left):
+            mask = present[i]
+            if 1 <= mask.bit_count() <= 3 and CYCLIC_RUN[mask]:
                 break
         else:
-            raise ErosionError(f"no erodible particle among {ordered}")
-    order.extend(ordered)
-    return order
-
-
-def _erodible(c: Cell, remaining: set[Cell]) -> bool:
-    mask = neighbor_mask(c, remaining)
-    return 1 <= mask.bit_count() <= 3 and CYCLIC_RUN[mask]
+            raise ErosionError(f"no erodible particle among {[s.order[i] for i in left]}")
+        gone.append(left.pop(k))
+        for d in range(N_DIRS):
+            if mask >> d & 1:
+                present[around[i][d]] &= ~(1 << (d + 3) % N_DIRS)
+    return gone + left, present
 
 
 def erosion_orientation(
     s: Support, portmaps: Mapping[Cell, PortMap] | None = None
 ) -> Configuration:
-    """Acyclic all-directed configuration induced by the erosion order."""
-    order = erosion_order(s)
-    rank = {c: i for i, c in enumerate(order)}
+    """Acyclic all-directed configuration induced by the erosion order:
+    each cell is Out toward the neighbours that outlast it."""
+    return _configuration(s, portmaps, _erode(s)[1])
+
+
+def _configuration(
+    s: Support, portmaps: Mapping[Cell, PortMap] | None, masks: list[int]
+) -> Configuration:
+    """Cell number ``i`` Out toward the directions in ``masks[i]``, under ``portmaps``."""
     pms = dict(portmaps) if portmaps is not None else identity_portmaps(s)
-    regs: dict[Cell, list] = {c: list(ALL_IN) for c in s}
-    for a, b in s.edges():
-        src = a if rank[a] < rank[b] else b
-        dst = b if src == a else a
-        port = dir_to_port(pms[src], direction_from(src, dst))
-        regs[src][port] = OUT
-    return Configuration(s, pms, {c: tuple(r) for c, r in regs.items()})
+    regs = {c: REGISTER[pms[c]][mask] for c, mask in zip(s.order, masks)}
+    return Configuration(s, pms, regs)
 
 
 # -- random registers -------------------------------------------------------------
@@ -168,26 +174,24 @@ def random_registers(
     probability, otherwise uniform over the three conflict-free states.
 
     The default 0.25 makes every free port an independent fair coin.
-    Ports toward empty cells always hold In.
+    Ports toward empty cells always hold In.  Edges draw in
+    ``Support.edges`` order.
     """
     if not 0.0 <= conflict_probability <= 1.0:
         raise ValueError("conflict probability must lie in [0, 1]")
     rng = random.Random(seed)
-    pms = dict(portmaps) if portmaps is not None else identity_portmaps(s)
-    regs: dict[Cell, list] = {c: list(ALL_IN) for c in s}
-    for a, b in s.edges():
-        pa = dir_to_port(pms[a], direction_from(a, b))
-        pb = dir_to_port(pms[b], direction_from(b, a))
-        if rng.random() < conflict_probability:
-            regs[a][pa] = OUT
-            regs[b][pb] = OUT
-        else:
-            code = rng.randrange(3)
-            if code == 1:
-                regs[a][pa] = OUT
-            elif code == 2:
-                regs[b][pb] = OUT
-    return Configuration(s, pms, {c: tuple(r) for c, r in regs.items()})
+    masks = [0] * len(s)
+    for i, row in enumerate(s.around):
+        for d, j in enumerate(row):
+            if j <= i:
+                continue
+            # Bit 0: Out at i toward j; bit 1: Out at j toward i.
+            outs = 3 if rng.random() < conflict_probability else rng.randrange(3)
+            if outs & 1:
+                masks[i] |= 1 << d
+            if outs & 2:
+                masks[j] |= 1 << (d + 3) % N_DIRS
+    return _configuration(s, portmaps, masks)
 
 
 # -- named fixtures ---------------------------------------------------------------

@@ -12,7 +12,7 @@ may leak a global direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterator, NamedTuple
+from typing import Container, NamedTuple
 
 #: Global direction index, 0..5 counter-clockwise.
 Dir = int
@@ -138,9 +138,3 @@ def port_to_dir(m: PortMap, port: int) -> Dir:
 
 def dir_to_port(m: PortMap, d: Dir) -> int:
     return (m.chirality * (d - m.offset)) % N_DIRS
-
-
-def ports(c: Cell, m: PortMap) -> Iterator[tuple[int, Cell]]:
-    """Yield (port, neighbouring cell) for each of the six local ports."""
-    for p in range(N_DIRS):
-        yield p, neighbor(c, port_to_dir(m, p))

@@ -5,23 +5,25 @@ numbers its cells once, at construction, in sorted order (``order[i]``
 is cell number ``i``, ``number`` maps back), and in the same neighbour
 pass keeps per cell ``around[i]``, its neighbours' numbers by direction
 (-1 where the cell is empty), and ``present[i]``, the six-bit mask of
-its occupied directions.  Connectivity, edges, the boundary and the
-boundary class read these; the scheduler's engine, the packed oracle and
-register validation read them too, so the numbering is decided here
-only.  Other derived facts (articulation points, simple connectivity)
-are memoised on first use.  Boundary cells of a simply connected support
-fall into a strict trichotomy: pending (one occupied neighbour),
-articulation point, or a theta-angle particle whose occupied neighbours
-form a single cyclic arc spanning theta degrees.  A 300-degree angle
-cannot occur: an arc of six would mean every neighbour is occupied,
-contradicting boundary membership.
+its occupied directions.  Connectivity, simple connectivity (an Euler
+count), edges, the boundary and the boundary class read these; the
+scheduler's engine, the packed oracle, register validation and the
+generators read them too, so the numbering is decided here only.  Only
+``hole_cells``, which names enclosed cells once a support is found not
+simply connected, floods.  Articulation points and blocks are memoised
+on first use.  Boundary cells of a simply connected support fall into a
+strict trichotomy: pending (one occupied neighbour), articulation point,
+or a theta-angle particle whose occupied neighbours form a single cyclic
+arc spanning theta degrees.  A 300-degree angle cannot occur: an arc of
+six would mean every neighbour is occupied, contradicting boundary
+membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .lattice import (
     CYCLIC_RUN,
@@ -84,9 +86,7 @@ class Support:
         "number",
         "around",
         "present",
-        "_bbox",
         "_boundary",
-        "_simply_connected",
         "_articulation",
         "_blocks",
     )
@@ -103,13 +103,9 @@ class Support:
             tuple(number.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in order
         )
         self.present = tuple(sum(1 << d for d, j in enumerate(row) if j >= 0) for row in around)
-        qs = [c.q for c in cellset]
-        rs = [c.r for c in cellset]
-        self._bbox = (min(qs), min(rs), max(qs), max(rs))
         if not self._is_connected():
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None
-        self._simply_connected: bool | None = None
         self._articulation: frozenset[Cell] | None = None
         self._blocks: tuple[frozenset[Cell], ...] | None = None
 
@@ -142,7 +138,7 @@ class Support:
         return hash(self.cells)
 
     def __repr__(self) -> str:
-        return f"Support({len(self.cells)} cells, bbox={self._bbox})"
+        return f"Support({len(self.cells)} cells, first={self.order[0]})"
 
     def occupied_neighbors(self, c: Cell) -> tuple[Cell, ...]:
         """The occupied neighbours of ``c``, by direction."""
@@ -166,35 +162,31 @@ class Support:
         return self._boundary
 
     def is_simply_connected(self) -> bool:
-        """True iff the empty complement is connected (no enclosed holes).
+        """True iff the support encloses no empty region.
 
-        Flood-fills the empty cells of the margin-1 bounding box starting
-        from the box frame; any empty cell left unreached is enclosed.
+        The occupancy graph is plane and connected, and its bounded faces
+        are its T triangles of mutually adjacent cells plus one face per
+        enclosed empty region, so Euler's formula reads V - E + T = 1 - holes.
+        Each cell sees its edges as occupied directions and its triangle
+        corners as pairs of cyclically consecutive occupied directions.
         """
-        if self._simply_connected is None:
-            self._simply_connected = self.hole_cells() == frozenset()
-        return self._simply_connected
+        present = self.present
+        edge_ends = sum(m.bit_count() for m in present)
+        corners = sum((m & (m >> 1 | m << 5)).bit_count() for m in present)
+        return len(present) - edge_ends // 2 + corners // 3 == 1
 
     def hole_cells(self) -> frozenset[Cell]:
-        """Empty cells inside the margin-1 bounding box unreachable from its frame."""
-        q0, r0, q1, r1 = self._bbox
-        q0, r0, q1, r1 = q0 - 1, r0 - 1, q1 + 1, r1 + 1
-        start = Cell(q0, r0)
-        seen = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for n in neighbors(c):
-                if q0 <= n.q <= q1 and r0 <= n.r <= r1 and n not in self.cells and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        holes = [
-            Cell(q, r)
-            for q in range(q0, q1 + 1)
-            for r in range(r0, r1 + 1)
-            if Cell(q, r) not in self.cells and Cell(q, r) not in seen
-        ]
-        return frozenset(holes)
+        """The empty cells of every enclosed region.
+
+        One region's cells next to the support are connected among
+        themselves, and the smallest empty neighbour, left of every support
+        cell, is outer.  So the outer region is flooded through empty
+        neighbours only, and the enclosed ones from those left over.
+        """
+        cells = self.cells
+        rim = {nb for c in self.boundary() for nb in neighbors(c) if nb not in cells}
+        outer = _flood({min(rim)}, rim.__contains__)
+        return frozenset(_flood(rim - outer, lambda nb: nb not in cells))
 
     # -- articulation points and blocks -------------------------------------
 
@@ -300,6 +292,18 @@ class Support:
                 "an articulation point; support cannot be simply connected"
             )
         return angle_class(60 * (occupied - 1))
+
+
+def _flood(seeds: set[Cell], inside: Callable[[Cell], bool]) -> set[Cell]:
+    """``seeds`` and every cell reached from them through cells ``inside``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for nb in neighbors(stack.pop()):
+            if nb not in seen and inside(nb):
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 # -- boundary polygon -------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with different algorithms from the
 package: enumeration by rooted canonical growth instead of canonical-form
-deduplication, hole detection by labelling empty components instead of a
-frame flood fill, and sink/orientation facts recomputed from first
+deduplication, hole detection by labelling the empty components of the
+bounding box instead of an Euler count or a flood from the support's
+empty neighbours, and sink/orientation facts recomputed from first
 principles.  Expected values frozen into the tests were produced by these
 functions.  ``reference_random_support``, ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
@@ -37,8 +38,9 @@ from trielect.scheduler import (
 )
 
 
-def empty_component_count(cells: frozenset[Cell]) -> int:
-    """Number of enclosed empty components inside the margin-1 box."""
+def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
+    """The enclosed empty cells, one set per component: the empty components
+    of the margin-1 box that do not touch its frame."""
     q0 = min(c.q for c in cells) - 1
     r0 = min(c.r for c in cells) - 1
     q1 = max(c.q for c in cells) + 1
@@ -50,7 +52,7 @@ def empty_component_count(cells: frozenset[Cell]) -> int:
         if Cell(q, r) not in cells
     ]
     unseen = set(box)
-    enclosed = 0
+    enclosed = []
     while unseen:
         seed = unseen.pop()
         comp = {seed}
@@ -66,8 +68,13 @@ def empty_component_count(cells: frozenset[Cell]) -> int:
                     if nb.q in (q0, q1) or nb.r in (r0, r1):
                         touches_frame = True
         if not touches_frame:
-            enclosed += 1
+            enclosed.append(comp)
     return enclosed
+
+
+def empty_component_count(cells: frozenset[Cell]) -> int:
+    """Number of enclosed empty components inside the margin-1 box."""
+    return len(enclosed_components(cells))
 
 
 def rooted_growth_shapes(n: int) -> list[frozenset[Cell]]:

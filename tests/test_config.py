@@ -138,6 +138,15 @@ def test_with_register_validates():
     assert c.orientation(Cell(0, 0), Cell(1, 0)) is EdgeOrientation.UNDIRECTED
 
 
+def test_update_outside_the_support_is_a_config_error():
+    c = pair_config()
+    with pytest.raises(ConfigError, match=r"Cell\(q=5, r=5\) is not in the support"):
+        c.with_register(Cell(5, 5), ALL_IN)
+    with pytest.raises(ConfigError, match=r"Cell\(q=5, r=5\) is not in the support"):
+        c.with_registers({Cell(0, 0): reg(p0=OUT), Cell(5, 5): ALL_IN})
+    assert c.regs[Cell(0, 0)] == ALL_IN
+
+
 def test_constructor_requires_matching_keys(tri):
     pms = identity_portmaps(tri)
     regs = {c: ALL_IN for c in tri}

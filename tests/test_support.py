@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from trielect.lattice import CYCLIC_RUN, Cell, neighbor_mask, neighbors
+from trielect.lattice import CYCLIC_RUN, Cell, neighbor, neighbor_mask, neighbors
 from trielect.support import (
     FlatPairWitness,
     PendingWitness,
@@ -22,7 +23,12 @@ from trielect.support import (
 )
 from trielect.generators import enumerate_supports, hexagon, random_support, ring18
 
-from reference import empty_component_count, reference_boundary_class, rooted_growth_shapes
+from reference import (
+    empty_component_count,
+    enclosed_components,
+    reference_boundary_class,
+    rooted_growth_shapes,
+)
 
 
 def test_constructor_rejects_empty_and_disconnected():
@@ -38,15 +44,55 @@ def test_simply_connected_basics(hex1):
     assert not ring18().support.is_simply_connected()
 
 
+def _punched(cells: frozenset[Cell], rng: random.Random, tries: int) -> Support:
+    """``cells`` less up to ``tries`` random cells, each left out only if
+    the rest stays connected."""
+    cells = set(cells)
+    for _ in range(tries):
+        c = rng.choice(sorted(cells))
+        try:
+            Support(cells - {c})
+        except SupportError:
+            continue
+        cells.remove(c)
+    return Support(cells)
+
+
 def test_simply_connected_matches_component_oracle():
+    """``is_simply_connected`` and ``hole_cells`` against the box labelling of
+    ``reference.enclosed_components`` on sampled small supports, the ring,
+    holes meeting at one cell, and seeded hexagons and random supports
+    punched while they stay connected, until a thousand have holes."""
     rng = random.Random(20240811)
     shapes = [s.cells for n in (4, 5, 6) for s in enumerate_supports(n)]
-    ring = ring18().support.cells
-    shapes.append(ring)
-    sampled = rng.sample(shapes, 60) + [ring]
-    for cells in sampled:
-        s = Support(cells)
-        assert s.is_simply_connected() == (empty_component_count(s.cells) == 0)
+    supports = [Support(cells) for cells in rng.sample(shapes, 60)]
+    supports.append(ring18().support)
+    # Two or three neighbours of one cell punched out: holes that meet at that cell.
+    apart = [(d, d + 2) for d in range(6)] + [(d, d + 3) for d in range(3)]
+    for centre in (Cell(0, 0), Cell(1, 0), Cell(-1, 2)):
+        for dirs in apart + [(0, 2, 4), (1, 3, 5)]:
+            punched = {neighbor(centre, d) for d in dirs}
+            supports.append(Support(hexagon(3).cells - punched))
+    cases = [(s, enclosed_components(s.cells)) for s in supports]
+    holed = sum(bool(comps) for _, comps in cases)
+    while holed < 1000:
+        if rng.random() < 0.7:
+            base = hexagon(rng.randrange(2, 5))
+        else:
+            base = random_support(rng.randrange(15, 50), rng.randrange(2**31))
+        s = _punched(base.cells, rng, rng.randrange(1, 10))
+        cases.append((s, enclosed_components(s.cells)))
+        holed += bool(cases[-1][1])
+    by_count = Counter()
+    meeting = 0
+    for s, comps in cases:
+        assert s.is_simply_connected() == (not comps), sorted(s.cells)
+        assert s.hole_cells() == frozenset().union(*comps), sorted(s.cells)
+        by_count[min(len(comps), 3)] += 1
+        meeting += any(
+            sum(any(nb in comp for nb in neighbors(c)) for comp in comps) >= 2 for c in s
+        )
+    assert by_count[2] >= 200 and by_count[3] >= 150 and meeting >= 250, (by_count, meeting)
 
 
 def test_cell_numbering_agrees_with_the_lattice():
