@@ -120,14 +120,10 @@ class Configuration:
         portmaps: Mapping[Cell, PortMap],
         regs: Mapping[Cell, Registers],
     ):
-        if set(portmaps) != support.cells:
-            missing = support.cells - set(portmaps)
-            extra = set(portmaps) - support.cells
-            raise ConfigError(f"port maps do not match support (missing={sorted(missing)}, extra={sorted(extra)})")
-        if set(regs) != support.cells:
-            missing = support.cells - set(regs)
-            extra = set(regs) - support.cells
-            raise ConfigError(f"registers do not match support (missing={sorted(missing)}, extra={sorted(extra)})")
+        for what, mapping in (("port maps", portmaps), ("registers", regs)):
+            if (keys := set(mapping)) != support.cells:
+                missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
+                raise ConfigError(f"{what} do not match support (missing={missing}, extra={extra})")
         self.support = support
         self.portmaps = dict(portmaps)
         self.regs = {}

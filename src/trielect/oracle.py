@@ -16,15 +16,25 @@ triangles R4 must look at; the scheduler's engine reads it too.
 and checks whole states with mask algebra (a pair swap, the identity
 ``mine = not theirs``, per-cell own-pattern tables that map ``RULE`` to
 half-edge bits, and 3-bit triangle cycle masks), an independent rewrite
-of the reference step that tests compare pointwise.  States convert to
-and from configurations through ``config.OUT_MASK`` and
+of the reference step that tests compare pointwise.  Its one step scan,
+``move(state, start)``, returns the first activable cell at or after
+``start`` with the state it steps to; finality, single steps and every
+search resume it cell by cell, so none builds a successor list.  States
+convert to and from configurations through ``config.OUT_MASK`` and
 ``config.REGISTER``.
+
+The exhaustive checks: ``check_silence`` compares ``move(state) is None``
+with validity on every state; ``check_reachability`` gives every state a
+fate in one lazy Tarjan pass (``reach_fates``) that stops a walk at a
+valid final state or a state known to reach one, and pops a component
+that cannot; ``find_unfair_cycle`` runs a depth-first search over the
+conflict-free states with one seen bit per packed state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS, PortMap
 from .config import (
@@ -108,10 +118,10 @@ class ConfigGraph:
         self.n_edges = n_half // 2
 
         self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
-        # Per cell: (own half-edges, every other half-edge, own-pattern table).
-        self._rows: list[tuple[int, int, dict[int, int]]] = []
+        # Per cell: (its index, own half-edges, every other half-edge, own-pattern table).
+        rows: list[tuple[int, int, int, dict[int, int]]] = []
         cycles: dict[int, None] = {}
-        for row, half in zip(around, self.half_at):
+        for ci, (row, half) in enumerate(zip(around, self.half_at)):
             # far[d]: the half-edge of the neighbour at d toward the one at
             # d + 1, or -1 where either is missing: the far edge ``RULE`` names.
             far = tuple(
@@ -119,7 +129,7 @@ class ConfigGraph:
                 for d, cj in enumerate(row)
             )
             own = sum(1 << h for h in half if h >= 0)
-            self._rows.append((own, ~own, _own_pattern_table(half, far)))
+            rows.append((ci, own, ~own, _own_pattern_table(half, far)))
             # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
             # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
             # the same two masks, so the dict keeps each triangle once.
@@ -129,33 +139,35 @@ class ConfigGraph:
                 pq, pr = half[d], half[(d + 1) % N_DIRS]
                 cycles[1 << pq | 1 << f | 1 << (pr ^ 1)] = None
                 cycles[1 << pr | 1 << (f ^ 1) | 1 << (pq ^ 1)] = None
+        self._rows: tuple[tuple[int, int, int, dict[int, int]], ...] = tuple(rows)
         self._cycles: tuple[int, ...] = tuple(cycles)
 
     # -- state transitions ---------------------------------------------------
 
-    def successors(self, state: int) -> list[tuple[int, int]]:
-        """(cell index, next state) for every activable cell, in cell order."""
+    def move(self, state: int, start: int = 0) -> tuple[int, int] | None:
+        """(cell index, next state) for the first activable cell with index
+        at least ``start``, or None if there is none."""
         lo = self._lo
         nsw = ~((state >> 1 & lo) | (state & lo) << 1)
         away = state & nsw
-        out = []
-        for ci, (own, keep, table) in enumerate(self._rows):
+        for ci, own, keep, table in self._rows[start:]:
             after = own & nsw
             if (away | after) & table[after]:
                 after = 0
             if after != state & own:
-                out.append((ci, state & keep | after))
-        return out
+                return ci, state & keep | after
+        return None
 
     def successor(self, state: int, ci: int) -> int:
         """State after activating cell index ``ci`` (equal state if not activable)."""
-        return dict(self.successors(state)).get(ci, state)
+        found = self.move(state, ci)
+        return found[1] if found is not None and found[0] == ci else state
 
     def is_final(self, state: int) -> bool:
-        return not self.successors(state)
+        return self.move(state) is None
 
     def r234_ok(self, state: int) -> bool:
-        for own, _, table in self._rows:
+        for _, own, _, table in self._rows:
             if table[state & own] < 0:
                 return False
         lo = self._lo
@@ -170,7 +182,7 @@ class ConfigGraph:
         return (state ^ state >> 1) & lo == lo and self.r234_ok(state)
 
     def sinks(self, state: int) -> list[Cell]:
-        return [c for c, (own, _, _) in zip(self.cells, self._rows) if not state & own]
+        return [c for c, (_, own, _, _) in zip(self.cells, self._rows) if not state & own]
 
     # -- conversions -----------------------------------------------------------
 
@@ -213,20 +225,6 @@ class ConfigGraph:
             carry = (twos + 1) & ~twos  # the lowest edge without: add 1 there, clear below
             state = (state & ~(carry - 1)) + carry
 
-    def conflict_free_index(self, state: int) -> int:
-        """Position of ``state`` in ``conflict_free_states``: its edge codes
-        read as base-3 digits, four edges (one byte) at a time."""
-        idx = 0
-        mult = 1
-        while state:
-            digits = _BASE3_BYTE[state & 0xFF]
-            if digits < 0:
-                raise ValueError("state has a conflict edge")
-            idx += digits * mult
-            mult *= 81
-            state >>= 8
-        return idx
-
 
 def _own_pattern_table(half: tuple[int, ...], far: tuple[int, ...]) -> dict[int, int]:
     """A cell's ``RULE`` entry for every pattern of Out flags on its own
@@ -243,15 +241,6 @@ def _own_pattern_table(half: tuple[int, ...], far: tuple[int, ...]) -> dict[int,
         else sum(1 << (far[d] ^ flip) for d, flip in entry if far[d] >= 0)
         for bits, mask in patterns
     }
-
-
-#: ``_BASE3_BYTE[b]``: the four edge codes of byte ``b`` read as base-3
-#: digits, lowest edge first, or -1 if one of them is Out/Out (code 3).
-_BASE3_BYTE = tuple(
-    -1 if any(b >> 2 * j & 3 == 3 for j in range(4))
-    else sum((b >> 2 * j & 3) * 3**j for j in range(4))
-    for b in range(256)
-)
 
 
 # -- report types ------------------------------------------------------------------
@@ -347,16 +336,88 @@ def check_silence(s: Support, max_states: int = 1 << 22) -> SilenceReport:
     graph = ConfigGraph(s)
     if 1 << 2 * graph.n_edges > max_states:
         raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
+    move, is_valid = graph.move, graph.is_valid
     mismatches = []
     count = 0
     for state in graph.all_states():
         count += 1
-        final = graph.is_final(state)
-        valid = graph.is_valid(state)
-        if final != valid:
+        final = move(state) is None
+        if final != is_valid(state):
             tag = "final-but-invalid" if final else "valid-but-activable"
             mismatches.append(tag + "\n" + graph.unpack(state).serialize())
     return SilenceReport(s, count, tuple(mismatches))
+
+
+#: A state's fate in ``reach_fates``: not yet visited, on the Tarjan stack,
+#: reaches a valid final state, or cannot.
+UNSEEN, ON_STACK, REACHES, CANNOT = range(4)
+
+
+def reach_fates(
+    total: int,
+    move: Callable[[int, int], tuple[int, int] | None],
+    is_valid: Callable[[int], bool],
+) -> bytearray:
+    """The fate, ``REACHES`` or ``CANNOT``, of every state ``0 .. total - 1``
+    of the graph whose moves ``move(state, start)`` lists one at a time (the
+    first at index ``start`` or later, as ``ConfigGraph.move`` does); the
+    targets are the valid states without a move.
+
+    One lazy iterative Tarjan pass.  Every state on the Tarjan stack reaches
+    the current DFS node, so a target, or a move to a state that already
+    reaches, marks the whole stack ``REACHES``; the walk then restarts from
+    the next unseen root.  Otherwise an SCC root that runs out of moves pops
+    its component as ``CANNOT``: every move out of it ends in ``CANNOT``.
+    """
+    fate = bytearray(total)
+    stack: list[int] = []  # the Tarjan stack
+    pos_of: dict[int, int] = {}  # the stack position of each state on it
+    for root in range(total):
+        if fate[root]:
+            continue
+        fate[root] = ON_STACK
+        pos_of[root] = 0
+        stack.append(root)
+        # The DFS node: its state, stack position, lowest stack position it
+        # reaches and the index to resume ``move`` at; ``frames`` holds the
+        # same four for every node above it.
+        state, pos, low, start = root, 0, 0, 0
+        frames: list[tuple[int, int, int, int]] = []
+        while True:
+            found = move(state, start)
+            if found is not None:
+                start = found[0] + 1
+                nxt = found[1]
+                if fate[nxt] == UNSEEN:
+                    frames.append((state, pos, low, start))
+                    state, pos, low, start = nxt, len(stack), len(stack), 0
+                    fate[nxt] = ON_STACK
+                    pos_of[nxt] = pos
+                    stack.append(nxt)
+                    continue
+                if fate[nxt] == ON_STACK:
+                    low = min(low, pos_of[nxt])
+                    continue
+                if fate[nxt] == CANNOT:
+                    continue
+            elif start or not is_valid(state):
+                if low == pos:
+                    for w in stack[pos:]:
+                        fate[w] = CANNOT
+                        del pos_of[w]
+                    del stack[pos:]
+                if not frames:
+                    break
+                child_low = low
+                state, pos, low, start = frames.pop()
+                low = min(low, child_low)
+                continue
+            for w in stack:
+                fate[w] = REACHES
+            stack.clear()
+            pos_of.clear()
+            break
+    return fate
 
 
 def check_reachability(s: Support, max_states: int = 1 << 22) -> ReachabilityReport:
@@ -365,30 +426,13 @@ def check_reachability(s: Support, max_states: int = 1 << 22) -> ReachabilityRep
     total = 1 << 2 * graph.n_edges
     if total > max_states:
         raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
-    reverse: list[list[int]] = [[] for _ in range(total)]
-    targets = []
-    for state in graph.all_states():
-        succs = graph.successors(state)
-        for _, nxt in succs:
-            reverse[nxt].append(state)
-        if not succs and graph.is_valid(state):
-            targets.append(state)
-    reached = bytearray(total)
-    stack = list(targets)
-    for t in targets:
-        reached[t] = 1
-    while stack:
-        v = stack.pop()
-        for u in reverse[v]:
-            if not reached[u]:
-                reached[u] = 1
-                stack.append(u)
-    unreachable = tuple(
-        graph.unpack(state).serialize()
-        for state in graph.all_states()
-        if not reached[state]
-    )
-    return ReachabilityReport(s, total, unreachable)
+    fate = reach_fates(total, graph.move, graph.is_valid)
+    unreachable = []
+    state = fate.find(CANNOT)
+    while state >= 0:
+        unreachable.append(graph.unpack(state).serialize())
+        state = fate.find(CANNOT, state + 1)
+    return ReachabilityReport(s, total, tuple(unreachable))
 
 
 def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | None:
@@ -397,40 +441,50 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     Any cycle avoids valid states automatically: valid states are final
     and have no outgoing transitions.  Conflict edges can never re-form,
     so restricting to the 3^E conflict-free subspace loses only cycles
-    decorated with a permanently frozen Out/Out edge.
+    decorated with a permanently frozen Out/Out edge.  A depth-first
+    search resumes ``move`` frame by frame and marks the states it has
+    seen in one bit per packed state; a seen state is on the current path
+    (gray) iff it is in ``depth_of``.  The search stays in the subspace, so
+    the bits stop at its largest state, every edge Out at its larger end.
     """
     graph = ConfigGraph(s)
-    total = 3**graph.n_edges
-    if total > max_states:
+    if 3**graph.n_edges > max_states:
         raise StateSpaceTooLarge(f"3^{graph.n_edges} states is over budget")
-    color = bytearray(total)  # 0 white, 1 gray, 2 black
+    move = graph.move
+    seen = bytearray((2 * graph._lo >> 3) + 1)
     depth_of: dict[int, int] = {}
 
-    for seed_idx, seed in enumerate(graph.conflict_free_states()):
-        if color[seed_idx]:
+    for seed in graph.conflict_free_states():
+        if seen[seed >> 3] >> (seed & 7) & 1:
             continue
-        # Frames: [state, its index, its remaining successors, activating cell index from parent]
-        stack: list[list] = [[seed, seed_idx, iter(graph.successors(seed)), -1]]
-        color[seed_idx] = 1
+        seen[seed >> 3] |= 1 << (seed & 7)
         depth_of[seed] = 0
-        while stack:
-            frame = stack[-1]
-            move = next(frame[2], None)
-            if move is None:
-                color[frame[1]] = 2
-                del depth_of[frame[0]]
-                stack.pop()
+        # The walk is at ``state`` and resumes its moves at cell ``start``;
+        # ``path`` holds the (state, start) of every state above it, and the
+        # cell that stepped out of each is the index before its start.
+        state, start = seed, 0
+        path: list[tuple[int, int]] = []
+        while True:
+            found = move(state, start)
+            if found is None:
+                del depth_of[state]
+                if not path:
+                    break
+                state, start = path.pop()
                 continue
-            child, nxt = move
-            idx = graph.conflict_free_index(nxt)
-            if color[idx] == 1:
-                start = depth_of[nxt]
-                states = [entry[0] for entry in stack[start:]]
-                cells = [graph.cells[entry[3]] for entry in stack[start + 1:]]
-                cells.append(graph.cells[child])
-                return UnfairCycle(s, tuple(states), tuple(cells))
-            if color[idx] == 0:
-                color[idx] = 1
-                depth_of[nxt] = len(stack)
-                stack.append([nxt, idx, iter(graph.successors(nxt)), child])
+            start = found[0] + 1
+            nxt = found[1]
+            if seen[nxt >> 3] >> (nxt & 7) & 1:
+                if nxt in depth_of:
+                    loop = path[depth_of[nxt]:] + [(state, start)]
+                    return UnfairCycle(
+                        s,
+                        tuple(st for st, _ in loop),
+                        tuple(graph.cells[resume - 1] for _, resume in loop),
+                    )
+                continue
+            seen[nxt >> 3] |= 1 << (nxt & 7)
+            path.append((state, start))
+            depth_of[nxt] = len(path)
+            state, start = nxt, 0
     return None

@@ -12,8 +12,11 @@ reads off one cyclic-run lookup.  ``reference_run`` is the object-based loop tha
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
 reproduce bit for bit, and ``reference_replay`` the per-event loop
 ``render --trace`` used before it replayed through the engine.
-``resolve_conflicts`` and ``remove_particle``
-are single-purpose configuration edits that only tests need.
+``reference_reaches`` is the reverse search ``oracle.check_reachability``
+ran before its lazy SCC pass: all predecessor lists built up front, then a
+backward flood from the targets.  ``resolve_conflicts`` and
+``remove_particle`` are single-purpose configuration edits that only tests
+need.
 """
 
 from __future__ import annotations
@@ -345,3 +348,31 @@ def reference_replay(c0: Configuration, cells) -> Configuration:
     for p in cells:
         config, _ = activation_step(config, p)
     return config
+
+
+def reference_reaches(total: int, move, is_valid) -> bytearray:
+    """1 for each state ``0 .. total - 1`` from which a valid state without
+    a move is reachable, else 0, by a backward search from those targets.
+    ``move(state, start)`` is ``oracle.ConfigGraph.move``'s contract; every
+    move of every state is collected by resuming it."""
+    reverse: list[list[int]] = [[] for _ in range(total)]
+    targets = []
+    for state in range(total):
+        found = move(state, 0)
+        if found is None and is_valid(state):
+            targets.append(state)
+        while found is not None:
+            ci, nxt = found
+            reverse[nxt].append(state)
+            found = move(state, ci + 1)
+    reached = bytearray(total)
+    stack = list(targets)
+    for t in targets:
+        reached[t] = 1
+    while stack:
+        v = stack.pop()
+        for u in reverse[v]:
+            if not reached[u]:
+                reached[u] = 1
+                stack.append(u)
+    return reached

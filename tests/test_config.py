@@ -155,6 +155,21 @@ def test_constructor_requires_matching_keys(tri):
         Configuration(tri, pms, regs)
 
 
+def test_mismatched_portmaps_and_registers_name_missing_and_extra(tri):
+    pms = identity_portmaps(tri)
+    regs = {c: ALL_IN for c in tri}
+    gone, stray = Cell(0, 0), Cell(5, 5)
+    bad_pms = {c: pm for c, pm in pms.items() if c != gone} | {stray: IDENTITY_PORTMAP}
+    bad_regs = {c: r for c, r in regs.items() if c != gone} | {stray: ALL_IN}
+    tail = "(missing=[Cell(q=0, r=0)], extra=[Cell(q=5, r=5)])"
+    with pytest.raises(ConfigError) as exc:
+        Configuration(tri, bad_pms, regs)
+    assert str(exc.value) == "port maps do not match support " + tail
+    with pytest.raises(ConfigError) as exc:
+        Configuration(tri, pms, bad_regs)
+    assert str(exc.value) == "registers do not match support " + tail
+
+
 def test_serialize_roundtrip_random():
     for seed in range(8):
         s = random_support(7, seed)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,18 +17,21 @@ from trielect.generators import (
     triangle3,
 )
 from trielect.oracle import (
+    CANNOT,
+    REACHES,
     ConfigGraph,
     StateSpaceTooLarge,
     check_reachability,
     check_silence,
     check_unique_sink,
     find_unfair_cycle,
+    reach_fates,
 )
 from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
-from reference import remove_particle
+from reference import reference_reaches, remove_particle
 
 
 def test_unique_sink_two_particle_support():
@@ -143,12 +147,84 @@ def test_packed_validity_and_sinks_agree():
             assert graph.successor(state, ci) == nxt, (state, ci)
             if effect.changed:
                 expected.append((ci, nxt))
-        assert graph.successors(state) == expected, state
+        moves, found = [], graph.move(state)
+        while found is not None:
+            moves.append(found)
+            found = graph.move(state, found[0] + 1)
+        assert moves == expected, state
         seen["conflict"] += any(state >> 2 * i & 3 == 3 for i in range(graph.n_edges))
         seen["valid"] += graph.is_valid(state)
         seen["final"] += graph.is_final(state)
         seen["activable"] += bool(expected)
     assert all(seen.values()), seen
+
+
+def test_move_resumes_at_every_start():
+    """``move(state, start)`` is the first cell at or after ``start`` that
+    ``activation_step`` changes, with the packed state it steps to, for
+    every start from 0 to n."""
+    for graph, portmaps, state in _packed_states_to_check():
+        cfg = graph.unpack(state, portmaps)
+        changed = []
+        for ci, cell in enumerate(graph.cells):
+            stepped, effect = activation_step(cfg, cell)
+            if effect.changed:
+                changed.append((ci, graph.pack(stepped)))
+        for start in range(len(graph.cells) + 1):
+            expected = next(((ci, nxt) for ci, nxt in changed if ci >= start), None)
+            assert graph.move(state, start) == expected, (state, start)
+
+
+def _reach_fates_agree(total, move, is_valid) -> bytearray:
+    fate = reach_fates(total, move, is_valid)
+    reached = reference_reaches(total, move, is_valid)
+    assert [f == REACHES for f in fate] == [bool(r) for r in reached]
+    assert fate.count(REACHES) + fate.count(CANNOT) == total
+    return fate
+
+
+def test_reach_fates_match_reverse_search_on_random_graphs():
+    """The lazy SCC pass against the reverse-search reference on seeded
+    graphs of 1-12 nodes, driven through a stand-in ``move``: up to four
+    moves per node at indices 0-3, self-loops allowed, and ``is_valid`` true
+    on a random half of the nodes, final or not."""
+    rng = random.Random(20)
+    seen = {"no target": 0, "all reach": 0, "some cannot": 0, "cannot on a cycle": 0}
+    for _ in range(3000):
+        total = rng.randint(1, 12)
+        succ = [
+            [(ci, rng.randrange(total)) for ci in sorted(rng.sample(range(4), rng.randint(0, 3)))]
+            for _ in range(total)
+        ]
+        valid = [rng.random() < 0.5 for _ in range(total)]
+
+        def move(state, start):
+            return next(((ci, nxt) for ci, nxt in succ[state] if ci >= start), None)
+
+        fate = _reach_fates_agree(total, move, valid.__getitem__)
+        cannot = [v for v in range(total) if fate[v] == CANNOT]
+        seen["no target"] += not any(valid[v] and not succ[v] for v in range(total))
+        seen["all reach"] += not cannot
+        seen["some cannot"] += bool(cannot)
+        for v in cannot:
+            frontier, reach = [nxt for _, nxt in succ[v]], set()
+            while frontier:
+                u = frontier.pop()
+                if u not in reach:
+                    reach.add(u)
+                    frontier += [nxt for _, nxt in succ[u]]
+            if v in reach:
+                seen["cannot on a cycle"] += 1
+                break
+    assert min(seen.values()) >= 300, seen
+
+
+def test_reach_fates_match_reverse_search_on_small_supports():
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            fate = _reach_fates_agree(1 << 2 * graph.n_edges, graph.move, graph.is_valid)
+            assert fate.count(REACHES) == len(fate)
 
 
 def test_erosion_state_is_final_and_valid(hex1):
@@ -158,9 +234,9 @@ def test_erosion_state_is_final_and_valid(hex1):
 
 
 def test_conflict_free_enumeration():
-    """The base-3 index, read a byte (four edges) at a time, is the
-    enumeration position on supports with E = 3, 4, 5, 8 and 12 (hexagon1,
-    whose 3^12 states are sampled), and a conflict edge raises wherever it is."""
+    """The enumeration lists each of the 3^E conflict-free states once, on
+    supports with E = 3, 4, 5, 8 and 12 (hexagon1), and none is above every
+    edge Out at its larger end, where ``find_unfair_cycle``'s seen bits stop."""
     supports = [
         triangle3(),
         line(5),
@@ -169,21 +245,13 @@ def test_conflict_free_enumeration():
         hexagon(1),
     ]
     assert [len(s.edges()) for s in supports] == [3, 4, 5, 8, 12]
-    sample = random.Random(12)
     for support in supports:
         graph = ConfigGraph(support)
         e = graph.n_edges
         states = list(graph.conflict_free_states())
         assert len(states) == len(set(states)) == 3**e
-        positions = range(3**e) if e <= 8 else sample.sample(range(3**e), 2000) + [0, 3**e - 1]
-        for i in positions:
-            st = states[i]
-            assert all(st >> 2 * j & 3 != 3 for j in range(e))
-            assert graph.conflict_free_index(st) == i
-        for j in range(e):  # a conflict edge in every byte position, alone and in a busy state
-            for st in (0, states[-1]):
-                with pytest.raises(ValueError):
-                    graph.conflict_free_index(st | 3 << 2 * j)
+        assert all(st >> 2 * j & 3 != 3 for st in states for j in range(e))
+        assert max(states) == sum(2 << 2 * j for j in range(e))
 
 
 def test_find_unfair_cycle_single_particle():
@@ -212,6 +280,16 @@ def test_find_unfair_cycle_hexagon(hex1, hexagon_cycle):
         assert effect.changed
         assert graph.pack(cfg) == cycle.states[(i + 1) % cycle.period]
     assert cfg == cycle.initial_config()
+
+
+def test_find_unfair_cycle_hexagon_is_pinned(hexagon_cycle):
+    """The search finds the same cycle of hexagon1: its period and sha256
+    prefixes of its states and its script."""
+    cycle = hexagon_cycle
+    script = " ".join(f"{p.q},{p.r}" for p in cycle.script)
+    assert cycle.period == 12
+    assert hashlib.sha256(repr(cycle.states).encode()).hexdigest()[:16] == "9351b5136c3ab9e6"
+    assert hashlib.sha256(script.encode()).hexdigest()[:16] == "4b0f9c282c08ead2"
 
 
 def test_cycle_replay_through_scheduler(hexagon_cycle):
