@@ -59,13 +59,6 @@ class EdgeOrientation(Enum):
     UNDIRECTED = "undirected"
     CONFLICT = "conflict"
 
-    def mirrored(self) -> "EdgeOrientation":
-        if self is EdgeOrientation.A_TO_B:
-            return EdgeOrientation.B_TO_A
-        if self is EdgeOrientation.B_TO_A:
-            return EdgeOrientation.A_TO_B
-        return self
-
 
 #: ``LINK_ORIENTATION[a is OUT][b is OUT]`` is the orientation that the
 #: links ``a`` and ``b`` at the two ends of edge a-b give it.
@@ -196,9 +189,6 @@ class Configuration:
             for p in range(N_DIRS)
             if reg[p] is OUT and neighbor(c, port_to_dir(pm, p)) in self.support.cells
         )
-
-    def edges(self) -> list[tuple[Cell, Cell]]:
-        return self.support.edges()
 
     # -- serialisation --------------------------------------------------------
 

@@ -48,10 +48,6 @@ def opposite(d: Dir) -> Dir:
     return (d + 3) % N_DIRS
 
 
-def are_adjacent(a: Cell, b: Cell) -> bool:
-    return (b.q - a.q, b.r - a.r) in _OFFSET_TO_DIR
-
-
 def direction_from(a: Cell, b: Cell) -> Dir:
     """Direction index such that stepping from ``a`` reaches ``b``."""
     try:

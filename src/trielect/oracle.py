@@ -29,6 +29,11 @@ fate in one lazy Tarjan pass (``reach_fates``) that stops a walk at a
 valid final state or a state known to reach one, and pops a component
 that cannot; ``find_unfair_cycle`` runs a depth-first search over the
 conflict-free states with one seen bit per packed state.
+``UnfairCycle.lemmas`` checks the two facts the convergence proof needs
+about a periodic execution, one about stable edges and one about how
+unstable edges spread, on the packed states of the period: an edge's
+code is 0 where it is undirected, so one OR over the states gives every
+unstable edge, and each cell's own half-edge bits read the rest.
 """
 
 from __future__ import annotations
@@ -280,6 +285,26 @@ class ReachabilityReport:
         return not self.unreachable
 
 
+Edge = tuple[Cell, Cell]
+
+
+@dataclass(frozen=True)
+class CycleReport:
+    """``UnfairCycle.lemmas``: the edges of a periodic window split into
+    stable and unstable, and the particles that break either fact."""
+
+    period: int
+    stable_edges: frozenset[Edge]
+    unstable_edges: frozenset[Edge]
+    activated: tuple[Cell, ...]
+    stable_out_violations: tuple[str, ...]
+    unstable_spread_violations: tuple[str, ...]
+
+    @property
+    def clean(self) -> bool:
+        return not self.stable_out_violations and not self.unstable_spread_violations
+
+
 @dataclass(frozen=True)
 class UnfairCycle:
     """A cycle in the sequential successor graph, with its replay script."""
@@ -295,12 +320,57 @@ class UnfairCycle:
     def initial_config(self) -> Configuration:
         return ConfigGraph(self.support).unpack(self.states[0])
 
-    def window(self) -> tuple[list[Configuration], list[Cell]]:
-        """Configurations of one full period (first repeated at the end)."""
+    def lemmas(self) -> CycleReport:
+        """Classify the edges of the period as stable or unstable and check
+        the two facts the convergence proof needs about such a window.
+
+        An edge is stable iff it is never undirected in the period (code
+        0 in none of ``states``).  A window with a conflict edge (code 3)
+        is rejected: a conflict never re-forms, so it lives on a cycle
+        only frozen, and a frozen conflict has no stable reading.  The
+        facts:
+          - a particle Out on a stable edge in ``states[0]`` is never
+            activated and has no unstable edge;
+          - a particle met by an unstable edge has at least four, or at
+            least two not forming one cyclic run.  A port map is a
+            rotation or a reflection, so a cyclic run of ports is one of
+            directions too, and the run is read off ``CYCLIC_RUN`` over
+            directions.
+        """
         graph = ConfigGraph(self.support)
-        configs = [graph.unpack(s) for s in self.states]
-        configs.append(graph.unpack(self.states[0]))
-        return configs, list(self.script)
+        lo = graph._lo
+        undirected = 0
+        for state in self.states:
+            if state & state >> 1 & lo:
+                raise ValueError("window contains a conflict edge")
+            undirected |= ~(state | state >> 1) & lo
+        unstable = undirected | undirected << 1  # both half-edges of each
+        stable_out = self.states[0] & ~unstable
+        edges = self.support.edges()
+        activated = frozenset(self.script)
+        stable_out_violations = []
+        spread_violations = []
+        for p, half, (_, own, _, _) in zip(graph.cells, graph.half_at, graph._rows):
+            dirs = [d for d, h in enumerate(half) if h >= 0 and unstable >> h & 1]
+            if stable_out & own:
+                if p in activated:
+                    stable_out_violations.append(f"{p} has a stable outgoing edge but is activated")
+                if dirs:
+                    bad = [edges[half[d] >> 1] for d in dirs]
+                    stable_out_violations.append(
+                        f"{p} has a stable outgoing edge but unstable edges {bad}"
+                    )
+            k = len(dirs)
+            if k and k < 4 and (k < 2 or CYCLIC_RUN[sum(1 << d for d in dirs)]):
+                spread_violations.append(f"{p} has unstable edges only on directions {dirs}")
+        return CycleReport(
+            period=self.period,
+            stable_edges=frozenset(e for i, e in enumerate(edges) if not undirected >> 2 * i & 1),
+            unstable_edges=frozenset(e for i, e in enumerate(edges) if undirected >> 2 * i & 1),
+            activated=self.script,
+            stable_out_violations=tuple(stable_out_violations),
+            unstable_spread_violations=tuple(spread_violations),
+        )
 
 
 # -- exhaustive checks ----------------------------------------------------------------

@@ -51,7 +51,7 @@ def render_svg(config: Configuration) -> str:
         f"<style>{_STYLE}</style>",
     ]
 
-    for a, b in config.edges():
+    for a, b in config.support.edges():
         xa, ya = pts[a]
         xb, yb = pts[b]
         dx, dy = xb - xa, yb - ya

@@ -1,4 +1,4 @@
-"""Execution drivers, termination detection and periodic-cycle analysis.
+"""Execution drivers and termination detection.
 
 The contract surface is sequential scheduling.  Uniform random choice
 among activable particles realises the required fairness: any
@@ -38,6 +38,9 @@ its validation.  When per-step checks or traces are asked for,
 activated particle and its neighbours, the only particles whose status
 a step can change, and keeps the violation count up to date; a
 configuration is built mid-run only for the step that breaks a check.
+The trace log written to ``trace_file`` is a run's one per-step record:
+a header, then one ``step q r line1 line2 changed violations`` line per
+event, the last field the violation count after the step.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
 holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
 a rule and exactly one particle has ``mine == 0``.  ``violation_count``
@@ -49,15 +52,15 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence, Union
 
 from .lattice import Cell, N_DIRS
-from .config import OUT_MASK, REGISTER, Configuration, EdgeOrientation
+from .config import OUT_MASK, REGISTER, Configuration
 from .support import SupportError, format_shape_text
 from .oracle import RULE
-from .rules import check_r2, check_r3, check_r4, _consecutive_cyclic
+from .rules import check_r2, check_r3, check_r4
 
 # ``activation_step`` and ``step_register`` stay importable from this
 # module: the benchmark's traced run wraps them here, beside
@@ -97,20 +100,11 @@ class Outcome(Enum):
     CAP_EXCEEDED = "cap"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    step: int
-    activated: tuple[Cell, ...]
-    effect: ActivationEffect
-    post_violation_count: int | None = None
-
-
 @dataclass
 class ExecutionResult:
     outcome: Outcome
     config: Configuration
     steps: int
-    events: list[TraceEvent] = field(default_factory=list)
 
     @property
     def is_final(self) -> bool:
@@ -298,7 +292,6 @@ def run(
     c0: Configuration,
     kind: SchedulerKind,
     max_steps: int = 1_000_000,
-    record_trace: bool = False,
     check_invariants: bool = False,
     trace_file: IO[str] | None = None,
 ) -> ExecutionResult:
@@ -306,7 +299,8 @@ def run(
 
     ``check_invariants`` asserts, after every event, that the activated
     particle satisfies the three repairable rules and that the count of
-    particles violating any of them never increases.
+    particles violating any of them never increases.  ``trace_file``,
+    if given, receives the trace log.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -332,9 +326,7 @@ def run(
         script = [support.number[p] for p in kind.cells]
     script_index = 0
 
-    tracing = record_trace or trace_file is not None
-    observed = check_invariants or tracing
-    events: list[TraceEvent] = []
+    observed = check_invariants or trace_file is not None
     if observed:
         violating = bytearray(_breaks(ci, mine, theirs, around) for ci in range(n))
         violations = sum(violating)
@@ -355,7 +347,7 @@ def run(
                 raise StepInvariantError(
                     "final configuration is not a valid single-sink state", final
                 )
-        return ExecutionResult(outcome, final, step, events)
+        return ExecutionResult(outcome, final, step)
 
     step = 0
     while step < max_steps:
@@ -412,112 +404,11 @@ def run(
                     f"step {step}: violation count rose {prev_violations} -> {violations}",
                     current(),
                 )
-        if tracing:
+        if trace_file is not None:
             effect = _effect(before, after, theirs[ci], present[ci])
-            if record_trace:
-                events.append(TraceEvent(step - 1, (p,), effect, violations))
-            if trace_file is not None:
-                trace_file.write(
-                    f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} "
-                    f"{int(effect.line2_fired)} {int(changed)} {violations}\n"
-                )
+            trace_file.write(
+                f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} "
+                f"{int(effect.line2_fired)} {int(changed)} {violations}\n"
+            )
 
     return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)
-
-
-# -- periodic-cycle analysis ---------------------------------------------------------
-
-
-Edge = tuple[Cell, Cell]
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    period: int
-    stable_edges: frozenset[Edge]
-    unstable_edges: frozenset[Edge]
-    activated: tuple[Cell, ...]
-    stable_out_violations: tuple[str, ...]
-    unstable_spread_violations: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.stable_out_violations and not self.unstable_spread_violations
-
-
-def analyze_cycle(
-    configs: Sequence[Configuration], activated: Sequence[Cell]
-) -> CycleReport:
-    """Classify edges of an exactly periodic window as stable or unstable.
-
-    ``configs`` must hold period+1 configurations with the last equal to
-    the first; ``activated[i]`` produced ``configs[i+1]`` from
-    ``configs[i]``.  Stable edges are those never undirected inside the
-    window.  Windows containing conflict edges are rejected: a conflict
-    can never re-form, so it cannot live on a cycle unless frozen, and
-    frozen conflicts have no stable/unstable reading.
-
-    Two facts about such windows are checked and reported:
-      - a particle with a stable outgoing edge is never activated in the
-        period and all its edges are stable;
-      - a particle met by an unstable edge has at least two unstable
-        edges not forming one consecutive run of ports, or at least four.
-    """
-    if len(configs) < 2 or configs[0] != configs[-1]:
-        raise ValueError("window is not an exactly periodic configuration cycle")
-    if len(activated) != len(configs) - 1:
-        raise ValueError("activation list does not match the window length")
-    base = configs[0]
-    edges = base.edges()
-    orientations: dict[Edge, set[EdgeOrientation]] = {e: set() for e in edges}
-    for cfg in configs[:-1]:
-        for e in edges:
-            o = cfg.orientation(*e)
-            if o is EdgeOrientation.CONFLICT:
-                raise ValueError(f"window contains a conflict edge {e}")
-            orientations[e].add(o)
-
-    stable = frozenset(
-        e for e, os in orientations.items() if EdgeOrientation.UNDIRECTED not in os
-    )
-    unstable = frozenset(edges) - stable
-    activated_cells = frozenset(activated)
-
-    stable_out: list[str] = []
-    for p in base.support:
-        has_stable_out = any(
-            (e in stable)
-            and configs[0].orientation(p, e[1] if e[0] == p else e[0])
-            is EdgeOrientation.A_TO_B
-            for e in edges
-            if p in e
-        )
-        if not has_stable_out:
-            continue
-        if p in activated_cells:
-            stable_out.append(f"{p} has a stable outgoing edge but is activated")
-        bad = [e for e in unstable if p in e]
-        if bad:
-            stable_out.append(f"{p} has a stable outgoing edge but unstable edges {bad}")
-
-    spread: list[str] = []
-    for p in base.support:
-        ports = tuple(
-            base.port_of(p, e[1] if e[0] == p else e[0]) for e in unstable if p in e
-        )
-        if not ports:
-            continue
-        if len(ports) >= 4:
-            continue
-        if len(ports) >= 2 and not _consecutive_cyclic(ports):
-            continue
-        spread.append(f"{p} has unstable edges only on ports {sorted(ports)}")
-
-    return CycleReport(
-        period=len(configs) - 1,
-        stable_edges=stable,
-        unstable_edges=unstable,
-        activated=tuple(activated),
-        stable_out_violations=tuple(stable_out),
-        unstable_spread_violations=tuple(spread),
-    )

@@ -172,20 +172,6 @@ def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[
         raise ChiralityInferenceError(f"edge {q}-{r} seen from {p}: {exc}") from None
 
 
-def relative_chirality(c: Configuration, p: Cell, q: Cell, r: Cell) -> int:
-    """+1 if q numbers its ports in the same rotational sense as p, else -1."""
-    x, _ = infer_triangle_labels(c, p, q, r)
-    p1 = c.port_of(p, q)
-    p0 = c.port_of(p, r)
-    q1 = c.port_of(q, p)
-    sp = 1 if (p1 - p0) % N_DIRS == 1 else -1
-    sq = 1 if (x - q1) % N_DIRS == 1 else -1
-    # p measures r against q, q measures r against p: the third corner sits
-    # on opposite rotational sides of the shared edge, and the two sign
-    # flips cancel.
-    return sp * sq
-
-
 def local_check_r4(c: Configuration, p: Cell) -> bool:
     """Triangle rule at ``p`` computed from view_3(p) and neighbour registers.
 

@@ -14,9 +14,12 @@ reproduce bit for bit, and ``reference_replay`` the per-event loop
 ``render --trace`` used before it replayed through the engine.
 ``reference_reaches`` is the reverse search ``oracle.check_reachability``
 ran before its lazy SCC pass: all predecessor lists built up front, then a
-backward flood from the targets.  ``resolve_conflicts`` and
-``remove_particle`` are single-purpose configuration edits that only tests
-need.
+backward flood from the targets.  ``analyze_cycle`` checks the two cycle
+lemmas on configurations, port by port, as ``oracle.UnfairCycle.lemmas``
+does on packed states.  ``resolve_conflicts`` and ``remove_particle`` are
+single-purpose configuration edits, and ``read_trace``, ``mirrored``,
+``are_adjacent`` and ``relative_chirality`` small readings, that only
+tests need.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from trielect.lattice import Cell, N_DIRS, neighbor, neighbors, port_to_dir
 from trielect.support import Support
 from trielect.config import IN, OUT, Configuration, EdgeOrientation
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
+from trielect.rules import _consecutive_cyclic
 from trielect.scheduler import (
     ExecutionResult,
     Outcome,
     RandomSequential,
     RoundRobin,
     StepInvariantError,
-    TraceEvent,
     _kind_label,
     detect_final,
     shape_hash,
 )
+from trielect.oracle import CycleReport
+from trielect.views import infer_triangle_labels
 
 
 def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
@@ -187,7 +192,7 @@ def reference_boundary_class(cells: frozenset[Cell], p: Cell) -> str:
 
 def directed_edge_list(c: Configuration) -> list[tuple[Cell, Cell]]:
     out = []
-    for a, b in c.edges():
+    for a, b in c.support.edges():
         o = c.orientation(a, b)
         if o is EdgeOrientation.A_TO_B:
             out.append((a, b))
@@ -220,7 +225,7 @@ def brute_sinks(c: Configuration) -> set[Cell]:
     for a, _ in directed_edge_list(c):
         targets[a] += 1
     conflicted = set()
-    for a, b in c.edges():
+    for a, b in c.support.edges():
         if c.orientation(a, b) is EdgeOrientation.CONFLICT:
             conflicted.add(a)
             conflicted.add(b)
@@ -257,7 +262,6 @@ def reference_run(
     c0: Configuration,
     kind,
     max_steps: int = 1_000_000,
-    record_trace: bool = False,
     check_invariants: bool = False,
     trace_file=None,
 ) -> ExecutionResult:
@@ -274,8 +278,7 @@ def reference_run(
     activable = {p: is_activable(config, p) for p in cells}
     rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
     rr_index = script_index = 0
-    events: list[TraceEvent] = []
-    observed = check_invariants or record_trace or trace_file is not None
+    observed = check_invariants or trace_file is not None
     if observed:
         violating = {p: not _rules_hold(config, p) for p in cells}
         violations = sum(violating.values())
@@ -287,7 +290,7 @@ def reference_run(
     def finish(steps: int) -> ExecutionResult:
         if check_invariants and (not is_valid(config) or len(sinks(config)) != 1):
             raise StepInvariantError("final configuration is not a valid single-sink state", config)
-        return ExecutionResult(Outcome.FINAL, config, steps, events)
+        return ExecutionResult(Outcome.FINAL, config, steps)
 
     step = 0
     while step < max_steps:
@@ -324,8 +327,6 @@ def reference_run(
                 raise StepInvariantError(f"step {step}: {p} violates a repairable rule", config)
             if post > prev:
                 raise StepInvariantError(f"step {step}: violation count rose", config)
-        if record_trace:
-            events.append(TraceEvent(step - 1, (p,), effect, post))
         if trace_file is not None:
             trace_file.write(
                 f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} {int(effect.line2_fired)} "
@@ -334,7 +335,7 @@ def reference_run(
 
     if detect_final(config):
         return finish(step)
-    return ExecutionResult(Outcome.CAP_EXCEEDED, config, step, events)
+    return ExecutionResult(Outcome.CAP_EXCEEDED, config, step)
 
 
 def _rules_hold(c: Configuration, p: Cell) -> bool:
@@ -376,3 +377,116 @@ def reference_reaches(total: int, move, is_valid) -> bytearray:
                 reached[u] = 1
                 stack.append(u)
     return reached
+
+
+def read_trace(text: str) -> list[tuple[int, Cell, int, int, int, int]]:
+    """The event lines of a trace log as ``(step, cell, line1, line2,
+    changed, violations)``, after checking that it opens with its header."""
+    header, *lines = text.splitlines()
+    assert header.startswith("# trace shape="), header
+    rows = []
+    for line in lines:
+        step, q, r, line1, line2, changed, violations = map(int, line.split())
+        rows.append((step, Cell(q, r), line1, line2, changed, violations))
+    return rows
+
+
+def mirrored(o: EdgeOrientation) -> EdgeOrientation:
+    """The orientation of edge b-a, given that of a-b."""
+    if o is EdgeOrientation.A_TO_B:
+        return EdgeOrientation.B_TO_A
+    if o is EdgeOrientation.B_TO_A:
+        return EdgeOrientation.A_TO_B
+    return o
+
+
+def are_adjacent(a: Cell, b: Cell) -> bool:
+    """Axial hex distance 1, from the coordinates alone."""
+    dq, dr = b.q - a.q, b.r - a.r
+    return abs(dq) + abs(dr) + abs(dq + dr) == 2
+
+
+def relative_chirality(c: Configuration, p: Cell, q: Cell, r: Cell) -> int:
+    """+1 if q numbers its ports in the same rotational sense as p, else -1,
+    read off ``views.infer_triangle_labels`` from p's view."""
+    x, _ = infer_triangle_labels(c, p, q, r)
+    p1 = c.port_of(p, q)
+    p0 = c.port_of(p, r)
+    q1 = c.port_of(q, p)
+    sp = 1 if (p1 - p0) % N_DIRS == 1 else -1
+    sq = 1 if (x - q1) % N_DIRS == 1 else -1
+    # p measures r against q, q measures r against p: the third corner sits
+    # on opposite rotational sides of the shared edge, and the two sign
+    # flips cancel.
+    return sp * sq
+
+
+def analyze_cycle(configs, activated) -> CycleReport:
+    """``oracle.UnfairCycle.lemmas`` on the object path: a periodic window
+    of configurations (the first repeated at the end), ``activated[i]``
+    taking ``configs[i]`` to ``configs[i + 1]``, read edge by edge through
+    ``orientation`` and the owners' ports.
+
+    Stable edges are those never undirected inside the window; a window
+    with a conflict edge is rejected.  Checked: a particle with a stable
+    outgoing edge is never activated and all its edges are stable; a
+    particle met by an unstable edge has at least two unstable edges not
+    forming one consecutive run of ports, or at least four.
+    """
+    if len(configs) < 2 or configs[0] != configs[-1]:
+        raise ValueError("window is not an exactly periodic configuration cycle")
+    if len(activated) != len(configs) - 1:
+        raise ValueError("activation list does not match the window length")
+    base = configs[0]
+    edges = base.support.edges()
+    orientations = {e: set() for e in edges}
+    for cfg in configs[:-1]:
+        for e in edges:
+            o = cfg.orientation(*e)
+            if o is EdgeOrientation.CONFLICT:
+                raise ValueError(f"window contains a conflict edge {e}")
+            orientations[e].add(o)
+
+    stable = frozenset(
+        e for e, os in orientations.items() if EdgeOrientation.UNDIRECTED not in os
+    )
+    unstable = frozenset(edges) - stable
+    activated_cells = frozenset(activated)
+
+    stable_out = []
+    for p in base.support:
+        has_stable_out = any(
+            (e in stable)
+            and base.orientation(p, e[1] if e[0] == p else e[0]) is EdgeOrientation.A_TO_B
+            for e in edges
+            if p in e
+        )
+        if not has_stable_out:
+            continue
+        if p in activated_cells:
+            stable_out.append(f"{p} has a stable outgoing edge but is activated")
+        bad = [e for e in unstable if p in e]
+        if bad:
+            stable_out.append(f"{p} has a stable outgoing edge but unstable edges {bad}")
+
+    spread = []
+    for p in base.support:
+        ports = tuple(
+            base.port_of(p, e[1] if e[0] == p else e[0]) for e in unstable if p in e
+        )
+        if not ports:
+            continue
+        if len(ports) >= 4:
+            continue
+        if len(ports) >= 2 and not _consecutive_cyclic(ports):
+            continue
+        spread.append(f"{p} has unstable edges only on ports {sorted(ports)}")
+
+    return CycleReport(
+        period=len(configs) - 1,
+        stable_edges=stable,
+        unstable_edges=unstable,
+        activated=tuple(activated),
+        stable_out_violations=tuple(stable_out),
+        unstable_spread_violations=tuple(spread),
+    )

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.
 """
 
+import io
 import random
 import time
 
@@ -32,7 +33,6 @@ from trielect.scheduler import (
     Outcome,
     RandomSequential,
     Scripted,
-    analyze_cycle,
     run,
 )
 from trielect.support import check_angle_census, boundary_witness
@@ -284,9 +284,7 @@ def test_criterion_8_unfair_cycle(found_cycles):
         )
         if res.outcome is not Outcome.CAP_EXCEEDED or res.config != cycle.initial_config():
             ok = False
-        configs, cells = cycle.window()
-        rep = analyze_cycle(configs, cells)
-        if not rep.clean:
+        if not cycle.lemmas().clean:
             ok = False
         details.append(f"{len(cycle.support)} cells period {cycle.period}")
     _report(
@@ -320,21 +318,24 @@ def test_criterion_9_erosion_construction():
 def test_criterion_10_step_invariants(fair_runs, found_cycles):
     # Criteria 4 and 8 executed with check_invariants=True; any violation
     # of post-activation rules or count monotonicity raises there.  This
-    # re-verifies monotonicity on recorded traces of fresh runs.
+    # re-verifies monotonicity on the trace logs of fresh runs.
+    from reference import read_trace
+
     rng = random.Random(0xBEEF)
     events_checked = 0
     ok = True
     for _ in range(50):
         support = random_support(rng.randint(5, 25), rng.randrange(2**32))
         cfg = random_registers(support, rng.randrange(2**32), 0.1)
-        res = run(
+        trace = io.StringIO()
+        run(
             cfg,
             RandomSequential(rng.randrange(2**32)),
             max_steps=10**6,
-            record_trace=True,
             check_invariants=True,
+            trace_file=trace,
         )
-        counts = [e.post_violation_count for e in res.events]
+        counts = [row[-1] for row in read_trace(trace.getvalue())]
         if any(a < b for a, b in zip(counts, counts[1:])):
             ok = False
         events_checked += len(counts)

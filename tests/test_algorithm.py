@@ -7,6 +7,7 @@ from trielect.algorithm import activation_step, is_activable, step_register
 from trielect.config import EdgeOrientation, IN, OUT, all_in_configuration
 from trielect.generators import (
     erosion_orientation,
+    line,
     random_portmaps,
     random_registers,
     random_support,
@@ -181,3 +182,17 @@ def test_locality_far_cells_do_not_matter():
 def test_activation_rejects_unoccupied(tri):
     with pytest.raises(ValueError):
         activation_step(all_in_configuration(tri), Cell(5, 5))
+
+
+def test_synchronous_daemon_loops_on_two_cells():
+    """Every cell of line(2) activated at once, each reading the same
+    configuration, goes In/In -> Out/Out -> In/In: the synchronous daemon
+    is back at its start after two rounds and never converges."""
+    cfg = all_in_configuration(line(2))
+    a, b = cfg.support.order
+    seen = [cfg.orientation(a, b)]
+    for _ in range(2):
+        cfg = cfg.with_registers({p: step_register(cfg, p)[0] for p in cfg.support})
+        seen.append(cfg.orientation(a, b))
+    assert seen == [EdgeOrientation.UNDIRECTED, EdgeOrientation.CONFLICT, EdgeOrientation.UNDIRECTED]
+    assert cfg == all_in_configuration(line(2))

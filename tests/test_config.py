@@ -29,6 +29,8 @@ from trielect.generators import (
     triangle3,
 )
 
+from reference import mirrored
+
 
 def pair_config(a_links=ALL_IN, b_links=ALL_IN):
     from trielect.support import Support
@@ -60,7 +62,7 @@ def test_orientation_table():
     for la, lb, expected in cases:
         c = pair_config(la, lb)
         assert c.orientation(a, b) is expected
-        assert c.orientation(b, a) is expected.mirrored()
+        assert c.orientation(b, a) is mirrored(expected)
 
 
 def test_orientation_rejects_bad_cells():

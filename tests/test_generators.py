@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from trielect.lattice import Cell, are_adjacent
+from trielect.lattice import Cell
 from trielect.config import EdgeOrientation, OUT
 from trielect.generators import (
     ErosionError,
@@ -24,6 +24,7 @@ from trielect.rules import is_valid, sinks
 from trielect.support import SupportError, canonical_cells, format_shape_text
 
 from reference import (
+    are_adjacent,
     empty_component_count,
     globally_acyclic,
     reference_erosion_order,
@@ -156,7 +157,7 @@ def test_seeded_generator_outputs_frozen():
 def test_random_registers_conflict_probability_zero():
     s = random_support(9, 4)
     cfg = random_registers(s, 11, 0.0)
-    for a, b in cfg.edges():
+    for a, b in cfg.support.edges():
         assert cfg.orientation(a, b) is not EdgeOrientation.CONFLICT
 
 

@@ -5,7 +5,6 @@ from trielect.lattice import (
     Cell,
     N_DIRS,
     PortMap,
-    are_adjacent,
     common_neighbors,
     dir_to_port,
     direction_from,
@@ -16,6 +15,8 @@ from trielect.lattice import (
     port_to_dir,
 )
 from trielect.support import Support
+
+from reference import are_adjacent
 
 
 def test_neighbors_of_origin():

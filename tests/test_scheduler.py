@@ -16,7 +16,7 @@ from trielect.generators import (
     random_registers,
     random_support,
 )
-from trielect.oracle import ConfigGraph
+from trielect.oracle import ConfigGraph, UnfairCycle
 from trielect.support import Support
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.scheduler import (
@@ -33,13 +33,19 @@ from trielect.scheduler import (
     _valid_single_sink,
     _violates,
     _with_masks,
-    analyze_cycle,
     detect_final,
     run,
     violation_count,
 )
 
-from reference import reference_run
+from reference import analyze_cycle, read_trace, reference_run
+
+
+def _traced_run(*args, **kwargs):
+    """``run`` with its trace log read back: ``(result, trace rows)``."""
+    buf = io.StringIO()
+    res = run(*args, trace_file=buf, **kwargs)
+    return res, read_trace(buf.getvalue())
 
 
 def test_detect_final(tri, hex1):
@@ -58,26 +64,23 @@ def test_run_on_final_config_stops_immediately(hex1):
 
 
 def test_round_robin_triangle_reaches_unique_sink(tri):
-    res = run(all_in_configuration(tri), RoundRobin(), record_trace=True)
+    res, rows = _traced_run(all_in_configuration(tri), RoundRobin())
     assert res.outcome is Outcome.FINAL
     assert is_valid(res.config)
     assert len(sinks(res.config)) == 1
-    assert res.steps == len(res.events) > 0
+    assert res.steps == len(rows) > 0
 
 
 def test_random_runs_deterministic_per_seed():
     s = random_support(9, 21)
     cfg = random_registers(s, 5, 0.2, random_portmaps(s, 8))
-    a = run(cfg, RandomSequential(99), record_trace=True)
-    b = run(cfg, RandomSequential(99), record_trace=True)
+    a, a_rows = _traced_run(cfg, RandomSequential(99))
+    b, b_rows = _traced_run(cfg, RandomSequential(99))
     assert a.steps == b.steps
     assert a.config == b.config
-    assert [e.activated for e in a.events] == [e.activated for e in b.events]
-    c = run(cfg, RandomSequential(100), record_trace=True)
-    assert (
-        [e.activated for e in c.events] != [e.activated for e in a.events]
-        or c.config == a.config
-    )
+    assert a_rows == b_rows
+    c, c_rows = _traced_run(cfg, RandomSequential(100))
+    assert [row[1] for row in c_rows] != [row[1] for row in a_rows] or c.config == a.config
 
 
 def test_violation_count_monotone_along_runs():
@@ -85,10 +88,9 @@ def test_violation_count_monotone_along_runs():
     for _ in range(25):
         s = random_support(rng.randint(3, 12), rng.randrange(10**9))
         cfg = random_registers(s, rng.randrange(10**9), 0.2)
-        res = run(cfg, RandomSequential(rng.randrange(10**9)),
-                  record_trace=True, check_invariants=True)
+        res, rows = _traced_run(cfg, RandomSequential(rng.randrange(10**9)), check_invariants=True)
         assert res.outcome is Outcome.FINAL
-        counts = [e.post_violation_count for e in res.events]
+        counts = [row[-1] for row in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -111,9 +113,9 @@ def test_scripted_no_op_entries_allowed(tri):
 
     pair = all_in_configuration(random_support(2, 1))
     cells = sorted(pair.support.cells)
-    res = run(pair, Scripted((cells[0], cells[0], cells[1])), max_steps=10,
-              record_trace=True)
+    res, rows = _traced_run(pair, Scripted((cells[0], cells[0], cells[1])), max_steps=10)
     assert res.outcome is Outcome.FINAL
+    assert len(rows) == res.steps
 
 
 def test_scripted_requires_nonempty():
@@ -154,19 +156,89 @@ def test_analyze_cycle_rejects_non_periodic(tri):
 
 def test_analyze_cycle_full_final_window(hex1):
     cfg = erosion_orientation(hex1)
-    rep = analyze_cycle([cfg, cfg], [sorted(hex1.cells)[0]])
+    window = UnfairCycle(hex1, (ConfigGraph(hex1).pack(cfg),), (sorted(hex1.cells)[0],))
+    rep = window.lemmas()
     assert rep.unstable_edges == frozenset()
-    assert len(rep.stable_edges) == len(cfg.edges())
+    assert rep.stable_edges == frozenset(hex1.edges())
 
 
 def test_analyze_cycle_on_found_cycle(hexagon_cycle):
     cycle = hexagon_cycle
-    configs, cells = cycle.window()
-    rep = analyze_cycle(configs, cells)
+    rep = cycle.lemmas()
     assert rep.period == cycle.period
     assert rep.clean
     assert rep.stable_out_violations == () and rep.unstable_spread_violations == ()
     assert rep.stable_edges and rep.unstable_edges
+
+
+def _named_cells(violations):
+    return [message.split(" has ")[0] for message in violations]
+
+
+def _assert_lemmas_match_reference(window, portmaps):
+    """``window.lemmas()`` against ``reference.analyze_cycle`` on the same
+    window unpacked with ``portmaps``: both edge sets, and the cells each
+    violation list names, in order."""
+    graph = ConfigGraph(window.support)
+    configs = [graph.unpack(state, portmaps) for state in window.states]
+    try:
+        want = analyze_cycle(configs + configs[:1], window.script)
+    except ValueError:
+        with pytest.raises(ValueError, match="conflict"):
+            window.lemmas()
+        return None
+    got = window.lemmas()
+    assert (got.period, got.activated) == (want.period, want.activated)
+    assert got.stable_edges == want.stable_edges
+    assert got.unstable_edges == want.unstable_edges
+    assert _named_cells(got.stable_out_violations) == _named_cells(want.stable_out_violations)
+    assert _named_cells(got.unstable_spread_violations) == _named_cells(
+        want.unstable_spread_violations
+    )
+    return got
+
+
+def _random_windows(count, seed):
+    """Seeded windows over every support with 2 <= n <= 5 and hexagon1: a
+    period of 1 to 4 states in which each edge either keeps a directed code
+    or draws one of In/In, a->b and b->a per state; one window in twenty
+    also puts a conflict into one state.  The script is random cells."""
+    rng = random.Random(seed)
+    supports = [s for n in range(2, 6) for s in enumerate_supports(n)] + [hexagon(1)]
+    for _ in range(count):
+        s = rng.choice(supports)
+        n_edges = len(s.edges())
+        period = rng.randint(1, 4)
+        held = [rng.choice((1, 2)) if rng.random() < 0.5 else None for _ in range(n_edges)]
+        states = []
+        for _ in range(period):
+            codes = [h if h is not None else rng.randrange(3) for h in held]
+            states.append(sum(code << 2 * i for i, code in enumerate(codes)))
+        if rng.random() < 0.05:
+            k = rng.randrange(period)
+            states[k] |= 3 << 2 * rng.randrange(n_edges)
+        script = tuple(rng.choice(s.order) for _ in range(period))
+        yield UnfairCycle(s, tuple(states), script), random_portmaps(s, rng.randrange(2**31))
+
+
+def test_lemmas_match_reference_analyze_cycle(hexagon_cycle):
+    """``UnfairCycle.lemmas`` reads directions where the reference reads
+    ports, under random port maps: the same edges and violating cells on
+    the hexagon1 cycle and on 3,000 seeded random windows."""
+    rng = random.Random(3)
+    for _ in range(5):
+        portmaps = random_portmaps(hexagon_cycle.support, rng.randrange(2**31))
+        assert _assert_lemmas_match_reference(hexagon_cycle, portmaps).clean
+    reports = [_assert_lemmas_match_reference(*w) for w in _random_windows(3000, 11)]
+    checked = [rep for rep in reports if rep is not None]
+    assert len(checked) < len(reports)  # some windows held a conflict
+    assert any(rep.clean for rep in checked)
+    # every kind of violation was met
+    messages = [m for rep in checked for m in rep.stable_out_violations]
+    assert any("is activated" in m for m in messages)
+    assert any("unstable edges [" in m for m in messages)
+    spreads = [m for rep in checked for m in rep.unstable_spread_violations]
+    assert {m[m.index("directions"):].count(",") + 1 for m in spreads} == {1, 2, 3}
 
 
 # -- the mask engine against the object-based reference -------------------------
@@ -185,26 +257,23 @@ def _seeded_runs():
             yield cfg, kind, 200 if kind is script else 10**6
 
 
-def _assert_same_run(drive_args, record_trace, check_invariants, with_file):
+def _assert_same_run(drive_args, check_invariants, with_file):
     cfg, kind, cap = drive_args
     got_file, want_file = (io.StringIO(), io.StringIO()) if with_file else (None, None)
-    flags = dict(record_trace=record_trace, check_invariants=check_invariants)
-    got = run(cfg, kind, cap, trace_file=got_file, **flags)
-    want = reference_run(cfg, kind, cap, trace_file=want_file, **flags)
+    got = run(cfg, kind, cap, check_invariants=check_invariants, trace_file=got_file)
+    want = reference_run(cfg, kind, cap, check_invariants=check_invariants, trace_file=want_file)
     assert (got.outcome, got.steps) == (want.outcome, want.steps)
     assert got.config == want.config
-    assert got.events == want.events
     if with_file:
         assert got_file.getvalue() == want_file.getvalue()
 
 
 @pytest.mark.parametrize(
-    "record_trace, check_invariants, with_file",
-    [(False, False, False), (True, False, False), (False, True, False), (True, True, True)],
+    "check_invariants, with_file", [(False, False), (False, True), (True, False), (True, True)]
 )
-def test_run_matches_reference_run(record_trace, check_invariants, with_file):
+def test_run_matches_reference_run(check_invariants, with_file):
     for args in _seeded_runs():
-        _assert_same_run(args, record_trace, check_invariants, with_file)
+        _assert_same_run(args, check_invariants, with_file)
 
 
 def test_run_matches_reference_run_on_a_thousand_cells():
@@ -214,8 +283,8 @@ def test_run_matches_reference_run_on_a_thousand_cells():
     s = hexagon(18)
     cfg = random_registers(s, 41, 0.25, random_portmaps(s, 40))
     assert len(s) >= 1000
-    _assert_same_run((cfg, RandomSequential(42), 10**6), False, False, False)
-    _assert_same_run((cfg, RoundRobin(), 10**6), True, True, True)
+    _assert_same_run((cfg, RandomSequential(42), 10**6), False, False)
+    _assert_same_run((cfg, RoundRobin(), 10**6), True, True)
 
 
 def _packed_masks(state, graph):
@@ -276,11 +345,11 @@ def test_incremental_violation_count_matches_full_recount():
     for _ in range(20):
         s = random_support(rng.randint(3, 20), rng.randrange(2**31))
         cfg = random_registers(s, rng.randrange(2**31), 0.2, random_portmaps(s, rng.randrange(2**31)))
-        res = run(cfg, RandomSequential(rng.randrange(2**31)), record_trace=True)
+        res, rows = _traced_run(cfg, RandomSequential(rng.randrange(2**31)))
         replay = cfg
-        for event in res.events:
-            replay, _ = activation_step(replay, event.activated[0])
-            assert event.post_violation_count == violation_count(replay)
+        for _, p, _, _, _, violations in rows:
+            replay, _ = activation_step(replay, p)
+            assert violations == violation_count(replay)
         assert replay == res.config
 
 

@@ -24,8 +24,9 @@ from trielect.views import (
     in_view,
     infer_triangle_labels,
     local_check_r4,
-    relative_chirality,
 )
+
+from reference import relative_chirality
 
 P, Q, R = Cell(0, 0), Cell(1, 0), Cell(0, 1)
 R2 = Cell(1, -1)  # second common neighbour of P and Q
