@@ -23,12 +23,17 @@ search resume it cell by cell, so none builds a successor list.  States
 convert to and from configurations through ``config.OUT_MASK`` and
 ``config.REGISTER``.
 
-The exhaustive checks: ``check_silence`` compares ``move(state) is None``
-with validity on every state; ``check_reachability`` gives every state a
-fate in one lazy Tarjan pass (``reach_fates``) that stops a walk at a
-valid final state or a state known to reach one, and pops a component
-that cannot; ``find_unfair_cycle`` runs a depth-first search over the
-conflict-free states with one seen bit per packed state.
+The exhaustive checks: ``check_silence`` decides final <=> valid on all
+4^E states from both ends, checking validity on each state
+``final_states`` lists (a depth-first search over edge codes that runs a
+cell's row of ``move`` as soon as every edge it reads is fixed, and
+drops the branch if the cell is activable) and finality on each of the
+2^E orientations that passes R2/R3/R4; ``check_reachability`` gives
+every state a fate in one lazy Tarjan pass (``reach_fates``) that settles
+a root on its first move where it can, stops a walk at a valid final
+state or a state known to reach one, and pops a component that cannot;
+``find_unfair_cycle`` runs a depth-first search over the conflict-free
+states with one seen bit per packed state.
 ``UnfairCycle.lemmas`` checks the two facts the convergence proof needs
 about a periodic execution, one about stable edges and one about how
 unstable edges spread, on the packed states of the period: an edge's
@@ -38,6 +43,7 @@ unstable edge, and each cell's own half-edge bits read the rest.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -220,6 +226,19 @@ class ConfigGraph:
     def all_states(self) -> range:
         return range(1 << 2 * self.n_edges)
 
+    def orientations(self) -> Iterator[int]:
+        """All 2^E all-directed states, each edge code 1 or 2.
+
+        Orientation k sets bit 2i of ``flip`` iff bit i of k is set: edge i
+        then has code 2 (Out at its larger endpoint), else code 1.  Stepping
+        through the sub-masks of LO in increasing order keeps the order of k.
+        """
+        lo = self._lo
+        flip = 0
+        for _ in range(1 << self.n_edges):
+            yield lo ^ flip | flip << 1
+            flip = (flip - lo) & lo
+
     def conflict_free_states(self) -> Iterator[int]:
         """All 3^E states without any Out/Out edge, in base-3 index order."""
         lo = self._lo
@@ -384,38 +403,84 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
         raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
     valid = 0
     counterexamples = []
-    total = 1 << e
-    # Orientation k sets bit 2i of ``flip`` iff bit i of k is set: edge i
-    # then has code 2 (Out at its larger endpoint), else code 1.  Stepping
-    # through the sub-masks of LO in increasing order keeps the order of k.
-    lo = graph._lo
-    flip = 0
-    for _ in range(total):
-        state = lo ^ flip | flip << 1
-        flip = (flip - lo) & lo
+    for state in graph.orientations():
         if not graph.r234_ok(state):
             continue
         valid += 1
         if len(graph.sinks(state)) != 1:
             counterexamples.append(graph.unpack(state).serialize())
-    return UniqueSinkReport(s, total, valid, tuple(counterexamples))
+    return UniqueSinkReport(s, 1 << e, valid, tuple(counterexamples))
+
+
+def final_states(graph: ConfigGraph) -> list[int]:
+    """Every state of ``graph`` without a move, in increasing order.
+
+    A depth-first search fixes the edge codes from the highest edge down.
+    A cell's row in ``move`` reads only its read set: the edges of its own
+    half-edges and of the far half-edges its own-pattern table names, that
+    is its incident edges and the far edges of its triangles.  Once the
+    lowest edge of that set is fixed, the row test is exact on the partial
+    state, so the search runs ``move`` on a copy of ``graph`` that holds
+    only the rows completed at that edge and drops the branch if any cell
+    is activable.  Every cell is tested on the way to a leaf, except a
+    cell without edges, which is never activable.
+    """
+    # rows[i]: the rows of the cells whose read set's lowest edge is i;
+    # levels[i] runs ``move`` over those alone, None where there are none.
+    rows: list[list[tuple[int, int, int, dict[int, int]]]] = [[] for _ in range(graph.n_edges)]
+    for row in graph._rows:
+        reads = row[1]
+        for far in row[3].values():
+            if far > 0:
+                reads |= far
+        if reads:
+            rows[(reads & -reads).bit_length() - 1 >> 1].append(row)
+    levels: list[Callable[[int], tuple[int, int] | None] | None] = [None] * graph.n_edges
+    for i, level_rows in enumerate(rows):
+        if level_rows:
+            level = copy.copy(graph)
+            level._rows = tuple(level_rows)
+            levels[i] = level.move
+    found: list[int] = []
+
+    def fix(state: int, i: int) -> None:
+        """Extend ``state``, whose edges above ``i`` are fixed, by every code of edge i."""
+        if i < 0:
+            found.append(state)
+            return
+        move = levels[i]
+        for code in range(4):
+            nxt = state | code << 2 * i
+            if move is None or move(nxt) is None:
+                fix(nxt, i - 1)
+
+    fix(0, graph.n_edges - 1)
+    return found
 
 
 def check_silence(s: Support, max_states: int = 1 << 22) -> SilenceReport:
-    """final <=> valid over every register state, Out/Out included."""
+    """final <=> valid over every register state, Out/Out included, decided
+    from both ends without visiting each state.
+
+    final => valid: ``final_states`` lists every final state (a state it
+    prunes has an activable cell), and each must pass ``is_valid``.
+    valid => final: a valid state is all-directed, so each of the 2^E
+    orientations that passes ``r234_ok`` must have no move.  ``states``
+    counts the 4^E states this decides and ``max_states`` bounds it; the
+    mismatches come in the order of their packed states.
+    """
     graph = ConfigGraph(s)
-    if 1 << 2 * graph.n_edges > max_states:
+    total = 1 << 2 * graph.n_edges
+    if total > max_states:
         raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
-    move, is_valid = graph.move, graph.is_valid
-    mismatches = []
-    count = 0
-    for state in graph.all_states():
-        count += 1
-        final = move(state) is None
-        if final != is_valid(state):
-            tag = "final-but-invalid" if final else "valid-but-activable"
-            mismatches.append(tag + "\n" + graph.unpack(state).serialize())
-    return SilenceReport(s, count, tuple(mismatches))
+    bad = [(st, "final-but-invalid") for st in final_states(graph) if not graph.is_valid(st)]
+    for state in graph.orientations():
+        if graph.r234_ok(state) and graph.move(state) is not None:
+            bad.append((state, "valid-but-activable"))
+    bad.sort()
+    return SilenceReport(
+        s, total, tuple(tag + "\n" + graph.unpack(state).serialize() for state, tag in bad)
+    )
 
 
 #: A state's fate in ``reach_fates``: not yet visited, on the Tarjan stack,
@@ -438,6 +503,8 @@ def reach_fates(
     reaches, marks the whole stack ``REACHES``; the walk then restarts from
     the next unseen root.  Otherwise an SCC root that runs out of moves pops
     its component as ``CANNOT``: every move out of it ends in ``CANNOT``.
+    A root is first settled on its first move alone where that decides it:
+    no move, or a move onto a state that already reaches.
     """
     fate = bytearray(total)
     stack: list[int] = []  # the Tarjan stack
@@ -445,32 +512,38 @@ def reach_fates(
     for root in range(total):
         if fate[root]:
             continue
+        found = move(root, 0)
+        if found is None:
+            fate[root] = REACHES if is_valid(root) else CANNOT
+            continue
+        if fate[found[1]] == REACHES:
+            fate[root] = REACHES
+            continue
         fate[root] = ON_STACK
         pos_of[root] = 0
         stack.append(root)
         # The DFS node: its state, stack position, lowest stack position it
         # reaches and the index to resume ``move`` at; ``frames`` holds the
-        # same four for every node above it.
+        # same four for every node above it.  ``found`` is its next move.
         state, pos, low, start = root, 0, 0, 0
         frames: list[tuple[int, int, int, int]] = []
         while True:
-            found = move(state, start)
             if found is not None:
                 start = found[0] + 1
                 nxt = found[1]
+                if fate[nxt] == REACHES:
+                    break
                 if fate[nxt] == UNSEEN:
                     frames.append((state, pos, low, start))
                     state, pos, low, start = nxt, len(stack), len(stack), 0
                     fate[nxt] = ON_STACK
                     pos_of[nxt] = pos
                     stack.append(nxt)
-                    continue
-                if fate[nxt] == ON_STACK:
+                elif fate[nxt] == ON_STACK:
                     low = min(low, pos_of[nxt])
-                    continue
-                if fate[nxt] == CANNOT:
-                    continue
-            elif start or not is_valid(state):
+            elif not start and is_valid(state):
+                break
+            else:
                 if low == pos:
                     for w in stack[pos:]:
                         fate[w] = CANNOT
@@ -481,12 +554,13 @@ def reach_fates(
                 child_low = low
                 state, pos, low, start = frames.pop()
                 low = min(low, child_low)
-                continue
-            for w in stack:
-                fate[w] = REACHES
-            stack.clear()
-            pos_of.clear()
-            break
+            found = move(state, start)
+        # A break at a target or at a state that reaches leaves the stack to
+        # mark; one after the root's component popped leaves it empty.
+        for w in stack:
+            fate[w] = REACHES
+        stack.clear()
+        pos_of.clear()
     return fate
 
 

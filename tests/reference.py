@@ -14,7 +14,9 @@ reproduce bit for bit, and ``reference_replay`` the per-event loop
 ``render --trace`` used before it replayed through the engine.
 ``reference_reaches`` is the reverse search ``oracle.check_reachability``
 ran before its lazy SCC pass: all predecessor lists built up front, then a
-backward flood from the targets.  ``analyze_cycle`` checks the two cycle
+backward flood from the targets.  ``reference_silence`` is the scan
+``oracle.check_silence`` ran before it searched for the final states:
+``move`` and ``is_valid`` on every one of the 4^E states.  ``analyze_cycle`` checks the two cycle
 lemmas on configurations, port by port, as ``oracle.UnfairCycle.lemmas``
 does on packed states.  ``resolve_conflicts`` and ``remove_particle`` are
 single-purpose configuration edits, and ``read_trace``, ``mirrored``,
@@ -42,7 +44,7 @@ from trielect.scheduler import (
     detect_final,
     shape_hash,
 )
-from trielect.oracle import CycleReport
+from trielect.oracle import ConfigGraph, CycleReport, SilenceReport
 from trielect.views import infer_triangle_labels
 
 
@@ -377,6 +379,21 @@ def reference_reaches(total: int, move, is_valid) -> bytearray:
                 reached[u] = 1
                 stack.append(u)
     return reached
+
+
+def reference_silence(s: Support) -> SilenceReport:
+    """final <=> valid by comparing ``move(state) is None`` with
+    ``is_valid`` on every packed state of ``s``, Out/Out included."""
+    graph = ConfigGraph(s)
+    mismatches = []
+    count = 0
+    for state in graph.all_states():
+        count += 1
+        final = graph.move(state) is None
+        if final != graph.is_valid(state):
+            tag = "final-but-invalid" if final else "valid-but-activable"
+            mismatches.append(tag + "\n" + graph.unpack(state).serialize())
+    return SilenceReport(s, count, tuple(mismatches))
 
 
 def read_trace(text: str) -> list[tuple[int, Cell, int, int, int, int]]:

@@ -24,6 +24,7 @@ from trielect.oracle import (
     check_reachability,
     check_silence,
     check_unique_sink,
+    final_states,
     find_unfair_cycle,
     reach_fates,
 )
@@ -31,7 +32,7 @@ from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
-from reference import reference_reaches, remove_particle
+from reference import reference_reaches, reference_silence, remove_particle
 
 
 def test_unique_sink_two_particle_support():
@@ -52,6 +53,51 @@ def test_silence_tiny_supports():
             rep = check_silence(s)
             assert rep.states == 4 ** len(s.edges())
             assert rep.ok, rep.mismatches[0]
+
+
+def test_silence_matches_reference_scan():
+    """The check from both ends gives the report of the 4^E scan, states
+    and mismatches, on every support with n <= 5."""
+    for n in range(1, 6):
+        for s in enumerate_supports(n):
+            assert check_silence(s) == reference_silence(s), sorted(s.cells)
+
+
+def test_final_states_match_full_move_scan():
+    """The search lists exactly the states without a move, in increasing
+    order, on every support with n <= 5 and on 40 seeded six-cell ones."""
+    rng = random.Random(12)
+    supports = [s for n in range(1, 6) for s in enumerate_supports(n)]
+    supports += [random_support(6, rng.randrange(2**31)) for _ in range(40)]
+    assert {len(s.edges()) for s in supports[-40:]} >= {6, 7, 8, 9}
+    for s in supports:
+        graph = ConfigGraph(s)
+        expected = [state for state in graph.all_states() if graph.move(state) is None]
+        assert final_states(graph) == expected, sorted(s.cells)
+
+
+@pytest.mark.parametrize("n_cells", [3, 4])
+def test_silence_reports_an_injected_fault_from_both_ends(monkeypatch, n_cells):
+    """With ``r234_ok`` wrong on two orientations, rejecting a valid final
+    one and accepting an activable one, the check reports each under its
+    tag, in packed-state order, exactly as the 4^E scan does."""
+    s = max(enumerate_supports(n_cells), key=lambda s: len(s.edges()))
+    graph = ConfigGraph(s)
+    rejected = next(st for st in graph.orientations() if graph.r234_ok(st))
+    accepted = next(st for st in graph.orientations() if not graph.r234_ok(st))
+    assert graph.move(rejected) is None and graph.move(accepted) is not None
+    r234_ok = ConfigGraph.r234_ok
+
+    def faulty(self, state):
+        return state != rejected and (state == accepted or r234_ok(self, state))
+
+    monkeypatch.setattr(ConfigGraph, "r234_ok", faulty)
+    rep = check_silence(s)
+    assert rep == reference_silence(s)
+    expected = sorted([(rejected, "final-but-invalid"), (accepted, "valid-but-activable")])
+    assert rep.mismatches == tuple(
+        tag + "\n" + graph.unpack(state).serialize() for state, tag in expected
+    )
 
 
 def test_reachability_tiny_supports():
@@ -189,7 +235,14 @@ def test_reach_fates_match_reverse_search_on_random_graphs():
     moves per node at indices 0-3, self-loops allowed, and ``is_valid`` true
     on a random half of the nodes, final or not."""
     rng = random.Random(20)
-    seen = {"no target": 0, "all reach": 0, "some cannot": 0, "cannot on a cycle": 0}
+    seen = {
+        "no target": 0,
+        "all reach": 0,
+        "some cannot": 0,
+        "cannot on a cycle": 0,
+        "root's first move onto a lower state that reaches": 0,
+        "root's first move onto a lower state that cannot": 0,
+    }
     for _ in range(3000):
         total = rng.randint(1, 12)
         succ = [
@@ -206,16 +259,24 @@ def test_reach_fates_match_reverse_search_on_random_graphs():
         seen["no target"] += not any(valid[v] and not succ[v] for v in range(total))
         seen["all reach"] += not cannot
         seen["some cannot"] += bool(cannot)
-        for v in cannot:
-            frontier, reach = [nxt for _, nxt in succ[v]], set()
+        reach = []  # reach[v]: the nodes one or more moves from v
+        for v in range(total):
+            frontier, reach_v = [nxt for _, nxt in succ[v]], set()
             while frontier:
                 u = frontier.pop()
-                if u not in reach:
-                    reach.add(u)
+                if u not in reach_v:
+                    reach_v.add(u)
                     frontier += [nxt for _, nxt in succ[u]]
-            if v in reach:
-                seen["cannot on a cycle"] += 1
-                break
+            reach.append(reach_v)
+        seen["cannot on a cycle"] += any(v in reach[v] for v in cannot)
+        # A node no lower node reaches is a root of the pass, and every
+        # lower node is settled when its turn comes: a first move onto one
+        # that reaches settles it at once, one onto one that cannot walks on.
+        for v in range(total):
+            if succ[v] and succ[v][0][1] < v and not any(v in reach[u] for u in range(v)):
+                first = fate[succ[v][0][1]]
+                seen["root's first move onto a lower state that reaches"] += first == REACHES
+                seen["root's first move onto a lower state that cannot"] += first == CANNOT
     assert min(seen.values()) >= 300, seen
 
 
