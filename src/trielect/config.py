@@ -282,16 +282,7 @@ def deserialize(text: str) -> Configuration:
             raise ConfigError(f"line {lineno}: links must be six of I/O")
         portmaps[cell] = pm
         regs[cell] = tuple(IN if s == "I" else OUT for s in link_syms)
-
-    missing = support.cells - set(portmaps)
-    if missing:
-        raise ConfigError(f"missing portmap/register entry for cells {sorted(missing)}")
-    try:
-        return Configuration(support, portmaps, regs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Configuration(support, portmaps, regs)
 
 
 def load(path: str) -> Configuration:

@@ -44,10 +44,6 @@ def neighbors(c: Cell) -> tuple[Cell, ...]:
     return tuple(Cell(c.q + dq, c.r + dr) for dq, dr in DIR_OFFSETS)
 
 
-def opposite(d: Dir) -> Dir:
-    return (d + 3) % N_DIRS
-
-
 def direction_from(a: Cell, b: Cell) -> Dir:
     """Direction index such that stepping from ``a`` reaches ``b``."""
     try:

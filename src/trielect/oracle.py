@@ -9,19 +9,17 @@ arbitrary initialisation including Out/Out; the conflict-free subspace
 (3^E) is closed under sequential activation because no step ever writes
 Out onto an edge whose far side is already Out.
 
-``RULE`` is the repair rule as one 64-entry table keyed by a cell's Out
-mask over directions: R2 and R3 broken or not, and the at most two
-triangles R4 must look at; the scheduler's engine reads it too.
 ``ConfigGraph`` numbers the half-edges of a support's cells and steps
 and checks whole states with mask algebra (a pair swap, the identity
-``mine = not theirs``, per-cell own-pattern tables that map ``RULE`` to
-half-edge bits, and 3-bit triangle cycle masks), an independent rewrite
-of the reference step that tests compare pointwise.  Its one step scan,
-``move(state, start)``, returns the first activable cell at or after
-``start`` with the state it steps to; finality, single steps and every
-search resume it cell by cell, so none builds a successor list.  States
-convert to and from configurations through ``config.OUT_MASK`` and
-``config.REGISTER``.
+``mine = not theirs``, per-cell own-pattern tables that read each
+``rules.RULE`` triple through the half-edge numbering, and 3-bit
+triangle cycle masks built from the geometry alone), an independent
+rewrite of the reference step that tests compare pointwise.  Its one
+step scan, ``move(state, start)``, returns the first activable cell at
+or after ``start`` with the state it steps to; finality, single steps
+and every search resume it cell by cell, so none builds a successor
+list.  States convert to and from configurations through
+``config.OUT_MASK`` and ``config.REGISTER``.
 
 The exhaustive checks: ``check_silence`` decides final <=> valid on all
 4^E states from both ends, checking validity on each state
@@ -54,36 +52,12 @@ from .config import (
     Configuration,
     identity_portmaps,
 )
+from .rules import RULE
 from .support import Support
 
 
 class StateSpaceTooLarge(ValueError):
     pass
-
-
-def _rule_table() -> tuple[tuple[tuple[int, int], ...] | None, ...]:
-    table = []
-    for mask in range(1 << N_DIRS):
-        if mask.bit_count() > 3 or not CYCLIC_RUN[mask]:
-            table.append(None)
-            continue
-        twice = mask | mask << N_DIRS
-        # ``twice >> d & 3`` is 1 where the run ends at d, 2 where it starts at d + 1.
-        table.append(tuple(
-            (d, toward - 1) for d in range(N_DIRS) if (toward := twice >> d & 3) in (1, 2)
-        ))
-    return tuple(table)
-
-
-#: ``RULE[mask]``: the repair rule at a cell whose Out flags over
-#: directions are ``mask``.  None if R2 or R3 breaks; else the ``(d,
-#: flip)`` pairs of the at most two triangles, at the ends of the Out run,
-#: that can close a directed 3-cycle: the cell is Out toward the neighbour
-#: at ``d`` only (flip 0) or at ``d + 1`` only (flip 1).  The cycle closes
-#: iff both near edges are directed and the far edge, between those two
-#: neighbours, is directed away from the one at ``d + flip``.  The engine,
-#: its checks and ``ConfigGraph`` all read R2, R3 and R4 from here.
-RULE = _rule_table()
 
 
 class ConfigGraph:
@@ -98,11 +72,14 @@ class ConfigGraph:
     An activated cell with own half-edges ``own`` is Out on exactly
     ``own & nsw`` after resolving conflicts and line 1 (``mine = not
     theirs``).  Its own-pattern table is ``RULE`` with each entry mapped
-    to half-edge bits once: -1 where R2 or R3 breaks, else the bits
-    ``far[d] ^ flip`` that close a directed triangle when directed away
-    from their owner.  Line 2 fires iff the entry meets ``state & nsw |
-    pattern``; the successor is ``state & ~own`` plus the pattern unless
-    line 2 fires.
+    to half-edge bits once: -1 where R2 or R3 breaks, else, per triangle,
+    the half-edge of ``x`` on the far edge, which closes a directed
+    triangle when directed away from ``x``.  Line 2 fires iff the entry
+    meets ``state & nsw | pattern``.  A far half-edge is never the cell's
+    own, so only ``state & nsw`` meets a triangle; the pattern is there
+    for -1, whose pattern is never empty while ``state & nsw`` is 0 in a
+    state with no directed edge.  The successor is ``state & ~own`` plus
+    the pattern unless line 2 fires.
 
     Every edge is directed iff ``(state ^ state >> 1) & LO == LO``.  R2
     and R3 hold at a cell iff its entry for ``state & own`` is not -1; R4
@@ -134,13 +111,12 @@ class ConfigGraph:
         cycles: dict[int, None] = {}
         for ci, (row, half) in enumerate(zip(around, self.half_at)):
             # far[d]: the half-edge of the neighbour at d toward the one at
-            # d + 1, or -1 where either is missing: the far edge ``RULE`` names.
+            # d + 1, or -1 where either is missing.
             far = tuple(
-                half_at[cj][(d + 2) % N_DIRS] if cj >= 0 and row[(d + 1) % N_DIRS] >= 0 else -1
-                for d, cj in enumerate(row)
+                half_at[cj][(d + 2) % N_DIRS] if cj >= 0 else -1 for d, cj in enumerate(row)
             )
             own = sum(1 << h for h in half if h >= 0)
-            rows.append((ci, own, ~own, _own_pattern_table(half, far)))
+            rows.append((ci, own, ~own, _own_pattern_table(half, row, half_at)))
             # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
             # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
             # the same two masks, so the dict keeps each triangle once.
@@ -173,9 +149,6 @@ class ConfigGraph:
         """State after activating cell index ``ci`` (equal state if not activable)."""
         found = self.move(state, ci)
         return found[1] if found is not None and found[0] == ci else state
-
-    def is_final(self, state: int) -> bool:
-        return self.move(state) is None
 
     def r234_ok(self, state: int) -> bool:
         for _, own, _, table in self._rows:
@@ -223,21 +196,18 @@ class ConfigGraph:
 
     # -- state enumeration --------------------------------------------------------
 
-    def all_states(self) -> range:
-        return range(1 << 2 * self.n_edges)
-
     def orientations(self) -> Iterator[int]:
         """All 2^E all-directed states, each edge code 1 or 2.
 
-        Orientation k sets bit 2i of ``flip`` iff bit i of k is set: edge i
+        Orientation k sets bit 2i of ``upper`` iff bit i of k is set: edge i
         then has code 2 (Out at its larger endpoint), else code 1.  Stepping
         through the sub-masks of LO in increasing order keeps the order of k.
         """
         lo = self._lo
-        flip = 0
+        upper = 0
         for _ in range(1 << self.n_edges):
-            yield lo ^ flip | flip << 1
-            flip = (flip - lo) & lo
+            yield lo ^ upper | upper << 1
+            upper = (upper - lo) & lo
 
     def conflict_free_states(self) -> Iterator[int]:
         """All 3^E states without any Out/Out edge, in base-3 index order."""
@@ -250,11 +220,15 @@ class ConfigGraph:
             state = (state & ~(carry - 1)) + carry
 
 
-def _own_pattern_table(half: tuple[int, ...], far: tuple[int, ...]) -> dict[int, int]:
+def _own_pattern_table(
+    half: tuple[int, ...], row: tuple[int, ...], half_at: list[list[int]]
+) -> dict[int, int]:
     """A cell's ``RULE`` entry for every pattern of Out flags on its own
-    half-edges (``half`` and ``far`` by direction, -1 where missing): -1 if
-    it breaks R2 or R3, else the far half-edges that close a directed
-    3-cycle when directed away from their owner."""
+    half-edges (``half`` and its neighbours ``row`` by direction, -1 where
+    missing): -1 if it breaks R2 or R3, else the far half-edges that close
+    a directed 3-cycle when directed away from their owner ``x``.  A
+    pattern is Out only toward occupied cells, so ``x`` exists; its
+    half-edge toward the other corner is -1 where that corner is empty."""
     patterns = [(0, 0)]  # (own half-edges, directions), each grown from a smaller subset
     for d, h in enumerate(half):
         if h >= 0:
@@ -262,7 +236,10 @@ def _own_pattern_table(half: tuple[int, ...], far: tuple[int, ...]) -> dict[int,
     # The two triangles of an entry have different far edges, so the sum is their union.
     return {
         bits: -1 if (entry := RULE[mask]) is None
-        else sum(1 << (far[d] ^ flip) for d, flip in entry if far[d] >= 0)
+        else sum(
+            1 << f for x_dir, bit, _ in entry
+            if (f := half_at[row[x_dir]][bit.bit_length() - 1]) >= 0
+        )
         for bits, mask in patterns
     }
 
@@ -458,7 +435,7 @@ def final_states(graph: ConfigGraph) -> list[int]:
     return found
 
 
-def check_silence(s: Support, max_states: int = 1 << 22) -> SilenceReport:
+def check_silence(s: Support, max_edges: int = 24) -> SilenceReport:
     """final <=> valid over every register state, Out/Out included, decided
     from both ends without visiting each state.
 
@@ -466,13 +443,15 @@ def check_silence(s: Support, max_states: int = 1 << 22) -> SilenceReport:
     prunes has an activable cell), and each must pass ``is_valid``.
     valid => final: a valid state is all-directed, so each of the 2^E
     orientations that passes ``r234_ok`` must have no move.  ``states``
-    counts the 4^E states this decides and ``max_states`` bounds it; the
-    mismatches come in the order of their packed states.
+    counts the 4^E states this decides; ``max_edges`` bounds E, as the
+    orientation scan is the larger part of the work.  The mismatches come
+    in the order of their packed states.
     """
     graph = ConfigGraph(s)
-    total = 1 << 2 * graph.n_edges
-    if total > max_states:
-        raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
+    e = graph.n_edges
+    if e > max_edges:
+        raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
+    total = 1 << 2 * e
     bad = [(st, "final-but-invalid") for st in final_states(graph) if not graph.is_valid(st)]
     for state in graph.orientations():
         if graph.r234_ok(state) and graph.move(state) is not None:

@@ -12,6 +12,11 @@ coherently directed edges can close a cycle; undirected and conflict
 edges cannot.  Global cycles longer than three are deliberately not
 forbidden: a valid configuration still has exactly one sink, which is the
 elected leader.
+
+The ``check_r*`` functions are the object reference and read a
+``Configuration``.  ``RULE`` is the same R2/R3/R4 as one 64-entry table
+over a cell's Out mask, read as stored by the scheduler's mask engine and
+by ``oracle.ConfigGraph``; tests compare it with the reference.
 """
 
 from __future__ import annotations
@@ -28,6 +33,36 @@ def _consecutive_cyclic(ports: tuple[int, ...]) -> bool:
     for p in ports:
         mask |= 1 << p
     return CYCLIC_RUN[mask]
+
+
+def _rule_table() -> tuple[tuple[tuple[int, int, int], ...] | None, ...]:
+    table: list[tuple[tuple[int, int, int], ...] | None] = []
+    for mask in range(1 << N_DIRS):
+        if mask.bit_count() > 3 or not CYCLIC_RUN[mask]:
+            table.append(None)
+            continue
+        twice = mask | mask << N_DIRS
+        # ``twice >> d & 3`` is 1 where the run ends at d, 2 where it starts at
+        # d + 1: the triangle with corners at d and d + 1 has the cell Out
+        # toward x at d + flip only, and x's far edge leads to the other
+        # corner, at d + 2 from x for flip 0 and at d + 5 for flip 1.
+        table.append(tuple(
+            ((d + flip) % N_DIRS, 1 << (d + 2 + 3 * flip) % N_DIRS, 1 << d | 1 << (d + 1) % N_DIRS)
+            for d in range(N_DIRS)
+            if (flip := (twice >> d & 3) - 1) in (0, 1)
+        ))
+    return tuple(table)
+
+
+#: ``RULE[mask]``: the repair rule at a cell whose Out flags over
+#: directions are ``mask``.  None if R2 or R3 breaks; else one ``(x_dir,
+#: bit, near)`` triple for each of the at most two triangles, at the ends
+#: of the Out run, that can close a directed 3-cycle: the direction of the
+#: neighbour ``x`` the cell is Out toward, the bit of ``x``'s Out mask on
+#: the triangle's far edge, and the cell's two near edges.  The triangle
+#: is a directed 3-cycle iff both near edges are directed and ``x`` is Out
+#: on the far edge while the other corner is not.
+RULE = _rule_table()
 
 
 def check_r1(c: Configuration, p: Cell) -> bool:

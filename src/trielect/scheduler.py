@@ -15,7 +15,7 @@ numbers by direction, -1 where the cell is empty) and ``present[ci]``
 (the mask of occupied directions) are the support's own
 (``Support.order``, ``Support.around``, ``Support.present``); ``run``
 builds nothing per support.  One activation looks ``present & ~theirs``
-up in ``oracle.RULE`` and reads the at most two triangles it names off
+up in ``rules.RULE`` and reads the at most two triangles it names off
 the masks of the neighbour the particle is Out toward.  A step writes
 ``mine[ci]``, flips one ``theirs`` bit at each neighbour whose edge
 changed, and can change activability only for that particle and its six
@@ -59,8 +59,7 @@ from typing import IO, Sequence, Union
 from .lattice import Cell, N_DIRS
 from .config import OUT_MASK, REGISTER, Configuration
 from .support import SupportError, format_shape_text
-from .oracle import RULE
-from .rules import check_r2, check_r3, check_r4
+from .rules import RULE, check_r2, check_r3, check_r4
 
 # ``activation_step`` and ``step_register`` stay importable from this
 # module: the benchmark's traced run wraps them here, beside
@@ -152,31 +151,6 @@ def _kind_label(kind: SchedulerKind) -> str:
 # -- the mask engine ---------------------------------------------------------------
 
 
-def _corner_table() -> tuple[tuple[tuple[int, int, int], ...] | None, ...]:
-    table: list[tuple[tuple[int, int, int], ...] | None] = []
-    for entry in RULE:
-        if entry is None:
-            table.append(None)
-            continue
-        # Triangle (d, flip): the cell is Out only toward x, the neighbour at
-        # d + flip, and the cycle closes iff x is Out toward the other corner
-        # (at d + 2 from x for flip 0, at d + 5 for flip 1) and not the reverse.
-        table.append(tuple(
-            ((d + flip) % N_DIRS, 1 << (d + 2 + 3 * flip) % N_DIRS,
-             1 << d | 1 << (d + 1) % N_DIRS)
-            for d, flip in entry
-        ))
-    return tuple(table)
-
-
-#: ``_CORNERS[mask]``: ``RULE[mask]`` read from the cell's side.  None if
-#: R2 or R3 breaks; else one ``(x_dir, bit, near)`` triple per triangle:
-#: the direction of the neighbour ``x`` the cell is Out toward, the bit of
-#: ``x``'s Out mask on the triangle's far edge, and the cell's two near
-#: edges.  The triangle is a directed 3-cycle iff both near edges are
-#: directed and ``mine[x] & ~theirs[x] & bit``.
-_CORNERS = _corner_table()
-
 #: ``_FLIPS[mask]``: ``(d, 1 << (d + 3) % 6)`` for every direction ``d`` in
 #: ``mask``, i.e. the neighbour's ``theirs`` bit an Out flag toward ``d`` sets.
 _FLIPS = tuple(
@@ -218,7 +192,7 @@ def _fire(
     it names is a directed 3-cycle iff its far edge is.
     """
     free = present[ci] & ~theirs[ci]
-    corners = _CORNERS[free]
+    corners = RULE[free]
     if corners is None:
         return 0
     a = around[ci]
@@ -261,7 +235,7 @@ def _breaks(
     one, as in ``rules.check_r4``.
     """
     m = mine[ci]
-    corners = _CORNERS[m]
+    corners = RULE[m]
     if corners is None:
         return True
     directed = m ^ theirs[ci]

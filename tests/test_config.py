@@ -213,7 +213,7 @@ def test_deserialize_errors_name_location():
     missing = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(ConfigError) as exc:
         deserialize(missing)
-    assert "missing" in str(exc.value)
+    assert str(exc.value) == "port maps do not match support (missing=[Cell(q=1, r=0)], extra=[])"
 
     with pytest.raises(ConfigError):
         deserialize(good.replace("shape", "shap", 1))

@@ -1,7 +1,14 @@
 import random
 
-from trielect.lattice import Cell
-from trielect.config import IN, OUT, all_in_configuration
+from trielect.lattice import Cell, N_DIRS, neighbor
+from trielect.config import (
+    IN,
+    OUT,
+    REGISTER,
+    Configuration,
+    EdgeOrientation,
+    all_in_configuration,
+)
 from trielect.generators import (
     erosion_orientation,
     random_portmaps,
@@ -9,6 +16,7 @@ from trielect.generators import (
     random_support,
 )
 from trielect.rules import (
+    RULE,
     check_r1,
     check_r2,
     check_r3,
@@ -128,6 +136,53 @@ def test_is_valid_and_report(tri, hex1):
     bad = rule_report(cyc)
     assert not bad.valid
     assert "FAIL" in bad.to_text()
+
+
+def test_rule_table_matches_reference_at_hexagon_centre(hex1):
+    """``RULE`` against ``check_r2/3/4`` at the centre of ``hexagon(1)``
+    under random port maps.  The centre is Out on each of the 64 masks,
+    each ring cell is Out toward it or not at random, so a spoke may be a
+    conflict or undirected, and the six ring edges take every orientation.  R2 and R3 hold iff the entry is not None; R4
+    fails iff a triple closes: both near edges directed, x Out on the far
+    edge and the other corner not Out back.  Each triple names a triangle:
+    its near edges lead to x and to the corner ``bit`` points x at."""
+    rng = random.Random(17)
+    z = Cell(0, 0)
+    cz = hex1.number[z]
+    ring = hex1.around[cz]
+    directed = (EdgeOrientation.A_TO_B, EdgeOrientation.B_TO_A)
+    seen = {"broken": 0, "open": 0, "closed": 0}
+    for m in range(1 << N_DIRS):
+        for ring_code in range(1 << N_DIRS):
+            masks = [0] * len(hex1)
+            masks[cz] = m
+            for d, cj in enumerate(ring):
+                if rng.random() < 0.5:
+                    masks[cj] |= 1 << (d + 3) % N_DIRS
+                # Ring edge d joins the cells at d and d + 1, at d + 2 from the first.
+                if ring_code >> d & 1:
+                    masks[cj] |= 1 << (d + 2) % N_DIRS
+                else:
+                    masks[ring[(d + 1) % N_DIRS]] |= 1 << (d + 5) % N_DIRS
+            pms = random_portmaps(hex1, rng.randrange(2**31))
+            regs = {c: REGISTER[pms[c]][mask] for c, mask in zip(hex1.order, masks)}
+            cfg = Configuration(hex1, pms, regs)
+            entry = RULE[m]
+            assert (entry is None) == (not (check_r2(cfg, z) and check_r3(cfg, z))), m
+            if entry is None:
+                seen["broken"] += 1
+                continue
+            closes = False
+            for x_dir, bit, near in entry:
+                x = neighbor(z, x_dir)
+                y = neighbor(x, bit.bit_length() - 1)
+                corners = [neighbor(z, d) for d in range(N_DIRS) if near >> d & 1]
+                assert sorted(corners) == sorted([x, y]), (m, x_dir)
+                near_directed = all(cfg.orientation(z, c) in directed for c in corners)
+                closes |= near_directed and cfg.orientation(x, y) is EdgeOrientation.A_TO_B
+            assert check_r4(cfg, z) == (not closes), (m, ring_code)
+            seen["closed" if closes else "open"] += 1
+    assert all(seen.values()), seen
 
 
 def test_r2_r3_depend_only_on_own_register():

@@ -307,7 +307,7 @@ def test_engine_step_matches_reference_and_packed_steps():
             graph = ConfigGraph(s)
             cells, present, around = s.order, s.present, s.around
             assert cells == graph.cells
-            for state in graph.all_states():
+            for state in range(1 << 2 * graph.n_edges):
                 cfg = graph.unpack(state, portmaps)
                 mine, theirs = _masks(cfg)
                 assert (mine, theirs) == _packed_masks(state, graph)
@@ -363,7 +363,7 @@ def test_breaks_matches_rule_checks_on_every_small_state():
             portmaps = random_portmaps(s, rng.randrange(2**31))
             graph = ConfigGraph(s)
             cells, present, around = s.order, s.present, s.around
-            for state in graph.all_states():
+            for state in range(1 << 2 * graph.n_edges):
                 cfg = graph.unpack(state, portmaps)
                 mine, theirs = _masks(cfg)
                 for ci, p in enumerate(cells):
