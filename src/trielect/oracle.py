@@ -27,9 +27,12 @@ The exhaustive checks: ``check_silence`` decides final <=> valid on all
 cell's row of ``move`` as soon as every edge it reads is fixed, and
 drops the branch if the cell is activable) and finality on each of the
 2^E orientations that passes R2/R3/R4; ``check_reachability`` gives
-every state a fate in one lazy Tarjan pass (``reach_fates``) that settles
-a root on its first move where it can, stops a walk at a valid final
-state or a state known to reach one, and pops a component that cannot;
+the conflict-free states a fate in one lazy Tarjan pass (``reach_fates``)
+that settles a root on its first move where it can, stops a walk at a
+valid final state or a state known to reach one, and pops a component
+that cannot, and settles the conflict states by a lemma (every endpoint
+of a conflict edge can step and clear it), falling back to a pass from
+every state only if some conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
 states with one seen bit per packed state.
 ``UnfairCycle.lemmas`` checks the two facts the convergence proof needs
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS, PortMap
 from .config import (
@@ -471,11 +474,13 @@ def reach_fates(
     total: int,
     move: Callable[[int, int], tuple[int, int] | None],
     is_valid: Callable[[int], bool],
+    roots: Iterable[int] | None = None,
 ) -> bytearray:
     """The fate, ``REACHES`` or ``CANNOT``, of every state ``0 .. total - 1``
     of the graph whose moves ``move(state, start)`` lists one at a time (the
     first at index ``start`` or later, as ``ConfigGraph.move`` does); the
-    targets are the valid states without a move.
+    targets are the valid states without a move.  With ``roots``, only the
+    states those reach get a fate; the others stay ``UNSEEN``.
 
     One lazy iterative Tarjan pass.  Every state on the Tarjan stack reaches
     the current DFS node, so a target, or a move to a state that already
@@ -488,7 +493,7 @@ def reach_fates(
     fate = bytearray(total)
     stack: list[int] = []  # the Tarjan stack
     pos_of: dict[int, int] = {}  # the stack position of each state on it
-    for root in range(total):
+    for root in range(total) if roots is None else roots:
         if fate[root]:
             continue
         found = move(root, 0)
@@ -543,13 +548,29 @@ def reach_fates(
     return fate
 
 
-def check_reachability(s: Support, max_states: int = 1 << 22) -> ReachabilityReport:
-    """Some valid final state is reachable from every register state."""
+def check_reachability(s: Support, max_states: int = 1 << 24) -> ReachabilityReport:
+    """Some valid final state is reachable from every register state.
+
+    The pass walks the 3^E conflict-free states only and settles the
+    conflict states by a lemma.  Line 1 of a step writes Out only on
+    ``own & nsw``, where the far side is In, and line 2 writes no Out at
+    all, so no step makes an Out/Out edge: the conflict-free states are
+    closed under ``move``.  On a conflict edge, each endpoint's own bit is
+    outside ``nsw``, so it is cleared, its Out pattern changes and the
+    endpoint is activable; its step removes that conflict and makes no
+    other.  Each conflict state therefore reaches a conflict-free state
+    within as many steps as it has conflicts, and reaches a valid final
+    state if every conflict-free state does.  If some conflict-free state
+    cannot, a pass from every state lists all that cannot, conflict
+    states included.  ``states`` counts the 4^E states this decides.
+    """
     graph = ConfigGraph(s)
     total = 1 << 2 * graph.n_edges
     if total > max_states:
         raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
-    fate = reach_fates(total, graph.move, graph.is_valid)
+    fate = reach_fates(total, graph.move, graph.is_valid, graph.conflict_free_states())
+    if CANNOT in fate:
+        fate = reach_fates(total, graph.move, graph.is_valid)
     unreachable = []
     state = fate.find(CANNOT)
     while state >= 0:

@@ -5,7 +5,8 @@ import pytest
 
 from trielect.lattice import Cell, direction_from
 from trielect.algorithm import activation_step
-from trielect.config import EdgeOrientation
+from trielect import oracle
+from trielect.config import EdgeOrientation, deserialize
 from trielect.generators import (
     enumerate_supports,
     erosion_orientation,
@@ -20,6 +21,7 @@ from trielect.oracle import (
     CANNOT,
     REACHES,
     ConfigGraph,
+    ReachabilityReport,
     StateSpaceTooLarge,
     check_reachability,
     check_silence,
@@ -113,6 +115,10 @@ def test_budget_guards():
         check_silence(big, max_edges=20)
     with pytest.raises(StateSpaceTooLarge):
         find_unfair_cycle(big, max_states=1000)
+    with pytest.raises(StateSpaceTooLarge):
+        check_reachability(big, max_states=1 << 20)
+    with pytest.raises(StateSpaceTooLarge):
+        check_unique_sink(big, max_edges=20)
 
 
 def test_pack_unpack_roundtrip():
@@ -219,6 +225,114 @@ def test_move_resumes_at_every_start():
         for start in range(len(graph.cells) + 1):
             expected = next(((ci, nxt) for ci, nxt in changed if ci >= start), None)
             assert graph.move(state, start) == expected, (state, start)
+
+
+def test_no_move_makes_a_conflict_and_a_conflict_endpoint_clears_it():
+    """The lemma ``check_reachability`` settles the conflict states by,
+    pointwise on every state of every support with n <= 4 and on the
+    states of ``_packed_states_to_check``: no move makes an Out/Out edge,
+    and each endpoint of a conflict edge has a move that clears it."""
+    cases = [
+        (graph, state)
+        for n in range(1, 5)
+        for s in enumerate_supports(n)
+        for graph in [ConfigGraph(s)]
+        for state in range(1 << 2 * graph.n_edges)
+    ]
+    cases += [(graph, state) for graph, _, state in _packed_states_to_check()]
+    conflict_states = 0
+    for graph, state in cases:
+        lo = graph._lo
+        conflicts = state & state >> 1 & lo
+        found = graph.move(state)
+        while found is not None:
+            nxt = found[1]
+            assert nxt & nxt >> 1 & lo & ~conflicts == 0, (state, found)
+            found = graph.move(state, found[0] + 1)
+        owner = {h: ci for ci, row in enumerate(graph.half_at) for h in row if h >= 0}
+        for i in range(graph.n_edges):
+            if not conflicts >> 2 * i & 1:
+                continue
+            for ci in owner[2 * i], owner[2 * i + 1]:
+                found = graph.move(state, ci)
+                assert found is not None and found[0] == ci, (state, ci)
+                left = found[1] & found[1] >> 1 & lo
+                assert not left >> 2 * i & 1, (state, ci)
+                assert left.bit_count() < conflicts.bit_count(), (state, ci)
+        conflict_states += bool(conflicts)
+    assert conflict_states >= 1000, conflict_states
+
+
+def _full_root_report(s: Support) -> ReachabilityReport:
+    """``check_reachability``'s report from a pass rooted at every state."""
+    graph = ConfigGraph(s)
+    total = 1 << 2 * graph.n_edges
+    fate = reach_fates(total, graph.move, graph.is_valid)
+    return ReachabilityReport(
+        s,
+        total,
+        tuple(graph.unpack(st).serialize() for st in range(total) if fate[st] == CANNOT),
+    )
+
+
+def _count_passes(monkeypatch) -> list[bool]:
+    """Wrap ``reach_fates`` as ``check_reachability`` calls it; each pass
+    appends whether it was given roots."""
+    passes = []
+
+    def counted(total, move, is_valid, roots=None):
+        passes.append(roots is not None)
+        return reach_fates(total, move, is_valid, roots)
+
+    monkeypatch.setattr(oracle, "reach_fates", counted)
+    return passes
+
+
+def test_reachability_equals_full_root_pass(monkeypatch):
+    """On every support with n <= 4, the conflict-free pass gives the
+    report of the pass from every state, and needs no second pass."""
+    passes = _count_passes(monkeypatch)
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            passes.clear()
+            assert check_reachability(s) == _full_root_report(s), sorted(s.cells)
+            assert passes == [True]
+
+
+@pytest.mark.parametrize("fault", ["reject one", "accept one"])
+def test_reachability_equals_full_root_pass_under_a_fault(monkeypatch, fault):
+    """With ``is_valid`` wrong on the valid final conflict-free states of
+    seeded supports with n <= 5, rejecting one of them or all but one, the
+    conflict-free pass finds a state that cannot, the pass from every
+    state runs, and the report equals that pass's.  Rejecting one never
+    strands a conflict state on these sizes; accepting one does."""
+    rng = random.Random(14)
+    is_valid = ConfigGraph.is_valid
+    picked = None
+
+    def faulty(self, state):
+        if fault == "reject one":
+            return state != picked and is_valid(self, state)
+        return state == picked
+
+    passes = _count_passes(monkeypatch)
+    conflict_lines = 0
+    for n in range(2, 6):
+        for _ in range(6):
+            s = random_support(n, rng.randrange(2**31))
+            graph = ConfigGraph(s)
+            finals = [st for st in graph.conflict_free_states() if graph.move(st) is None]
+            picked = rng.choice([st for st in finals if graph.is_valid(st)])
+            monkeypatch.setattr(ConfigGraph, "is_valid", faulty)
+            passes.clear()
+            rep = check_reachability(s)
+            assert passes == [True, False]
+            assert rep == _full_root_report(s), sorted(s.cells)
+            assert rep.unreachable
+            monkeypatch.setattr(ConfigGraph, "is_valid", is_valid)
+            states = [graph.pack(deserialize(text)) for text in rep.unreachable]
+            conflict_lines += sum(bool(st & st >> 1 & graph._lo) for st in states)
+    assert (conflict_lines > 0) == (fault == "accept one"), conflict_lines
 
 
 def _reach_fates_agree(total, move, is_valid) -> bytearray:
