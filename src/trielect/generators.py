@@ -7,26 +7,31 @@ boundary cell and stay simply connected.  Growth and erosion share one
 local test, ``lattice.CYCLIC_RUN`` over a mask of occupied directions:
 adding an empty neighbour of a simply connected shape keeps it simply
 connected exactly when the cell's occupied neighbours form one cyclic
-run, and removing a cell whose occupied neighbours form one run of one to
-three cells cannot disconnect the rest, because that run is itself a
-path.  The erosion orientation walks that reduction forwards: repeatedly
-remove such a particle, then direct every edge from the earlier-removed
-to the later-removed endpoint.  The result satisfies all four validity
-rules, is globally acyclic, and its unique sink is the last particle
-standing.  Erosion and both register initialisations work on the
-support's cell numbers, with one Out mask per cell that
-``config.REGISTER`` turns into a register under the cell's port map.
+run.  Random growth keeps the cells that pass (the growable frontier)
+sorted and adds one uniform draw from them per cell; only the empty
+neighbours of the added cell can change their answer.  Removing a cell
+whose occupied neighbours form one run of one to three cells cannot
+disconnect the rest, because that run is itself a path.  The erosion
+orientation walks that reduction forwards: repeatedly remove such a
+particle, then direct every edge from the earlier-removed to the
+later-removed endpoint.  The result satisfies all four validity rules,
+is globally acyclic, and its unique sink is the last particle standing.
+Erosion and both register initialisations work on the support's cell
+numbers, with one Out mask per cell that ``config.REGISTER`` turns into
+a register under the cell's port map.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping
 
 from .lattice import (
     ALL_PORTMAPS,
     CYCLIC_RUN,
     Cell,
+    DIR_OFFSETS,
     N_DIRS,
     PortMap,
     direction_from,
@@ -81,25 +86,31 @@ def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
 def random_support(n: int, seed: int) -> Support:
     """Random simply connected support grown cell by cell.
 
-    Each step shuffles the sorted frontier and adds the first cell whose
-    occupied neighbours form one cyclic run.
+    The growable frontier is the empty cells whose occupied neighbours
+    form one cyclic run, held as a sorted list of ``(q, r)`` pairs; each
+    step pops the one at index ``rng.randrange(len(growable))``, so every
+    growable cell is equally likely.  Adding a cell can change the test
+    only for its empty neighbours, and only those are rechecked.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    cells = {Cell(0, 0)}
-    frontier = set(neighbors(Cell(0, 0)))
+    cells = {(0, 0)}
+    growable = sorted(DIR_OFFSETS)
     while len(cells) < n:
-        candidates = sorted(frontier)
-        rng.shuffle(candidates)
-        for nb in candidates:
-            if CYCLIC_RUN[neighbor_mask(nb, cells)]:
-                break
-        else:
-            raise SupportError("no simply-connectivity-preserving extension found")
-        cells.add(nb)
-        frontier.discard(nb)
-        frontier.update(x for x in neighbors(nb) if x not in cells)
+        q, r = growable.pop(rng.randrange(len(growable)))
+        cells.add((q, r))
+        for dq, dr in DIR_OFFSETS:
+            x = (q + dq, r + dr)
+            if x in cells:
+                continue
+            i = bisect_left(growable, x)
+            listed = i < len(growable) and growable[i] == x
+            if CYCLIC_RUN[neighbor_mask(x, cells)]:
+                if not listed:
+                    growable.insert(i, x)
+            elif listed:
+                del growable[i]
     return Support(cells)
 
 

@@ -51,35 +51,39 @@ from trielect.views import infer_triangle_labels
 def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
     """The enclosed empty cells, one set per component: the empty components
     of the margin-1 box that do not touch its frame."""
-    q0 = min(c.q for c in cells) - 1
-    r0 = min(c.r for c in cells) - 1
-    q1 = max(c.q for c in cells) + 1
-    r1 = max(c.r for c in cells) + 1
-    box = [
-        Cell(q, r)
-        for q in range(q0, q1 + 1)
-        for r in range(r0, r1 + 1)
-        if Cell(q, r) not in cells
+    qs = [q for q, _ in cells]
+    rs = [r for _, r in cells]
+    q0 = min(qs) - 1
+    r0 = min(rs) - 1
+    # Box cell (q, r) sits at index (q - q0 + 1) * h + r - r0 + 1 of a grid
+    # with one more blocked ring outside the frame, so no step leaves it.
+    w = max(qs) - q0 + 4
+    h = max(rs) - r0 + 4
+    free = bytearray([0]) * (w * h)
+    for i in range(1, w - 1):
+        free[i * h + 1 : i * h + h - 1] = b"\x01" * (h - 2)
+    for q, r in cells:
+        free[(q - q0 + 1) * h + r - r0 + 1] = 0
+    steps = [dq * h + dr for dq, dr in neighbors(Cell(0, 0))]
+
+    def flood(start: int) -> list[int]:
+        free[start] = 0
+        comp = [start]
+        for i in comp:
+            for s in steps:
+                if free[i + s]:
+                    free[i + s] = 0
+                    comp.append(i + s)
+        return comp
+
+    # The frame is empty and connected: one flood from its corner (q0, r0)
+    # clears every component that touches it.
+    flood(h + 1)
+    return [
+        {Cell(i // h + q0 - 1, i % h + r0 - 1) for i in flood(start)}
+        for start in range(w * h)
+        if free[start]
     ]
-    unseen = set(box)
-    enclosed = []
-    while unseen:
-        seed = unseen.pop()
-        comp = {seed}
-        stack = [seed]
-        touches_frame = seed.q in (q0, q1) or seed.r in (r0, r1)
-        while stack:
-            c = stack.pop()
-            for nb in neighbors(c):
-                if nb in unseen:
-                    unseen.remove(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-                    if nb.q in (q0, q1) or nb.r in (r0, r1):
-                        touches_frame = True
-        if not touches_frame:
-            enclosed.append(comp)
-    return enclosed
 
 
 def empty_component_count(cells: frozenset[Cell]) -> int:
@@ -147,17 +151,17 @@ def _runs(dirs: list[int]) -> int:
 def reference_random_support(n: int, seed: int) -> Support:
     """``generators.random_support`` with a flood fill per candidate cell.
 
-    Each step rebuilds the frontier, draws the same shuffle and keeps the
-    first candidate after which no empty component is enclosed.
+    Each step rebuilds the frontier, keeps the cells after which no empty
+    component is enclosed, sorts them and adds the one at one uniform draw.
     """
     rng = random.Random(seed)
     cells = {Cell(0, 0)}
     while len(cells) < n:
-        frontier = sorted({nb for c in cells for nb in neighbors(c) if nb not in cells})
-        rng.shuffle(frontier)
-        cells.add(
-            next(nb for nb in frontier if empty_component_count(frozenset(cells | {nb})) == 0)
+        frontier = {nb for c in cells for nb in neighbors(c) if nb not in cells}
+        growable = sorted(
+            nb for nb in frontier if empty_component_count(frozenset(cells | {nb})) == 0
         )
+        cells.add(growable[rng.randrange(len(growable))])
     return Support(cells)
 
 

@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from trielect.lattice import Cell
+from trielect.lattice import Cell, neighbors
 from trielect.config import EdgeOrientation, OUT
 from trielect.generators import (
     ErosionError,
@@ -83,10 +85,47 @@ def test_random_support_properties():
 
 
 def test_random_support_matches_flood_fill_grower():
-    for seed in (0, 1, 7, 101):
+    for seed in range(16):
         for n in range(1, 41):
             assert random_support(n, seed).cells == reference_random_support(n, seed).cells
     assert random_support(150, 11).cells == reference_random_support(150, 11).cells
+
+
+def _growth_law(n):
+    """Exact law of ``random_support(n, ·)`` up to translation, as canonical
+    cell tuples: each step adds a uniform cell of the growable frontier,
+    read off the flood fill."""
+    law = {frozenset({Cell(0, 0)}): Fraction(1)}
+    for _ in range(n - 1):
+        grown = Counter()
+        for cells, p in law.items():
+            frontier = {nb for c in cells for nb in neighbors(c) if nb not in cells}
+            growable = [nb for nb in frontier if empty_component_count(cells | {nb}) == 0]
+            for nb in growable:
+                grown[cells | {nb}] += p / len(growable)
+        law = grown
+    shapes = Counter()
+    for cells, p in law.items():
+        shapes[canonical_cells(cells)] += p
+    return shapes
+
+
+def test_random_support_law_at_four_cells():
+    law = _growth_law(4)
+    assert len(law) == SIMPLY_CONNECTED_COUNTS[4] and sum(law.values()) == 1
+    trials = 20_000
+    seen = Counter(canonical_cells(random_support(4, seed).cells) for seed in range(trials))
+    assert set(seen) <= set(law)
+    chi2 = sum((seen[k] - trials * p) ** 2 / (trials * p) for k, p in law.items())
+    # 86.5 is the 0.9999 quantile of chi-square with 43 degrees of freedom.
+    assert chi2 < 86.5, float(chi2)
+
+
+def test_random_support_large():
+    for seed in (0, 1, 2):
+        s = random_support(5000, seed)
+        assert len(s) == 5000
+        assert s.is_simply_connected()
 
 
 def test_erosion_order_matches_flood_fill_reference():
@@ -123,12 +162,12 @@ def test_erosion_rejects_holed_support():
 # erosion_orientation(s, pms) under pms = random_portmaps(s, seed).  A change
 # that moves one of them changes seeded results and has to declare it.
 SEEDED_DIGESTS = {
-    (20, 1): ("ed44b5044fd1e355", "c0e04b6b94786639", "1faebd5a12235a26"),
-    (20, 2): ("25ce556e680d3438", "2008a9c2bda32544", "6b7ecc707108c8d2"),
-    (150, 1): ("5bbd03082b7dd455", "7e62225dfcfcd23a", "e4c20d1fe1da5181"),
-    (150, 2): ("0a71c45836e3e60a", "1e6e8ed44191e5a7", "1b8080447076a2af"),
-    (1000, 1): ("9c987b22d98874b9", "ecc5f49a4265280e", "0d45d243a1d1d2fd"),
-    (1000, 2): ("c74ccf79d3285200", "e8226cbbf3c09564", "8c97aaefd59ca43d"),
+    (20, 1): ("ba9df06b55994ef4", "d919d8c89ad7dda9", "e1ecacfc5dcf613c"),
+    (20, 2): ("b4825a85e57082cb", "dd49ea8c794193dc", "6193c8fae3e174e4"),
+    (150, 1): ("06a753e14ca296c4", "083865389b6be2f2", "681e917158bf44cc"),
+    (150, 2): ("c37cb001e1ea6d47", "0e5d9dce14ee0857", "f871e2afae33af7f"),
+    (1000, 1): ("a3b27acbc598c4b2", "f471071a25b99176", "997be558332df59f"),
+    (1000, 2): ("7a67eb378786022e", "f10a21409b8f4083", "3587ef95baa392d5"),
 }
 # The same two configurations on hexagon(18) with seed 5.
 HEXAGON18_DIGESTS = ("a1003d9a2dc8b1cc", "b4981fe4434c3948")
