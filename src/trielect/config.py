@@ -40,6 +40,11 @@ class LinkState(Enum):
     IN = "I"
     OUT = "O"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; it hashes in C, where ``Enum``'s hashes the name
+    # in Python, and every register-keyed lookup hashes six of them.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # keeps fixture dumps short
         return self.value
 
@@ -96,6 +101,9 @@ def _mask_tables() -> tuple[
 #: Neither table knows the support: a register Out toward an empty cell
 #: is rejected only where a ``Configuration`` is built or updated.
 REGISTER, OUT_MASK = _mask_tables()
+
+#: The links of each of the 64 registers as ``serialize`` writes them.
+_LINK_TEXT = {reg: " ".join(link.value for link in reg) for reg in REGISTER[IDENTITY_PORTMAP]}
 
 
 def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
@@ -200,8 +208,7 @@ class Configuration:
         for c in self.support:
             pm = self.portmaps[c]
             chir = "+1" if pm.chirality == 1 else "-1"
-            links = " ".join(st.value for st in self.regs[c])
-            lines.append(f"{c.q} {c.r} | {pm.offset} {chir} | {links}")
+            lines.append(f"{c.q} {c.r} | {pm.offset} {chir} | {_LINK_TEXT[self.regs[c]]}")
         return "\n".join(lines) + "\n"
 
 

@@ -7,24 +7,28 @@ boundary cell and stay simply connected.  Growth and erosion share one
 local test, ``lattice.CYCLIC_RUN`` over a mask of occupied directions:
 adding an empty neighbour of a simply connected shape keeps it simply
 connected exactly when the cell's occupied neighbours form one cyclic
-run.  Random growth keeps the cells that pass (the growable frontier)
-sorted and adds one uniform draw from them per cell; only the empty
-neighbours of the added cell can change their answer.  Removing a cell
-whose occupied neighbours form one run of one to three cells cannot
-disconnect the rest, because that run is itself a path.  The erosion
-orientation walks that reduction forwards: repeatedly remove such a
-particle, then direct every edge from the earlier-removed to the
-later-removed endpoint.  The result satisfies all four validity rules,
-is globally acyclic, and its unique sink is the last particle standing.
-Erosion and both register initialisations work on the support's cell
-numbers, with one Out mask per cell that ``config.REGISTER`` turns into
-a register under the cell's port map.
+run.  Random growth keeps every empty cell next to the shape with its
+mask of occupied directions, and the cells that pass (the growable
+frontier) as a sorted list, and adds one uniform draw from them per cell;
+an added cell ORs one bit into each empty neighbour's mask, and only
+those neighbours can change their answer.  Removing a cell whose occupied
+neighbours form one run of one to three cells (``lattice.ERODIBLE``)
+cannot disconnect the rest, because that run is itself a path.  The
+erosion orientation walks that reduction forwards: repeatedly remove the
+smallest such particle, kept on a heap that a removal refills with the
+neighbours it makes erodible, then direct every edge from the
+earlier-removed to the later-removed endpoint.  The result satisfies all
+four validity rules, is globally acyclic, and its unique sink is the
+last particle standing.  Erosion and both register initialisations work
+on the support's cell numbers, with one Out mask per cell that
+``config.REGISTER`` turns into a register under the cell's port map.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, Mapping
 
 from .lattice import (
@@ -32,6 +36,7 @@ from .lattice import (
     CYCLIC_RUN,
     Cell,
     DIR_OFFSETS,
+    ERODIBLE,
     N_DIRS,
     PortMap,
     direction_from,
@@ -86,31 +91,38 @@ def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
 def random_support(n: int, seed: int) -> Support:
     """Random simply connected support grown cell by cell.
 
-    The growable frontier is the empty cells whose occupied neighbours
-    form one cyclic run, held as a sorted list of ``(q, r)`` pairs; each
-    step pops the one at index ``rng.randrange(len(growable))``, so every
-    growable cell is equally likely.  Adding a cell can change the test
-    only for its empty neighbours, and only those are rechecked.
+    ``rim`` maps each empty cell next to the shape to its mask of occupied
+    directions.  The growable frontier is the rim cells whose mask is one
+    cyclic run, held as a sorted list of ``(q, r)`` pairs; each step pops
+    the one at index ``rng.randrange(len(growable))``, so every growable
+    cell is equally likely.  Adding a cell sets one bit in the mask of each
+    empty neighbour, and only those can join or leave the list.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     cells = {(0, 0)}
-    growable = sorted(DIR_OFFSETS)
-    while len(cells) < n:
-        q, r = growable.pop(rng.randrange(len(growable)))
-        cells.add((q, r))
-        for dq, dr in DIR_OFFSETS:
+    # (dq, dr, bit): a neighbour at that offset sees the added cell at bit.
+    steps = tuple((dq, dr, 1 << (d + 3) % N_DIRS) for d, (dq, dr) in enumerate(DIR_OFFSETS))
+    rim = {(dq, dr): bit for dq, dr, bit in steps}
+    growable = sorted(rim)
+    for _ in range(n - 1):
+        c = growable.pop(rng.randrange(len(growable)))
+        del rim[c]
+        cells.add(c)
+        q, r = c
+        for dq, dr, bit in steps:
             x = (q + dq, r + dr)
             if x in cells:
                 continue
-            i = bisect_left(growable, x)
-            listed = i < len(growable) and growable[i] == x
-            if CYCLIC_RUN[neighbor_mask(x, cells)]:
-                if not listed:
-                    growable.insert(i, x)
-            elif listed:
-                del growable[i]
+            old = rim.get(x, 0)
+            rim[x] = mask = old | bit
+            # x was listed iff ``old`` is a nonempty run.
+            if CYCLIC_RUN[mask]:
+                if not (old and CYCLIC_RUN[old]):
+                    insort(growable, x)
+            elif CYCLIC_RUN[old]:
+                del growable[bisect_left(growable, x)]
     return Support(cells)
 
 
@@ -129,25 +141,39 @@ def erosion_order(s: Support) -> list[Cell]:
 
 def _erode(s: Support) -> tuple[list[int], list[int]]:
     """``erosion_order`` by cell number (numbers follow sorted order), and by
-    number the mask of the neighbours each cell still had when it went."""
+    number the mask of the neighbours each cell still had when it went.
+
+    A removal changes only its neighbours' masks, so the heap holds every
+    erodible cell; an entry found gone or no longer erodible is dropped.
+    """
     if not s.is_simply_connected():
         raise SupportError("erosion orientation requires a simply connected support")
     around = s.around
     present = list(s.present)
-    left = list(range(len(present)))
+    heap = [i for i, mask in enumerate(present) if ERODIBLE[mask]]  # sorted, so a heap
+    left = bytearray(b"\x01") * len(present)
     gone: list[int] = []
-    while len(left) > 1:
-        for k, i in enumerate(left):
+    for _ in range(len(present) - 1):
+        while True:
+            if not heap:
+                raise ErosionError(
+                    f"no erodible particle among {[c for c, x in zip(s.order, left) if x]}"
+                )
+            i = heapq.heappop(heap)
             mask = present[i]
-            if 1 <= mask.bit_count() <= 3 and CYCLIC_RUN[mask]:
+            if left[i] and ERODIBLE[mask]:
                 break
-        else:
-            raise ErosionError(f"no erodible particle among {[s.order[i] for i in left]}")
-        gone.append(left.pop(k))
+        left[i] = 0
+        gone.append(i)
+        row = around[i]
         for d in range(N_DIRS):
             if mask >> d & 1:
-                present[around[i][d]] &= ~(1 << (d + 3) % N_DIRS)
-    return gone + left, present
+                j = row[d]
+                present[j] = m = present[j] & ~(1 << (d + 3) % N_DIRS)
+                if ERODIBLE[m]:
+                    heapq.heappush(heap, j)
+    gone.append(left.index(1))
+    return gone, present
 
 
 def erosion_orientation(

@@ -71,6 +71,12 @@ def _cyclic_run_table() -> tuple[bool, ...]:
 #: compiled engine share.
 CYCLIC_RUN = _cyclic_run_table()
 
+#: ``ERODIBLE[mask]`` is True iff the set bits of ``mask`` form one cyclic
+#: run of one to three bits.  A cell whose occupied neighbours are such a
+#: run can leave a simply connected set without disconnecting it, since
+#: the run is itself a path.
+ERODIBLE = tuple(1 <= m.bit_count() <= 3 and CYCLIC_RUN[m] for m in range(1 << N_DIRS))
+
 
 def neighbor_mask(c: Cell, occupied: Container[Cell]) -> int:
     """Six-bit mask whose bit ``d`` is set iff the neighbour of ``c`` in

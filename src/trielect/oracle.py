@@ -48,7 +48,7 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .lattice import CYCLIC_RUN, Cell, N_DIRS, PortMap
+from .lattice import ERODIBLE, Cell, N_DIRS, PortMap
 from .config import (
     OUT_MASK,
     REGISTER,
@@ -333,7 +333,7 @@ class UnfairCycle:
           - a particle met by an unstable edge has at least four, or at
             least two not forming one cyclic run.  A port map is a
             rotation or a reflection, so a cyclic run of ports is one of
-            directions too, and the run is read off ``CYCLIC_RUN`` over
+            directions too, and the test is ``lattice.ERODIBLE`` over
             directions.
         """
         graph = ConfigGraph(self.support)
@@ -359,8 +359,7 @@ class UnfairCycle:
                     stable_out_violations.append(
                         f"{p} has a stable outgoing edge but unstable edges {bad}"
                     )
-            k = len(dirs)
-            if k and k < 4 and (k < 2 or CYCLIC_RUN[sum(1 << d for d in dirs)]):
+            if ERODIBLE[sum(1 << d for d in dirs)]:
                 spread_violations.append(f"{p} has unstable edges only on directions {dirs}")
         return CycleReport(
             period=self.period,

@@ -2,8 +2,8 @@
 
 A Support is a finite nonempty connected set of occupied cells.  It
 numbers its cells once, at construction, in sorted order (``order[i]``
-is cell number ``i``, ``number`` maps back), and in the same neighbour
-pass keeps per cell ``around[i]``, its neighbours' numbers by direction
+is cell number ``i``, ``number`` maps back), and keeps per cell
+``around[i]``, its neighbours' numbers by direction
 (-1 where the cell is empty), and ``present[i]``, the six-bit mask of
 its occupied directions.  Connectivity, simple connectivity (an Euler
 count), edges, the boundary and the boundary class read these; the
@@ -99,10 +99,14 @@ class Support:
         self.order = order = tuple(sorted(cellset))
         self.number = number = {c: i for i, c in enumerate(order)}
         # Plain (q, r) pairs hash like the Cells they name.
-        self.around = around = tuple(
-            tuple(number.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in order
+        get = number.get
+        self.around = around = tuple(zip(*(
+            [get((q + dq, r + dr), -1) for q, r in order] for dq, dr in DIR_OFFSETS
+        )))
+        self.present = tuple(
+            (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2 | (d >= 0) << 3 | (e >= 0) << 4 | (f >= 0) << 5
+            for a, b, c, d, e, f in around
         )
-        self.present = tuple(sum(1 << d for d, j in enumerate(row) if j >= 0) for row in around)
         if not self._is_connected():
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None

@@ -6,9 +6,14 @@ deduplication, hole detection by labelling the empty components of the
 bounding box instead of an Euler count or a flood from the support's
 empty neighbours, and sink/orientation facts recomputed from first
 principles.  Expected values frozen into the tests were produced by these
-functions.  ``reference_random_support``, ``reference_erosion_order`` and
+functions.  ``reference_random_support`` (and its prefix-yielding twin
+``reference_random_support_prefixes``), ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
-reads off one cyclic-run lookup.  ``reference_run`` is the object-based loop that
+reads off one cyclic-run lookup.  ``neighbor_mask_random_support`` and
+``rescan_erode`` are the grower and the erosion that ``generators`` ran
+before it kept rim masks and an erosion heap: six set lookups per
+neighbour of an added cell, and a scan from the first remaining cell
+after every removal.  ``reference_run`` is the object-based loop that
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
 reproduce bit for bit, and ``reference_replay`` the per-event loop
 ``render --trace`` used before it replayed through the engine.
@@ -27,9 +32,20 @@ tests need.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from typing import Iterator
 
 from trielect.algorithm import activation_step, is_activable
-from trielect.lattice import Cell, N_DIRS, neighbor, neighbors, port_to_dir
+from trielect.lattice import (
+    CYCLIC_RUN,
+    DIR_OFFSETS,
+    Cell,
+    N_DIRS,
+    neighbor,
+    neighbor_mask,
+    neighbors,
+    port_to_dir,
+)
 from trielect.support import Support
 from trielect.config import IN, OUT, Configuration, EdgeOrientation
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
@@ -163,6 +179,65 @@ def reference_random_support(n: int, seed: int) -> Support:
         )
         cells.add(growable[rng.randrange(len(growable))])
     return Support(cells)
+
+
+def reference_random_support_prefixes(n: int, seed: int) -> Iterator[frozenset[Cell]]:
+    """The cells of ``reference_random_support(k, seed)`` for k = 1..n, in
+    one growth: each step draws once, so a seed grows nested shapes."""
+    rng = random.Random(seed)
+    cells = {Cell(0, 0)}
+    yield frozenset(cells)
+    while len(cells) < n:
+        frontier = {nb for c in cells for nb in neighbors(c) if nb not in cells}
+        growable = sorted(
+            nb for nb in frontier if empty_component_count(frozenset(cells | {nb})) == 0
+        )
+        cells.add(growable[rng.randrange(len(growable))])
+        yield frozenset(cells)
+
+
+def neighbor_mask_random_support(n: int, seed: int) -> Support:
+    """``generators.random_support`` rechecking each empty neighbour of an
+    added cell with ``neighbor_mask`` and a bisection into the list."""
+    rng = random.Random(seed)
+    cells = {(0, 0)}
+    growable = sorted(DIR_OFFSETS)
+    while len(cells) < n:
+        q, r = growable.pop(rng.randrange(len(growable)))
+        cells.add((q, r))
+        for dq, dr in DIR_OFFSETS:
+            x = (q + dq, r + dr)
+            if x in cells:
+                continue
+            i = bisect_left(growable, x)
+            listed = i < len(growable) and growable[i] == x
+            if CYCLIC_RUN[neighbor_mask(x, cells)]:
+                if not listed:
+                    growable.insert(i, x)
+            elif listed:
+                del growable[i]
+    return Support(cells)
+
+
+def rescan_erode(s: Support) -> tuple[list[int], list[int]]:
+    """``generators._erode`` by a scan from the first remaining cell after
+    every removal: the order by cell number, and the masks cells went with."""
+    around = s.around
+    present = list(s.present)
+    left = list(range(len(present)))
+    gone: list[int] = []
+    while len(left) > 1:
+        for k, i in enumerate(left):
+            mask = present[i]
+            if 1 <= mask.bit_count() <= 3 and CYCLIC_RUN[mask]:
+                break
+        else:
+            raise AssertionError(f"no erodible cell among {[s.order[i] for i in left]}")
+        gone.append(left.pop(k))
+        for d in range(N_DIRS):
+            if mask >> d & 1:
+                present[around[i][d]] &= ~(1 << (d + 3) % N_DIRS)
+    return gone + left, present
 
 
 def reference_erosion_order(s: Support) -> list[Cell]:

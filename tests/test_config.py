@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from trielect.lattice import (
@@ -18,6 +21,7 @@ from trielect.config import (
     EdgeOrientation,
     IN,
     OUT,
+    LinkState,
     all_in_configuration,
     deserialize,
     identity_portmaps,
@@ -193,6 +197,23 @@ def test_mask_register_tables_round_trip_for_every_port_map_and_mask():
             assert OUT_MASK[pm][reg] == mask
             # Equal port maps built afresh and registers rebuilt from a list index alike.
             assert OUT_MASK[PortMap(pm.offset, pm.chirality)][tuple(list(reg))] == mask
+
+
+def test_link_states_rebuilt_any_way_key_the_register_tables():
+    # LinkState hashes by identity; every way of rebuilding a member must
+    # give back the same object, or register lookups would miss.
+    assert (IN.value, OUT.value, repr(IN), repr(OUT)) == ("I", "O", "I", "O")
+    assert IN != OUT and IN == LinkState("I") and OUT == LinkState.OUT
+    assert len({IN, OUT, LinkState("I"), LinkState("O")}) == 2
+    for pm in ALL_PORTMAPS:
+        for mask, reg in enumerate(REGISTER[pm]):
+            for rebuilt in (
+                pickle.loads(pickle.dumps(reg)),
+                copy.deepcopy(reg),
+                tuple(LinkState(link.value) for link in reg),
+            ):
+                assert rebuilt == reg and all(a is b for a, b in zip(rebuilt, reg))
+                assert OUT_MASK[pm][rebuilt] == mask
 
 
 def test_serialize_deterministic(tri):

@@ -8,6 +8,7 @@ from trielect.lattice import Cell, neighbors
 from trielect.config import EdgeOrientation, OUT
 from trielect.generators import (
     ErosionError,
+    _erode,
     enumerate_supports,
     erosion_order,
     erosion_orientation,
@@ -23,14 +24,17 @@ from trielect.generators import (
     triangle3,
 )
 from trielect.rules import is_valid, sinks
-from trielect.support import SupportError, canonical_cells, format_shape_text
+from trielect.support import Support, SupportError, canonical_cells, format_shape_text
 
 from reference import (
     are_adjacent,
     empty_component_count,
     globally_acyclic,
+    neighbor_mask_random_support,
     reference_erosion_order,
     reference_random_support,
+    reference_random_support_prefixes,
+    rescan_erode,
     rooted_growth_shapes,
     simply_connected_shape_count,
 )
@@ -85,10 +89,25 @@ def test_random_support_properties():
 
 
 def test_random_support_matches_flood_fill_grower():
+    # One seed draws the same cells whatever n is, so a single flood-fill
+    # growth gives the reference for every n at once.
     for seed in range(16):
-        for n in range(1, 41):
-            assert random_support(n, seed).cells == reference_random_support(n, seed).cells
-    assert random_support(150, 11).cells == reference_random_support(150, 11).cells
+        for n, cells in enumerate(reference_random_support_prefixes(40, seed), start=1):
+            assert random_support(n, seed).cells == cells
+    *_, cells = reference_random_support_prefixes(150, 11)
+    assert random_support(150, 11).cells == cells
+
+
+def test_flood_fill_prefixes_are_flood_fill_grown_supports():
+    prefixes = list(reference_random_support_prefixes(30, 13))
+    assert len(prefixes) == 30
+    for n in (1, 2, 12, 30):
+        assert prefixes[n - 1] == reference_random_support(n, 13).cells
+
+
+def test_random_support_matches_neighbor_mask_grower_at_scale():
+    for n, seed in ((10_000, 0), (20_000, 3)):
+        assert random_support(n, seed).cells == neighbor_mask_random_support(n, seed).cells
 
 
 def _growth_law(n):
@@ -133,6 +152,15 @@ def test_erosion_order_matches_flood_fill_reference():
     supports += [random_support(n, seed) for n in (12, 40, 150) for seed in (2, 3)]
     for s in supports:
         assert erosion_order(s) == reference_erosion_order(s)
+
+
+def test_erode_matches_rescan_erosion():
+    supports = [s for n in range(1, 6) for s in enumerate_supports(n)]
+    supports += [random_support(n, seed) for n, seed in ((10_000, 1), (20_000, 3))]
+    # A parallelogram and the diagonal line, on which no cell but an end is erodible.
+    supports += [parallelogram(100, 100), Support([Cell(i, -i) for i in range(2000)])]
+    for s in supports:
+        assert _erode(s) == rescan_erode(s)
 
 
 def test_erosion_order_line():
