@@ -26,8 +26,6 @@ from .lattice import (
     PortMap,
     dir_to_port,
     direction_from,
-    neighbor,
-    port_to_dir,
 )
 from .support import Support
 
@@ -102,8 +100,11 @@ def _mask_tables() -> tuple[
 #: is rejected only where a ``Configuration`` is built or updated.
 REGISTER, OUT_MASK = _mask_tables()
 
-#: The links of each of the 64 registers as ``serialize`` writes them.
+#: The links of each of the 64 registers as ``serialize`` writes them, and
+#: back: ``deserialize`` reads registers and port maps as these shared objects.
 _LINK_TEXT = {reg: " ".join(link.value for link in reg) for reg in REGISTER[IDENTITY_PORTMAP]}
+_REGISTER_OF_TEXT = {text: reg for reg, text in _LINK_TEXT.items()}
+_PORTMAP_OF_VALUE = {(pm.offset, pm.chirality): pm for pm in ALL_PORTMAPS}
 
 
 def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
@@ -155,13 +156,17 @@ class Configuration:
 
     def port_of(self, c: Cell, toward: Cell) -> int:
         """Local port of ``c`` whose edge leads to the adjacent cell ``toward``."""
-        return dir_to_port(self.portmaps[c], direction_from(c, toward))
+        pm = self.portmaps.get(c)
+        if pm is None:
+            raise ConfigError(f"cell {c} is not in the support")
+        return pm.ports[direction_from(c, toward)]
 
     def link(self, c: Cell, port: int) -> LinkState:
         return self.regs[c][port]
 
     def link_toward(self, c: Cell, toward: Cell) -> LinkState:
-        return self.regs[c][self.port_of(c, toward)]
+        port = self.port_of(c, toward)
+        return self.regs[c][port]
 
     def with_register(self, c: Cell, reg: Registers) -> "Configuration":
         """Copy of this configuration with one register replaced (re-validated)."""
@@ -183,20 +188,27 @@ class Configuration:
     # -- derived edge facts ---------------------------------------------------
 
     def orientation(self, a: Cell, b: Cell) -> EdgeOrientation:
-        if a not in self.support.cells or b not in self.support.cells:
+        number = self.support.number
+        i, j = number.get(a), number.get(b)
+        if i is None or j is None:
             raise ConfigError(f"edge {a}-{b} is not between occupied cells")
-        # link_toward raises if the cells are not adjacent
-        return LINK_ORIENTATION[self.link_toward(a, b) is OUT][self.link_toward(b, a) is OUT]
+        try:
+            d = self.support.around[i].index(j)
+        except ValueError:
+            raise ValueError(f"cells {a} and {b} are not adjacent") from None
+        out_a = self.regs[a][self.portmaps[a].ports[d]] is OUT
+        out_b = self.regs[b][self.portmaps[b].ports[(d + 3) % N_DIRS]] is OUT
+        return LINK_ORIENTATION[out_a][out_b]
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""
-        pm = self.portmaps[c]
+        i = self.support.number.get(c)
+        if i is None:
+            raise ConfigError(f"cell {c} is not in the support")
+        present = self.support.present[i]
+        dirs = self.portmaps[c].dirs
         reg = self.regs[c]
-        return tuple(
-            p
-            for p in range(N_DIRS)
-            if reg[p] is OUT and neighbor(c, port_to_dir(pm, p)) in self.support.cells
-        )
+        return tuple(p for p in range(N_DIRS) if reg[p] is OUT and present >> dirs[p] & 1)
 
     # -- serialisation --------------------------------------------------------
 
@@ -275,8 +287,9 @@ def deserialize(text: str) -> Configuration:
             raise ConfigError(f"line {lineno}: expected 'q r | offset chirality | links'")
         try:
             q, r = (int(x) for x in parts[0].split())
-            off_s, chi_s = parts[1].split()
-            pm = PortMap(int(off_s), int(chi_s))
+            off, chi = (int(x) for x in parts[1].split())
+            # The constructor raises for a value that names no port map.
+            pm = _PORTMAP_OF_VALUE.get((off, chi)) or PortMap(off, chi)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         cell = Cell(q, r)
@@ -284,11 +297,11 @@ def deserialize(text: str) -> Configuration:
             raise ConfigError(f"line {lineno}: cell ({q} {r}) is not in the shape block")
         if cell in portmaps:
             raise ConfigError(f"line {lineno}: duplicate entry for cell ({q} {r})")
-        link_syms = parts[2].split()
-        if len(link_syms) != N_DIRS or any(s not in ("I", "O") for s in link_syms):
+        reg = _REGISTER_OF_TEXT.get(" ".join(parts[2].split()))
+        if reg is None:
             raise ConfigError(f"line {lineno}: links must be six of I/O")
         portmaps[cell] = pm
-        regs[cell] = tuple(IN if s == "I" else OUT for s in link_syms)
+        regs[cell] = reg
     return Configuration(support, portmaps, regs)
 
 

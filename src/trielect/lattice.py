@@ -11,7 +11,7 @@ may leak a global direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, NamedTuple
 
 #: Global direction index, 0..5 counter-clockwise.
@@ -103,36 +103,61 @@ def common_neighbors(a: Cell, b: Cell) -> set[Cell]:
     return {neighbor(a, (d - 1) % N_DIRS), neighbor(a, (d + 1) % N_DIRS)}
 
 
+def _port_tables() -> dict[tuple[int, int], tuple[tuple[Dir, ...], tuple[int, ...]]]:
+    tables = {}
+    for chirality in (1, -1):
+        for offset in range(N_DIRS):
+            dirs = tuple((offset + chirality * port) % N_DIRS for port in range(N_DIRS))
+            ports = tuple((chirality * (d - offset)) % N_DIRS for d in range(N_DIRS))
+            tables[offset, chirality] = dirs, ports
+    return tables
+
+
+#: ``_PORT_TABLES[offset, chirality]``: the ``dirs`` and ``ports`` tuples
+#: every port map with that labelling shares.
+_PORT_TABLES = _port_tables()
+
+
 @dataclass(frozen=True, slots=True)
 class PortMap:
     """A particle's private bijection between local ports and directions.
 
     ``offset`` is the direction of port 0; ``chirality`` is +1 when ports
     increase counter-clockwise and -1 when they increase clockwise.
-    Consecutive ports always reach neighbouring nodes.
+    Consecutive ports always reach neighbouring nodes.  ``dirs[port]`` is
+    the direction of a port and ``ports[d]`` the port facing direction
+    ``d``; both are derived from the two fields and take no part in
+    equality, hashing or the repr.
     """
 
     offset: int
     chirality: int
+    dirs: tuple[Dir, ...] = field(init=False, repr=False, compare=False)
+    ports: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.offset < N_DIRS:
             raise ValueError(f"port map offset {self.offset} out of range")
         if self.chirality not in (1, -1):
             raise ValueError(f"chirality must be +1 or -1, got {self.chirality}")
+        dirs, ports = _PORT_TABLES[self.offset, self.chirality]
+        object.__setattr__(self, "dirs", dirs)
+        object.__setattr__(self, "ports", ports)
 
-
-IDENTITY_PORTMAP = PortMap(0, 1)
 
 #: All twelve distinct port labellings of a particle.
 ALL_PORTMAPS: tuple[PortMap, ...] = tuple(
     PortMap(off, chi) for chi in (1, -1) for off in range(N_DIRS)
 )
 
+#: Offset 0, counter-clockwise: the same object as ``ALL_PORTMAPS[0]``, so
+#: lookups keyed by it in the register tables match by identity.
+IDENTITY_PORTMAP = ALL_PORTMAPS[0]
+
 
 def port_to_dir(m: PortMap, port: int) -> Dir:
-    return (m.offset + m.chirality * port) % N_DIRS
+    return m.dirs[port]
 
 
 def dir_to_port(m: PortMap, d: Dir) -> int:
-    return (m.chirality * (d - m.offset)) % N_DIRS
+    return m.ports[d]

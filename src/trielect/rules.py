@@ -13,18 +13,23 @@ edges cannot.  Global cycles longer than three are deliberately not
 forbidden: a valid configuration still has exactly one sink, which is the
 elected leader.
 
-The ``check_r*`` functions are the object reference and read a
-``Configuration``.  ``RULE`` is the same R2/R3/R4 as one 64-entry table
-over a cell's Out mask, read as stored by the scheduler's mask engine and
-by ``oracle.ConfigGraph``; tests compare it with the reference.
+The ``check_r*`` functions and ``sinks`` are the object reference.  They
+read a ``Configuration``'s port maps and registers only, along the
+support's cell numbering: the neighbour of p at direction d is
+``around[number[p]][d]``, and the port facing d is the port map's
+``ports[d]``.  ``RULE`` is the same R2/R3/R4 as one 64-entry table over a
+cell's Out mask, read as stored by the scheduler's mask engine and by
+``oracle.ConfigGraph``; the reference reads neither it nor the register
+tables ``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare
+the two compare independent derivations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import CYCLIC_RUN, Cell, N_DIRS, neighbor
-from .config import Configuration, EdgeOrientation
+from .lattice import CYCLIC_RUN, Cell, N_DIRS
+from .config import OUT, Configuration
 
 
 def _consecutive_cyclic(ports: tuple[int, ...]) -> bool:
@@ -67,10 +72,15 @@ RULE = _rule_table()
 
 def check_r1(c: Configuration, p: Cell) -> bool:
     """Every edge at ``p`` is agreed-directed: no undirected, no conflict."""
-    for n in c.support.occupied_neighbors(p):
-        o = c.orientation(p, n)
-        if o is EdgeOrientation.UNDIRECTED or o is EdgeOrientation.CONFLICT:
-            return False
+    support, regs, portmaps = c.support, c.regs, c.portmaps
+    order = support.order
+    reg, ports = regs[p], portmaps[p].ports
+    for d, j in enumerate(support.around[support.number[p]]):
+        if j >= 0:
+            n = order[j]
+            # Directed and agreed iff exactly one end holds Out.
+            if (reg[ports[d]] is OUT) is (regs[n][portmaps[n].ports[(d + 3) % N_DIRS]] is OUT):
+                return False
     return True
 
 
@@ -84,28 +94,27 @@ def check_r3(c: Configuration, p: Cell) -> bool:
     return _consecutive_cyclic(c.outgoing_ports(p))
 
 
-def triangles_at(c: Configuration, p: Cell) -> list[tuple[Cell, Cell]]:
-    """Occupied neighbour pairs (q, r) of ``p`` at consecutive directions."""
-    cells = c.support.cells
-    nbs = [neighbor(p, d) for d in range(N_DIRS)]
-    out = []
-    for d in range(N_DIRS):
-        q, r = nbs[d], nbs[(d + 1) % N_DIRS]
-        if q in cells and r in cells:
-            out.append((q, r))
-    return out
-
-
-def _directed(c: Configuration, a: Cell, b: Cell) -> bool:
-    return c.orientation(a, b) is EdgeOrientation.A_TO_B
-
-
 def check_r4(c: Configuration, p: Cell) -> bool:
     """No triangle containing ``p`` is a directed 3-cycle (omniscient reading)."""
-    for q, r in triangles_at(c, p):
-        if _directed(c, p, q) and _directed(c, q, r) and _directed(c, r, p):
+    support, regs, portmaps = c.support, c.regs, c.portmaps
+    order = support.order
+    row = support.around[support.number[p]]
+    reg, ports = regs[p], portmaps[p].ports
+    for d in range(N_DIRS):
+        j, k = row[d], row[(d + 1) % N_DIRS]
+        if j < 0 or k < 0:
+            continue
+        q, r = order[j], order[k]
+        q_reg, q_ports = regs[q], portmaps[q].ports
+        r_reg, r_ports = regs[r], portmaps[r].ports
+        # q lies at d from p and r at d + 1, so r lies at d + 2 from q, and
+        # p at d + 3 from q and at d + 4 from r.  ``xy``: x is Out toward y.
+        pq, qp = reg[ports[d]] is OUT, q_reg[q_ports[(d + 3) % N_DIRS]] is OUT
+        qr, rq = q_reg[q_ports[(d + 2) % N_DIRS]] is OUT, r_reg[r_ports[(d + 5) % N_DIRS]] is OUT
+        rp, pr = r_reg[r_ports[(d + 4) % N_DIRS]] is OUT, reg[ports[(d + 1) % N_DIRS]] is OUT
+        if pq and not qp and qr and not rq and rp and not pr:  # p -> q -> r -> p
             return False
-        if _directed(c, p, r) and _directed(c, r, q) and _directed(c, q, p):
+        if pr and not rp and rq and not qr and qp and not pq:  # p -> r -> q -> p
             return False
     return True
 

@@ -100,13 +100,16 @@ class Support:
         self.number = number = {c: i for i, c in enumerate(order)}
         # Plain (q, r) pairs hash like the Cells they name.
         get = number.get
-        self.around = around = tuple(zip(*(
+        # Both tuples are built from lists: ``tuple`` of an iterator of
+        # unknown length grows by repeated reallocation, which fragments the
+        # C heap, so building many small supports kept raising the RSS.
+        self.around = around = tuple(list(zip(*(
             [get((q + dq, r + dr), -1) for q, r in order] for dq, dr in DIR_OFFSETS
-        )))
-        self.present = tuple(
+        ))))
+        self.present = tuple([
             (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2 | (d >= 0) << 3 | (e >= 0) << 4 | (f >= 0) << 5
             for a, b, c, d, e, f in around
-        )
+        ])
         if not self._is_connected():
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None

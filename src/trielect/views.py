@@ -17,13 +17,18 @@ all the triangle rule needs.  Depth 3 suffices and is the default
 everywhere.
 
 Because a label names at most one walk, "label in view_3(p)" is answered
-by walking it: ``in_view`` follows the exit ports from p and checks each
-entry port against the port the next cell assigns to the edge, a
-handful of lookups per question.  The formula asks about a dozen such
-questions per triangle, so ``local_check_r4`` and
-``infer_triangle_labels`` never build the whole view; ``build_view``
-is the definition of view_k and the reference ``in_view`` is tested
-against.
+by walking it: ``in_view`` follows the exit ports from p along the
+support's cell numbering and checks each entry port against the port the
+next cell assigns to the edge.  A step reads the direction of the exit
+port from the port map's ``dirs``, the next cell number from
+``Support.around``, that cell's port map, and its port facing back from
+the map's ``ports``.  The formula asks about a dozen such questions per
+triangle, so ``local_check_r4`` and ``infer_triangle_labels`` never build
+the whole view; ``build_view`` is the definition of view_k and the
+reference ``in_view`` is tested against.  Like the omniscient checkers in
+``rules``, these readers see a configuration's port maps and registers
+only, and local R4 learns the far edge of a triangle from view
+membership alone.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .lattice import DIR_OFFSETS, Cell, N_DIRS, dir_to_port, neighbor, port_to_dir
-from .config import LINK_ORIENTATION, Configuration, EdgeOrientation, OUT
+from .lattice import Cell, N_DIRS, neighbor, port_to_dir
+from .config import OUT, Configuration
 
 #: Sequence of (exit port at step i, entry port at step i+1) pairs.
 PathLabel = tuple[tuple[int, int], ...]
@@ -91,21 +96,19 @@ def in_view(c: Configuration, p: Cell, label: PathLabel) -> bool:
     """
     if not 0 < len(label) <= VIEW_DEPTH:
         return False
-    cells, portmaps = c.support.cells, c.portmaps
-    q, r = p
+    support, portmaps = c.support, c.portmaps
+    order, around = support.order, support.around
+    i = support.number[p]
     pm = portmaps[p]
     for exit_port, entry_port in label:
         if not 0 <= exit_port < N_DIRS:
             return False
-        d = port_to_dir(pm, exit_port)
-        dq, dr = DIR_OFFSETS[d]
-        q += dq
-        r += dr
-        # A plain pair hashes and compares equal to the Cell it names.
-        if (q, r) not in cells:
+        d = pm.dirs[exit_port]
+        i = around[i][d]
+        if i < 0:
             return False
-        pm = portmaps[(q, r)]
-        if dir_to_port(pm, (d + 3) % N_DIRS) != entry_port:
+        pm = portmaps[order[i]]
+        if pm.ports[(d + 3) % N_DIRS] != entry_port:
             return False
     return True
 
@@ -156,16 +159,20 @@ def _infer(
 def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[int, int]:
     """True port labels (q's port toward r, r's port toward q), seen from p.
 
-    Uses only view_3(p) membership (``in_view``) plus the labels p's
-    neighbours assign to their shared edges, never q's or r's port maps.
+    Uses only view_3(p) membership (``in_view``) plus the labels q and r
+    assign to their edges with p: the far edge's labels come from the view.
     """
-    for a, b in ((p, q), (q, r), (r, p)):
-        if b not in (neighbor(a, d) for d in range(N_DIRS)):
-            raise ValueError(f"{p}, {q}, {r} do not form a triangle")
-    p1 = c.port_of(p, q)
-    p0 = c.port_of(p, r)
-    q1 = c.port_of(q, p)
-    r1 = c.port_of(r, p)
+    support, portmaps = c.support, c.portmaps
+    number, around = support.number, support.around
+    i, j, k = number[p], number[q], number[r]
+    row = around[i]
+    if j not in row or k not in row or k not in around[j]:
+        raise ValueError(f"{p}, {q}, {r} do not form a triangle")
+    dq, dr = row.index(j), row.index(k)
+    p_ports = portmaps[p].ports
+    p1, p0 = p_ports[dq], p_ports[dr]
+    q1 = portmaps[q].ports[(dq + 3) % N_DIRS]
+    r1 = portmaps[r].ports[(dr + 3) % N_DIRS]
     try:
         return _infer(partial(in_view, c, p), p0, p1, q1, r1)
     except ChiralityInferenceError as exc:
@@ -179,29 +186,28 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
     the omniscient version uses is the labelling of the far edge of each
     triangle, which the view formula recovers.
     """
-    cells = c.support.cells
-    nbs = [neighbor(p, d) for d in range(N_DIRS)]
+    support, regs, portmaps = c.support, c.regs, c.portmaps
+    order = support.order
+    row = support.around[support.number[p]]
+    reg, ports = regs[p], portmaps[p].ports
     has = partial(in_view, c, p)
     for d in range(N_DIRS):
-        q, r = nbs[d], nbs[(d + 1) % N_DIRS]
-        if q not in cells or r not in cells:
+        j, k = row[d], row[(d + 1) % N_DIRS]
+        if j < 0 or k < 0:
             continue
-        q_to_r, r_to_q = _infer(
-            has, c.port_of(p, r), c.port_of(p, q), c.port_of(q, p), c.port_of(r, p)
-        )
-        pq = c.orientation(p, q)
-        pr = c.orientation(p, r)
-        qr = LINK_ORIENTATION[c.link(q, q_to_r) is OUT][c.link(r, r_to_q) is OUT]
-        fwd = (
-            pq is EdgeOrientation.A_TO_B
-            and qr is EdgeOrientation.A_TO_B
-            and pr is EdgeOrientation.B_TO_A
-        )
-        bwd = (
-            pr is EdgeOrientation.A_TO_B
-            and qr is EdgeOrientation.B_TO_A
-            and pq is EdgeOrientation.B_TO_A
-        )
-        if fwd or bwd:
+        q, r = order[j], order[k]
+        # q lies at d from p and r at d + 1; each meets p from the opposite side.
+        p1, p0 = ports[d], ports[(d + 1) % N_DIRS]
+        q1 = portmaps[q].ports[(d + 3) % N_DIRS]
+        r1 = portmaps[r].ports[(d + 4) % N_DIRS]
+        q_to_r, r_to_q = _infer(has, p0, p1, q1, r1)
+        q_reg, r_reg = regs[q], regs[r]
+        # ``xy``: x is Out toward y.
+        pq, qp = reg[p1] is OUT, q_reg[q1] is OUT
+        pr, rp = reg[p0] is OUT, r_reg[r1] is OUT
+        qr, rq = q_reg[q_to_r] is OUT, r_reg[r_to_q] is OUT
+        if pq and not qp and qr and not rq and rp and not pr:  # p -> q -> r -> p
+            return False
+        if pr and not rp and rq and not qr and qp and not pq:  # p -> r -> q -> p
             return False
     return True

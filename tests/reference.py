@@ -21,7 +21,14 @@ reproduce bit for bit, and ``reference_replay`` the per-event loop
 ran before its lazy SCC pass: all predecessor lists built up front, then a
 backward flood from the targets.  ``reference_silence`` is the scan
 ``oracle.check_silence`` ran before it searched for the final states:
-``move`` and ``is_valid`` on every one of the 4^E states.  ``analyze_cycle`` checks the two cycle
+``move`` and ``is_valid`` on every one of the 4^E states.  The
+``coordinate_*`` readers (R1-R4, ``outgoing_ports``, ``orientation``,
+``port_of``, ``in_view`` and local R4) are the rule and view readers
+before they walked the support's cell numbering: neighbours by coordinate
+offsets, ports and directions by the port map's arithmetic formula, as
+``arithmetic_port_to_dir`` and ``arithmetic_dir_to_port`` give them, and
+``triangles_at`` lists a particle's triangles the same way;
+``formula_queries`` lists the labels the view formula asks about.  ``analyze_cycle`` checks the two cycle
 lemmas on configurations, port by port, as ``oracle.UnfairCycle.lemmas``
 does on packed states.  ``resolve_conflicts`` and ``remove_particle`` are
 single-purpose configuration edits, and ``read_trace``, ``mirrored``,
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import partial
 from typing import Iterator
 
 from trielect.algorithm import activation_step, is_activable
@@ -41,13 +49,22 @@ from trielect.lattice import (
     DIR_OFFSETS,
     Cell,
     N_DIRS,
+    PortMap,
+    direction_from,
     neighbor,
     neighbor_mask,
     neighbors,
     port_to_dir,
 )
 from trielect.support import Support
-from trielect.config import IN, OUT, Configuration, EdgeOrientation
+from trielect.config import (
+    IN,
+    LINK_ORIENTATION,
+    OUT,
+    ConfigError,
+    Configuration,
+    EdgeOrientation,
+)
 from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.rules import _consecutive_cyclic
 from trielect.scheduler import (
@@ -61,7 +78,7 @@ from trielect.scheduler import (
     shape_hash,
 )
 from trielect.oracle import ConfigGraph, CycleReport, SilenceReport
-from trielect.views import infer_triangle_labels
+from trielect.views import VIEW_DEPTH, _formula_holds, _infer, infer_triangle_labels
 
 
 def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
@@ -515,6 +532,142 @@ def relative_chirality(c: Configuration, p: Cell, q: Cell, r: Cell) -> int:
     # on opposite rotational sides of the shared edge, and the two sign
     # flips cancel.
     return sp * sq
+
+
+def arithmetic_port_to_dir(m: PortMap, port: int) -> int:
+    return (m.offset + m.chirality * port) % N_DIRS
+
+
+def arithmetic_dir_to_port(m: PortMap, d: int) -> int:
+    return (m.chirality * (d - m.offset)) % N_DIRS
+
+
+def coordinate_port_of(c: Configuration, a: Cell, b: Cell) -> int:
+    return arithmetic_dir_to_port(c.portmaps[a], direction_from(a, b))
+
+
+def coordinate_orientation(c: Configuration, a: Cell, b: Cell) -> EdgeOrientation:
+    if a not in c.support.cells or b not in c.support.cells:
+        raise ConfigError(f"edge {a}-{b} is not between occupied cells")
+    out_a = c.regs[a][coordinate_port_of(c, a, b)] is OUT
+    out_b = c.regs[b][coordinate_port_of(c, b, a)] is OUT
+    return LINK_ORIENTATION[out_a][out_b]
+
+
+def coordinate_outgoing_ports(c: Configuration, p: Cell) -> tuple[int, ...]:
+    pm, reg = c.portmaps[p], c.regs[p]
+    return tuple(
+        port
+        for port in range(N_DIRS)
+        if reg[port] is OUT and neighbor(p, arithmetic_port_to_dir(pm, port)) in c.support.cells
+    )
+
+
+def triangles_at(c: Configuration, p: Cell) -> list[tuple[Cell, Cell]]:
+    """Occupied neighbour pairs (q, r) of ``p`` at consecutive directions."""
+    cells = c.support.cells
+    nbs = neighbors(p)
+    return [
+        (nbs[d], nbs[(d + 1) % N_DIRS])
+        for d in range(N_DIRS)
+        if nbs[d] in cells and nbs[(d + 1) % N_DIRS] in cells
+    ]
+
+
+def coordinate_check_r1(c: Configuration, p: Cell) -> bool:
+    for n in neighbors(p):
+        if n in c.support.cells:
+            o = coordinate_orientation(c, p, n)
+            if o is EdgeOrientation.UNDIRECTED or o is EdgeOrientation.CONFLICT:
+                return False
+    return True
+
+
+def coordinate_check_r2(c: Configuration, p: Cell) -> bool:
+    return len(coordinate_outgoing_ports(c, p)) <= 3
+
+
+def coordinate_check_r3(c: Configuration, p: Cell) -> bool:
+    return _consecutive_cyclic(coordinate_outgoing_ports(c, p))
+
+
+def _directed(c: Configuration, a: Cell, b: Cell) -> bool:
+    return coordinate_orientation(c, a, b) is EdgeOrientation.A_TO_B
+
+
+def coordinate_check_r4(c: Configuration, p: Cell) -> bool:
+    for q, r in triangles_at(c, p):
+        if _directed(c, p, q) and _directed(c, q, r) and _directed(c, r, p):
+            return False
+        if _directed(c, p, r) and _directed(c, r, q) and _directed(c, q, p):
+            return False
+    return True
+
+
+def coordinate_in_view(c: Configuration, p: Cell, label) -> bool:
+    if not 0 < len(label) <= VIEW_DEPTH:
+        return False
+    cells, portmaps = c.support.cells, c.portmaps
+    q, r = p
+    pm = portmaps[p]
+    for exit_port, entry_port in label:
+        if not 0 <= exit_port < N_DIRS:
+            return False
+        d = arithmetic_port_to_dir(pm, exit_port)
+        dq, dr = DIR_OFFSETS[d]
+        q += dq
+        r += dr
+        if (q, r) not in cells:
+            return False
+        pm = portmaps[(q, r)]
+        if arithmetic_dir_to_port(pm, (d + 3) % N_DIRS) != entry_port:
+            return False
+    return True
+
+
+def coordinate_local_check_r4(c: Configuration, p: Cell) -> bool:
+    has = partial(coordinate_in_view, c, p)
+    for q, r in triangles_at(c, p):
+        q_to_r, r_to_q = _infer(
+            has,
+            coordinate_port_of(c, p, r),
+            coordinate_port_of(c, p, q),
+            coordinate_port_of(c, q, p),
+            coordinate_port_of(c, r, p),
+        )
+        pq = coordinate_orientation(c, p, q)
+        pr = coordinate_orientation(c, p, r)
+        qr = LINK_ORIENTATION[c.regs[q][q_to_r] is OUT][c.regs[r][r_to_q] is OUT]
+        fwd = (
+            pq is EdgeOrientation.A_TO_B
+            and qr is EdgeOrientation.A_TO_B
+            and pr is EdgeOrientation.B_TO_A
+        )
+        bwd = (
+            pr is EdgeOrientation.A_TO_B
+            and qr is EdgeOrientation.B_TO_A
+            and pq is EdgeOrientation.B_TO_A
+        )
+        if fwd or bwd:
+            return False
+    return True
+
+
+def formula_queries(c: Configuration, p: Cell, q: Cell, r: Cell) -> list:
+    """Every label the view formula asks about triangle pqr seen from p, for
+    all four candidate labelings: sixteen questions."""
+    p0, p1 = coordinate_port_of(c, p, r), coordinate_port_of(c, p, q)
+    q1, r1 = coordinate_port_of(c, q, p), coordinate_port_of(c, r, p)
+    asked = []
+
+    def record(label) -> bool:
+        asked.append(label)
+        return True  # keeps the formula asking every question
+
+    for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS):
+        for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS):
+            _formula_holds(record, p0, p1, q1, r1, x, y)
+    return asked
 
 
 def analyze_cycle(configs, activated) -> CycleReport:

@@ -37,13 +37,15 @@ from trielect.scheduler import (
 )
 from trielect.support import check_angle_census, boundary_witness
 from trielect.views import infer_triangle_labels, local_check_r4
-from trielect.rules import check_r4, triangles_at
+from trielect.rules import check_r4
 
 import itertools
 
 from trielect.lattice import ALL_PORTMAPS, Cell
 from trielect.config import ALL_IN, Configuration
 from trielect.support import Support
+
+from reference import triangles_at
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -32,6 +32,7 @@ from trielect.generators import (
     random_support,
     triangle3,
 )
+from trielect.support import Support
 
 from reference import mirrored
 
@@ -75,6 +76,35 @@ def test_orientation_rejects_bad_cells():
         c.orientation(Cell(0, 0), Cell(5, 5))
     with pytest.raises(ValueError):
         c.orientation(Cell(0, 0), Cell(0, 0))
+
+
+def test_edge_readers_reject_empty_and_non_adjacent_cells():
+    c = pair_config(reg(p0=OUT), ALL_IN)
+    a, far, empty = Cell(0, 0), Cell(2, 0), Cell(0, 1)
+    for call in (
+        lambda: c.port_of(empty, a),
+        lambda: c.link_toward(empty, a),
+        lambda: c.orientation(a, empty),
+        lambda: c.orientation(empty, a),
+        lambda: c.outgoing_ports(empty),
+    ):
+        with pytest.raises(ConfigError):
+            call()
+    c3 = Configuration(
+        Support([a, Cell(1, 0), far]), {x: IDENTITY_PORTMAP for x in (a, Cell(1, 0), far)},
+        {x: ALL_IN for x in (a, Cell(1, 0), far)},
+    )
+    for call in (
+        lambda: c3.port_of(a, far),
+        lambda: c3.link_toward(a, far),
+        lambda: c3.orientation(a, far),
+        lambda: c3.orientation(a, a),
+    ):
+        with pytest.raises(ValueError, match="not adjacent") as exc:
+            call()
+        assert not isinstance(exc.value, ConfigError)
+    # A port toward an adjacent empty cell exists and holds In.
+    assert c.port_of(a, empty) == 1 and c.link_toward(a, empty) is IN
 
 
 def test_outgoing_ports():
@@ -214,6 +244,20 @@ def test_link_states_rebuilt_any_way_key_the_register_tables():
             ):
                 assert rebuilt == reg and all(a is b for a, b in zip(rebuilt, reg))
                 assert OUT_MASK[pm][rebuilt] == mask
+
+
+def test_deserialize_reads_the_shared_port_maps_and_registers():
+    s = random_support(40, 5)
+    cfg = random_registers(s, 6, 0.25, random_portmaps(s, 7))
+    back = deserialize(cfg.serialize())
+    assert back == cfg
+    for c in s:
+        assert back.portmaps[c] is ALL_PORTMAPS[ALL_PORTMAPS.index(cfg.portmaps[c])]
+        assert back.regs[c] is REGISTER[IDENTITY_PORTMAP][OUT_MASK[IDENTITY_PORTMAP][cfg.regs[c]]]
+    text = cfg.serialize()
+    for bad, message in (("| 6 +1 |", "offset 6 out of range"), ("| 0 +2 |", "chirality must be")):
+        with pytest.raises(ConfigError, match=message):
+            deserialize(text.replace("| 0 +1 |", bad, 1).replace("| 0 -1 |", bad, 1))
 
 
 def test_serialize_deterministic(tri):

@@ -1,7 +1,12 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from trielect.lattice import (
     ALL_PORTMAPS,
+    IDENTITY_PORTMAP,
     Cell,
     N_DIRS,
     PortMap,
@@ -100,7 +105,38 @@ def test_neighbor_mask_reads_sets_and_supports():
 
 
 def test_portmap_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="offset 6 out of range"):
         PortMap(6, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="offset -1 out of range"):
+        PortMap(-1, 1)
+    with pytest.raises(ValueError, match="chirality must be"):
         PortMap(0, 2)
+    with pytest.raises(ValueError, match="chirality must be"):
+        PortMap(0, 0)
+
+
+def test_identity_portmap_is_the_first_of_all_portmaps():
+    assert IDENTITY_PORTMAP is ALL_PORTMAPS[0]
+    assert (IDENTITY_PORTMAP.offset, IDENTITY_PORTMAP.chirality) == (0, 1)
+
+
+def test_port_direction_tables_match_the_arithmetic_formula():
+    for m in ALL_PORTMAPS:
+        for x in range(N_DIRS):
+            assert port_to_dir(m, x) == (m.offset + m.chirality * x) % N_DIRS
+            assert dir_to_port(m, x) == (m.chirality * (x - m.offset)) % N_DIRS
+
+
+def test_portmap_keeps_its_value_semantics():
+    for m in ALL_PORTMAPS:
+        twin = PortMap(m.offset, m.chirality)
+        assert twin == m and hash(twin) == hash(m)
+        assert (twin.dirs, twin.ports) == (m.dirs, m.ports)
+        assert repr(twin) == f"PortMap(offset={m.offset}, chirality={m.chirality})"
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert copy.deepcopy(m) == m
+        for attr in ("offset", "chirality", "dirs", "ports"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, attr, getattr(m, attr))
+    assert len(set(ALL_PORTMAPS)) == 12
+    assert PortMap(2, -1) != PortMap(2, 1) and PortMap(2, -1) != PortMap(3, -1)

@@ -1,6 +1,9 @@
+import itertools
 import random
 
-from trielect.lattice import Cell, N_DIRS, neighbor
+import pytest
+
+from trielect.lattice import ALL_PORTMAPS, Cell, N_DIRS, direction_from, neighbor, neighbors
 from trielect.config import (
     IN,
     OUT,
@@ -10,6 +13,7 @@ from trielect.config import (
     all_in_configuration,
 )
 from trielect.generators import (
+    enumerate_supports,
     erosion_orientation,
     random_portmaps,
     random_registers,
@@ -28,7 +32,24 @@ from trielect.rules import (
     _consecutive_cyclic,
 )
 
-from reference import brute_sinks, remove_particle
+from trielect.views import build_view, in_view, infer_triangle_labels, local_check_r4
+
+from reference import (
+    arithmetic_port_to_dir,
+    brute_sinks,
+    coordinate_check_r1,
+    coordinate_check_r2,
+    coordinate_check_r3,
+    coordinate_check_r4,
+    coordinate_in_view,
+    coordinate_local_check_r4,
+    coordinate_orientation,
+    coordinate_outgoing_ports,
+    coordinate_port_of,
+    formula_queries,
+    remove_particle,
+    triangles_at,
+)
 
 
 def set_ports(cfg, cell, *ports, state=OUT):
@@ -249,3 +270,114 @@ def test_observation_remove_particle_preserves_r124():
             if check_r4(cfg, q):
                 assert check_r4(smaller, q)
             checked += 1
+
+
+# -- the numbered readers against the coordinate readers ---------------------------
+
+
+def _assert_view_readers_agree(cfg, every_walk):
+    """``in_view`` and ``infer_triangle_labels`` on every formula question;
+    with ``every_walk``, also on every label of view_4, and on every label
+    of view_3 with one step's exit or entry port replaced by each of -1..6."""
+    for p in cfg.support:
+        labels = []
+        for q, r in triangles_at(cfg, p):
+            labels += formula_queries(cfg, p, q, r)
+            assert infer_triangle_labels(cfg, p, q, r) == (
+                coordinate_port_of(cfg, q, r), coordinate_port_of(cfg, r, q))
+        if every_walk:
+            labels += build_view(cfg, p, 4).labels
+            for label in build_view(cfg, p, 3).labels:
+                for i, (exit_port, entry_port) in enumerate(label):
+                    for port in range(-1, N_DIRS + 1):
+                        labels.append(label[:i] + ((port, entry_port),) + label[i + 1:])
+                        labels.append(label[:i] + ((exit_port, port),) + label[i + 1:])
+        for label in labels:
+            assert in_view(cfg, p, label) == coordinate_in_view(cfg, p, label), (p, label)
+
+
+def _assert_rule_readers_agree(cfg):
+    """R1-R4, local R4, sinks and the edge readers at every particle."""
+    cells = cfg.support.cells
+    for p in cfg.support:
+        numbered = (check_r1(cfg, p), check_r2(cfg, p), check_r3(cfg, p), check_r4(cfg, p),
+                    local_check_r4(cfg, p), cfg.outgoing_ports(p))
+        coordinate = (coordinate_check_r1(cfg, p), coordinate_check_r2(cfg, p),
+                      coordinate_check_r3(cfg, p), coordinate_check_r4(cfg, p),
+                      coordinate_local_check_r4(cfg, p), coordinate_outgoing_ports(cfg, p))
+        assert numbered == coordinate, p
+        for n in neighbors(p):
+            assert cfg.port_of(p, n) == coordinate_port_of(cfg, p, n)
+            if n in cells:
+                assert cfg.orientation(p, n) is coordinate_orientation(cfg, p, n)
+                assert cfg.link_toward(p, n) is cfg.regs[p][coordinate_port_of(cfg, p, n)]
+    assert sinks(cfg) == {p for p in cfg.support if not coordinate_outgoing_ports(cfg, p)}
+
+
+def _states(s, codes, portmaps):
+    """The configuration whose edge ``k`` (in ``Support.edges`` order) has
+    code ``codes[k]``: bit 0 Out at its lower cell, bit 1 Out at its higher."""
+    masks = dict.fromkeys(s, 0)
+    for (a, b), code in zip(s.edges(), codes):
+        d = direction_from(a, b)
+        if code & 1:
+            masks[a] |= 1 << d
+        if code & 2:
+            masks[b] |= 1 << (d + 3) % N_DIRS
+    regs = {
+        c: tuple(OUT if masks[c] >> arithmetic_port_to_dir(portmaps[c], port) & 1 else IN
+                 for port in range(N_DIRS))
+        for c in s
+    }
+    return Configuration(s, portmaps, regs)
+
+
+def _covering_portmaps(s, rng):
+    """Twelve port-map assignments; each cell meets all twelve maps once."""
+    draws = {c: rng.sample(ALL_PORTMAPS, len(ALL_PORTMAPS)) for c in s}
+    return [{c: draws[c][t] for c in s} for t in range(len(ALL_PORTMAPS))]
+
+
+def test_numbered_readers_match_coordinate_readers_on_every_small_state():
+    """Every support of at most three cells, all 4^E states, under twelve
+    seeded port-map assignments that show every cell all twelve maps."""
+    rng = random.Random(2024)
+    states = 0
+    for n in (1, 2, 3):
+        for s in enumerate_supports(n):
+            for portmaps in _covering_portmaps(s, rng):
+                # Views read port maps only, so one state per assignment does.
+                _assert_view_readers_agree(_states(s, (0,) * len(s.edges()), portmaps),
+                                           every_walk=True)
+                for codes in itertools.product(range(4), repeat=len(s.edges())):
+                    _assert_rule_readers_agree(_states(s, codes, portmaps))
+                    states += 1
+    assert states == 12 * (1 + 3 * 4 + 9 * 16 + 2 * 64)
+
+
+def test_numbered_readers_match_coordinate_readers_on_four_cell_supports():
+    """A seeded sample of 48 states on each of the 44 four-cell supports,
+    each state under a fresh random port-map assignment; every walk of the
+    view on two of them."""
+    rng = random.Random(4)
+    supports = enumerate_supports(4)
+    assert len(supports) == 44
+    for s in supports:
+        edges = len(s.edges())
+        for i in range(48):
+            portmaps = {c: rng.choice(ALL_PORTMAPS) for c in s}
+            cfg = _states(s, [rng.randrange(4) for _ in range(edges)], portmaps)
+            _assert_rule_readers_agree(cfg)
+            if i % 24 == 0:
+                _assert_view_readers_agree(cfg, every_walk=True)
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (900, 2), (2000, 3)])
+def test_numbered_readers_match_coordinate_readers_at_scale(n, seed):
+    """Random supports of 300 to 2,000 cells, random port maps, registers
+    with conflict probability 0.25."""
+    s = random_support(n, seed)
+    cfg = random_registers(s, seed + 1, 0.25, random_portmaps(s, seed + 2))
+    _assert_rule_readers_agree(cfg)
+    _assert_view_readers_agree(cfg, every_walk=False)
+    assert not all(check_r4(cfg, p) for p in s), "no triangle closes a cycle"

@@ -14,11 +14,10 @@ from trielect.generators import (
     random_support,
     triangle3,
 )
-from trielect.rules import check_r4, triangles_at
+from trielect.rules import check_r4
 from trielect.support import Support
 from trielect.views import (
     VIEW_DEPTH,
-    _formula_holds,
     _infer,
     build_view,
     in_view,
@@ -26,7 +25,7 @@ from trielect.views import (
     local_check_r4,
 )
 
-from reference import relative_chirality
+from reference import formula_queries, relative_chirality, triangles_at
 
 P, Q, R = Cell(0, 0), Cell(1, 0), Cell(0, 1)
 R2 = Cell(1, -1)  # second common neighbour of P and Q
@@ -193,16 +192,7 @@ def test_in_view_answers_every_formula_query():
             view = build_view(cfg, p, VIEW_DEPTH).labels
             for q, r in triangles_at(cfg, p):
                 ports = (cfg.port_of(p, r), cfg.port_of(p, q), cfg.port_of(q, p), cfg.port_of(r, p))
-                p0, p1, q1, r1 = ports
-                asked = []
-
-                def record(label):
-                    asked.append(label)
-                    return True  # keeps the formula asking every question
-
-                for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS):
-                    for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS):
-                        _formula_holds(record, p0, p1, q1, r1, x, y)
+                asked = formula_queries(cfg, p, q, r)
                 assert len(asked) == 16
                 for label in asked:
                     assert in_view(cfg, p, label) == (label in view), label
