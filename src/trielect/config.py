@@ -101,10 +101,9 @@ def _mask_tables() -> tuple[
 REGISTER, OUT_MASK = _mask_tables()
 
 #: The links of each of the 64 registers as ``serialize`` writes them, and
-#: back: ``deserialize`` reads registers and port maps as these shared objects.
+#: back: ``deserialize`` reads registers as these shared objects.
 _LINK_TEXT = {reg: " ".join(link.value for link in reg) for reg in REGISTER[IDENTITY_PORTMAP]}
 _REGISTER_OF_TEXT = {text: reg for reg, text in _LINK_TEXT.items()}
-_PORTMAP_OF_VALUE = {(pm.offset, pm.chirality): pm for pm in ALL_PORTMAPS}
 
 
 def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
@@ -288,8 +287,7 @@ def deserialize(text: str) -> Configuration:
         try:
             q, r = (int(x) for x in parts[0].split())
             off, chi = (int(x) for x in parts[1].split())
-            # The constructor raises for a value that names no port map.
-            pm = _PORTMAP_OF_VALUE.get((off, chi)) or PortMap(off, chi)
+            pm = PortMap(off, chi)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         cell = Cell(q, r)

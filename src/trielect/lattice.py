@@ -103,22 +103,7 @@ def common_neighbors(a: Cell, b: Cell) -> set[Cell]:
     return {neighbor(a, (d - 1) % N_DIRS), neighbor(a, (d + 1) % N_DIRS)}
 
 
-def _port_tables() -> dict[tuple[int, int], tuple[tuple[Dir, ...], tuple[int, ...]]]:
-    tables = {}
-    for chirality in (1, -1):
-        for offset in range(N_DIRS):
-            dirs = tuple((offset + chirality * port) % N_DIRS for port in range(N_DIRS))
-            ports = tuple((chirality * (d - offset)) % N_DIRS for d in range(N_DIRS))
-            tables[offset, chirality] = dirs, ports
-    return tables
-
-
-#: ``_PORT_TABLES[offset, chirality]``: the ``dirs`` and ``ports`` tuples
-#: every port map with that labelling shares.
-_PORT_TABLES = _port_tables()
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PortMap:
     """A particle's private bijection between local ports and directions.
 
@@ -127,7 +112,12 @@ class PortMap:
     Consecutive ports always reach neighbouring nodes.  ``dirs[port]`` is
     the direction of a port and ``ports[d]`` the port facing direction
     ``d``; both are derived from the two fields and take no part in
-    equality, hashing or the repr.
+    equality or the repr.
+
+    There is one object per labelling: ``PortMap(offset, chirality)``,
+    ``pickle`` and ``copy`` all return the one in ``ALL_PORTMAPS``.  So
+    equal port maps are identical and the identity hash, computed in C,
+    agrees with equality; every ``OUT_MASK``/``REGISTER`` lookup hashes one.
     """
 
     offset: int
@@ -135,20 +125,42 @@ class PortMap:
     dirs: tuple[Dir, ...] = field(init=False, repr=False, compare=False)
     ports: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.offset < N_DIRS:
-            raise ValueError(f"port map offset {self.offset} out of range")
-        if self.chirality not in (1, -1):
-            raise ValueError(f"chirality must be +1 or -1, got {self.chirality}")
-        dirs, ports = _PORT_TABLES[self.offset, self.chirality]
-        object.__setattr__(self, "dirs", dirs)
-        object.__setattr__(self, "ports", ports)
+    __hash__ = object.__hash__
 
+    def __new__(cls, offset: int, chirality: int) -> PortMap:
+        try:
+            return _SHARED[offset, chirality]
+        except KeyError:
+            pass
+        if not 0 <= offset < N_DIRS:
+            raise ValueError(f"port map offset {offset} out of range")
+        raise ValueError(f"chirality must be +1 or -1, got {chirality}")
+
+    def __reduce__(self) -> tuple[type[PortMap], tuple[int, int]]:
+        return PortMap, (self.offset, self.chirality)
+
+
+def _shared_portmaps() -> dict[tuple[int, int], PortMap]:
+    shared = {}
+    for chirality in (1, -1):
+        for offset in range(N_DIRS):
+            m = object.__new__(PortMap)
+            for name, value in (
+                ("offset", offset),
+                ("chirality", chirality),
+                ("dirs", tuple((offset + chirality * port) % N_DIRS for port in range(N_DIRS))),
+                ("ports", tuple((chirality * (d - offset)) % N_DIRS for d in range(N_DIRS))),
+            ):
+                object.__setattr__(m, name, value)
+            shared[offset, chirality] = m
+    return shared
+
+
+#: ``_SHARED[offset, chirality]``: the one ``PortMap`` of that labelling.
+_SHARED = _shared_portmaps()
 
 #: All twelve distinct port labellings of a particle.
-ALL_PORTMAPS: tuple[PortMap, ...] = tuple(
-    PortMap(off, chi) for chi in (1, -1) for off in range(N_DIRS)
-)
+ALL_PORTMAPS: tuple[PortMap, ...] = tuple(_SHARED.values())
 
 #: Offset 0, counter-clockwise: the same object as ``ALL_PORTMAPS[0]``, so
 #: lookups keyed by it in the register tables match by identity.

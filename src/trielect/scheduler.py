@@ -14,14 +14,18 @@ is Out toward it).  Cell numbers, ``around[ci]`` (the neighbours' cell
 numbers by direction, -1 where the cell is empty) and ``present[ci]``
 (the mask of occupied directions) are the support's own
 (``Support.order``, ``Support.around``, ``Support.present``); ``run``
-builds nothing per support.  One activation looks ``present & ~theirs``
-up in ``rules.RULE`` and reads the at most two triangles it names off
-the masks of the neighbour the particle is Out toward.  A step writes
-``mine[ci]``, flips one ``theirs`` bit at each neighbour whose edge
-changed, and can change activability only for that particle and its six
-neighbours, so it costs O(1) table work instead of copying the
-configuration.  The activable particles are kept as a sorted list of
-cell numbers, updated with ``bisect`` for those seven cells only.  Cell
+builds nothing per support.  ``_fire`` computes a particle's next Out
+mask: it looks ``present & ~theirs`` up in ``rules.RULE`` and reads the
+at most two triangles it names off the masks of the neighbour the
+particle is Out toward.  ``run`` keeps that mask for every particle in
+``fire[ci]``; the particle is activable iff ``fire[ci] != mine[ci]``, and
+an activation applies it.  A step writes ``mine[ci]``, flips one
+``theirs`` bit at each neighbour whose edge changed, and recomputes
+``fire`` only at the neighbours ``_DEPS[flip]`` names, the only cells
+whose ``_fire`` reads a flipped edge: O(1) table work instead of copying
+the configuration.  The activable particles are kept as a sorted list of
+cell numbers, updated with ``bisect`` for the activated particle and
+those cells only.  Cell
 numbers follow the support's sorted cell order, so the list equals the
 one a rebuild from scratch would give, and
 ``live[rng.randrange(len(live))]`` picks the same particle with the same
@@ -35,9 +39,10 @@ Registers become masks and masks registers through
 built once, from the masks that changed, through ``with_registers`` and
 its validation.  When per-step checks or traces are asked for,
 ``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
-activated particle and its neighbours, the only particles whose status
-a step can change, and keeps the violation count up to date; a
-configuration is built mid-run only for the step that breaks a check.
+activated particle and the neighbours ``_DEPS[flip]`` names, the only
+particles whose status a step can change, and keeps the violation count
+up to date; a configuration is built mid-run only for the step that
+breaks a check.
 The trace log written to ``trace_file`` is a run's one per-step record:
 a header, then one ``step q r line1 line2 changed violations`` line per
 event, the last field the violation count after the step.
@@ -156,6 +161,22 @@ def _kind_label(kind: SchedulerKind) -> str:
 _FLIPS = tuple(
     tuple((d, 1 << (d + 3) % N_DIRS) for d in range(N_DIRS) if mask >> d & 1)
     for mask in range(1 << N_DIRS)
+)
+
+#: ``_DEPS[flip]``: the directions ``d - 1``, ``d`` and ``d + 1`` for every
+#: ``d`` in ``flip``.  A step that flips the edges toward ``flip`` can
+#: change ``_fire`` and ``_breaks`` only at the stepping cell and its
+#: neighbours in these directions: the far end of a flipped edge reads it
+#: through ``theirs``, and the two cells adjacent to both its ends read it
+#: as a triangle's far edge.  The stepping cell's own ``_fire`` reads none
+#: of its own edges' Out flags, so only its ``_breaks`` can change.
+_DEPS = tuple(
+    tuple(
+        d
+        for d in range(N_DIRS)
+        if flip & (1 << (d - 1) % N_DIRS | 1 << d | 1 << (d + 1) % N_DIRS)
+    )
+    for flip in range(1 << N_DIRS)
 )
 
 
@@ -289,8 +310,10 @@ def run(
     mine, theirs = _masks(c0)
     start = mine[:]
 
-    activable = bytearray(_fire(ci, mine, theirs, present, around) != mine[ci] for ci in range(n))
-    live = [ci for ci in range(n) if activable[ci]]
+    # ``fire[ci]`` is ``_fire``'s mask for cell ``ci`` now: the cell is
+    # activable iff it differs from ``mine[ci]``.
+    fire = [_fire(ci, mine, theirs, present, around) for ci in range(n)]
+    live = [ci for ci in range(n) if fire[ci] != mine[ci]]
 
     rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
     round_robin = isinstance(kind, RoundRobin)
@@ -331,7 +354,7 @@ def run(
         if rng is not None:
             ci = live[rng.randrange(len(live))]
         elif round_robin:
-            while not activable[rr_index % n]:
+            while fire[rr_index % n] == mine[rr_index % n]:
                 rr_index += 1
             ci = rr_index % n
             rr_index += 1
@@ -340,28 +363,33 @@ def run(
             script_index += 1
 
         before = mine[ci]
-        after = _fire(ci, mine, theirs, present, around)
+        after = fire[ci]
         step += 1
-        changed = before != after
-        if changed:
+        flip = before ^ after
+        if flip:
+            # The step leaves ``fire[ci]`` as it is, so the cell leaves ``live``.
             _set(ci, after, mine, theirs, around)
-            for x in (ci, *around[ci]):
+            del live[bisect_left(live, ci)]
+            a = around[ci]
+            for d in _DEPS[flip]:
+                x = a[d]
                 if x < 0:
                     continue
-                now = _fire(x, mine, theirs, present, around) != mine[x]
-                if now != activable[x]:
-                    activable[x] = now
-                    if now:
-                        insort(live, x)
-                    else:
+                m = mine[x]
+                was_live = fire[x] != m
+                fire[x] = _fire(x, mine, theirs, present, around)
+                if (fire[x] != m) != was_live:
+                    if was_live:
                         del live[bisect_left(live, x)]
+                    else:
+                        insort(live, x)
 
         if not observed:
             continue
         p = cells[ci]
         prev_violations = violations
-        if changed:
-            for x in (ci, *around[ci]):
+        if flip:
+            for x in (ci, *(a[d] for d in _DEPS[flip])):
                 if x < 0:
                     continue
                 v = _breaks(x, mine, theirs, around)
@@ -382,7 +410,7 @@ def run(
             effect = _effect(before, after, theirs[ci], present[ci])
             trace_file.write(
                 f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} "
-                f"{int(effect.line2_fired)} {int(changed)} {violations}\n"
+                f"{int(effect.line2_fired)} {int(effect.changed)} {violations}\n"
             )
 
     return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)

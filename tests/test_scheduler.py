@@ -25,6 +25,7 @@ from trielect.scheduler import (
     RoundRobin,
     Scripted,
     StepInvariantError,
+    _DEPS,
     _breaks,
     _effect,
     _fire,
@@ -328,6 +329,58 @@ def test_engine_step_matches_reference_and_packed_steps():
                     assert stepped == _packed_masks(packed, graph)
 
 
+def _assert_steps_reach_only_deps(mine, theirs, present, around, near):
+    """Apply the engine's step (``_set`` to ``_fire``'s mask) at each cell
+    ``ci`` in turn, from the same masks: every cell of ``near(ci)`` but
+    ``ci`` and the neighbours ``_DEPS[flip]`` names keeps its ``_fire`` and
+    its ``_breaks`` value, and ``ci`` keeps its ``_fire`` value."""
+
+    def values(x, mine, theirs):
+        return _fire(x, mine, theirs, present, around), _breaks(x, mine, theirs, around)
+
+    for ci in range(len(mine)):
+        after = _fire(ci, mine, theirs, present, around)
+        flip = mine[ci] ^ after
+        stepped = mine[:], theirs[:]
+        _set(ci, after, *stepped, around)
+        assert _fire(ci, *stepped, present, around) == after, ci
+        reach = {ci, *(around[ci][d] for d in _DEPS[flip])}
+        for x in near(ci):
+            if x not in reach:
+                assert values(x, *stepped) == values(x, mine, theirs), (ci, x, flip)
+
+
+def test_dependency_table_covers_every_step_on_every_small_state():
+    """Every cell of every 4^E state, conflicts included, of every support
+    with n <= 4; all cells are compared."""
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            every = range(n)
+            for state in range(1 << 2 * graph.n_edges):
+                mine, theirs = _packed_masks(state, graph)
+                _assert_steps_reach_only_deps(mine, theirs, s.present, s.around, lambda ci: every)
+
+
+def test_dependency_table_covers_every_step_at_scale():
+    """Seeded random registers on 300 to 2,000 cells.  ``_set`` writes only
+    ``mine[ci]`` and ``theirs`` at ``ci``'s neighbours, and ``_fire`` and
+    ``_breaks`` at a cell read only its own and its neighbours' masks, so
+    the cells within two steps of ``ci`` are all a step can reach; all of
+    them are compared."""
+    rng = random.Random(17)
+    for n in (300, 900, 2000):
+        s = random_support(n, rng.randrange(2**31))
+        portmaps = random_portmaps(s, rng.randrange(2**31))
+        cfg = random_registers(s, rng.randrange(2**31), 0.25, portmaps)
+        around = s.around
+
+        def near(ci):
+            return {y for x in (ci, *around[ci]) if x >= 0 for y in (x, *around[x]) if y >= 0}
+
+        _assert_steps_reach_only_deps(*_masks(cfg), s.present, around, near)
+
+
 def test_final_configuration_rejects_out_toward_an_empty_cell():
     s = random_support(12, 8)
     cfg = random_registers(s, 9, 0.2, random_portmaps(s, 10))
@@ -398,34 +451,28 @@ def test_breaks_matches_rule_checks_on_random_configurations():
 
 
 class _SkipLine2Once:
-    """``scheduler._fire`` that skips line 2 on one activation.
+    """``scheduler._set`` that skips line 2 on one activation.
 
-    ``run`` calls ``_fire`` once per cell to seed activability, then once
-    per activation, followed, when that activation changed the register,
-    by one refresh call for the activated cell and each of its
-    neighbours.  On the first activation numbered ``start`` or later at
-    which line 2 fires, this wrapper returns the mask line 1 left instead.
+    ``run`` keeps each cell's next mask from ``_fire`` and applies it
+    with one ``_set`` call per activation that changes the register,
+    which under a random scheduler is every activation.  On the first
+    activation numbered ``start`` or later at which line 2 fires, this
+    wrapper writes the mask line 1 left instead.
     """
 
-    def __init__(self, n_cells: int, start: int):
-        self.refreshes = n_cells
+    def __init__(self, present, start: int):
+        self.present = present
         self.start = start
         self.activations = 0
         self.skipped_at = None
 
-    def __call__(self, ci, mine, theirs, present, around):
-        after = _fire(ci, mine, theirs, present, around)
-        if self.refreshes:
-            self.refreshes -= 1
-            return after
+    def __call__(self, ci, after, mine, theirs, around):
         self.activations += 1
-        line1_mask = present[ci] & ~theirs[ci]
+        line1_mask = self.present[ci] & ~theirs[ci]
         if after != line1_mask and self.skipped_at is None and self.activations >= self.start:
             self.skipped_at = self.activations
             after = line1_mask
-        if after != mine[ci]:
-            self.refreshes = 1 + present[ci].bit_count()
-        return after
+        _set(ci, after, mine, theirs, around)
 
 
 class _ActivationStepSkippingLine2Once:
@@ -461,8 +508,8 @@ def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch
     kind = RandomSequential(rng.randrange(2**31))
     start = 6
 
-    fire = _SkipLine2Once(len(s), start)
-    monkeypatch.setattr(scheduler, "_fire", fire)
+    fire = _SkipLine2Once(s.present, start)
+    monkeypatch.setattr(scheduler, "_set", fire)
     with pytest.raises(StepInvariantError) as got:
         run(cfg, kind, check_invariants=True)
     monkeypatch.undo()
