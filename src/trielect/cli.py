@@ -68,10 +68,20 @@ def _load_support(args: argparse.Namespace) -> Support:
     if args.random is not None:
         return generators.random_support(args.random, args.seed)
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return Support(parse_shape_text(fh.read()))
+        return Support(_read_cells(args.file, "shape"))
     except OSError as exc:
         raise UsageError(f"cannot read shape file: {exc}") from None
+
+
+def _read_cells(path: str, kind: str) -> list[Cell]:
+    """The cells a file in the shape format lists; a parse error names
+    the file as a ``kind`` file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_shape_text(text)
+    except SupportError as exc:
+        raise UsageError(f"{kind} file {path}: {exc}") from None
 
 
 def _require_simply_connected(s: Support) -> None:
@@ -107,8 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.scheduler == "roundrobin":
         kind = RoundRobin()
     elif args.scheduler.startswith("script:"):
-        with open(args.scheduler[len("script:"):], "r", encoding="utf-8") as fh:
-            kind = Scripted(tuple(parse_shape_text(fh.read())))
+        kind = Scripted(tuple(_read_cells(args.scheduler[len("script:"):], "script")))
     else:
         raise UsageError(f"unknown scheduler {args.scheduler!r}")
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None

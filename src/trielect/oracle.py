@@ -2,9 +2,10 @@
 
 A register state of a support is packed two bits per edge: bit 2i is
 the smaller-numbered endpoint's Out flag on edge i, bit 2i+1 the larger
-one's.  Edges are numbered in one loop of ``ConfigGraph.__init__`` over
+one's.  Edges are numbered in one loop, ``_half_edges``, over
 ``Support.around``, by smaller endpoint and then by direction, which is
-the order of ``Support.edges()``.  The full space (4^E states) honours
+the order of ``Support.edges()``; ``ConfigGraph`` and
+``orientation_lanes`` both read it.  The full space (4^E states) honours
 arbitrary initialisation including Out/Out; the conflict-free subspace
 (3^E) is closed under sequential activation because no step ever writes
 Out onto an edge whose far side is already Out.
@@ -21,7 +22,13 @@ and every search resume it cell by cell, so none builds a successor
 list.  States convert to and from configurations through
 ``config.OUT_MASK`` and ``config.REGISTER``.
 
-The exhaustive checks: ``check_silence`` decides final <=> valid on all
+The exhaustive checks: ``check_unique_sink`` decides all 2^E
+orientations at once from ``orientation_lanes``, which holds one bit per
+orientation in Python ints (lane k is orientation k) and computes R2/R3
+per cell by a Shannon expansion over its Out flags, R4 per triangle and
+the sink count with one/many accumulators, with no ``ConfigGraph`` and
+no search; a graph is built only to unpack a counterexample.
+``check_silence`` decides final <=> valid on all
 4^E states from both ends, checking validity on each state
 ``final_states`` lists (a depth-first search over edge codes that runs a
 cell's row of ``move`` as soon as every edge it reads is fixed, and
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .lattice import ERODIBLE, Cell, N_DIRS, PortMap
@@ -94,19 +102,9 @@ class ConfigGraph:
         self.support = support
         self.cells: tuple[Cell, ...] = support.order
         around = support.around
-        # ``half_at[ci][d]``: the half-edge of cell ``ci`` toward direction
-        # ``d``, -1 where that cell is empty.  Half-edge ``h ^ 1`` is the far
-        # side of ``h``.
-        half_at = [[-1] * N_DIRS for _ in around]
-        n_half = 0
-        for ci, row in enumerate(around):
-            for d, cj in enumerate(row):
-                if ci < cj:
-                    half_at[ci][d] = n_half
-                    half_at[cj][(d + 3) % N_DIRS] = n_half + 1
-                    n_half += 2
+        half_at = _half_edges(around)
         self.half_at: tuple[tuple[int, ...], ...] = tuple(map(tuple, half_at))
-        self.n_edges = n_half // 2
+        self.n_edges = _edge_count(support)
 
         self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
         # Per cell: (its index, own half-edges, every other half-edge, own-pattern table).
@@ -221,6 +219,27 @@ class ConfigGraph:
             twos = (state >> 1 & ~state & lo) * 3  # every edge with code 2
             carry = (twos + 1) & ~twos  # the lowest edge without: add 1 there, clear below
             state = (state & ~(carry - 1)) + carry
+
+
+def _edge_count(s: Support) -> int:
+    return sum(map(int.bit_count, s.present)) // 2
+
+
+def _half_edges(around: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """``half_at[ci][d]``: the half-edge of cell ``ci`` toward direction
+    ``d``, -1 where that cell is empty.  Edges are numbered by smaller
+    endpoint, then direction; edge i has half-edge 2i at its smaller
+    endpoint and 2i + 1 at its larger one, so ``h ^ 1`` is the far side
+    of ``h``."""
+    half_at = [[-1] * N_DIRS for _ in around]
+    n_half = 0
+    for ci, row in enumerate(around):
+        for d, cj in enumerate(row):
+            if ci < cj:
+                half_at[ci][d] = n_half
+                half_at[cj][(d + 3) % N_DIRS] = n_half + 1
+                n_half += 2
+    return half_at
 
 
 def _own_pattern_table(
@@ -374,21 +393,143 @@ class UnfairCycle:
 # -- exhaustive checks ----------------------------------------------------------------
 
 
+#: ``_DIRS[mask]``: the directions in ``mask``; ``_CORNERS[mask]``: the
+#: directions d with d and d + 1 in ``mask``, the triangles at a cell.
+_DIRS = tuple(tuple(d for d in range(N_DIRS) if m >> d & 1) for m in range(1 << N_DIRS))
+_CORNERS = tuple(_DIRS[m & (m >> 1 | m << N_DIRS - 1)] for m in range(1 << N_DIRS))
+
+
+def lane_variables(e: int) -> list[int]:
+    """``x[i]`` for each of ``e`` edges: lane k is set iff bit i of k is,
+    over 2^e lanes.  A block of 2^i clear and 2^i set lanes is doubled by
+    shifts up to 2^e; a division of the full mask by the block's repeat
+    would cost far more at e = 20 and above."""
+    x = []
+    for i in range(e):
+        width = 2 << i
+        lanes = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < 1 << e:
+            lanes |= lanes << width
+            width <<= 1
+        x.append(lanes)
+    return x
+
+
+@lru_cache(maxsize=1)
+def _rule_fates(rule: tuple) -> bytes:
+    """``fates[mask << 6 | rest]`` for disjoint direction masks: 0 if no
+    Out mask ``mask | sub``, ``sub`` a subset of ``rest``, breaks R2 or R3
+    in ``rule``, 1 if every one does, else 2.  Keyed on the table itself,
+    so a different ``RULE`` gets its own."""
+    fates = bytearray(1 << 2 * N_DIRS)
+    for rest in range(1 << N_DIRS):
+        low = rest & -rest
+        for mask in range(1 << N_DIRS):
+            if mask & rest:
+                continue
+            at = mask << N_DIRS | rest
+            if rest:
+                taken, left = fates[at ^ low | low << N_DIRS], fates[at ^ low]
+                fates[at] = taken if taken == left else 2
+            else:
+                fates[at] = rule[mask] is None
+    return bytes(fates)
+
+
+def orientation_lanes(s: Support) -> tuple[int, int, int]:
+    """``(E, valid, single_sink)`` over all 2^E orientations of ``s`` at once.
+
+    ``valid`` and ``single_sink`` are bit vectors with one lane per
+    orientation: lane k is ``ConfigGraph.orientations()``'s k-th state,
+    where bit i of k set means edge i is Out at its larger endpoint.
+    Lane k of ``valid`` is set iff that state passes R2/R3/R4 and of
+    ``single_sink`` iff it has exactly one sink.  On the edge variables
+    ``x = lane_variables(E)``, the half-edges of edge i are Out on
+    ``x[i]`` at its larger endpoint and on the complement at its smaller
+    one.  R2/R3 breaks at a cell on the lanes a depth-first Shannon
+    expansion over its occupied directions leads to a ``RULE`` entry of
+    None; a branch stops as soon as ``_rule_fates`` says every Out mask
+    it can still reach breaks, or none does.  R4 breaks on the lanes
+    where a triangle's three edges run one way round, either way.  A cell
+    is a sink on the lanes where all its half-edges are In, and one/many
+    accumulators leave the lanes with exactly one.  Lanes are ints of 2^E bits; the E edge variables and
+    about a dozen more are live at once.
+    """
+    around = s.around
+    half_at = _half_edges(around)
+    e = _edge_count(s)
+    full = (1 << (1 << e)) - 1
+    x = lane_variables(e)
+    fates = _rule_fates(RULE)
+
+    bad = one = many = 0
+    for ci, (row, half, present) in enumerate(zip(around, half_at, s.present)):
+        # (direction, x, 1 at the larger endpoint): Out where x is set at
+        # the larger endpoint, where it is clear at the smaller.
+        lits = [(d, x[h >> 1], h & 1) for d in _DIRS[present] for h in [half[d]]]
+        # A branch holds the lanes ``acc`` whose Out flags on the first j
+        # directions of ``lits`` are ``mask``, with ``rest`` still open; it
+        # follows Out and leaves In to ``pending``.
+        pending = [(0, 0, present, full)]
+        while pending:
+            j, mask, rest, acc = pending.pop()
+            while (fate := fates[mask << N_DIRS | rest]) == 2:
+                d, lanes, larger = lits[j]
+                on = acc & lanes
+                acc ^= on
+                if not larger:
+                    on, acc = acc, on
+                j += 1
+                rest ^= 1 << d
+                pending.append((j, mask, rest, acc))
+                mask |= 1 << d
+                acc = on
+            if fate:
+                bad |= acc
+        sink = full
+        for _, lanes, larger in lits:
+            sink = sink & ~lanes if larger else sink & lanes
+        many |= one & sink
+        one |= sink
+        # Triangle ci, cj, ck with cj at d and ck at d + 1, once from its
+        # smallest corner.  It is a directed 3-cycle, either way round, on
+        # the lanes where ci -> cj, cj -> ck and ck -> ci are all Out at
+        # their tails or all In.
+        for d in _CORNERS[present]:
+            cj, ck = row[d], row[(d + 1) % N_DIRS]
+            if ci < cj and ci < ck:
+                h = half_at[cj][(d + 2) % N_DIRS]
+                a = full ^ x[half[d] >> 1]
+                b = x[h >> 1] if h & 1 else full ^ x[h >> 1]
+                c = x[half[(d + 1) % N_DIRS] >> 1]
+                bad |= full & ~(a ^ b | b ^ c)
+    return e, full & ~bad, one & ~many
+
+
 def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
-    """Every all-directed orientation passing the rules has exactly one sink."""
-    graph = ConfigGraph(s)
-    e = graph.n_edges
+    """Every all-directed orientation passing the rules has exactly one sink.
+
+    ``orientation_lanes`` decides all 2^E orientations at once; a
+    ``ConfigGraph`` is built only to unpack the valid orientations whose
+    sink count is not one, in the order of ``ConfigGraph.orientations()``.
+    At E = 24 the lanes are 2 MB ints, and the check allocates about
+    83 MB at its peak.
+    """
+    e = _edge_count(s)
     if e > max_edges:
         raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
-    valid = 0
+    _, valid, single = orientation_lanes(s)
     counterexamples = []
-    for state in graph.orientations():
-        if not graph.r234_ok(state):
-            continue
-        valid += 1
-        if len(graph.sinks(state)) != 1:
-            counterexamples.append(graph.unpack(state).serialize())
-    return UniqueSinkReport(s, 1 << e, valid, tuple(counterexamples))
+    bad = valid & ~single
+    if bad:
+        graph = ConfigGraph(s)
+        while bad:
+            low = bad & -bad
+            k = low.bit_length() - 1
+            bad ^= low
+            upper = sum(1 << 2 * i for i in range(e) if k >> i & 1)
+            counterexamples.append(graph.unpack(graph._lo ^ upper | upper << 1).serialize())
+    return UniqueSinkReport(s, 1 << e, valid.bit_count(), tuple(counterexamples))
 
 
 def final_states(graph: ConfigGraph) -> list[int]:

@@ -536,7 +536,7 @@ def parse_shape_text(text: str) -> list[Cell]:
         except ValueError:
             raise SupportError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
     if not cells:
-        raise SupportError("shape file contains no cells")
+        raise SupportError("contains no cells")
     return cells
 
 

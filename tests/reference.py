@@ -21,7 +21,10 @@ reproduce bit for bit, and ``reference_replay`` the per-event loop
 ran before its lazy SCC pass: all predecessor lists built up front, then a
 backward flood from the targets.  ``reference_silence`` is the scan
 ``oracle.check_silence`` ran before it searched for the final states:
-``move`` and ``is_valid`` on every one of the 4^E states.  The
+``move`` and ``is_valid`` on every one of the 4^E states, and
+``reference_unique_sink`` the loop ``oracle.check_unique_sink`` ran
+before it decided all orientations at once in lane integers: one
+``r234_ok`` and one sink count per orientation.  The
 ``coordinate_*`` readers (R1-R4, ``outgoing_ports``, ``orientation``,
 ``port_of``, ``in_view`` and local R4) are the rule and view readers
 before they walked the support's cell numbering: neighbours by coordinate
@@ -77,7 +80,7 @@ from trielect.scheduler import (
     detect_final,
     shape_hash,
 )
-from trielect.oracle import ConfigGraph, CycleReport, SilenceReport
+from trielect.oracle import ConfigGraph, CycleReport, SilenceReport, UniqueSinkReport
 from trielect.views import VIEW_DEPTH, _formula_holds, _infer, infer_triangle_labels
 
 
@@ -475,6 +478,22 @@ def reference_reaches(total: int, move, is_valid) -> bytearray:
                 reached[u] = 1
                 stack.append(u)
     return reached
+
+
+def reference_unique_sink(s: Support) -> UniqueSinkReport:
+    """``oracle.check_unique_sink``'s report from one ``r234_ok`` test and
+    one sink count per orientation, in ``ConfigGraph.orientations()`` order."""
+    graph = ConfigGraph(s)
+    e = graph.n_edges
+    valid = 0
+    counterexamples = []
+    for state in graph.orientations():
+        if not graph.r234_ok(state):
+            continue
+        valid += 1
+        if len(graph.sinks(state)) != 1:
+            counterexamples.append(graph.unpack(state).serialize())
+    return UniqueSinkReport(s, 1 << e, valid, tuple(counterexamples))
 
 
 def reference_silence(s: Support) -> SilenceReport:

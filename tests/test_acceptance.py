@@ -111,7 +111,7 @@ def test_criterion_1_unique_sink_exhaustive():
     t0 = time.time()
     checked = 0
     bad = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for support in enumerate_supports(n):
             rep = check_unique_sink(support)
             checked += rep.valid
@@ -120,7 +120,7 @@ def test_criterion_1_unique_sink_exhaustive():
     _report(
         1,
         bad == 0 and elapsed < 600,
-        f"unique sink over all rule-passing orientations, n<=6: "
+        f"unique sink over all rule-passing orientations, n<=7: "
         f"{checked} valid orientations, {bad} counterexamples, {elapsed:.1f}s",
     )
 

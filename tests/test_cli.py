@@ -258,6 +258,21 @@ def test_run_rejects_alien_script_cells(tmp_path, capsys):
     assert "scripted cells not in the support: (9 9)\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["shape", "script"])
+def test_an_empty_cell_file_is_named(tmp_path, capsys, kind):
+    cfg = tmp_path / "t.cfg"
+    main(["gen", "--shape", "triangle3", "--init", "all-in", "--out", str(cfg)])
+    empty = tmp_path / "empty"
+    empty.write_text("# no cells\n")
+    if kind == "shape":
+        argv = ["gen", "--file", str(empty), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["run", "--config", str(cfg), "--scheduler", f"script:{empty}"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {kind} file {empty}: contains no cells\n"
+
+
 def _exit_code(argv):
     """main's return code, or the code argparse exits with."""
     try:
@@ -289,6 +304,7 @@ def _exit_code(argv):
         (["gen", "--file", "{binary}", "--out", "{out}"], None),
         (["run", "--config", "{cfg}", "--scheduler", "script:{binary}"], None),
         (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"], b"\xff\xfe"),
+        (["run", "--config", "{cfg}", "--scheduler", "script:{empty}"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
@@ -298,6 +314,8 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text)
     save(ring18(), str(ring))
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe")  # not UTF-8
+    empty = tmp_path / "empty"
+    empty.write_text("")
     trace = tmp_path / "bad.trace"
     if isinstance(trace_text, bytes):
         trace.write_bytes(trace_text)
@@ -308,6 +326,7 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text)
         "cfg": str(cfg),
         "ring": str(ring),
         "binary": str(binary),
+        "empty": str(empty),
         "out": str(tmp_path / "out"),
         "trace": str(trace),
     }

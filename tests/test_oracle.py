@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from trielect.lattice import Cell, direction_from
+from trielect.lattice import CYCLIC_RUN, Cell, direction_from
 from trielect.algorithm import activation_step
 from trielect import oracle
 from trielect.config import EdgeOrientation, deserialize
@@ -34,7 +34,7 @@ from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
-from reference import reference_reaches, reference_silence, remove_particle
+from reference import reference_reaches, reference_silence, reference_unique_sink, remove_particle
 
 
 def test_unique_sink_two_particle_support():
@@ -47,6 +47,68 @@ def test_unique_sink_triangle(tri):
     assert rep.orientations == 8
     assert rep.valid == 6  # the two rotating triangles fail the triangle rule
     assert rep.ok
+
+
+def test_lane_variables_follow_the_bits_of_the_lane_index():
+    """Lane k of ``x[i]`` is bit i of k, over 2^E lanes, for every E <= 12."""
+    for e in range(13):
+        x = oracle.lane_variables(e)
+        assert len(x) == e
+        for i, lanes in enumerate(x):
+            assert lanes == sum(1 << k for k in range(1 << e) if k >> i & 1), (e, i)
+
+
+def test_orientation_lanes_match_packed_predicates_pointwise():
+    """Lane k of ``valid`` is ``r234_ok`` of orientation k, and lane k of
+    ``single_sink`` is whether it has exactly one sink, on every support
+    with n <= 6 and on seeded random supports with E from 10 to 16."""
+    rng = random.Random(20)
+    supports = [s for n in range(1, 7) for s in enumerate_supports(n)]
+    by_edges = {}
+    while len(by_edges) < 7:
+        s = random_support(rng.randint(7, 11), rng.randrange(2**31))
+        if 10 <= len(s.edges()) <= 16:
+            by_edges.setdefault(len(s.edges()), s)
+    supports += by_edges.values()
+    seen = {"valid": 0, "invalid": 0, "single": 0, "several": 0}
+    for s in supports:
+        graph = ConfigGraph(s)
+        e, valid, single = oracle.orientation_lanes(s)
+        assert e == graph.n_edges
+        assert valid >> (1 << e) == 0 and single >> (1 << e) == 0
+        for k, state in enumerate(graph.orientations()):
+            assert (valid >> k & 1) == graph.r234_ok(state), (sorted(s.cells), k)
+            assert (single >> k & 1) == (len(graph.sinks(state)) == 1), (sorted(s.cells), k)
+            seen["valid" if valid >> k & 1 else "invalid"] += 1
+            seen["single" if single >> k & 1 else "several"] += 1
+    assert all(seen.values()), seen
+
+
+def test_unique_sink_matches_reference_loop():
+    """The lane check gives the per-orientation loop's report on every
+    support with n <= 6."""
+    for n in range(1, 7):
+        for s in enumerate_supports(n):
+            assert check_unique_sink(s) == reference_unique_sink(s), sorted(s.cells)
+
+
+def test_unique_sink_reports_an_injected_fault_as_the_reference_does(monkeypatch):
+    """With R3 dropped from ``RULE`` (a mask of at most three Out flags
+    that is not one cyclic run passes with no triangle to check), both
+    checks report the same counterexamples in the same order on every
+    support with n <= 5: 2,468 of them, one on ``line(3)``."""
+    monkeypatch.setattr(oracle, "RULE", tuple(
+        () if entry is None and mask.bit_count() <= 3 and not CYCLIC_RUN[mask] else entry
+        for mask, entry in enumerate(oracle.RULE)
+    ))
+    found = 0
+    for n in range(1, 6):
+        for s in enumerate_supports(n):
+            rep = check_unique_sink(s)
+            assert rep == reference_unique_sink(s), sorted(s.cells)
+            found += len(rep.counterexamples)
+    assert found == 2468
+    assert len(check_unique_sink(line(3)).counterexamples) == 1
 
 
 def test_silence_tiny_supports():
