@@ -15,12 +15,15 @@ and checks whole states with mask algebra (a pair swap, the identity
 ``mine = not theirs``, per-cell own-pattern tables that read each
 ``rules.RULE`` triple through the half-edge numbering, and 3-bit
 triangle cycle masks built from the geometry alone), an independent
-rewrite of the reference step that tests compare pointwise.  Its one
-step scan, ``move(state, start)``, returns the first activable cell at
-or after ``start`` with the state it steps to; finality, single steps
-and every search resume it cell by cell, so none builds a successor
-list.  States convert to and from configurations through
-``config.OUT_MASK`` and ``config.REGISTER``.
+rewrite of the reference step that tests compare pointwise.  Its step
+scan, ``move(state, start)``, returns the first activable cell at or
+after ``start`` with the state it steps to; finality, single steps,
+``final_states`` and ``reach_fates`` resume it cell by cell, as most of
+their states are settled by a first move.  ``successors(state)`` runs
+the same row test over every cell in one pass and lists every next
+state; ``find_unfair_cycle``, which explores every move of every state
+it reaches, walks those lists.  States convert to and from
+configurations through ``config.OUT_MASK`` and ``config.REGISTER``.
 
 The exhaustive checks: ``check_unique_sink`` decides all 2^E
 orientations at once from ``orientation_lanes``, which holds one bit per
@@ -41,7 +44,8 @@ that cannot, and settles the conflict states by a lemma (every endpoint
 of a conflict edge can step and clear it), falling back to a pass from
 every state only if some conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
-states with one seen bit per packed state.
+states with one seen bit per packed state and one successor list per
+frame of its path.
 ``UnfairCycle.lemmas`` checks the two facts the convergence proof needs
 about a periodic execution, one about stable edges and one about how
 unstable edges spread, on the packed states of the period: an edge's
@@ -145,6 +149,21 @@ class ConfigGraph:
             if after != state & own:
                 return ci, state & keep | after
         return None
+
+    def successors(self, state: int) -> list[int]:
+        """The state every activable cell steps to, in cell order: the row
+        test of ``move`` over every row in one pass."""
+        lo = self._lo
+        nsw = ~((state >> 1 & lo) | (state & lo) << 1)
+        away = state & nsw
+        found = []
+        for _, own, keep, table in self._rows:
+            after = own & nsw
+            if (away | after) & table[after]:
+                after = 0
+            if after != state & own:
+                found.append(state & keep | after)
+        return found
 
     def successor(self, state: int, ci: int) -> int:
         """State after activating cell index ``ci`` (equal state if not activable)."""
@@ -726,15 +745,18 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     and have no outgoing transitions.  Conflict edges can never re-form,
     so restricting to the 3^E conflict-free subspace loses only cycles
     decorated with a permanently frozen Out/Out edge.  A depth-first
-    search resumes ``move`` frame by frame and marks the states it has
-    seen in one bit per packed state; a seen state is on the current path
+    search lists each state's moves once with ``successors`` and walks
+    them with one iterator per frame; it marks the states it has seen in
+    one bit per packed state, and a seen state is on the current path
     (gray) iff it is in ``depth_of``.  The search stays in the subspace, so
     the bits stop at its largest state, every edge Out at its larger end.
+    A step changes only the activated cell's own half-edges, so the cells
+    of a cycle's script are read off consecutive states.
     """
     graph = ConfigGraph(s)
     if 3**graph.n_edges > max_states:
         raise StateSpaceTooLarge(f"3^{graph.n_edges} states is over budget")
-    move = graph.move
+    successors = graph.successors
     seen = bytearray((2 * graph._lo >> 3) + 1)
     depth_of: dict[int, int] = {}
 
@@ -743,32 +765,30 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
             continue
         seen[seed >> 3] |= 1 << (seed & 7)
         depth_of[seed] = 0
-        # The walk is at ``state`` and resumes its moves at cell ``start``;
-        # ``path`` holds the (state, start) of every state above it, and the
-        # cell that stepped out of each is the index before its start.
-        state, start = seed, 0
-        path: list[tuple[int, int]] = []
+        # The walk is at ``state`` and takes its next move from ``nexts``;
+        # ``path`` holds the (state, nexts) of every state above it.
+        state, nexts = seed, iter(successors(seed))
+        path: list[tuple[int, Iterator[int]]] = []
         while True:
-            found = move(state, start)
-            if found is None:
+            for nxt in nexts:
+                if seen[nxt >> 3] >> (nxt & 7) & 1:
+                    if nxt in depth_of:
+                        loop = [st for st, _ in path[depth_of[nxt]:]] + [state]
+                        owners = [(c, row[1]) for c, row in zip(graph.cells, graph._rows)]
+                        script = tuple(
+                            next(c for c, own in owners if (a ^ b) & own)
+                            for a, b in zip(loop, loop[1:] + loop[:1])
+                        )
+                        return UnfairCycle(s, tuple(loop), script)
+                    continue
+                seen[nxt >> 3] |= 1 << (nxt & 7)
+                path.append((state, nexts))
+                depth_of[nxt] = len(path)
+                state, nexts = nxt, iter(successors(nxt))
+                break
+            else:
                 del depth_of[state]
                 if not path:
                     break
-                state, start = path.pop()
-                continue
-            start = found[0] + 1
-            nxt = found[1]
-            if seen[nxt >> 3] >> (nxt & 7) & 1:
-                if nxt in depth_of:
-                    loop = path[depth_of[nxt]:] + [(state, start)]
-                    return UnfairCycle(
-                        s,
-                        tuple(st for st, _ in loop),
-                        tuple(graph.cells[resume - 1] for _, resume in loop),
-                    )
-                continue
-            seen[nxt >> 3] |= 1 << (nxt & 7)
-            path.append((state, start))
-            depth_of[nxt] = len(path)
-            state, start = nxt, 0
+                state, nexts = path.pop()
     return None

@@ -24,7 +24,10 @@ backward flood from the targets.  ``reference_silence`` is the scan
 ``move`` and ``is_valid`` on every one of the 4^E states, and
 ``reference_unique_sink`` the loop ``oracle.check_unique_sink`` ran
 before it decided all orientations at once in lane integers: one
-``r234_ok`` and one sink count per orientation.  The
+``r234_ok`` and one sink count per orientation.
+``reference_find_unfair_cycle`` is the depth-first search
+``oracle.find_unfair_cycle`` ran before it listed each state's moves
+once: every frame resumes ``move`` at the cell after its last move.  The
 ``coordinate_*`` readers (R1-R4, ``outgoing_ports``, ``orientation``,
 ``port_of``, ``in_view`` and local R4) are the rule and view readers
 before they walked the support's cell numbering: neighbours by coordinate
@@ -80,7 +83,13 @@ from trielect.scheduler import (
     detect_final,
     shape_hash,
 )
-from trielect.oracle import ConfigGraph, CycleReport, SilenceReport, UniqueSinkReport
+from trielect.oracle import (
+    ConfigGraph,
+    CycleReport,
+    SilenceReport,
+    UnfairCycle,
+    UniqueSinkReport,
+)
 from trielect.views import VIEW_DEPTH, _formula_holds, _infer, infer_triangle_labels
 
 
@@ -509,6 +518,48 @@ def reference_silence(s: Support) -> SilenceReport:
             tag = "final-but-invalid" if final else "valid-but-activable"
             mismatches.append(tag + "\n" + graph.unpack(state).serialize())
     return SilenceReport(s, count, tuple(mismatches))
+
+
+def reference_find_unfair_cycle(s: Support) -> UnfairCycle | None:
+    """``oracle.find_unfair_cycle``'s result from a depth-first search
+    whose frames hold (state, start) and resume ``move(state, start)``;
+    the cell that stepped out of each state is the index before its
+    start."""
+    graph = ConfigGraph(s)
+    move = graph.move
+    seen = bytearray((2 * graph._lo >> 3) + 1)
+    depth_of: dict[int, int] = {}
+    for seed in graph.conflict_free_states():
+        if seen[seed >> 3] >> (seed & 7) & 1:
+            continue
+        seen[seed >> 3] |= 1 << (seed & 7)
+        depth_of[seed] = 0
+        state, start = seed, 0
+        path: list[tuple[int, int]] = []
+        while True:
+            found = move(state, start)
+            if found is None:
+                del depth_of[state]
+                if not path:
+                    break
+                state, start = path.pop()
+                continue
+            start = found[0] + 1
+            nxt = found[1]
+            if seen[nxt >> 3] >> (nxt & 7) & 1:
+                if nxt in depth_of:
+                    loop = path[depth_of[nxt]:] + [(state, start)]
+                    return UnfairCycle(
+                        s,
+                        tuple(st for st, _ in loop),
+                        tuple(graph.cells[resume - 1] for _, resume in loop),
+                    )
+                continue
+            seen[nxt >> 3] |= 1 << (nxt & 7)
+            path.append((state, start))
+            depth_of[nxt] = len(path)
+            state, start = nxt, 0
+    return None
 
 
 def read_trace(text: str) -> list[tuple[int, Cell, int, int, int, int]]:

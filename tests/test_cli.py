@@ -305,6 +305,7 @@ def _exit_code(argv):
         (["run", "--config", "{cfg}", "--scheduler", "script:{binary}"], None),
         (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"], b"\xff\xfe"),
         (["run", "--config", "{cfg}", "--scheduler", "script:{empty}"], None),
+        (["search-unfair", "--shape", "hexagon2"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

@@ -34,7 +34,13 @@ from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
-from reference import reference_reaches, reference_silence, reference_unique_sink, remove_particle
+from reference import (
+    reference_find_unfair_cycle,
+    reference_reaches,
+    reference_silence,
+    reference_unique_sink,
+    remove_particle,
+)
 
 
 def test_unique_sink_two_particle_support():
@@ -266,6 +272,7 @@ def test_packed_validity_and_sinks_agree():
             moves.append(found)
             found = graph.move(state, found[0] + 1)
         assert moves == expected, state
+        assert graph.successors(state) == [nxt for _, nxt in expected], state
         seen["conflict"] += any(state >> 2 * i & 3 == 3 for i in range(graph.n_edges))
         seen["valid"] += graph.is_valid(state)
         seen["final"] += graph.move(state) is None
@@ -293,7 +300,8 @@ def test_no_move_makes_a_conflict_and_a_conflict_endpoint_clears_it():
     """The lemma ``check_reachability`` settles the conflict states by,
     pointwise on every state of every support with n <= 4 and on the
     states of ``_packed_states_to_check``: no move makes an Out/Out edge,
-    and each endpoint of a conflict edge has a move that clears it."""
+    and each endpoint of a conflict edge has a move that clears it.  On
+    the same states ``successors`` lists the chain of ``move`` calls."""
     cases = [
         (graph, state)
         for n in range(1, 5)
@@ -306,11 +314,13 @@ def test_no_move_makes_a_conflict_and_a_conflict_endpoint_clears_it():
     for graph, state in cases:
         lo = graph._lo
         conflicts = state & state >> 1 & lo
-        found = graph.move(state)
+        chain, found = [], graph.move(state)
         while found is not None:
             nxt = found[1]
             assert nxt & nxt >> 1 & lo & ~conflicts == 0, (state, found)
+            chain.append(nxt)
             found = graph.move(state, found[0] + 1)
+        assert graph.successors(state) == chain, state
         owner = {h: ci for ci, row in enumerate(graph.half_at) for h in row if h >= 0}
         for i in range(graph.n_edges):
             if not conflicts >> 2 * i & 1:
@@ -496,11 +506,45 @@ def test_find_unfair_cycle_single_particle():
 
 
 def test_find_unfair_cycle_none_on_tiny_supports():
-    # Exhaustive: no support of up to five cells admits a periodic
-    # execution (six-cell supports do not either, but that sweep is slow).
-    for n in (2, 3, 4, 5):
+    # Exhaustive: no support of up to six cells admits a periodic execution.
+    for n in (2, 3, 4, 5, 6):
         for s in enumerate_supports(n):
             assert find_unfair_cycle(s) is None
+
+
+def test_find_unfair_cycle_matches_reference_search_on_hexagon(hex1, hexagon_cycle):
+    assert reference_find_unfair_cycle(hex1) == hexagon_cycle
+
+
+#: The six-cell supports with a cycle once R2 bounds a cell to two Out flags.
+CYCLES_UNDER_BOUND_TWO = [
+    [(0, 0), (0, 1), (0, 2), (1, -1), (1, 0), (1, 1)],
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)],
+    [(0, 0), (0, 1), (1, -1), (1, 0), (2, -2), (2, -1)],
+    [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],
+    [(0, 0), (1, -1), (1, 0), (2, -2), (2, -1), (2, 0)],
+    [(0, 0), (1, -1), (1, 0), (2, -2), (2, -1), (3, -2)],
+    [(0, 0), (1, -1), (1, 0), (2, -1), (2, 0), (3, -1)],
+]
+
+
+def test_find_unfair_cycle_matches_reference_search_under_a_fault(monkeypatch):
+    """With every ``RULE`` entry of three Out flags dropped (R2 bounds a
+    cell to two), both searches return the same result on every five-cell
+    support (no cycle) and the same cycle on each six-cell support that
+    has one."""
+    monkeypatch.setattr(oracle, "RULE", tuple(
+        None if mask.bit_count() == 3 else entry for mask, entry in enumerate(oracle.RULE)
+    ))
+    for s in enumerate_supports(5):
+        assert find_unfair_cycle(s) is None
+        assert reference_find_unfair_cycle(s) is None, sorted(s.cells)
+    for cells in CYCLES_UNDER_BOUND_TWO:
+        s = Support([Cell(q, r) for q, r in cells])
+        cycle = find_unfair_cycle(s)
+        assert cycle is not None, cells
+        assert reference_find_unfair_cycle(s) == cycle, cells
 
 
 def test_find_unfair_cycle_hexagon(hex1, hexagon_cycle):
