@@ -153,6 +153,13 @@ class Configuration:
 
     # -- register access ----------------------------------------------------
 
+    def number_of(self, c: Cell) -> int:
+        """``c``'s number in the support's cell numbering."""
+        i = self.support.number.get(c)
+        if i is None:
+            raise ConfigError(f"cell {c} is not in the support")
+        return i
+
     def port_of(self, c: Cell, toward: Cell) -> int:
         """Local port of ``c`` whose edge leads to the adjacent cell ``toward``."""
         pm = self.portmaps.get(c)
@@ -201,10 +208,7 @@ class Configuration:
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""
-        i = self.support.number.get(c)
-        if i is None:
-            raise ConfigError(f"cell {c} is not in the support")
-        present = self.support.present[i]
+        present = self.support.present[self.number_of(c)]
         dirs = self.portmaps[c].dirs
         reg = self.regs[c]
         return tuple(p for p in range(N_DIRS) if reg[p] is OUT and present >> dirs[p] & 1)

@@ -74,8 +74,9 @@ def check_r1(c: Configuration, p: Cell) -> bool:
     """Every edge at ``p`` is agreed-directed: no undirected, no conflict."""
     support, regs, portmaps = c.support, c.regs, c.portmaps
     order = support.order
+    row = support.around[c.number_of(p)]
     reg, ports = regs[p], portmaps[p].ports
-    for d, j in enumerate(support.around[support.number[p]]):
+    for d, j in enumerate(row):
         if j >= 0:
             n = order[j]
             # Directed and agreed iff exactly one end holds Out.
@@ -98,7 +99,7 @@ def check_r4(c: Configuration, p: Cell) -> bool:
     """No triangle containing ``p`` is a directed 3-cycle (omniscient reading)."""
     support, regs, portmaps = c.support, c.regs, c.portmaps
     order = support.order
-    row = support.around[support.number[p]]
+    row = support.around[c.number_of(p)]
     reg, ports = regs[p], portmaps[p].ports
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]

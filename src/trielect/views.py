@@ -17,28 +17,31 @@ all the triangle rule needs.  Depth 3 suffices and is the default
 everywhere.
 
 Because a label names at most one walk, "label in view_3(p)" is answered
-by walking it: ``in_view`` follows the exit ports from p along the
-support's cell numbering and checks each entry port against the port the
-next cell assigns to the edge.  A step reads the direction of the exit
-port from the port map's ``dirs``, the next cell number from
-``Support.around``, that cell's port map, and its port facing back from
-the map's ``ports``.  The formula asks about a dozen such questions per
-triangle, so ``local_check_r4`` and ``infer_triangle_labels`` never build
-the whole view; ``build_view`` is the definition of view_k and the
-reference ``in_view`` is tested against.  Like the omniscient checkers in
-``rules``, these readers see a configuration's port maps and registers
-only, and local R4 learns the far edge of a triangle from view
-membership alone.
+by walking it, and every walk goes through one step helper, ``_stepper``:
+it leaves a cell number with its port map through an exit port and
+returns the next cell number, that cell's port map and the entry port,
+the next cell's port back along the edge.  ``in_view`` walks a whole
+label with it.  The formula asks about sixteen labels per triangle, four
+per candidate, but they share their walks, and ``_candidates`` takes each
+walk once.  The walk from p to q and on out of q's port x reaches one
+cell, and the entry port there is the only y the first conjunct can
+accept: so of the four candidates only the two values of x remain, each
+with the y its walk fixes, and the other conjuncts are single walks.  ``local_check_r4``
+and ``infer_triangle_labels`` therefore never build the whole view;
+``build_view`` is the definition of view_k and the reference the walks
+are tested against.  Like the omniscient checkers in ``rules``, these
+readers see a configuration's port maps and registers only, and local R4
+learns the far edge of a triangle from view walks alone.  Every reader
+raises ``ConfigError`` for a cell outside the support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
-from .lattice import Cell, N_DIRS, neighbor, port_to_dir
-from .config import OUT, Configuration
+from .lattice import Cell, N_DIRS, PortMap, neighbor, port_to_dir
+from .config import OUT, ConfigError, Configuration
 
 #: Sequence of (exit port at step i, entry port at step i+1) pairs.
 PathLabel = tuple[tuple[int, int], ...]
@@ -67,7 +70,7 @@ class View:
 def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
     """Labels of all walks of length <= k over occupied cells starting at p."""
     if p not in c.support.cells:
-        raise ValueError(f"{p} is not occupied")
+        raise ConfigError(f"cell {p} is not in the support")
     if k < 1:
         raise ValueError("view depth must be >= 1")
     labels: set[PathLabel] = set()
@@ -87,6 +90,33 @@ def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
     return View(owner=p, depth=k, labels=frozenset(labels))
 
 
+#: Where a walk step arrives: the cell number, its port map, the entry port.
+Arrival = tuple[int, PortMap, int]
+Step = Callable[[int, PortMap, int], "Arrival | None"]
+
+
+def _stepper(c: Configuration) -> Step:
+    """The one walk step over ``c``'s support.
+
+    ``step(i, pm, exit_port)`` leaves cell number ``i``, whose port map is
+    ``pm``, through ``exit_port`` and returns the next cell's number, its
+    port map and its port back along the edge (the entry port), or None
+    when the exit port faces an empty cell.
+    """
+    support, portmaps = c.support, c.portmaps
+    order, around = support.order, support.around
+
+    def step(i: int, pm: PortMap, exit_port: int) -> Arrival | None:
+        d = pm.dirs[exit_port]
+        j = around[i][d]
+        if j < 0:
+            return None
+        pm = portmaps[order[j]]
+        return j, pm, pm.ports[(d + 3) % N_DIRS]
+
+    return step
+
+
 def in_view(c: Configuration, p: Cell, label: PathLabel) -> bool:
     """``label in build_view(c, p).labels``, decided by walking the label.
 
@@ -94,61 +124,75 @@ def in_view(c: Configuration, p: Cell, label: PathLabel) -> bool:
     the walk it names exists: every exit port leads to an occupied cell
     whose port back along the edge is the recorded entry port.
     """
+    i = c.number_of(p)
     if not 0 < len(label) <= VIEW_DEPTH:
         return False
-    support, portmaps = c.support, c.portmaps
-    order, around = support.order, support.around
-    i = support.number[p]
-    pm = portmaps[p]
+    step = _stepper(c)
+    pm = c.portmaps[p]
     for exit_port, entry_port in label:
         if not 0 <= exit_port < N_DIRS:
             return False
-        d = pm.dirs[exit_port]
-        i = around[i][d]
-        if i < 0:
+        at = step(i, pm, exit_port)
+        if at is None or at[2] != entry_port:
             return False
-        pm = portmaps[order[i]]
-        if pm.ports[(d + 3) % N_DIRS] != entry_port:
-            return False
+        i, pm, _ = at
     return True
 
 
-def _formula_holds(
-    has: Callable[[PathLabel], bool],
-    p0: int,
-    p1: int,
-    q1: int,
-    r1: int,
-    x: int,
-    y: int,
-) -> bool:
-    """Membership formula deciding whether edge qr is labelled (x, y).
+def _candidates(
+    step: Step, i: int, pm: PortMap, p0: int, p1: int, q: Arrival, r: Arrival
+) -> list[tuple[int, int]]:
+    """Every labelling (x, y) of the far edge qr that the view formula accepts.
 
-    ``has`` answers view_3(p) membership.  p0/p1 are p's ports toward
-    r/q; q1 and r1 are the ports q and r assign to their edges with p.
-    The derived port numbers continue each particle's 0..5 progression in
-    the sense fixed by the candidate.
+    ``i`` and ``pm`` are p's cell number and port map, and p0/p1 its ports
+    toward r/q.  ``q`` and ``r`` are ``step(i, pm, p1)`` and ``step(i, pm,
+    p0)``, the near edges' walks, which p reads off its own and its
+    neighbours' ports; their entry ports are q1 and r1.  A candidate is x
+    in q1 +- 1 for q's port toward r and y in r1 +- 1 for r's port toward
+    q, and the formula accepts it iff, in view_3(p),
+
+    - ``((p1, q1), (x, y), (r1, p0))`` is a label: around the triangle;
+    - ``((p0, r1), (y, x), (q1, p1))`` is a label: and back;
+    - not both ``((p1, q1), (q0, r2))`` and ``((p2, r5),)`` are labels:
+      not the other triangle on pq.  Here q0 = 2 q1 - x, r2 = 2 r1 - y,
+      r5 = 2 y - r1 and p2 = 2 p1 - p0 continue each particle's port
+      progression in the sense the candidate fixes.
+
+    Walking q's exit x fixes the only y the first label can carry, and q0
+    is the other value of x, whose walk from q is already taken.
     """
-    q0 = (2 * q1 - x) % N_DIRS
-    r2 = (2 * r1 - y) % N_DIRS
-    r5 = (2 * y - r1) % N_DIRS
-    p2 = (2 * p1 - p0) % N_DIRS
-    return (
-        has(((p1, q1), (x, y), (r1, p0)))  # around the triangle
-        and has(((p0, r1), (y, x), (q1, p1)))  # and back
-        and not (has(((p1, q1), (q0, r2))) and has(((p2, r5),)))  # not the other triangle
-    )
+    qi, qpm, q1 = q
+    ri, rpm, r1 = r
+    x_up, x_down = (q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS
+    up, down = step(qi, qpm, x_up), step(qi, qpm, x_down)
+    matches = []
+    for x, far, other in ((x_up, up, down), (x_down, down, up)):
+        if far is None:
+            continue
+        fi, fpm, y = far
+        if (y - r1) % N_DIRS not in (1, N_DIRS - 1):
+            continue
+        home = step(fi, fpm, r1)
+        if home is None or home[2] != p0:
+            continue
+        mid = step(ri, rpm, y)
+        if mid is None or mid[2] != x:
+            continue
+        home = step(mid[0], mid[1], q1)
+        if home is None or home[2] != p1:
+            continue
+        if other is not None and other[2] == (2 * r1 - y) % N_DIRS:
+            beside = step(i, pm, (2 * p1 - p0) % N_DIRS)
+            if beside is not None and beside[2] == (2 * y - r1) % N_DIRS:
+                continue
+        matches.append((x, y))
+    return matches
 
 
 def _infer(
-    has: Callable[[PathLabel], bool], p0: int, p1: int, q1: int, r1: int
+    step: Step, i: int, pm: PortMap, p0: int, p1: int, q: Arrival, r: Arrival
 ) -> tuple[int, int]:
-    matches = [
-        (x, y)
-        for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS)
-        for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS)
-        if _formula_holds(has, p0, p1, q1, r1, x, y)
-    ]
+    matches = _candidates(step, i, pm, p0, p1, q, r)
     if len(matches) != 1:
         raise ChiralityInferenceError(
             f"{len(matches)} candidate labelings survive the view formula"
@@ -159,22 +203,19 @@ def _infer(
 def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[int, int]:
     """True port labels (q's port toward r, r's port toward q), seen from p.
 
-    Uses only view_3(p) membership (``in_view``) plus the labels q and r
-    assign to their edges with p: the far edge's labels come from the view.
+    Uses only walks of view_3(p) plus the labels q and r assign to their
+    edges with p: the far edge's labels come from the view.
     """
-    support, portmaps = c.support, c.portmaps
-    number, around = support.number, support.around
-    i, j, k = number[p], number[q], number[r]
+    i, j, k = c.number_of(p), c.number_of(q), c.number_of(r)
+    around = c.support.around
     row = around[i]
     if j not in row or k not in row or k not in around[j]:
         raise ValueError(f"{p}, {q}, {r} do not form a triangle")
-    dq, dr = row.index(j), row.index(k)
-    p_ports = portmaps[p].ports
-    p1, p0 = p_ports[dq], p_ports[dr]
-    q1 = portmaps[q].ports[(dq + 3) % N_DIRS]
-    r1 = portmaps[r].ports[(dr + 3) % N_DIRS]
+    pm = c.portmaps[p]
+    p0, p1 = pm.ports[row.index(k)], pm.ports[row.index(j)]
+    step = _stepper(c)
     try:
-        return _infer(partial(in_view, c, p), p0, p1, q1, r1)
+        return _infer(step, i, pm, p0, p1, step(i, pm, p1), step(i, pm, p0))
     except ChiralityInferenceError as exc:
         raise ChiralityInferenceError(f"edge {q}-{r} seen from {p}: {exc}") from None
 
@@ -188,19 +229,21 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
     """
     support, regs, portmaps = c.support, c.regs, c.portmaps
     order = support.order
-    row = support.around[support.number[p]]
-    reg, ports = regs[p], portmaps[p].ports
-    has = partial(in_view, c, p)
+    i = c.number_of(p)
+    row = support.around[i]
+    pm = portmaps[p]
+    reg, ports = regs[p], pm.ports
+    step = _stepper(c)
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
         if j < 0 or k < 0:
             continue
         q, r = order[j], order[k]
+        q_pm, r_pm = portmaps[q], portmaps[r]
         # q lies at d from p and r at d + 1; each meets p from the opposite side.
         p1, p0 = ports[d], ports[(d + 1) % N_DIRS]
-        q1 = portmaps[q].ports[(d + 3) % N_DIRS]
-        r1 = portmaps[r].ports[(d + 4) % N_DIRS]
-        q_to_r, r_to_q = _infer(has, p0, p1, q1, r1)
+        q1, r1 = q_pm.ports[(d + 3) % N_DIRS], r_pm.ports[(d + 4) % N_DIRS]
+        q_to_r, r_to_q = _infer(step, i, pm, p0, p1, (j, q_pm, q1), (k, r_pm, r1))
         q_reg, r_reg = regs[q], regs[r]
         # ``xy``: x is Out toward y.
         pq, qp = reg[p1] is OUT, q_reg[q1] is OUT

@@ -33,13 +33,17 @@ once: every frame resumes ``move`` at the cell after its last move.  The
 before they walked the support's cell numbering: neighbours by coordinate
 offsets, ports and directions by the port map's arithmetic formula, as
 ``arithmetic_port_to_dir`` and ``arithmetic_dir_to_port`` give them, and
-``triangles_at`` lists a particle's triangles the same way;
-``formula_queries`` lists the labels the view formula asks about.  ``analyze_cycle`` checks the two cycle
-lemmas on configurations, port by port, as ``oracle.UnfairCycle.lemmas``
-does on packed states.  ``resolve_conflicts`` and ``remove_particle`` are
-single-purpose configuration edits, and ``read_trace``, ``mirrored``,
-``are_adjacent`` and ``relative_chirality`` small readings, that only
-tests need.
+``triangles_at`` lists a particle's triangles the same way.
+``reference_formula_holds`` is the view formula as ``views`` evaluated it
+before it shared walks between the candidates: four questions to a
+membership test per candidate, each label walked from p again.
+``reference_infer`` asks it of all four candidates, and
+``formula_queries`` lists the labels it asks about.
+``analyze_cycle`` checks the two cycle lemmas on configurations, port by
+port, as ``oracle.UnfairCycle.lemmas`` does on packed states.
+``resolve_conflicts`` and ``remove_particle`` are single-purpose
+configuration edits, and ``read_trace``, ``mirrored``, ``are_adjacent``
+and ``relative_chirality`` small readings, that only tests need.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import (
@@ -90,7 +94,7 @@ from trielect.oracle import (
     UnfairCycle,
     UniqueSinkReport,
 )
-from trielect.views import VIEW_DEPTH, _formula_holds, _infer, infer_triangle_labels
+from trielect.views import VIEW_DEPTH, ChiralityInferenceError, infer_triangle_labels
 
 
 def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
@@ -695,10 +699,47 @@ def coordinate_in_view(c: Configuration, p: Cell, label) -> bool:
     return True
 
 
+def reference_formula_holds(
+    has: Callable[[tuple], bool], p0: int, p1: int, q1: int, r1: int, x: int, y: int
+) -> bool:
+    """Membership formula deciding whether edge qr is labelled (x, y).
+
+    ``has`` answers view_3(p) membership.  p0/p1 are p's ports toward
+    r/q; q1 and r1 are the ports q and r assign to their edges with p.
+    The derived port numbers continue each particle's 0..5 progression in
+    the sense fixed by the candidate.
+    """
+    q0 = (2 * q1 - x) % N_DIRS
+    r2 = (2 * r1 - y) % N_DIRS
+    r5 = (2 * y - r1) % N_DIRS
+    p2 = (2 * p1 - p0) % N_DIRS
+    return (
+        has(((p1, q1), (x, y), (r1, p0)))  # around the triangle
+        and has(((p0, r1), (y, x), (q1, p1)))  # and back
+        and not (has(((p1, q1), (q0, r2))) and has(((p2, r5),)))  # not the other triangle
+    )
+
+
+def reference_infer(
+    has: Callable[[tuple], bool], p0: int, p1: int, q1: int, r1: int
+) -> tuple[int, int]:
+    matches = [
+        (x, y)
+        for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS)
+        for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS)
+        if reference_formula_holds(has, p0, p1, q1, r1, x, y)
+    ]
+    if len(matches) != 1:
+        raise ChiralityInferenceError(
+            f"{len(matches)} candidate labelings survive the view formula"
+        )
+    return matches[0]
+
+
 def coordinate_local_check_r4(c: Configuration, p: Cell) -> bool:
     has = partial(coordinate_in_view, c, p)
     for q, r in triangles_at(c, p):
-        q_to_r, r_to_q = _infer(
+        q_to_r, r_to_q = reference_infer(
             has,
             coordinate_port_of(c, p, r),
             coordinate_port_of(c, p, q),
@@ -736,7 +777,7 @@ def formula_queries(c: Configuration, p: Cell, q: Cell, r: Cell) -> list:
 
     for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS):
         for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS):
-            _formula_holds(record, p0, p1, q1, r1, x, y)
+            reference_formula_holds(record, p0, p1, q1, r1, x, y)
     return asked
 
 

@@ -5,27 +5,35 @@ from functools import partial
 import pytest
 
 from trielect.lattice import ALL_PORTMAPS, N_DIRS, Cell
-from trielect.config import ALL_IN, Configuration, OUT
+from trielect.config import ALL_IN, ConfigError, Configuration, OUT
 from trielect.generators import (
     enumerate_supports,
+    erosion_orientation,
     hexagon,
     random_portmaps,
     random_registers,
     random_support,
     triangle3,
 )
-from trielect.rules import check_r4
+from trielect.rules import check_r1, check_r2, check_r3, check_r4
 from trielect.support import Support
 from trielect.views import (
     VIEW_DEPTH,
-    _infer,
+    _candidates,
+    _stepper,
     build_view,
     in_view,
     infer_triangle_labels,
     local_check_r4,
 )
 
-from reference import formula_queries, relative_chirality, triangles_at
+from reference import (
+    formula_queries,
+    reference_formula_holds,
+    reference_infer,
+    relative_chirality,
+    triangles_at,
+)
 
 P, Q, R = Cell(0, 0), Cell(1, 0), Cell(0, 1)
 R2 = Cell(1, -1)  # second common neighbour of P and Q
@@ -196,4 +204,88 @@ def test_in_view_answers_every_formula_query():
                 assert len(asked) == 16
                 for label in asked:
                     assert in_view(cfg, p, label) == (label in view), label
-                assert _infer(partial(in_view, cfg, p), *ports) == _infer(view.__contains__, *ports)
+                assert (reference_infer(partial(in_view, cfg, p), *ports)
+                        == reference_infer(view.__contains__, *ports))
+
+
+def _assert_candidates_match_reference(cfg):
+    """``_candidates`` accepts a labelling of the far edge iff the reference
+    formula does over the built view, for all four candidates of every
+    triangle at every particle.  Returns how many candidates only the
+    "not the other triangle" conjunct rejects: the reference asked with a
+    view cut to its three-step labels, which that conjunct never asks
+    about, accepts them."""
+    step = _stepper(cfg)
+    other_triangle = 0
+    for p in cfg.support:
+        view = build_view(cfg, p, VIEW_DEPTH)
+        three_steps = {label for label in view.labels if len(label) == 3}
+        i, pm = cfg.support.number[p], cfg.portmaps[p]
+        for q, r in triangles_at(cfg, p):
+            p0, p1, q1, r1 = (cfg.port_of(p, r), cfg.port_of(p, q),
+                              cfg.port_of(q, p), cfg.port_of(r, p))
+            accepted = _candidates(step, i, pm, p0, p1, step(i, pm, p1), step(i, pm, p0))
+            assert len(accepted) == 1
+            for x in ((q1 + 1) % N_DIRS, (q1 - 1) % N_DIRS):
+                for y in ((r1 + 1) % N_DIRS, (r1 - 1) % N_DIRS):
+                    expected = reference_formula_holds(view.__contains__, p0, p1, q1, r1, x, y)
+                    assert ((x, y) in accepted) == expected, (p, q, r, x, y)
+                    other_triangle += not expected and reference_formula_holds(
+                        three_steps.__contains__, p0, p1, q1, r1, x, y)
+    return other_triangle
+
+
+def test_candidates_match_reference_formula():
+    """Every triangle of every particle of the membership cases, of the
+    lone triangle and the rhombus under every port-map product of three
+    corners, and of hexagon2 under port-map seed 220, where the "not the
+    other triangle" conjunct decides a candidate."""
+    for cfg in _membership_cases():
+        _assert_candidates_match_reference(cfg)
+    rng = random.Random(78)
+    tri, rhomb = triangle3(), Support([P, Q, R, R2])
+    for pms in itertools.product(ALL_PORTMAPS, repeat=3):
+        _assert_candidates_match_reference(portmap_config(tri, dict(zip((P, Q, R), pms))))
+        assignment = dict(zip((P, Q, R), pms))
+        assignment[R2] = rng.choice(ALL_PORTMAPS)
+        _assert_candidates_match_reference(portmap_config(rhomb, assignment))
+    hex2 = hexagon(2)
+    assert _assert_candidates_match_reference(portmap_config(hex2, random_portmaps(hex2, 220)))
+
+
+@pytest.mark.parametrize("init", ["erosion", "random"])
+def test_local_r4_matches_omniscient_at_scale(init):
+    """Every particle of a 2,000-cell support under random port maps, with
+    the erosion orientation or random registers (conflict probability 0.1)."""
+    s = random_support(2000, 11)
+    portmaps = random_portmaps(s, 12)
+    if init == "erosion":
+        cfg = erosion_orientation(s, portmaps)
+    else:
+        cfg = random_registers(s, 13, 0.1, portmaps)
+    verdicts = [check_r4(cfg, p) for p in s]
+    assert [local_check_r4(cfg, p) for p in s] == verdicts
+    assert all(verdicts) == (init == "erosion")
+
+
+def test_readers_reject_a_cell_outside_the_support():
+    """Rule, view and edge readers name the cell in a ``ConfigError``."""
+    cfg = random_registers(hexagon(1), 1, 0.1, random_portmaps(hexagon(1), 2))
+    far, p, q, r = Cell(5, 5), Cell(0, 0), Cell(1, 0), Cell(0, 1)
+    readers = [
+        lambda: local_check_r4(cfg, far),
+        lambda: infer_triangle_labels(cfg, far, q, r),
+        lambda: infer_triangle_labels(cfg, p, far, r),
+        lambda: infer_triangle_labels(cfg, p, q, far),
+        lambda: in_view(cfg, far, ((0, 0),)),
+        lambda: in_view(cfg, far, ()),
+        lambda: build_view(cfg, far),
+        lambda: check_r1(cfg, far),
+        lambda: check_r2(cfg, far),
+        lambda: check_r3(cfg, far),
+        lambda: check_r4(cfg, far),
+        lambda: cfg.orientation(far, p),
+    ]
+    for read in readers:
+        with pytest.raises(ConfigError, match=r"Cell\(q=5, r=5\)"):
+            read()
