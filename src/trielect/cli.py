@@ -155,9 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enum_one(payload: tuple[str, tuple[tuple[int, int], ...]]) -> tuple[bool, str]:
-    check, cells = payload
-    support = Support(Cell(q, r) for q, r in cells)
+def _enum_one(payload: tuple[str, Support]) -> tuple[bool, str]:
+    check, support = payload
     if check == "unique-sink":
         rep = oracle.check_unique_sink(support)
         return rep.ok, rep.counterexamples[0] if not rep.ok else ""
@@ -198,9 +197,7 @@ def _with_progress(
 
 def cmd_enum(args: argparse.Namespace) -> int:
     supports = generators.enumerate_supports(args.n)
-    payloads = [
-        (args.check, tuple((c.q, c.r) for c in s.cells)) for s in supports
-    ]
+    payloads = [(args.check, s) for s in supports]
     label = f"enum check={args.check}"
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -167,9 +167,6 @@ class Configuration:
             raise ConfigError(f"cell {c} is not in the support")
         return pm.ports[direction_from(c, toward)]
 
-    def link(self, c: Cell, port: int) -> LinkState:
-        return self.regs[c][port]
-
     def link_toward(self, c: Cell, toward: Cell) -> LinkState:
         port = self.port_of(c, toward)
         return self.regs[c][port]
@@ -288,9 +285,9 @@ def deserialize(text: str) -> Configuration:
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 3:
             raise ConfigError(f"line {lineno}: expected 'q r | offset chirality | links'")
+        q, r = _int_pair(lineno, parts[0], "q r")
+        off, chi = _int_pair(lineno, parts[1], "offset chirality")
         try:
-            q, r = (int(x) for x in parts[0].split())
-            off, chi = (int(x) for x in parts[1].split())
             pm = PortMap(off, chi)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
@@ -305,6 +302,17 @@ def deserialize(text: str) -> Configuration:
         portmaps[cell] = pm
         regs[cell] = reg
     return Configuration(support, portmaps, regs)
+
+
+def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:
+    """``text``, the ``fields`` field of register line ``lineno``, as two integers."""
+    try:
+        a, b = map(int, text.split())
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: expected '{fields}' as two integers, got {text!r}"
+        ) from None
+    return a, b
 
 
 def load(path: str) -> Configuration:

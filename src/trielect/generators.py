@@ -311,10 +311,18 @@ def shape_by_name(name: str) -> Support:
     if name == "ring18":
         return ring18().support
     if name.startswith("line"):
-        return line(int(name[4:]))
+        return line(_shape_size(name, name[4:], "lineN"))
     if name.startswith("hexagon"):
-        return hexagon(int(name[7:]))
+        return hexagon(_shape_size(name, name[7:], "hexagonK"))
     if name.startswith("parallelogram"):
-        w, h = name[len("parallelogram"):].split("x")
-        return parallelogram(int(w), int(h))
+        w, _, h = name[len("parallelogram"):].partition("x")
+        form = "parallelogramWxH"
+        return parallelogram(_shape_size(name, w, form), _shape_size(name, h, form))
     raise ValueError(f"unknown shape name {name!r}")
+
+
+def _shape_size(name: str, text: str, form: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"shape name {name!r} does not match {form}") from None

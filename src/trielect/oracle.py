@@ -31,18 +31,18 @@ orientation in Python ints (lane k is orientation k) and computes R2/R3
 per cell by a Shannon expansion over its Out flags, R4 per triangle and
 the sink count with one/many accumulators, with no ``ConfigGraph`` and
 no search; a graph is built only to unpack a counterexample.
-``check_silence`` decides final <=> valid on all
-4^E states from both ends, checking validity on each state
-``final_states`` lists (a depth-first search over edge codes that runs a
-cell's row of ``move`` as soon as every edge it reads is fixed, and
-drops the branch if the cell is activable) and finality on each of the
-2^E orientations that passes R2/R3/R4; ``check_reachability`` gives
-the conflict-free states a fate in one lazy Tarjan pass (``reach_fates``)
-that settles a root on its first move where it can, stops a walk at a
-valid final state or a state known to reach one, and pops a component
-that cannot, and settles the conflict states by a lemma (every endpoint
-of a conflict edge can step and clear it), falling back to a pass from
-every state only if some conflict-free state cannot;
+``check_silence`` decides final <=> valid on all 4^E states from both
+ends: it compares the final states ``final_states`` lists (a depth-first
+search over edge codes that runs a cell's row of ``move`` as soon as
+every edge it reads is fixed, and drops the branch if the cell is
+activable) with the valid ones ``lane_states`` reads off the lanes;
+``check_reachability`` gives the conflict-free states a fate in one
+lazy Tarjan pass (``reach_fates``) that settles a root on its first
+move where it can, stops a walk at a valid final state or a state known
+to reach one, and pops a component that cannot, and settles the
+conflict states by a lemma (every endpoint of a conflict edge can step
+and clear it), falling back to a pass from every state only if some
+conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
 states with one seen bit per packed state and one successor list per
 frame of its path.
@@ -96,10 +96,10 @@ class ConfigGraph:
     state with no directed edge.  The successor is ``state & ~own`` plus
     the pattern unless line 2 fires.
 
-    Every edge is directed iff ``(state ^ state >> 1) & LO == LO``.  R2
-    and R3 hold at a cell iff its entry for ``state & own`` is not -1; R4
-    fails iff ``state & nsw`` covers one of a triangle's two 3-bit cycle
-    masks.  A cell is a sink iff ``state & own == 0``.
+    ``is_valid``: every edge is directed iff ``(state ^ state >> 1) & LO
+    == LO``.  R2 and R3 hold at a cell iff its entry for ``state & own``
+    is not -1; R4 fails iff ``state & nsw``, which is ``state`` once every
+    edge is directed, covers one of a triangle's two 3-bit cycle masks.
     """
 
     def __init__(self, support: Support):
@@ -170,23 +170,18 @@ class ConfigGraph:
         found = self.move(state, ci)
         return found[1] if found is not None and found[0] == ci else state
 
-    def r234_ok(self, state: int) -> bool:
+    def is_valid(self, state: int) -> bool:
+        lo = self._lo
+        if (state ^ state >> 1) & lo != lo:
+            return False
         for _, own, _, table in self._rows:
             if table[state & own] < 0:
                 return False
-        lo = self._lo
-        away = state & ~((state >> 1 & lo) | (state & lo) << 1)
+        # All-directed, so ``state`` is Out exactly where the far side is In.
         for cycle in self._cycles:
-            if away & cycle == cycle:
+            if state & cycle == cycle:
                 return False
         return True
-
-    def is_valid(self, state: int) -> bool:
-        lo = self._lo
-        return (state ^ state >> 1) & lo == lo and self.r234_ok(state)
-
-    def sinks(self, state: int) -> list[Cell]:
-        return [c for c, (_, own, _, _) in zip(self.cells, self._rows) if not state & own]
 
     # -- conversions -----------------------------------------------------------
 
@@ -215,19 +210,6 @@ class ConfigGraph:
         return Configuration(self.support, pms, regs)
 
     # -- state enumeration --------------------------------------------------------
-
-    def orientations(self) -> Iterator[int]:
-        """All 2^E all-directed states, each edge code 1 or 2.
-
-        Orientation k sets bit 2i of ``upper`` iff bit i of k is set: edge i
-        then has code 2 (Out at its larger endpoint), else code 1.  Stepping
-        through the sub-masks of LO in increasing order keeps the order of k.
-        """
-        lo = self._lo
-        upper = 0
-        for _ in range(1 << self.n_edges):
-            yield lo ^ upper | upper << 1
-            upper = (upper - lo) & lo
 
     def conflict_free_states(self) -> Iterator[int]:
         """All 3^E states without any Out/Out edge, in base-3 index order."""
@@ -434,6 +416,29 @@ def lane_variables(e: int) -> list[int]:
     return x
 
 
+#: ``_SPREAD[b]``: byte ``b`` with bit i moved to bit 2i.
+_SPREAD = tuple(sum(1 << 2 * i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def lane_states(lanes: int, e: int) -> list[int]:
+    """The packed states of the set lanes of ``lanes`` over ``e`` edges, in
+    increasing order: lane k gives edge i code 2 where bit i of k is set,
+    else 1, so its state is ``LO`` plus k with bit i moved to bit 2i.  The
+    lanes k = 8j + t of byte j share ``LO`` plus the spread of j shifted up
+    by 6, one table lookup per byte of j, and add the spread of t."""
+    lo = ((1 << 2 * e) - 1) // 3
+    states: list[int] = []
+    for j, byte in enumerate(lanes.to_bytes((lanes.bit_length() + 7) // 8, "little")):
+        if byte:
+            base, high, shift = lo, j, 6
+            while high:
+                base += _SPREAD[high & 255] << shift
+                high >>= 8
+                shift += 16
+            states += [base + _SPREAD[t] for t in range(8) if byte >> t & 1]
+    return states
+
+
 @lru_cache(maxsize=1)
 def _rule_fates(rule: tuple) -> bytes:
     """``fates[mask << 6 | rest]`` for disjoint direction masks: 0 if no
@@ -459,10 +464,10 @@ def orientation_lanes(s: Support) -> tuple[int, int, int]:
     """``(E, valid, single_sink)`` over all 2^E orientations of ``s`` at once.
 
     ``valid`` and ``single_sink`` are bit vectors with one lane per
-    orientation: lane k is ``ConfigGraph.orientations()``'s k-th state,
-    where bit i of k set means edge i is Out at its larger endpoint.
-    Lane k of ``valid`` is set iff that state passes R2/R3/R4 and of
-    ``single_sink`` iff it has exactly one sink.  On the edge variables
+    orientation: lane k is the state ``lane_states`` maps it to, where
+    bit i of k set means edge i is Out at its larger endpoint.  Lane k of
+    ``valid`` is set iff that state is valid, that is passes R2/R3/R4, and
+    of ``single_sink`` iff it has exactly one sink.  On the edge variables
     ``x = lane_variables(E)``, the half-edges of edge i are Out on
     ``x[i]`` at its larger endpoint and on the complement at its smaller
     one.  R2/R3 breaks at a cell on the lanes a depth-first Shannon
@@ -471,8 +476,8 @@ def orientation_lanes(s: Support) -> tuple[int, int, int]:
     it can still reach breaks, or none does.  R4 breaks on the lanes
     where a triangle's three edges run one way round, either way.  A cell
     is a sink on the lanes where all its half-edges are In, and one/many
-    accumulators leave the lanes with exactly one.  Lanes are ints of 2^E bits; the E edge variables and
-    about a dozen more are live at once.
+    accumulators leave the lanes with exactly one.  Lanes are ints of 2^E
+    bits; the E edge variables and about a dozen more are live at once.
     """
     around = s.around
     half_at = _half_edges(around)
@@ -530,7 +535,7 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
 
     ``orientation_lanes`` decides all 2^E orientations at once; a
     ``ConfigGraph`` is built only to unpack the valid orientations whose
-    sink count is not one, in the order of ``ConfigGraph.orientations()``.
+    sink count is not one, which ``lane_states`` gives in lane order.
     At E = 24 the lanes are 2 MB ints, and the check allocates about
     83 MB at its peak.
     """
@@ -538,17 +543,11 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
     if e > max_edges:
         raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
     _, valid, single = orientation_lanes(s)
-    counterexamples = []
-    bad = valid & ~single
-    if bad:
+    counterexamples: tuple[str, ...] = ()
+    if bad := valid & ~single:
         graph = ConfigGraph(s)
-        while bad:
-            low = bad & -bad
-            k = low.bit_length() - 1
-            bad ^= low
-            upper = sum(1 << 2 * i for i in range(e) if k >> i & 1)
-            counterexamples.append(graph.unpack(graph._lo ^ upper | upper << 1).serialize())
-    return UniqueSinkReport(s, 1 << e, valid.bit_count(), tuple(counterexamples))
+        counterexamples = tuple(graph.unpack(state).serialize() for state in lane_states(bad, e))
+    return UniqueSinkReport(s, 1 << e, valid.bit_count(), counterexamples)
 
 
 def final_states(graph: ConfigGraph) -> list[int]:
@@ -599,29 +598,24 @@ def final_states(graph: ConfigGraph) -> list[int]:
 
 def check_silence(s: Support, max_edges: int = 24) -> SilenceReport:
     """final <=> valid over every register state, Out/Out included, decided
-    from both ends without visiting each state.
-
-    final => valid: ``final_states`` lists every final state (a state it
-    prunes has an activable cell), and each must pass ``is_valid``.
-    valid => final: a valid state is all-directed, so each of the 2^E
-    orientations that passes ``r234_ok`` must have no move.  ``states``
-    counts the 4^E states this decides; ``max_edges`` bounds E, as the
-    orientation scan is the larger part of the work.  The mismatches come
-    in the order of their packed states.
+    from both ends without visiting each state: the final states
+    ``final_states`` lists against the valid ones, which are all-directed
+    and which ``lane_states`` reads off the ``valid`` lanes of
+    ``orientation_lanes``.  Each mismatch is tagged with the side it is
+    on, in packed-state order.  ``states`` counts the 4^E states this
+    decides; ``max_edges`` bounds E, as the lanes hold 2^E bits.
     """
     graph = ConfigGraph(s)
     e = graph.n_edges
     if e > max_edges:
         raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
-    total = 1 << 2 * e
-    bad = [(st, "final-but-invalid") for st in final_states(graph) if not graph.is_valid(st)]
-    for state in graph.orientations():
-        if graph.r234_ok(state) and graph.move(state) is not None:
-            bad.append((state, "valid-but-activable"))
-    bad.sort()
-    return SilenceReport(
-        s, total, tuple(tag + "\n" + graph.unpack(state).serialize() for state, tag in bad)
-    )
+    final = set(final_states(graph))
+    valid = set(lane_states(orientation_lanes(s)[1], e))
+    return SilenceReport(s, 1 << 2 * e, tuple(
+        ("final-but-invalid" if state in final else "valid-but-activable")
+        + "\n" + graph.unpack(state).serialize()
+        for state in sorted(final ^ valid)
+    ))
 
 
 #: A state's fate in ``reach_fates``: not yet visited, on the Tarjan stack,

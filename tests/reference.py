@@ -22,9 +22,13 @@ ran before its lazy SCC pass: all predecessor lists built up front, then a
 backward flood from the targets.  ``reference_silence`` is the scan
 ``oracle.check_silence`` ran before it searched for the final states:
 ``move`` and ``is_valid`` on every one of the 4^E states, and
-``reference_unique_sink`` the loop ``oracle.check_unique_sink`` ran
-before it decided all orientations at once in lane integers: one
-``r234_ok`` and one sink count per orientation.
+``reference_two_ended_silence`` the one it ran before it read the valid
+states off the unique-sink lanes: ``is_valid`` on every final state and
+``move`` on every valid orientation.  ``reference_unique_sink`` is the
+loop ``oracle.check_unique_sink`` ran before it decided all orientations
+at once in lane integers: one ``is_valid`` test and one sink count,
+``packed_sinks``, per orientation, enumerated edge by edge by
+``orientation_states``.
 ``reference_find_unfair_cycle`` is the depth-first search
 ``oracle.find_unfair_cycle`` ran before it listed each state's moves
 once: every frame resumes ``move`` at the cell after its last move.  The
@@ -93,6 +97,7 @@ from trielect.oracle import (
     SilenceReport,
     UnfairCycle,
     UniqueSinkReport,
+    final_states,
 )
 from trielect.views import VIEW_DEPTH, ChiralityInferenceError, infer_triangle_labels
 
@@ -493,20 +498,49 @@ def reference_reaches(total: int, move, is_valid) -> bytearray:
     return reached
 
 
+def orientation_states(e: int) -> Iterator[int]:
+    """The 2^e all-directed packed states in lane order: state k gives
+    edge i code 2, Out at its larger endpoint, where bit i of k is set,
+    and code 1 where it is clear."""
+    for k in range(1 << e):
+        yield sum((2 if k >> i & 1 else 1) << 2 * i for i in range(e))
+
+
+def packed_sinks(graph: ConfigGraph, state: int) -> list[Cell]:
+    """The cells of ``graph`` Out on none of their own half-edges in ``state``."""
+    return [c for c, (_, own, _, _) in zip(graph.cells, graph._rows) if not state & own]
+
+
 def reference_unique_sink(s: Support) -> UniqueSinkReport:
-    """``oracle.check_unique_sink``'s report from one ``r234_ok`` test and
-    one sink count per orientation, in ``ConfigGraph.orientations()`` order."""
+    """``oracle.check_unique_sink``'s report from one ``is_valid`` test and
+    one sink count per orientation, in lane order."""
     graph = ConfigGraph(s)
     e = graph.n_edges
     valid = 0
     counterexamples = []
-    for state in graph.orientations():
-        if not graph.r234_ok(state):
+    for state in orientation_states(e):
+        if not graph.is_valid(state):
             continue
         valid += 1
-        if len(graph.sinks(state)) != 1:
+        if len(packed_sinks(graph, state)) != 1:
             counterexamples.append(graph.unpack(state).serialize())
     return UniqueSinkReport(s, 1 << e, valid, tuple(counterexamples))
+
+
+def reference_two_ended_silence(s: Support) -> SilenceReport:
+    """``oracle.check_silence``'s report from ``is_valid`` on every state
+    ``final_states`` lists and ``move`` on every orientation that passes
+    ``is_valid``."""
+    graph = ConfigGraph(s)
+    bad = [(st, "final-but-invalid") for st in final_states(graph) if not graph.is_valid(st)]
+    for state in orientation_states(graph.n_edges):
+        if graph.is_valid(state) and graph.move(state) is not None:
+            bad.append((state, "valid-but-activable"))
+    bad.sort()
+    return SilenceReport(
+        s, 1 << 2 * graph.n_edges,
+        tuple(tag + "\n" + graph.unpack(state).serialize() for state, tag in bad),
+    )
 
 
 def reference_silence(s: Support) -> SilenceReport:

@@ -273,6 +273,15 @@ def test_an_empty_cell_file_is_named(tmp_path, capsys, kind):
     assert capsys.readouterr().err == f"error: {kind} file {empty}: contains no cells\n"
 
 
+#: The whole message of the inputs that once leaked Python's own wording.
+_PINNED_ERRORS = {
+    "gen --shape parallelogram3x --out {out}":
+        "error: shape name 'parallelogram3x' does not match parallelogramWxH\n",
+    "verify --config {trace}":
+        "error: line 5: expected 'offset chirality' as two integers, got '0 1 1'\n",
+}
+
+
 def _exit_code(argv):
     """main's return code, or the code argparse exits with."""
     try:
@@ -306,6 +315,9 @@ def _exit_code(argv):
         (["render", "--config", "{cfg}", "--trace", "{trace}", "--out", "{out}"], b"\xff\xfe"),
         (["run", "--config", "{cfg}", "--scheduler", "script:{empty}"], None),
         (["search-unfair", "--shape", "hexagon2"], None),
+        (["gen", "--shape", "parallelogram3x", "--out", "{out}"], None),
+        (["verify", "--config", "{trace}"],
+         "shape\n0 0\n1 0\ncells\n0 0 | 0 1 1 | I I I I I I\n1 0 | 0 +1 | I I I I I I\n"),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
@@ -335,3 +347,5 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text)
     err = capsys.readouterr().err
     assert "error: " in err
     assert "Traceback" not in err
+    if " ".join(argv) in _PINNED_ERRORS:
+        assert err == _PINNED_ERRORS[" ".join(argv)]

@@ -206,6 +206,22 @@ def test_mismatched_portmaps_and_registers_name_missing_and_extra(tri):
     assert str(exc.value) == "registers do not match support " + tail
 
 
+@pytest.mark.parametrize(
+    "cell_line, message",
+    [
+        ("0 0 0 | 0 +1 | I I I I I I", "line 4: expected 'q r' as two integers, got '0 0 0'"),
+        ("0 x | 0 +1 | I I I I I I", "line 4: expected 'q r' as two integers, got '0 x'"),
+        ("0 0 | 0 | I I I I I I", "line 4: expected 'offset chirality' as two integers, got '0'"),
+        ("0 0 | 0 1 1 | I I I I I I",
+         "line 4: expected 'offset chirality' as two integers, got '0 1 1'"),
+    ],
+)
+def test_register_line_errors_name_the_field(cell_line, message):
+    with pytest.raises(ConfigError) as exc:
+        deserialize(f"shape\n0 0\ncells\n{cell_line}\n")
+    assert str(exc.value) == message
+
+
 def test_serialize_roundtrip_random():
     for seed in range(8):
         s = random_support(7, seed)

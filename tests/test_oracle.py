@@ -35,9 +35,12 @@ from trielect.scheduler import Outcome, Scripted, detect_final, run
 from trielect.support import Support
 
 from reference import (
+    orientation_states,
+    packed_sinks,
     reference_find_unfair_cycle,
     reference_reaches,
     reference_silence,
+    reference_two_ended_silence,
     reference_unique_sink,
     remove_particle,
 )
@@ -65,9 +68,10 @@ def test_lane_variables_follow_the_bits_of_the_lane_index():
 
 
 def test_orientation_lanes_match_packed_predicates_pointwise():
-    """Lane k of ``valid`` is ``r234_ok`` of orientation k, and lane k of
+    """Lane k of ``valid`` is ``is_valid`` of orientation k, and lane k of
     ``single_sink`` is whether it has exactly one sink, on every support
-    with n <= 6 and on seeded random supports with E from 10 to 16."""
+    with n <= 6 and on seeded random supports with E from 10 to 16;
+    ``lane_states`` maps every lane to orientation k."""
     rng = random.Random(20)
     supports = [s for n in range(1, 7) for s in enumerate_supports(n)]
     by_edges = {}
@@ -82,9 +86,11 @@ def test_orientation_lanes_match_packed_predicates_pointwise():
         e, valid, single = oracle.orientation_lanes(s)
         assert e == graph.n_edges
         assert valid >> (1 << e) == 0 and single >> (1 << e) == 0
-        for k, state in enumerate(graph.orientations()):
-            assert (valid >> k & 1) == graph.r234_ok(state), (sorted(s.cells), k)
-            assert (single >> k & 1) == (len(graph.sinks(state)) == 1), (sorted(s.cells), k)
+        states = list(orientation_states(e))
+        assert oracle.lane_states((1 << (1 << e)) - 1, e) == states, sorted(s.cells)
+        for k, state in enumerate(states):
+            assert (valid >> k & 1) == graph.is_valid(state), (sorted(s.cells), k)
+            assert (single >> k & 1) == (len(packed_sinks(graph, state)) == 1), (sorted(s.cells), k)
             seen["valid" if valid >> k & 1 else "invalid"] += 1
             seen["single" if single >> k & 1 else "several"] += 1
     assert all(seen.values()), seen
@@ -146,28 +152,67 @@ def test_final_states_match_full_move_scan():
         assert final_states(graph) == expected, sorted(s.cells)
 
 
+def _inject_two_lane_fault(monkeypatch, s):
+    """Make validity wrong on two orientations of ``s``, in the ``valid``
+    lanes and in ``is_valid`` alike: the first valid one, which is final,
+    reads invalid, and the first invalid one, which is activable, valid.
+    Returns (rejected, accepted) as packed states."""
+    e, valid, _ = oracle.orientation_lanes(s)
+    rejected_lane = (valid & -valid).bit_length() - 1
+    accepted_lane = (~valid & valid + 1).bit_length() - 1
+    rejected, accepted = (oracle.lane_states(1 << k, e)[0] for k in (rejected_lane, accepted_lane))
+    graph = ConfigGraph(s)
+    assert graph.move(rejected) is None and graph.move(accepted) is not None
+    lanes, is_valid = oracle.orientation_lanes, ConfigGraph.is_valid
+
+    def faulty_lanes(support):
+        e, valid, single = lanes(support)
+        return e, valid ^ (1 << rejected_lane | 1 << accepted_lane), single
+
+    def faulty_is_valid(self, state):
+        return state != rejected and (state == accepted or is_valid(self, state))
+
+    monkeypatch.setattr(oracle, "orientation_lanes", faulty_lanes)
+    monkeypatch.setattr(ConfigGraph, "is_valid", faulty_is_valid)
+    return rejected, accepted
+
+
 @pytest.mark.parametrize("n_cells", [3, 4])
 def test_silence_reports_an_injected_fault_from_both_ends(monkeypatch, n_cells):
-    """With ``r234_ok`` wrong on two orientations, rejecting a valid final
-    one and accepting an activable one, the check reports each under its
-    tag, in packed-state order, exactly as the 4^E scan does."""
+    """With the ``valid`` lanes and ``is_valid`` wrong on two orientations,
+    rejecting a valid final one and accepting an activable one, the check
+    reports each under its tag, in packed-state order, exactly as the 4^E
+    scan does."""
     s = max(enumerate_supports(n_cells), key=lambda s: len(s.edges()))
-    graph = ConfigGraph(s)
-    rejected = next(st for st in graph.orientations() if graph.r234_ok(st))
-    accepted = next(st for st in graph.orientations() if not graph.r234_ok(st))
-    assert graph.move(rejected) is None and graph.move(accepted) is not None
-    r234_ok = ConfigGraph.r234_ok
-
-    def faulty(self, state):
-        return state != rejected and (state == accepted or r234_ok(self, state))
-
-    monkeypatch.setattr(ConfigGraph, "r234_ok", faulty)
+    rejected, accepted = _inject_two_lane_fault(monkeypatch, s)
     rep = check_silence(s)
     assert rep == reference_silence(s)
+    graph = ConfigGraph(s)
     expected = sorted([(rejected, "final-but-invalid"), (accepted, "valid-but-activable")])
     assert rep.mismatches == tuple(
         tag + "\n" + graph.unpack(state).serialize() for state, tag in expected
     )
+
+
+def test_silence_matches_two_ended_scan_at_larger_supports(monkeypatch):
+    """On seeded supports with E from 10 to 14, too large for the 4^E scan,
+    the check gives the report of ``is_valid`` on every final state and
+    ``move`` on every valid orientation, clean and under a two-lane fault."""
+    rng = random.Random(23)
+    by_edges = {}
+    while len(by_edges) < 5:
+        s = random_support(rng.randint(7, 9), rng.randrange(2**31))
+        if 10 <= len(s.edges()) <= 14:
+            by_edges.setdefault(len(s.edges()), s)
+    for e, s in sorted(by_edges.items()):
+        rep = check_silence(s)
+        assert rep.ok and rep == reference_two_ended_silence(s), e
+        with monkeypatch.context() as patch:
+            _inject_two_lane_fault(patch, s)
+            rep = check_silence(s)
+            tags = sorted(m.split("\n", 1)[0] for m in rep.mismatches)
+            assert tags == ["final-but-invalid", "valid-but-activable"], e
+            assert rep == reference_two_ended_silence(s), e
 
 
 def test_reachability_tiny_supports():
@@ -258,7 +303,7 @@ def test_packed_validity_and_sinks_agree():
     for graph, portmaps, state in _packed_states_to_check():
         cfg = graph.unpack(state, portmaps)
         assert graph.is_valid(state) == is_valid(cfg), state
-        assert graph.sinks(state) == sorted(sinks(cfg)), state
+        assert packed_sinks(graph, state) == sorted(sinks(cfg)), state
         assert (graph.move(state) is None) == detect_final(cfg), state
         expected = []
         for ci, cell in enumerate(graph.cells):
