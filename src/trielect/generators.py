@@ -311,14 +311,19 @@ def shape_by_name(name: str) -> Support:
     if name == "ring18":
         return ring18().support
     if name.startswith("line"):
-        return line(_shape_size(name, name[4:], "lineN"))
-    if name.startswith("hexagon"):
-        return hexagon(_shape_size(name, name[7:], "hexagonK"))
-    if name.startswith("parallelogram"):
+        make, form, sizes = line, "lineN", (name[4:],)
+    elif name.startswith("hexagon"):
+        make, form, sizes = hexagon, "hexagonK", (name[7:],)
+    elif name.startswith("parallelogram"):
         w, _, h = name[len("parallelogram"):].partition("x")
-        form = "parallelogramWxH"
-        return parallelogram(_shape_size(name, w, form), _shape_size(name, h, form))
-    raise ValueError(f"unknown shape name {name!r}")
+        make, form, sizes = parallelogram, "parallelogramWxH", (w, h)
+    else:
+        raise ValueError(f"unknown shape name {name!r}")
+    args = [_shape_size(name, text, form) for text in sizes]
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"shape name {name!r}: {exc} in {form}") from None
 
 
 def _shape_size(name: str, text: str, form: str) -> int:

@@ -41,11 +41,18 @@ its validation.  When per-step checks or traces are asked for,
 ``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
 activated particle and the neighbours ``_DEPS[flip]`` names, the only
 particles whose status a step can change, and keeps the violation count
-up to date; a configuration is built mid-run only for the step that
-breaks a check.
+up to date cell by cell, building nothing per step; a configuration is
+built mid-run only for the step that breaks a check, and the activated
+cell is read only to name it in that check's message.
 The trace log written to ``trace_file`` is a run's one per-step record:
 a header, then one ``step q r line1 line2 changed violations`` line per
-event, the last field the violation count after the step.
+event, the last field the violation count after the step.  Its flags are
+read off the masks the step already holds, with ``free = present &
+~theirs``, the edges line 1 leaves Out: line 1 fired iff ``free &
+~before`` (an edge was undirected once conflicts were settled), line 2
+iff ``after != free`` and the register changed iff ``flip``.  The ``q r``
+labels are formatted once per traced run, so observing a run builds no
+object per step; the unobserved loop does none of this work.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
 holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
 a rule and exactly one particle has ``mine == 0``.  ``violation_count``
@@ -69,7 +76,7 @@ from .rules import RULE, check_r2, check_r3, check_r4
 # ``activation_step`` and ``step_register`` stay importable from this
 # module: the benchmark's traced run wraps them here, beside
 # ``violation_count``.
-from .algorithm import ActivationEffect, activation_step, is_activable, step_register  # noqa: F401
+from .algorithm import activation_step, is_activable, step_register  # noqa: F401
 
 
 # -- scheduler kinds -------------------------------------------------------------
@@ -224,15 +231,6 @@ def _fire(
     return free
 
 
-def _effect(before: int, after: int, theirs: int, present: int) -> ActivationEffect:
-    """The effect of an activation that took a cell's Out mask from
-    ``before`` to ``after``, given its ``theirs`` and ``present`` masks."""
-    free = present & ~theirs
-    return ActivationEffect(
-        before != after, bool(free & ~before), after != free, (before & theirs).bit_count()
-    )
-
-
 def _set(
     ci: int, after: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
 ) -> None:
@@ -329,6 +327,7 @@ def run(
         violations = sum(violating)
 
     if trace_file is not None:
+        labels = [f"{p.q} {p.r}" for p in cells]
         trace_file.write(
             f"# trace shape={shape_hash(c0)} scheduler={_kind_label(kind)}"
             f" cap={max_steps}\n"
@@ -386,19 +385,21 @@ def run(
 
         if not observed:
             continue
-        p = cells[ci]
         prev_violations = violations
         if flip:
-            for x in (ci, *(a[d] for d in _DEPS[flip])):
-                if x < 0:
-                    continue
-                v = _breaks(x, mine, theirs, around)
-                violations += v - violating[x]
-                violating[x] = v
+            v = _breaks(ci, mine, theirs, around)
+            violations += v - violating[ci]
+            violating[ci] = v
+            for d in _DEPS[flip]:
+                x = a[d]
+                if x >= 0:
+                    v = _breaks(x, mine, theirs, around)
+                    violations += v - violating[x]
+                    violating[x] = v
         if check_invariants:
             if violating[ci]:
                 raise StepInvariantError(
-                    f"step {step}: activated particle {p} violates a repairable rule",
+                    f"step {step}: activated particle {cells[ci]} violates a repairable rule",
                     current(),
                 )
             if violations > prev_violations:
@@ -407,10 +408,10 @@ def run(
                     current(),
                 )
         if trace_file is not None:
-            effect = _effect(before, after, theirs[ci], present[ci])
+            free = present[ci] & ~theirs[ci]
             trace_file.write(
-                f"{step - 1} {p.q} {p.r} {int(effect.line1_fired)} "
-                f"{int(effect.line2_fired)} {int(effect.changed)} {violations}\n"
+                f"{step - 1} {labels[ci]} {1 if free & ~before else 0} "
+                f"{0 if after == free else 1} {1 if flip else 0} {violations}\n"
             )
 
     return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)

@@ -31,8 +31,10 @@ and ``infer_triangle_labels`` therefore never build the whole view;
 ``build_view`` is the definition of view_k and the reference the walks
 are tested against.  Like the omniscient checkers in ``rules``, these
 readers see a configuration's port maps and registers only, and local R4
-learns the far edge of a triangle from view walks alone.  Every reader
-raises ``ConfigError`` for a cell outside the support.
+learns the far edge of a triangle from view walks alone, walking only
+for the triangles whose far edge can close a directed 3-cycle (see
+``local_check_r4``).  Every reader raises ``ConfigError`` for a cell
+outside the support.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ class ChiralityInferenceError(RuntimeError):
     """No or several candidate labelings satisfy the view formula.
 
     Raising this would falsify the triangle-chirality statement; it is
-    never expected on well-formed configurations.
+    never expected on well-formed configurations.  ``local_check_r4``
+    infers only the triangles whose near edges form a directed path
+    through the particle, so it can raise this only for such a triangle;
+    ``infer_triangle_labels`` infers the triangle it is asked about.
     """
 
 
@@ -225,7 +230,13 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
 
     Agrees pointwise with the omniscient checker: the only extra knowledge
     the omniscient version uses is the labelling of the far edge of each
-    triangle, which the view formula recovers.
+    triangle, which the view formula recovers.  The far edge of a triangle
+    p, q, r can close a directed 3-cycle only when p's two near edges,
+    which p reads off its own and its neighbours' registers, already form
+    a directed path through p: r -> p -> q or q -> p -> r.  So the four
+    near-edge flags are read first and the far edge is inferred only for
+    those triangles; a ``ChiralityInferenceError`` can come only from a
+    triangle that is still inferred.
     """
     support, regs, portmaps = c.support, c.regs, c.portmaps
     order = support.order
@@ -243,14 +254,15 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
         # q lies at d from p and r at d + 1; each meets p from the opposite side.
         p1, p0 = ports[d], ports[(d + 1) % N_DIRS]
         q1, r1 = q_pm.ports[(d + 3) % N_DIRS], r_pm.ports[(d + 4) % N_DIRS]
-        q_to_r, r_to_q = _infer(step, i, pm, p0, p1, (j, q_pm, q1), (k, r_pm, r1))
         q_reg, r_reg = regs[q], regs[r]
         # ``xy``: x is Out toward y.
         pq, qp = reg[p1] is OUT, q_reg[q1] is OUT
         pr, rp = reg[p0] is OUT, r_reg[r1] is OUT
+        ahead = pq and not qp and rp and not pr  # r -> p -> q
+        if not ahead and not (pr and not rp and qp and not pq):  # nor q -> p -> r
+            continue
+        q_to_r, r_to_q = _infer(step, i, pm, p0, p1, (j, q_pm, q1), (k, r_pm, r1))
         qr, rq = q_reg[q_to_r] is OUT, r_reg[r_to_q] is OUT
-        if pq and not qp and qr and not rq and rp and not pr:  # p -> q -> r -> p
-            return False
-        if pr and not rp and rq and not qr and qp and not pq:  # p -> r -> q -> p
+        if (qr and not rq) if ahead else (rq and not qr):  # closes the cycle
             return False
     return True

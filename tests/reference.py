@@ -46,7 +46,8 @@ membership test per candidate, each label walked from p again.
 ``analyze_cycle`` checks the two cycle lemmas on configurations, port by
 port, as ``oracle.UnfairCycle.lemmas`` does on packed states.
 ``resolve_conflicts`` and ``remove_particle`` are single-purpose
-configuration edits, and ``read_trace``, ``mirrored``, ``are_adjacent``
+configuration edits, and ``read_trace``, ``trace_flags`` (the trace's
+flag formula, read off a cell's masks), ``mirrored``, ``are_adjacent``
 and ``relative_chirality`` small readings, that only tests need.
 """
 
@@ -610,6 +611,14 @@ def read_trace(text: str) -> list[tuple[int, Cell, int, int, int, int]]:
         step, q, r, line1, line2, changed, violations = map(int, line.split())
         rows.append((step, Cell(q, r), line1, line2, changed, violations))
     return rows
+
+
+def trace_flags(before: int, after: int, theirs: int, present: int) -> tuple[bool, bool, bool]:
+    """``(line1, line2, changed)`` of an activation that took a cell's Out
+    mask from ``before`` to ``after``, given its ``theirs`` and ``present``
+    masks: the formula ``scheduler.run`` writes its trace flags with."""
+    free = present & ~theirs
+    return bool(free & ~before), after != free, before != after
 
 
 def mirrored(o: EdgeOrientation) -> EdgeOrientation:

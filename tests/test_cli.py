@@ -279,6 +279,12 @@ _PINNED_ERRORS = {
         "error: shape name 'parallelogram3x' does not match parallelogramWxH\n",
     "verify --config {trace}":
         "error: line 5: expected 'offset chirality' as two integers, got '0 1 1'\n",
+    "gen --shape line0 --out {out}": "error: shape name 'line0': n must be >= 1 in lineN\n",
+    "gen --shape hexagon-1 --out {out}":
+        "error: shape name 'hexagon-1': k must be >= 0 in hexagonK\n",
+    "gen --shape parallelogram0x3 --out {out}":
+        "error: shape name 'parallelogram0x3': sides must be >= 1 in parallelogramWxH\n",
+    "search-unfair --shape line0": "error: shape name 'line0': n must be >= 1 in lineN\n",
 }
 
 
@@ -318,6 +324,10 @@ def _exit_code(argv):
         (["gen", "--shape", "parallelogram3x", "--out", "{out}"], None),
         (["verify", "--config", "{trace}"],
          "shape\n0 0\n1 0\ncells\n0 0 | 0 1 1 | I I I I I I\n1 0 | 0 +1 | I I I I I I\n"),
+        (["gen", "--shape", "line0", "--out", "{out}"], None),
+        (["gen", "--shape", "hexagon-1", "--out", "{out}"], None),
+        (["gen", "--shape", "parallelogram0x3", "--out", "{out}"], None),
+        (["search-unfair", "--shape", "line0"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

@@ -27,7 +27,6 @@ from trielect.scheduler import (
     StepInvariantError,
     _DEPS,
     _breaks,
-    _effect,
     _fire,
     _masks,
     _set,
@@ -39,7 +38,7 @@ from trielect.scheduler import (
     violation_count,
 )
 
-from reference import analyze_cycle, read_trace, reference_run
+from reference import analyze_cycle, read_trace, reference_run, trace_flags
 
 
 def _traced_run(*args, **kwargs):
@@ -300,7 +299,10 @@ def _packed_masks(state, graph):
 
 def test_engine_step_matches_reference_and_packed_steps():
     """Every cell of every state of every support with n <= 4: the engine's
-    masks, its new mask and effect, and its write of the step."""
+    masks, its new mask and its write of the step, and the trace's flag
+    formula against ``step_register``'s effect, both as ``trace_flags``
+    states it and as a one-step traced run writes it (a final state
+    takes no step, so it writes no line)."""
     rng = random.Random(5)
     for n in range(1, 5):
         for s in enumerate_supports(n):
@@ -312,13 +314,18 @@ def test_engine_step_matches_reference_and_packed_steps():
                 cfg = graph.unpack(state, portmaps)
                 mine, theirs = _masks(cfg)
                 assert (mine, theirs) == _packed_masks(state, graph)
+                live = not detect_final(cfg)
                 for ci, (p, half) in enumerate(zip(cells, graph.half_at)):
                     before = mine[ci]
                     after = _fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
                     assert REGISTER[cfg.portmaps[p]][before] == cfg.regs[p]
                     assert REGISTER[cfg.portmaps[p]][after] == reg
-                    assert _effect(before, after, theirs[ci], present[ci]) == effect
+                    flags = (effect.line1_fired, effect.line2_fired, effect.changed)
+                    assert trace_flags(before, after, theirs[ci], present[ci]) == flags
+                    res, rows = _traced_run(cfg, Scripted((p,)), max_steps=1)
+                    assert res.config.regs[p] == reg
+                    assert [row[1:5] for row in rows] == ([(p, *flags)] if live else [])
                     packed = state
                     for d, h in enumerate(half):
                         if h >= 0:

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from trielect.lattice import ALL_PORTMAPS, N_DIRS, Cell
-from trielect.config import ALL_IN, ConfigError, Configuration, OUT
+from trielect.config import ALL_IN, ConfigError, Configuration, OUT, all_in_configuration
 from trielect.generators import (
     enumerate_supports,
     erosion_orientation,
@@ -266,6 +266,23 @@ def test_local_r4_matches_omniscient_at_scale(init):
     verdicts = [check_r4(cfg, p) for p in s]
     assert [local_check_r4(cfg, p) for p in s] == verdicts
     assert all(verdicts) == (init == "erosion")
+
+
+def test_inference_exact_on_every_triangle_at_scale():
+    """The inputs of ``test_local_r4_matches_omniscient_at_scale``, whose
+    local R4 infers only the triangles that can close a cycle: the inferred
+    far-edge labels are the true ones at every corner of every triangle,
+    with q and r taken in both orders."""
+    s = random_support(2000, 11)
+    cfg = all_in_configuration(s, random_portmaps(s, 12))
+    corners = 0
+    for p in s:
+        for q, r in triangles_at(cfg, p):
+            for a, b in ((q, r), (r, q)):
+                truth = cfg.port_of(a, b), cfg.port_of(b, a)
+                assert infer_triangle_labels(cfg, p, a, b) == truth
+                corners += 1
+    assert corners > 6 * len(s)
 
 
 def test_readers_reject_a_cell_outside_the_support():
