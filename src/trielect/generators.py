@@ -57,6 +57,13 @@ class ErosionError(RuntimeError):
     """No erodible particle exists; would contradict the erosion guarantee."""
 
 
+def check_seed(seed: object) -> None:
+    """Raise ``TypeError`` unless ``seed`` is an ``int``: ``random.Random``
+    would seed ``None`` from OS entropy, and a run could not be repeated."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, not {type(seed).__name__}")
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -100,6 +107,7 @@ def random_support(n: int, seed: int) -> Support:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_seed(seed)
     rng = random.Random(seed)
     cells = {(0, 0)}
     # (dq, dr, bit): a neighbour at that offset sees the added cell at bit.
@@ -197,6 +205,7 @@ def _configuration(
 
 
 def random_portmaps(s: Support, seed: int) -> dict[Cell, PortMap]:
+    check_seed(seed)
     rng = random.Random(seed)
     return {c: rng.choice(ALL_PORTMAPS) for c in s}
 
@@ -216,6 +225,7 @@ def random_registers(
     """
     if not 0.0 <= conflict_probability <= 1.0:
         raise ValueError("conflict probability must lie in [0, 1]")
+    check_seed(seed)
     rng = random.Random(seed)
     masks = [0] * len(s)
     for i, row in enumerate(s.around):

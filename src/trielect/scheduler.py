@@ -14,24 +14,31 @@ is Out toward it).  Cell numbers, ``around[ci]`` (the neighbours' cell
 numbers by direction, -1 where the cell is empty) and ``present[ci]``
 (the mask of occupied directions) are the support's own
 (``Support.order``, ``Support.around``, ``Support.present``); ``run``
-builds nothing per support.  ``_fire`` computes a particle's next Out
-mask: it looks ``present & ~theirs`` up in ``rules.RULE`` and reads the
-at most two triangles it names off the masks of the neighbour the
-particle is Out toward.  ``run`` keeps that mask for every particle in
-``fire[ci]``; the particle is activable iff ``fire[ci] != mine[ci]``, and
-an activation applies it.  A step writes ``mine[ci]``, flips one
-``theirs`` bit at each neighbour whose edge changed, and recomputes
-``fire`` only at the neighbours ``_DEPS[flip]`` names, the only cells
-whose ``_fire`` reads a flipped edge: O(1) table work instead of copying
-the configuration.  The activable particles are kept as a sorted list of
-cell numbers, updated with ``bisect`` for the activated particle and
-those cells only.  Cell
-numbers follow the support's sorted cell order, so the list equals the
-one a rebuild from scratch would give, and
-``live[rng.randrange(len(live))]`` picks the same particle with the same
-random draws: every run is bit-identical to driving
-``algorithm.activation_step`` step by step, which the tests check
-against an object-based reference loop.
+builds nothing per support.  It keeps every particle's next Out
+mask in ``fire[ci]``, computed by one block at the top of its loop: it
+looks ``present & ~theirs`` up in ``rules.RULE`` and reads the at most
+two triangles it names off the masks of the neighbour the particle is Out
+toward.  The particle is activable iff ``fire[ci] != mine[ci]``, and an
+activation applies it.  A step writes ``mine[ci]`` and flips one
+``theirs`` bit at each neighbour whose edge changed (``_set``, the one
+writer), and the block then recomputes ``fire`` at the activated cell's
+neighbours only (``_DEPS[flip]`` names the ones a step can change, and
+the cell's own next mask reads none of its own Out flags): O(1) table
+work instead of copying the configuration.  The same block's first pass
+over every cell fills ``fire``; it touches ``fire[x]`` and the activable
+list only where the mask changed, and a no-op step refreshes nothing.
+The activable particles are kept as a sorted list of cell numbers,
+updated with ``bisect`` for the activated particle and those cells only.
+Cell numbers follow the support's sorted cell order, so the list equals
+the one a rebuild from scratch would give.  The random draw is
+``random.Random.randrange(k)``'s own rejection loop written out, with
+``getrandbits`` bound once per run: ``r = getrandbits(k.bit_length())``
+until ``r < k``.  That is exactly what ``randrange(k)`` does for ``k >
+0`` through ``_randbelow``, so it makes the same ``getrandbits`` calls,
+picks the same particle and leaves the generator in the same state,
+without two Python frames per step.  Every run is bit-identical to
+driving ``algorithm.activation_step`` step by step, which the tests
+check against an object-based reference loop.
 
 ``Configuration`` stays the boundary: ``run`` takes one and returns one.
 Registers become masks and masks registers through
@@ -71,6 +78,7 @@ from typing import IO, Sequence, Union
 from .lattice import Cell, N_DIRS
 from .config import OUT_MASK, REGISTER, Configuration
 from .support import SupportError, format_shape_text
+from .generators import check_seed
 from .rules import RULE, check_r2, check_r3, check_r4
 
 # ``activation_step`` and ``step_register`` stay importable from this
@@ -85,6 +93,9 @@ from .algorithm import activation_step, is_activable, step_register  # noqa: F40
 @dataclass(frozen=True)
 class RandomSequential:
     seed: int
+
+    def __post_init__(self) -> None:
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -172,11 +183,11 @@ _FLIPS = tuple(
 
 #: ``_DEPS[flip]``: the directions ``d - 1``, ``d`` and ``d + 1`` for every
 #: ``d`` in ``flip``.  A step that flips the edges toward ``flip`` can
-#: change ``_fire`` and ``_breaks`` only at the stepping cell and its
+#: change the next mask and ``_breaks`` only at the stepping cell and its
 #: neighbours in these directions: the far end of a flipped edge reads it
 #: through ``theirs``, and the two cells adjacent to both its ends read it
-#: as a triangle's far edge.  The stepping cell's own ``_fire`` reads none
-#: of its own edges' Out flags, so only its ``_breaks`` can change.
+#: as a triangle's far edge.  The stepping cell's own next mask reads
+#: none of its own edges' Out flags, so only its ``_breaks`` can change.
 _DEPS = tuple(
     tuple(
         d
@@ -205,32 +216,6 @@ def _with_masks(c: Configuration, masks: dict[Cell, int]) -> Configuration:
     return c.with_registers({p: REGISTER[pms[p]][mask] for p, mask in masks.items()})
 
 
-def _fire(
-    ci: int,
-    mine: list[int],
-    theirs: list[int],
-    present: Sequence[int],
-    around: Sequence[tuple[int, ...]],
-) -> int:
-    """The Out mask of cell ``ci`` after one activation; nothing is written.
-
-    Resolving conflicts and then line 1 leave the cell Out exactly toward
-    ``present & ~theirs``, so every edge at the cell is directed when
-    line 2's test runs: ``RULE`` alone decides R2 and R3, and a triangle
-    it names is a directed 3-cycle iff its far edge is.
-    """
-    free = present[ci] & ~theirs[ci]
-    corners = RULE[free]
-    if corners is None:
-        return 0
-    a = around[ci]
-    for xd, bit, _ in corners:
-        x = a[xd]
-        if mine[x] & ~theirs[x] & bit:
-            return 0
-    return free
-
-
 def _set(
     ci: int, after: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
 ) -> None:
@@ -247,11 +232,11 @@ def _breaks(
 ) -> bool:
     """True iff cell ``ci`` breaks R2, R3 or R4 under the masks.
 
-    Unlike ``_fire`` this assumes nothing about the edges: bit ``d`` of
-    ``mine ^ theirs`` is set iff the edge at ``d`` is directed, and a
-    triangle closes a directed 3-cycle only when both its near edges and
-    its far edge are directed; undirected and conflict edges never close
-    one, as in ``rules.check_r4``.
+    Unlike ``run``'s next-mask block this assumes nothing about the
+    edges: bit ``d`` of ``mine ^ theirs`` is set iff the edge at ``d`` is
+    directed, and a triangle closes a directed 3-cycle only when both its
+    near edges and its far edge are directed; undirected and conflict
+    edges never close one, as in ``rules.check_r4``.
     """
     m = mine[ci]
     corners = RULE[m]
@@ -308,12 +293,16 @@ def run(
     mine, theirs = _masks(c0)
     start = mine[:]
 
-    # ``fire[ci]`` is ``_fire``'s mask for cell ``ci`` now: the cell is
-    # activable iff it differs from ``mine[ci]``.
-    fire = [_fire(ci, mine, theirs, present, around) for ci in range(n)]
-    live = [ci for ci in range(n) if fire[ci] != mine[ci]]
+    # ``fire[ci]`` is cell ``ci``'s next Out mask: the cell is activable
+    # iff it differs from ``mine[ci]``.  ``todo`` names the cells whose
+    # next mask the loop's first block recomputes: every cell at first,
+    # then the activated cell's neighbours after a step that changes it.
+    fire = mine[:]
+    live: list[int] = []
+    todo: Sequence[int] = range(n)
+    rule = RULE
 
-    rng = random.Random(kind.seed) if isinstance(kind, RandomSequential) else None
+    draw = random.Random(kind.seed).getrandbits if isinstance(kind, RandomSequential) else None
     round_robin = isinstance(kind, RoundRobin)
     rr_index = 0
     script: list[int] = []
@@ -346,42 +335,72 @@ def run(
         return ExecutionResult(outcome, final, step)
 
     step = 0
-    while step < max_steps:
+    while True:
+        for x in todo:
+            if x < 0:
+                continue
+            # Resolving conflicts and then line 1 leave the cell Out
+            # exactly toward ``nxt``, so every edge at the cell is directed
+            # when line 2's test runs: ``RULE`` alone decides R2 and R3,
+            # and a triangle it names is a directed 3-cycle iff its far
+            # edge, read off the neighbour at ``xd``, is.
+            nxt = present[x] & ~theirs[x]
+            corners = rule[nxt]
+            if corners is None:
+                nxt = 0
+            else:
+                ax = around[x]
+                for xd, bit, _ in corners:
+                    y = ax[xd]
+                    if mine[y] & ~theirs[y] & bit:
+                        nxt = 0
+                        break
+            old = fire[x]
+            if nxt != old:
+                fire[x] = nxt
+                m = mine[x]
+                if old == m:
+                    insort(live, x)
+                elif nxt == m:
+                    del live[bisect_left(live, x)]
+
         if not live:
             return result(Outcome.FINAL)
+        if step >= max_steps:
+            return result(Outcome.CAP_EXCEEDED)
 
-        if rng is not None:
-            ci = live[rng.randrange(len(live))]
-        elif round_robin:
-            while fire[rr_index % n] == mine[rr_index % n]:
-                rr_index += 1
-            ci = rr_index % n
-            rr_index += 1
+        # The activated cell's step leaves ``fire[ci]`` as it is, so an
+        # activable cell leaves ``live``.
+        if draw is not None:
+            # ``randrange(k)``'s own rejection loop, without its frames.
+            k = len(live)
+            bits = k.bit_length()
+            r = draw(bits)
+            while r >= k:
+                r = draw(bits)
+            ci = live[r]
+            del live[r]
         else:
-            ci = script[script_index % len(script)]
-            script_index += 1
+            if round_robin:
+                while fire[rr_index % n] == mine[rr_index % n]:
+                    rr_index += 1
+                ci = rr_index % n
+                rr_index += 1
+            else:
+                ci = script[script_index % len(script)]
+                script_index += 1
+            if fire[ci] != mine[ci]:
+                del live[bisect_left(live, ci)]
 
         before = mine[ci]
         after = fire[ci]
         step += 1
         flip = before ^ after
         if flip:
-            # The step leaves ``fire[ci]`` as it is, so the cell leaves ``live``.
             _set(ci, after, mine, theirs, around)
-            del live[bisect_left(live, ci)]
-            a = around[ci]
-            for d in _DEPS[flip]:
-                x = a[d]
-                if x < 0:
-                    continue
-                m = mine[x]
-                was_live = fire[x] != m
-                fire[x] = _fire(x, mine, theirs, present, around)
-                if (fire[x] != m) != was_live:
-                    if was_live:
-                        del live[bisect_left(live, x)]
-                    else:
-                        insort(live, x)
+            todo = a = around[ci]
+        else:
+            todo = ()
 
         if not observed:
             continue
@@ -413,5 +432,3 @@ def run(
                 f"{step - 1} {labels[ci]} {1 if free & ~before else 0} "
                 f"{0 if after == free else 1} {1 if flip else 0} {violations}\n"
             )
-
-    return result(Outcome.FINAL if not live else Outcome.CAP_EXCEEDED)

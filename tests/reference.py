@@ -17,6 +17,9 @@ after every removal.  ``reference_run`` is the object-based loop that
 ``scheduler.run`` replaced, kept as the oracle its compiled engine must
 reproduce bit for bit, and ``reference_replay`` the per-event loop
 ``render --trace`` used before it replayed through the engine.
+``reference_fire`` is the next-mask formula ``run`` evaluates inline,
+as the function it was before the engine's loop took it in; the tests
+compare it with ``step_register`` cell by cell.
 ``reference_reaches`` is the reverse search ``oracle.check_reachability``
 ran before its lazy SCC pass: all predecessor lists built up front, then a
 backward flood from the targets.  ``reference_silence`` is the scan
@@ -56,7 +59,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import (
@@ -80,7 +83,7 @@ from trielect.config import (
     Configuration,
     EdgeOrientation,
 )
-from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
+from trielect.rules import RULE, check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.rules import _consecutive_cyclic
 from trielect.scheduler import (
     ExecutionResult,
@@ -456,6 +459,33 @@ def reference_run(
     if detect_final(config):
         return finish(step)
     return ExecutionResult(Outcome.CAP_EXCEEDED, config, step)
+
+
+def reference_fire(
+    ci: int,
+    mine: list[int],
+    theirs: list[int],
+    present: Sequence[int],
+    around: Sequence[tuple[int, ...]],
+) -> int:
+    """The Out mask of cell ``ci`` after one activation, read off the
+    masks; nothing is written.
+
+    Resolving conflicts and then line 1 leave the cell Out exactly toward
+    ``present & ~theirs``, so every edge at the cell is directed when
+    line 2's test runs: ``RULE`` alone decides R2 and R3, and a triangle
+    it names is a directed 3-cycle iff its far edge is.
+    """
+    free = present[ci] & ~theirs[ci]
+    corners = RULE[free]
+    if corners is None:
+        return 0
+    a = around[ci]
+    for xd, bit, _ in corners:
+        x = a[xd]
+        if mine[x] & ~theirs[x] & bit:
+            return 0
+    return free
 
 
 def _rules_hold(c: Configuration, p: Cell) -> bool:

@@ -27,7 +27,6 @@ from trielect.scheduler import (
     StepInvariantError,
     _DEPS,
     _breaks,
-    _fire,
     _masks,
     _set,
     _valid_single_sink,
@@ -38,7 +37,7 @@ from trielect.scheduler import (
     violation_count,
 )
 
-from reference import analyze_cycle, read_trace, reference_run, trace_flags
+from reference import analyze_cycle, read_trace, reference_fire, reference_run, trace_flags
 
 
 def _traced_run(*args, **kwargs):
@@ -81,6 +80,22 @@ def test_random_runs_deterministic_per_seed():
     assert a_rows == b_rows
     c, c_rows = _traced_run(cfg, RandomSequential(100))
     assert [row[1] for row in c_rows] != [row[1] for row in a_rows] or c.config == a.config
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "3"])
+def test_seeds_must_be_explicit_ints(seed):
+    """``random.Random(None)`` would seed from OS entropy: the scheduler and
+    the three seeded generators refuse any seed that is not an ``int``."""
+    s = hexagon(1)
+    makers = (
+        lambda: RandomSequential(seed),
+        lambda: random_support(5, seed),
+        lambda: random_portmaps(s, seed),
+        lambda: random_registers(s, seed),
+    )
+    for make in makers:
+        with pytest.raises(TypeError, match="^seed must be an int, not "):
+            make()
 
 
 def test_violation_count_monotone_along_runs():
@@ -299,10 +314,11 @@ def _packed_masks(state, graph):
 
 def test_engine_step_matches_reference_and_packed_steps():
     """Every cell of every state of every support with n <= 4: the engine's
-    masks, its new mask and its write of the step, and the trace's flag
-    formula against ``step_register``'s effect, both as ``trace_flags``
-    states it and as a one-step traced run writes it (a final state
-    takes no step, so it writes no line)."""
+    masks, the next-mask formula (``reference_fire``, and ``run``'s inline
+    block through a one-step scripted run), the engine's write of the step,
+    and the trace's flag formula against ``step_register``'s effect, both
+    as ``trace_flags`` states it and as a one-step traced run writes it (a
+    final state takes no step, so it writes no line)."""
     rng = random.Random(5)
     for n in range(1, 5):
         for s in enumerate_supports(n):
@@ -317,7 +333,7 @@ def test_engine_step_matches_reference_and_packed_steps():
                 live = not detect_final(cfg)
                 for ci, (p, half) in enumerate(zip(cells, graph.half_at)):
                     before = mine[ci]
-                    after = _fire(ci, mine, theirs, present, around)
+                    after = reference_fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
                     assert REGISTER[cfg.portmaps[p]][before] == cfg.regs[p]
                     assert REGISTER[cfg.portmaps[p]][after] == reg
@@ -337,20 +353,20 @@ def test_engine_step_matches_reference_and_packed_steps():
 
 
 def _assert_steps_reach_only_deps(mine, theirs, present, around, near):
-    """Apply the engine's step (``_set`` to ``_fire``'s mask) at each cell
-    ``ci`` in turn, from the same masks: every cell of ``near(ci)`` but
-    ``ci`` and the neighbours ``_DEPS[flip]`` names keeps its ``_fire`` and
-    its ``_breaks`` value, and ``ci`` keeps its ``_fire`` value."""
+    """Apply the engine's step (``_set`` to the next mask ``reference_fire``
+    gives) at each cell ``ci`` in turn, from the same masks: every cell of
+    ``near(ci)`` but ``ci`` and the neighbours ``_DEPS[flip]`` names keeps
+    its next mask and its ``_breaks`` value, and ``ci`` keeps its next mask."""
 
     def values(x, mine, theirs):
-        return _fire(x, mine, theirs, present, around), _breaks(x, mine, theirs, around)
+        return reference_fire(x, mine, theirs, present, around), _breaks(x, mine, theirs, around)
 
     for ci in range(len(mine)):
-        after = _fire(ci, mine, theirs, present, around)
+        after = reference_fire(ci, mine, theirs, present, around)
         flip = mine[ci] ^ after
         stepped = mine[:], theirs[:]
         _set(ci, after, *stepped, around)
-        assert _fire(ci, *stepped, present, around) == after, ci
+        assert reference_fire(ci, *stepped, present, around) == after, ci
         reach = {ci, *(around[ci][d] for d in _DEPS[flip])}
         for x in near(ci):
             if x not in reach:
@@ -371,8 +387,8 @@ def test_dependency_table_covers_every_step_on_every_small_state():
 
 def test_dependency_table_covers_every_step_at_scale():
     """Seeded random registers on 300 to 2,000 cells.  ``_set`` writes only
-    ``mine[ci]`` and ``theirs`` at ``ci``'s neighbours, and ``_fire`` and
-    ``_breaks`` at a cell read only its own and its neighbours' masks, so
+    ``mine[ci]`` and ``theirs`` at ``ci``'s neighbours, and the next mask
+    and ``_breaks`` at a cell read only its own and its neighbours' masks, so
     the cells within two steps of ``ci`` are all a step can reach; all of
     them are compared."""
     rng = random.Random(17)
@@ -460,7 +476,7 @@ def test_breaks_matches_rule_checks_on_random_configurations():
 class _SkipLine2Once:
     """``scheduler._set`` that skips line 2 on one activation.
 
-    ``run`` keeps each cell's next mask from ``_fire`` and applies it
+    ``run`` keeps each cell's next mask and applies it
     with one ``_set`` call per activation that changes the register,
     which under a random scheduler is every activation.  On the first
     activation numbered ``start`` or later at which line 2 fires, this
@@ -535,7 +551,8 @@ def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch
 def test_final_check_raises_on_a_final_state_that_is_not_valid_single_sink(monkeypatch):
     """The end-of-run check raises with the final configuration attached: on a
     directed 6-cycle around a hole (final and valid, but without a sink), and,
-    with ``_fire`` never changing a register, on an invalid start."""
+    with a ``RULE`` that sends every particle In, on the all-In start: final
+    under that rule, and invalid."""
     ring = [neighbor(Cell(0, 0), d) for d in range(N_DIRS)]
     cycle = all_in_configuration(Support(ring))
     for a, b in zip(ring, ring[1:] + ring[:1]):
@@ -547,16 +564,14 @@ def test_final_check_raises_on_a_final_state_that_is_not_valid_single_sink(monke
         run(cycle, RoundRobin(), check_invariants=True)
     assert got.value.config == cycle
 
-    def still(ci, mine, theirs, present, around):
-        return mine[ci]
-
     s = random_support(9, 4)
-    cfg = random_registers(s, 5, 0.2, random_portmaps(s, 6))
-    assert not is_valid(cfg)
-    monkeypatch.setattr(scheduler, "_fire", still)
+    cfg = all_in_configuration(s, random_portmaps(s, 6))
+    assert not is_valid(cfg) and not detect_final(cfg)
+    monkeypatch.setattr(scheduler, "RULE", (None,) * len(scheduler.RULE))
     assert run(cfg, RandomSequential(0)).steps == 0
     with pytest.raises(StepInvariantError, match="final configuration is not a valid") as got:
         run(cfg, RandomSequential(0), check_invariants=True)
     assert got.value.config == cfg
+    monkeypatch.undo()
     valid = erosion_orientation(s)
     assert run(valid, RandomSequential(0), check_invariants=True).config == valid
