@@ -1,7 +1,13 @@
 """Shape construction and register initialisation.
 
-Enumeration grows simply connected supports one cell at a time,
-deduplicating canonical translates at every size; growth from simply
+Growth and enumeration hold cells as the integer keys of a
+``support.KeyFrame`` centred on the origin, wide enough for every cell
+and neighbour of an n-cell shape grown from it: a neighbour is a key
+plus a step, key order is (q, r) order, and a finished shape's sorted
+keys go to ``Support._from_keys``, which numbers them without a ``Cell``
+per neighbour.  Enumeration grows simply connected supports one cell at
+a time, deduplicating canonical translates at every size (key tuples
+whose smallest key is the origin's); growth from simply
 connected shapes is complete because any such shape can lose an erodible
 boundary cell and stay simply connected.  Growth and erosion share one
 local test, ``lattice.CYCLIC_RUN`` over a mask of occupied directions:
@@ -29,28 +35,20 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .lattice import (
     ALL_PORTMAPS,
     CYCLIC_RUN,
     Cell,
-    DIR_OFFSETS,
     ERODIBLE,
     N_DIRS,
     PortMap,
     direction_from,
     neighbor,
-    neighbor_mask,
-    neighbors,
 )
 from .config import ALL_IN, REGISTER, Configuration, identity_portmaps
-from .support import (
-    Support,
-    SupportError,
-    canonical_cells,
-    symmetry_canonical_cells,
-)
+from .support import KeyFrame, Support, SupportError, symmetry_canonical_keys
 
 
 class ErosionError(RuntimeError):
@@ -66,61 +64,90 @@ def check_seed(seed: object) -> None:
 
 # -- enumeration ---------------------------------------------------------------
 
+#: Per direction ``d``, the bit at which the neighbour in direction ``d`` of
+#: a cell sees that cell in its mask of occupied directions.
+_SEEN = tuple(1 << (d + 3) % N_DIRS for d in range(N_DIRS))
+
+
 
 def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
     """All simply connected supports of ``n`` cells, one per canonical form.
 
     ``canonical`` is ``"translation"`` (default) or ``"symmetry"`` for
-    deduplication up to the full 12-element lattice symmetry group.
+    deduplication up to the full 12-element lattice symmetry group.  The
+    list is sorted by canonical cells.
+
+    Shapes are sorted tuples of keys in ``KeyFrame.centred(n)``, which
+    fits every cell within ``n`` of the origin.  A translation-canonical
+    shape starts with the origin's key; a grown shape whose new cell sorts
+    first is shifted by that cell's key difference to the origin.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if canonical not in ("translation", "symmetry"):
         raise ValueError(f"unknown canonicalisation {canonical!r}")
-    canon: Callable[[Iterable[Cell]], tuple[Cell, ...]]
-    canon = canonical_cells if canonical == "translation" else symmetry_canonical_cells
-
-    shapes: set[tuple[Cell, ...]] = {canon([Cell(0, 0)])}
+    frame = KeyFrame.centred(n)
+    origin = frame.key(0, 0)
+    steps = tuple(zip(frame.steps, _SEEN))
+    shapes: set[tuple[int, ...]] = {(origin,)}
     for _ in range(n - 1):
-        grown: set[tuple[Cell, ...]] = set()
+        grown: set[tuple[int, ...]] = set()
         for shape in shapes:
             cellset = set(shape)
-            frontier = {
-                nb for c in shape for nb in neighbors(c) if nb not in cellset
-            }
-            for nb in frontier:
-                if CYCLIC_RUN[neighbor_mask(nb, cellset)]:
-                    grown.add(canon(cellset | {nb}))
+            rim: dict[int, int] = {}
+            for k in shape:
+                for step, bit in steps:
+                    x = k + step
+                    if x not in cellset:
+                        rim[x] = rim.get(x, 0) | bit
+            for x, mask in rim.items():
+                if CYCLIC_RUN[mask]:
+                    if x < origin:
+                        shift = origin - x
+                        grown.add((origin, *[k + shift for k in shape]))
+                    else:
+                        i = bisect_left(shape, x)
+                        grown.add(shape[:i] + (x,) + shape[i:])
+        if canonical == "symmetry":
+            grown = {symmetry_canonical_keys(shape, frame) for shape in grown}
         shapes = grown
-    return [Support(shape) for shape in sorted(shapes)]
+    return [Support._from_keys(list(shape), frame) for shape in sorted(shapes)]
 
 
 def random_support(n: int, seed: int) -> Support:
     """Random simply connected support grown cell by cell.
 
-    ``rim`` maps each empty cell next to the shape to its mask of occupied
-    directions.  The growable frontier is the rim cells whose mask is one
-    cyclic run, held as a sorted list of ``(q, r)`` pairs; each step pops
-    the one at index ``rng.randrange(len(growable))``, so every growable
-    cell is equally likely.  Adding a cell sets one bit in the mask of each
-    empty neighbour, and only those can join or leave the list.
+    Cells are keys in ``KeyFrame.centred(n)``, which holds every cell
+    within ``n`` of the origin, so key order is (q, r) order.  ``rim`` maps
+    each empty cell next to the shape to its mask of occupied directions.
+    The growable frontier is the rim cells whose mask is one cyclic run,
+    held as a sorted list of keys; each step pops the one at index
+    ``rng.randrange(len(growable))``, drawn as ``randrange``'s own
+    rejection loop over ``getrandbits``, so every growable cell is equally
+    likely.  Adding a cell sets one bit in the mask of each empty
+    neighbour, and only those can join or leave the list.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_seed(seed)
-    rng = random.Random(seed)
-    cells = {(0, 0)}
-    # (dq, dr, bit): a neighbour at that offset sees the added cell at bit.
-    steps = tuple((dq, dr, 1 << (d + 3) % N_DIRS) for d, (dq, dr) in enumerate(DIR_OFFSETS))
-    rim = {(dq, dr): bit for dq, dr, bit in steps}
+    draw = random.Random(seed).getrandbits
+    frame = KeyFrame.centred(n)
+    steps = tuple(zip(frame.steps, _SEEN))
+    origin = frame.key(0, 0)
+    cells = {origin}
+    rim = {origin + step: bit for step, bit in steps}
     growable = sorted(rim)
     for _ in range(n - 1):
-        c = growable.pop(rng.randrange(len(growable)))
+        k = len(growable)
+        bits = k.bit_length()
+        i = draw(bits)
+        while i >= k:
+            i = draw(bits)
+        c = growable.pop(i)
         del rim[c]
         cells.add(c)
-        q, r = c
-        for dq, dr, bit in steps:
-            x = (q + dq, r + dr)
+        for step, bit in steps:
+            x = c + step
             if x in cells:
                 continue
             old = rim.get(x, 0)
@@ -131,7 +158,9 @@ def random_support(n: int, seed: int) -> Support:
                     insort(growable, x)
             elif CYCLIC_RUN[old]:
                 del growable[bisect_left(growable, x)]
-    return Support(cells)
+    keys = sorted(cells)
+    del cells, rim, growable  # freed before the numbering's peak
+    return Support._from_keys(keys, frame)
 
 
 # -- erosion orientation ---------------------------------------------------------

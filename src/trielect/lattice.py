@@ -12,7 +12,7 @@ may leak a global direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, NamedTuple
+from typing import NamedTuple
 
 #: Global direction index, 0..5 counter-clockwise.
 Dir = int
@@ -68,7 +68,9 @@ def _cyclic_run_table() -> tuple[bool, ...]:
 #: port) mask form one cyclically contiguous run.  The empty and the full
 #: mask both pass.  This is the one reading of "consecutive ports" that the
 #: rule checkers, the reference step, the packed oracle and the scheduler's
-#: compiled engine share.
+#: compiled engine share.  It is also the local test of growth: an empty
+#: cell next to a simply connected set joins it without opening a hole
+#: exactly when the cell's occupied neighbours form one run.
 CYCLIC_RUN = _cyclic_run_table()
 
 #: ``ERODIBLE[mask]`` is True iff the set bits of ``mask`` form one cyclic
@@ -76,25 +78,6 @@ CYCLIC_RUN = _cyclic_run_table()
 #: run can leave a simply connected set without disconnecting it, since
 #: the run is itself a path.
 ERODIBLE = tuple(1 <= m.bit_count() <= 3 and CYCLIC_RUN[m] for m in range(1 << N_DIRS))
-
-
-def neighbor_mask(c: Cell, occupied: Container[Cell]) -> int:
-    """Six-bit mask whose bit ``d`` is set iff the neighbour of ``c`` in
-    direction ``d`` belongs to ``occupied`` (a cell set or a Support).
-
-    ``CYCLIC_RUN[neighbor_mask(c, cells)]`` is the local test of the
-    triangular grid: a cell with some but not all of its neighbours in a
-    simply connected set, those neighbours forming one cyclic run, can be
-    added to or removed from the set without disconnecting it or opening
-    a hole; with two or more runs it cannot.
-    """
-    q, r = c
-    mask = 0
-    for d, (dq, dr) in enumerate(DIR_OFFSETS):
-        # A plain pair hashes and compares equal to the Cell it names.
-        if (q + dq, r + dr) in occupied:
-            mask |= 1 << d
-    return mask
 
 
 def common_neighbors(a: Cell, b: Cell) -> set[Cell]:

@@ -8,10 +8,21 @@ is cell number ``i``, ``number`` maps back), and keeps per cell
 its occupied directions.  Connectivity, simple connectivity (an Euler
 count), edges, the boundary and the boundary class read these; the
 scheduler's engine, the packed oracle, register validation and the
-generators read them too, so the numbering is decided here only.  Only
-``hole_cells``, which names enclosed cells once a support is found not
-simply connected, floods.  Articulation points and blocks are memoised
-on first use.  Boundary cells of a simply connected support fall into a
+generators read them too, so the numbering is decided here only.  The
+numbering runs on one integer key per cell, defined here only by
+``KeyFrame``: in a frame of width ``w``, cell ``(q, r)`` has key
+``(q - q0) * w + (r - r0)``, where ``w`` is wider than the r-range of the
+cells and their neighbours.  So key order is (q, r) order, and the
+neighbour in direction ``d`` has the key plus ``dq * w + dr``.  One
+routine sorts the keys, numbers them in an int-keyed dict and reads each
+neighbour's number with one int add and one lookup; ``Support(cells)``
+frames and keys its cells (every coordinate must be an ``int``, and cells
+spread over as many q or r values as there are cells are refused as
+disconnected before a frame is made), and the generators, which grow and enumerate shapes on keys, hand their keys to
+the internal ``Support._from_keys``.  Only ``hole_cells``, which names
+enclosed cells once a support is found not simply connected, floods.
+Articulation points and blocks are memoised on first use.  Boundary
+cells of a simply connected support fall into a
 strict trichotomy: pending (one occupied neighbour), articulation point,
 or a theta-angle particle whose occupied neighbours form a single cyclic
 arc spanning theta degrees.  A 300-degree angle cannot occur: an arc of
@@ -23,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Union
+from itertools import islice, repeat
+from operator import eq
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .lattice import (
     CYCLIC_RUN,
@@ -77,6 +90,34 @@ def angle_class(degrees: int) -> BoundaryClass:
 _ALL_DIRS = (1 << N_DIRS) - 1
 
 
+class KeyFrame(NamedTuple):
+    """Integer keys for cells: ``(q, r)`` has key ``(q - q0) * w + (r - r0)``.
+
+    A frame serves the cells, and their neighbours, whose r lies in
+    ``[r0, r0 + w)``.  There ``divmod(key, w)`` is ``(q - q0, r - r0)``,
+    key order is (q, r) order, the neighbour in direction ``d`` of a key
+    is the key plus ``steps[d]`` (``dq * w + dr``), and the difference of
+    two keys is the key translation between their cells.
+    """
+
+    w: int
+    q0: int = 0
+    r0: int = 0
+
+    @classmethod
+    def centred(cls, radius: int) -> KeyFrame:
+        """The frame of every cell with ``abs(r) <= radius``."""
+        return cls(2 * radius + 1, 0, -radius)
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        w = self.w
+        return tuple([dq * w + dr for dq, dr in DIR_OFFSETS])
+
+    def key(self, q: int, r: int) -> int:
+        return (q - self.q0) * self.w + r - self.r0
+
+
 class Support:
     """Immutable connected set of occupied cells with cached geometry."""
 
@@ -92,24 +133,84 @@ class Support:
     )
 
     def __init__(self, cells: Iterable[Cell]):
-        cellset = frozenset(Cell(q, r) for q, r in cells)
-        if not cellset:
+        cells = list(cells)
+        if not cells:
             raise SupportError("support must contain at least one cell")
-        self.cells = cellset
-        self.order = order = tuple(sorted(cellset))
-        self.number = number = {c: i for i, c in enumerate(order)}
-        # Plain (q, r) pairs hash like the Cells they name.
-        get = number.get
+        qs = [q for q, _ in cells]
+        rs = [r for _, r in cells]
+        if {*map(type, qs), *map(type, rs)} != {int}:
+            for q, r in cells:
+                if not (isinstance(q, int) and isinstance(r, int)):
+                    raise SupportError(f"cell ({q!r}, {r!r}) has a coordinate that is not an int")
+        # A connected shape of n cells spans fewer than n values of q and of
+        # r; checked first, so the frame below is at most n + 2 wide.
+        q0, r0 = min(qs), min(rs) - 1
+        if max(qs) - q0 >= len(cells) or max(rs) - r0 > len(cells):
+            raise SupportError("support is not connected")
+        # Cells sit at r - r0 in [1, w - 2], so their neighbours fit the frame.
+        w = max(rs) - r0 + 2
+        base = q0 * w + r0
+        keys = [q * w + r - base for q, r in zip(qs, rs)]
+        del cells, qs, rs
+        keys.sort()
+        # Once sorted, equal keys (duplicate cells) sit side by side.
+        if any(map(eq, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))
+        self._number(keys, KeyFrame(w, q0, r0))
+
+    @classmethod
+    def _from_keys(cls, keys: list[int], frame: KeyFrame) -> Support:
+        """The support of the cells with the sorted, distinct ``keys`` of
+        ``frame``, every one of which, with its neighbours, lies in the
+        frame's r window.  It empties ``keys``.  Internal to the package:
+        nothing here checks these preconditions, which ``Support(cells)``
+        establishes and the generators keep."""
+        self = cls.__new__(cls)
+        self._number(keys, frame)
+        return self
+
+    def _number(self, keys: list[int], frame: KeyFrame) -> None:
+        """Number the cells of the sorted, distinct ``keys``, and empty it.
+
+        Cell ``i`` has ``keys[i]``, and a neighbour's number is one
+        int-keyed lookup of the cell's key plus the direction's step.
+        Each list is dropped once read, since at a million cells each costs
+        tens of MB.
+        """
+        w, q0, r0 = frame
+        index = dict(zip(keys, range(len(keys))))
+        get = index.get
+        s0, s1, s2, s3, s4, s5 = frame.steps
         # Both tuples are built from lists: ``tuple`` of an iterator of
         # unknown length grows by repeated reallocation, which fragments the
         # C heap, so building many small supports kept raising the RSS.
-        self.around = around = tuple(list(zip(*(
-            [get((q + dq, r + dr), -1) for q, r in order] for dq, dr in DIR_OFFSETS
-        ))))
+        self.around = around = tuple([
+            (get(k + s0, -1), get(k + s1, -1), get(k + s2, -1),
+             get(k + s3, -1), get(k + s4, -1), get(k + s5, -1))
+            for k in keys
+        ])
+        # The cell numbers, each int made once and shared with ``around``.
+        numbers = list(index.values())
+        del index, get
+        # Coordinates come from one int per value of q and of r present.
+        low = keys[0] // w
+        qs = list(range(q0 + low, q0 + keys[-1] // w + 1))
+        rem = w.__rmod__
+        bottom = min(map(rem, keys))
+        rs = list(range(r0 + bottom, r0 + max(map(rem, keys)) + 1))
+        new = tuple.__new__
+        self.order = order = tuple([
+            new(Cell, (qs[q - low], rs[r - bottom])) for q, r in map(divmod, keys, repeat(w))
+        ])
+        keys.clear()
+        del qs, rs
+        self.number = dict(zip(order, numbers))
+        del numbers
         self.present = tuple([
             (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2 | (d >= 0) << 3 | (e >= 0) << 4 | (f >= 0) << 5
             for a, b, c, d, e, f in around
         ])
+        self.cells = frozenset(order)
         if not self._is_connected():
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None
@@ -488,32 +589,43 @@ def _validate_witness(s: Support, w: Witness) -> None:
 # -- canonical forms ----------------------------------------------------------
 
 
-def canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    """Translate so the smallest cell sits at the origin; sort the rest."""
-    cs = sorted(Cell(q, r) for q, r in cells)
-    dq, dr = cs[0]
-    return tuple(Cell(q - dq, r - dr) for q, r in cs)
-
-
-def _rot60(c: Cell) -> Cell:
-    return Cell(-c.r, c.q + c.r)
-
-
-def _mirror(c: Cell) -> Cell:
-    return Cell(c.q + c.r, -c.r)
-
-
-def symmetry_canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    """Smallest canonical translate over the 12-element lattice symmetry group."""
-    base = [Cell(q, r) for q, r in cells]
-    best: tuple[Cell, ...] | None = None
-    for reflect in (False, True):
-        img = [_mirror(c) for c in base] if reflect else list(base)
+def _symmetries() -> tuple[tuple[int, int, int, int], ...]:
+    """The 12 lattice symmetries fixing the origin, each ``(a, b, c, d)``
+    mapping ``(q, r)`` to ``(a q + b r, c q + d r)``: the six rotations by
+    60 degrees, and the same after the mirror ``(q, r) -> (q + r, -r)``."""
+    out = []
+    for a, b, c, d in ((1, 0, 0, 1), (1, 1, 0, -1)):
         for _ in range(6):
-            img = [_rot60(c) for c in img]
-            cand = canonical_cells(img)
-            if best is None or cand < best:
-                best = cand
+            a, b, c, d = -c, -d, a + c, b + d  # then rotate: (q, r) -> (-r, q + r)
+            out.append((a, b, c, d))
+    return tuple(out)
+
+
+_SYMMETRIES = _symmetries()
+
+
+def symmetry_canonical_keys(keys: Iterable[int], frame: KeyFrame) -> tuple[int, ...]:
+    """The smallest canonical translate, over the 12-element lattice
+    symmetry group, of a connected shape of at most ``frame.w`` cells given
+    as keys, for shapes whose canonical translates fit ``frame``.  A
+    canonical translate has its smallest cell at the origin.
+
+    A symmetry is linear in ``divmod(key, w)``, and every image is a
+    connected shape, so its r spread is below ``w`` and its keys
+    ``(a w + c) q + (b w + d) r`` sort like its cells: the image's smallest
+    key moved to the origin's key gives its canonical translate.
+    """
+    w = frame.w
+    origin = frame.key(0, 0)
+    pairs = [divmod(k, w) for k in keys]
+    best: tuple[int, ...] | None = None
+    for a, b, c, d in _SYMMETRIES:
+        x, y = a * w + c, b * w + d
+        image = sorted([x * q + y * r for q, r in pairs])
+        shift = origin - image[0]
+        cand = tuple([k + shift for k in image])
+        if best is None or cand < best:
+            best = cand
     assert best is not None
     return best
 

@@ -9,7 +9,16 @@ principles.  Expected values frozen into the tests were produced by these
 functions.  ``reference_random_support`` (and its prefix-yielding twin
 ``reference_random_support_prefixes``), ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
-reads off one cyclic-run lookup.  ``neighbor_mask_random_support`` and
+reads off one cyclic-run lookup.  ``neighbor_mask`` is the six-bit
+mask of a cell's neighbours in a set, by coordinates.
+``reference_numbering`` is the ``Cell``-keyed numbering and
+``reference_enumerate_supports`` the ``Cell``-tuple enumeration that
+``Support`` and ``generators`` ran before they keyed cells by ints, with
+the canonical forms it deduplicated by: ``canonical_cells``, the
+translate whose smallest cell is the origin, and
+``symmetry_canonical_cells``, the smallest of those over the 12 lattice
+symmetries by repeated rotation.
+``neighbor_mask_random_support`` and
 ``rescan_erode`` are the grower and the erosion that ``generators`` ran
 before it kept rim masks and an erosion heap: six set lookups per
 neighbour of an added cell, and a scan from the first remaining cell
@@ -59,7 +68,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import (
@@ -70,7 +79,6 @@ from trielect.lattice import (
     PortMap,
     direction_from,
     neighbor,
-    neighbor_mask,
     neighbors,
     port_to_dir,
 )
@@ -147,6 +155,80 @@ def enclosed_components(cells: frozenset[Cell]) -> list[set[Cell]]:
 def empty_component_count(cells: frozenset[Cell]) -> int:
     """Number of enclosed empty components inside the margin-1 box."""
     return len(enclosed_components(cells))
+
+
+def neighbor_mask(c: Cell, occupied: Container[Cell]) -> int:
+    """Six-bit mask whose bit ``d`` is set iff the neighbour of ``c`` in
+    direction ``d`` belongs to ``occupied`` (a cell set or a Support)."""
+    q, r = c
+    mask = 0
+    for d, (dq, dr) in enumerate(DIR_OFFSETS):
+        # A plain pair hashes and compares equal to the Cell it names.
+        if (q + dq, r + dr) in occupied:
+            mask |= 1 << d
+    return mask
+
+
+def reference_numbering(cells: Iterable[Cell]) -> tuple:
+    """``(cells, order, number, around, present)`` of ``Support(cells)``,
+    numbered as ``Support.__init__`` did before it keyed cells by ints: a
+    sorted tuple of ``Cell``s, and one tuple-keyed lookup per neighbour."""
+    cellset = frozenset(Cell(q, r) for q, r in cells)
+    order = tuple(sorted(cellset))
+    number = {c: i for i, c in enumerate(order)}
+    around = tuple(
+        tuple(number.get((q + dq, r + dr), -1) for dq, dr in DIR_OFFSETS) for q, r in order
+    )
+    present = tuple(sum(1 << d for d, j in enumerate(row) if j >= 0) for row in around)
+    return cellset, order, number, around, present
+
+
+def canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
+    """Translate so the smallest cell sits at the origin; sort the rest."""
+    cs = sorted(Cell(q, r) for q, r in cells)
+    dq, dr = cs[0]
+    return tuple(Cell(q - dq, r - dr) for q, r in cs)
+
+
+def _rot60(c: Cell) -> Cell:
+    return Cell(-c.r, c.q + c.r)
+
+
+def _mirror(c: Cell) -> Cell:
+    return Cell(c.q + c.r, -c.r)
+
+
+def symmetry_canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
+    """Smallest canonical translate over the 12-element lattice symmetry group."""
+    base = [Cell(q, r) for q, r in cells]
+    best: tuple[Cell, ...] | None = None
+    for reflect in (False, True):
+        img = [_mirror(c) for c in base] if reflect else list(base)
+        for _ in range(6):
+            img = [_rot60(c) for c in img]
+            cand = canonical_cells(img)
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return best
+
+
+def reference_enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
+    """``generators.enumerate_supports`` as it grew ``Cell`` tuples: every
+    frontier cell of every shape tested with ``neighbor_mask``, and each
+    grown shape canonicalised as cells."""
+    canon = canonical_cells if canonical == "translation" else symmetry_canonical_cells
+    shapes = {canon([Cell(0, 0)])}
+    for _ in range(n - 1):
+        grown = set()
+        for shape in shapes:
+            cellset = set(shape)
+            frontier = {nb for c in shape for nb in neighbors(c) if nb not in cellset}
+            for nb in frontier:
+                if CYCLIC_RUN[neighbor_mask(nb, cellset)]:
+                    grown.add(canon(cellset | {nb}))
+        shapes = grown
+    return [Support(shape) for shape in sorted(shapes)]
 
 
 def rooted_growth_shapes(n: int) -> list[frozenset[Cell]]:

@@ -328,6 +328,7 @@ def _exit_code(argv):
         (["gen", "--shape", "hexagon-1", "--out", "{out}"], None),
         (["gen", "--shape", "parallelogram0x3", "--out", "{out}"], None),
         (["search-unfair", "--shape", "line0"], None),
+        (["gen", "--file", "{trace}", "--out", "{out}"], "0 0\n0 1000000000000\n"),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -24,19 +25,28 @@ from trielect.generators import (
     triangle3,
 )
 from trielect.rules import is_valid, sinks
-from trielect.support import Support, SupportError, canonical_cells, format_shape_text
+from trielect.support import (
+    KeyFrame,
+    Support,
+    SupportError,
+    format_shape_text,
+    symmetry_canonical_keys,
+)
 
 from reference import (
     are_adjacent,
+    canonical_cells,
     empty_component_count,
     globally_acyclic,
     neighbor_mask_random_support,
+    reference_enumerate_supports,
     reference_erosion_order,
     reference_random_support,
     reference_random_support_prefixes,
     rescan_erode,
     rooted_growth_shapes,
     simply_connected_shape_count,
+    symmetry_canonical_cells,
 )
 
 # Values computed by the rooted-growth oracle in reference.py.
@@ -77,6 +87,29 @@ def test_enumerate_symmetry_reduction():
     expected = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 81}
     for n, count in expected.items():
         assert len(enumerate_supports(n, canonical="symmetry")) == count
+
+
+@pytest.mark.parametrize("canonical", ["translation", "symmetry"])
+def test_enumerate_matches_cell_tuple_reference(canonical):
+    """The key enumeration lists the same supports in the same order as the
+    ``Cell``-tuple enumeration it replaced."""
+    for n in range(1, 8):
+        ours = [s.order for s in enumerate_supports(n, canonical)]
+        assert ours == [s.order for s in reference_enumerate_supports(n, canonical)], n
+
+
+def test_symmetry_canonical_keys_match_cells():
+    """On the keys of a canonical translate, ``symmetry_canonical_keys`` is
+    the rotation reference ``symmetry_canonical_cells``, for seeded random
+    supports of up to 80 cells."""
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randrange(1, 81)
+        cells = canonical_cells(random_support(n, rng.randrange(2**31)).cells)
+        frame = KeyFrame.centred(n)
+        keys = symmetry_canonical_keys([frame.key(q, r) for q, r in cells], frame)
+        expected = symmetry_canonical_cells(cells)
+        assert Support._from_keys(list(keys), frame).order == expected
 
 
 def test_random_support_properties():

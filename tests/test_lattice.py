@@ -14,13 +14,12 @@ from trielect.lattice import (
     dir_to_port,
     direction_from,
     neighbor,
-    neighbor_mask,
     neighbors,
     port_to_dir,
 )
 from trielect.support import Support
 
-from reference import are_adjacent
+from reference import are_adjacent, neighbor_mask
 
 
 def test_neighbors_of_origin():

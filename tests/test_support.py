@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
-from trielect.lattice import CYCLIC_RUN, Cell, neighbor, neighbor_mask, neighbors
+from trielect.lattice import CYCLIC_RUN, Cell, neighbor, neighbors
 from trielect.support import (
     FlatPairWitness,
+    KeyFrame,
     PendingWitness,
     SixtyWitness,
     Support,
@@ -14,20 +15,22 @@ from trielect.support import (
     ARTICULATION,
     PENDING,
     boundary_cycle,
-    canonical_cells,
     check_angle_census,
     format_shape_text,
     boundary_witness,
     parse_shape_text,
-    symmetry_canonical_cells,
 )
-from trielect.generators import enumerate_supports, hexagon, random_support, ring18
+from trielect.generators import enumerate_supports, hexagon, parallelogram, random_support, ring18
 
 from reference import (
+    canonical_cells,
     empty_component_count,
     enclosed_components,
+    neighbor_mask,
     reference_boundary_class,
+    reference_numbering,
     rooted_growth_shapes,
+    symmetry_canonical_cells,
 )
 
 
@@ -36,6 +39,13 @@ def test_constructor_rejects_empty_and_disconnected():
         Support([])
     with pytest.raises(SupportError):
         Support([Cell(0, 0), Cell(2, 0)])
+    # Spans narrower than the cell count, so only the flood can tell.
+    with pytest.raises(SupportError, match="not connected"):
+        Support([Cell(0, 0), Cell(0, 1), Cell(0, 2), Cell(2, 0)])
+    # Cells far apart are refused before a frame as wide as their span.
+    for far in (Cell(0, 10**12), Cell(10**12, 0), Cell(-(10**12), 10**12)):
+        with pytest.raises(SupportError, match="not connected"):
+            Support([Cell(0, 0), far])
 
 
 def test_simply_connected_basics(hex1):
@@ -116,6 +126,67 @@ def test_cell_numbering_agrees_with_the_lattice():
             assert s.occupied_neighbors(c) == tuple(nb for nb in nbs if nb in s.cells)
         assert s.edges() == [(a, b) for a in cells for b in neighbors(a) if b in s.cells and a < b]
         assert s.boundary() == {c for c in cells if any(nb not in s.cells for nb in neighbors(c))}
+
+
+def _assert_numbered_as_reference(s: Support, cells) -> None:
+    ref_cells, order, number, around, present = reference_numbering(cells)
+    assert s.cells == ref_cells
+    assert s.order == order
+    assert all(type(c) is Cell and type(c.q) is int and type(c.r) is int for c in s.order)
+    assert s.number == number
+    assert s.around == around
+    assert s.present == present
+
+
+def test_numbering_matches_cell_keyed_reference():
+    """``cells``, ``order``, ``number``, ``around`` and ``present``, built on
+    int keys, against the ``Cell``-keyed numbering: on supports made by the
+    generators' keys and by ``Support`` from their cells, fixtures up to
+    2,000 cells, a far translate, duplicates and a one-shot generator."""
+    rng = random.Random(26)
+    made = [s for n in range(1, 7) for s in enumerate_supports(n)]
+    made += [random_support(rng.randrange(1, 301), rng.randrange(2**31)) for _ in range(200)]
+    made += [hexagon(18), parallelogram(40, 25), Support((i, -i) for i in range(2000))]
+    for s in made:
+        _assert_numbered_as_reference(s, s.cells)
+        _assert_numbered_as_reference(Support(s.cells), s.cells)
+        shuffled = list(s.cells)
+        rng.shuffle(shuffled)
+        _assert_numbered_as_reference(Support(shuffled), s.cells)
+    far = 10**12
+    for dq, dr in ((far, -far), (-far, far + 7), (3 * far, 5 * far)):
+        for base in (hexagon(2), made[-5], made[-1]):
+            moved = [Cell(q + dq, r + dr) for q, r in base.cells]
+            _assert_numbered_as_reference(Support(moved), moved)
+    cells = list(hexagon(3).cells)
+    _assert_numbered_as_reference(Support(cells + cells[::3] + [(0, 0)]), cells)
+    _assert_numbered_as_reference(Support((q, r) for q, r in cells), cells)
+    _assert_numbered_as_reference(Support([Cell(5, -5)]), [Cell(5, -5)])
+
+
+@pytest.mark.parametrize("bad", [0.5, "a", None])
+def test_coordinates_must_be_ints(bad):
+    for cell in ((bad, 0), (0, bad)):
+        with pytest.raises(SupportError, match=r"cell \(.*\) has a coordinate that is not an int") as err:
+            Support([(0, 0), (1, 0), cell])
+        assert repr(bad) in str(err.value)
+    # A float equal to an int is refused too: keys would be floats.
+    with pytest.raises(SupportError, match=r"cell \(1\.0, 0\)"):
+        Support([Cell(0, 0), Cell(1.0, 0)])
+
+
+def test_key_frame_orders_and_steps_like_cells():
+    """Key order is (q, r) order and ``steps`` are the direction offsets, for
+    every cell and neighbour with r in the frame, including far ones."""
+    for frame in (KeyFrame.centred(3), KeyFrame(5, 10**12, -(10**12))):
+        w, q0, r0 = frame
+        cells = [Cell(q0 + q, r0 + r) for q in range(-2, 3) for r in range(1, w - 1)]
+        keys = {c: frame.key(*c) for c in cells}
+        assert sorted(cells, key=keys.get) == sorted(cells)
+        for c in cells:
+            assert divmod(keys[c], w) == (c.q - q0, c.r - r0)
+            for d, step in enumerate(frame.steps):
+                assert keys[c] + step == frame.key(*neighbor(c, d))
 
 
 def test_cyclic_run_growth_test_matches_flood_fill():
