@@ -28,6 +28,7 @@ from .scheduler import (
     Scripted,
     run as drive,
     shape_hash,
+    valid_single_sink,
 )
 
 
@@ -127,11 +128,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         if trace_fh:
             trace_fh.close()
     if result.outcome is Outcome.FINAL:
-        report = rule_report(result.config)
-        print(f"FINAL steps={result.steps} sinks={len(report.sinks)}")
-        if not report.valid or len(report.sinks) != 1:
+        final = result.config
+        # A sink is Out toward no occupied cell, and a mask never names an empty one.
+        print(f"FINAL steps={result.steps} sinks={final.masks.count(0)}")
+        if not valid_single_sink(final):
             print("final configuration is not a valid single-sink state:")
-            print(report.to_text())
+            print(rule_report(final).to_text())
             return 1
         return 0
     print(f"CAP steps={result.steps}")

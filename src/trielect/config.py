@@ -7,16 +7,26 @@ and (Out, Out) is a transient conflict that only arbitrary initialisation
 can produce.  Ports facing empty cells always hold In; every constructor
 and mutation path enforces that invariant.
 
+A ``Configuration`` stores its state as the paper does, six link flags
+per particle: ``masks``, one byte per cell number (``Support.order``)
+whose bit ``d`` is set iff the particle is Out toward global direction
+``d``.  The invariant is then one test per cell, ``mask & ~present``
+must be 0.  The mask engine (``scheduler.run``), the generators and the
+oracle read and write ``masks`` directly.
+
 Registers are indexed by local port, not by global direction, so any code
-reading them is forced through the owning particle's PortMap.  That keeps
-the simulated particles honest: there is no shared rotation or chirality
-to lean on.
+reading them is forced through the owning particle's PortMap.  Every
+particle-local reader (``rules``, ``algorithm``, ``views`` and the edge
+readers here) goes through ``regs`` and ``portmaps`` only, never through
+``masks``; ``regs`` is derived from the masks by ``REGISTER`` on its
+first read.  That keeps the simulated particles honest: there is no
+shared rotation or chirality to lean on.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from .lattice import (
     ALL_PORTMAPS,
@@ -111,9 +121,16 @@ def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
 
 
 class Configuration:
-    """A support plus every particle's port map and link register."""
+    """A support plus every particle's port map and link register.
 
-    __slots__ = ("support", "portmaps", "regs")
+    The stored state is ``masks``: the Out mask of cell number ``i`` over
+    global directions is ``masks[i]``.  ``regs`` reads it as registers,
+    ``REGISTER[pm][mask]``; it is built at most once per configuration,
+    on its first read, and a configuration built from registers keeps the
+    dict it checked.
+    """
+
+    __slots__ = ("support", "portmaps", "masks", "_regs")
 
     def __init__(
         self,
@@ -122,31 +139,80 @@ class Configuration:
         regs: Mapping[Cell, Registers],
     ):
         for what, mapping in (("port maps", portmaps), ("registers", regs)):
-            if (keys := set(mapping)) != support.cells:
-                missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
-                raise ConfigError(f"{what} do not match support (missing={missing}, extra={extra})")
+            _check_keys(support, what, mapping)
         self.support = support
-        self.portmaps = dict(portmaps)
-        self.regs = {}
-        for c in support:
-            self.regs[c] = _check_register(support, c, self.portmaps[c], regs[c])
+        self.portmaps = pms = dict(portmaps)
+        present = support.present
+        masks = bytearray(len(present))
+        checked = {}
+        for i, c in enumerate(support.order):
+            pm = pms[c]
+            masks[i] = mask = _mask_of(c, pm, regs[c], present[i])
+            checked[c] = REGISTER[pm][mask]
+        self.masks = bytes(masks)
+        self._regs: dict[Cell, Registers] | None = checked
+
+    @classmethod
+    def from_masks(
+        cls, support: Support, portmaps: Mapping[Cell, PortMap], masks: Iterable[int]
+    ) -> "Configuration":
+        """Cell number ``i`` Out toward the global directions in ``masks[i]``."""
+        _check_keys(support, "port maps", portmaps)
+        pms = dict(portmaps)
+        for c, pm in pms.items():
+            if not isinstance(pm, PortMap):
+                raise ConfigError(f"port map of {c} must be a PortMap")
+        try:
+            masks = bytes(masks)
+        except (TypeError, ValueError):
+            raise ConfigError("masks must be a sequence of six-bit ints") from None
+        _check_masks(support, pms, masks)
+        return cls._of(support, pms, masks)
+
+    @classmethod
+    def _of(
+        cls,
+        support: Support,
+        portmaps: dict[Cell, PortMap],
+        masks: bytes,
+        regs: dict[Cell, Registers] | None = None,
+    ) -> "Configuration":
+        """The configuration of ``masks`` and, if given, the same state as
+        ``regs``; nothing is checked."""
+        new = cls.__new__(cls)
+        new.support = support
+        new.portmaps = portmaps
+        new.masks = masks
+        new._regs = regs
+        return new
+
+    def with_masks(self, masks: bytes) -> "Configuration":
+        """This configuration with cell number ``i`` Out toward ``masks[i]``."""
+        _check_masks(self.support, self.portmaps, masks)
+        return self._of(self.support, self.portmaps, masks)
+
+    @property
+    def regs(self) -> dict[Cell, Registers]:
+        """Every particle's register by cell, built on the first read."""
+        regs = self._regs
+        if regs is None:
+            pms = self.portmaps
+            self._regs = regs = {
+                c: REGISTER[pms[c]][m] for c, m in zip(self.support.order, self.masks)
+            }
+        return regs
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Configuration)
-            and self.support.cells == other.support.cells
-            and self.portmaps == other.portmaps
-            and self.regs == other.regs
+            and self.masks == other.masks
+            and (self.support is other.support or self.support.cells == other.support.cells)
+            and (self.portmaps is other.portmaps or self.portmaps == other.portmaps)
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.support.cells,
-                tuple(sorted(self.portmaps.items())),
-                tuple(sorted(self.regs.items())),
-            )
-        )
+        pms = self.portmaps
+        return hash((self.support.cells, self.masks, tuple(map(pms.__getitem__, self.support.order))))
 
     def __repr__(self) -> str:
         return f"Configuration({len(self.support)} cells)"
@@ -169,7 +235,8 @@ class Configuration:
 
     def link_toward(self, c: Cell, toward: Cell) -> LinkState:
         port = self.port_of(c, toward)
-        return self.regs[c][port]
+        # The built registers without the property's call, or build them.
+        return (self._regs or self.regs)[c][port]
 
     def with_register(self, c: Cell, reg: Registers) -> "Configuration":
         """Copy of this configuration with one register replaced (re-validated)."""
@@ -177,16 +244,21 @@ class Configuration:
 
     def with_registers(self, updates: Mapping[Cell, Registers]) -> "Configuration":
         """Copy of this configuration with the given registers replaced (re-validated)."""
-        new = Configuration.__new__(Configuration)
-        new.support = self.support
-        new.portmaps = self.portmaps
-        new.regs = dict(self.regs)
+        support, pms = self.support, self.portmaps
+        number, present = support.number, support.present
+        masks = bytearray(self.masks)
+        regs = self._regs
+        if regs is not None:
+            regs = dict(regs)
         for c, reg in updates.items():
-            pm = self.portmaps.get(c)
+            pm = pms.get(c)
             if pm is None:
                 raise ConfigError(f"cell {c} is not in the support")
-            new.regs[c] = _check_register(self.support, c, pm, reg)
-        return new
+            i = number[c]
+            masks[i] = mask = _mask_of(c, pm, reg, present[i])
+            if regs is not None:
+                regs[c] = REGISTER[pm][mask]
+        return self._of(support, pms, bytes(masks), regs)
 
     # -- derived edge facts ---------------------------------------------------
 
@@ -199,53 +271,84 @@ class Configuration:
             d = self.support.around[i].index(j)
         except ValueError:
             raise ValueError(f"cells {a} and {b} are not adjacent") from None
-        out_a = self.regs[a][self.portmaps[a].ports[d]] is OUT
-        out_b = self.regs[b][self.portmaps[b].ports[(d + 3) % N_DIRS]] is OUT
+        regs = self.regs
+        out_a = regs[a][self.portmaps[a].ports[d]] is OUT
+        out_b = regs[b][self.portmaps[b].ports[(d + 3) % N_DIRS]] is OUT
         return LINK_ORIENTATION[out_a][out_b]
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""
         present = self.support.present[self.number_of(c)]
         dirs = self.portmaps[c].dirs
-        reg = self.regs[c]
+        reg = (self._regs or self.regs)[c]
         return tuple(p for p in range(N_DIRS) if reg[p] is OUT and present >> dirs[p] & 1)
 
     # -- serialisation --------------------------------------------------------
 
     def serialize(self) -> str:
+        order, pms = self.support.order, self.portmaps
         lines = ["shape"]
-        for c in self.support:
+        for c in order:
             lines.append(f"{c.q} {c.r}")
         lines.append("cells")
-        for c in self.support:
-            pm = self.portmaps[c]
+        for c, mask in zip(order, self.masks):
+            pm = pms[c]
             chir = "+1" if pm.chirality == 1 else "-1"
-            lines.append(f"{c.q} {c.r} | {pm.offset} {chir} | {_LINK_TEXT[self.regs[c]]}")
+            lines.append(f"{c.q} {c.r} | {pm.offset} {chir} | {_LINK_TEXT[REGISTER[pm][mask]]}")
         return "\n".join(lines) + "\n"
 
 
-def _check_register(support: Support, c: Cell, pm: PortMap, reg: Registers) -> Registers:
+def _check_keys(support: Support, what: str, mapping: Mapping[Cell, object]) -> None:
+    if (keys := set(mapping)) != support.cells:
+        missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
+        raise ConfigError(f"{what} do not match support (missing={missing}, extra={extra})")
+
+
+def _check_masks(support: Support, portmaps: Mapping[Cell, PortMap], masks: bytes) -> None:
+    """Refuse ``masks`` unless it has one mask per cell, each Out toward
+    occupied cells only."""
+    present = support.present
+    if len(masks) != len(present):
+        raise ConfigError(f"{len(masks)} masks for a support of {len(present)} cells")
+    # ``mask & ~present`` at every cell in one AND: byte i of each int is cell i's.
+    if int.from_bytes(masks, "little") & ~int.from_bytes(bytes(present), "little"):
+        i, c = next((i, c) for i, c in enumerate(support.order) if masks[i] & ~present[i])
+        _refuse(c, portmaps[c], masks[i] & ~present[i])
+
+
+def _mask_of(c: Cell, pm: PortMap, reg: Registers, present: int) -> int:
+    """The Out mask over global directions of ``c``'s register ``reg``
+    under ``pm``, refused unless it is Out toward ``present`` only."""
     try:
         masks = OUT_MASK[pm]
     except (TypeError, KeyError):
         raise ConfigError(f"port map of {c} must be a PortMap") from None
     try:
-        reg = tuple(reg)
-        mask = masks[reg]
+        mask = masks[tuple(reg)]
     except (TypeError, KeyError):
         raise ConfigError(f"register of {c} must be six link states") from None
-    empty = mask & ~support.present[support.number[c]]
-    if empty:
-        port = min(dir_to_port(pm, d) for d in range(N_DIRS) if empty >> d & 1)
-        raise ConfigError(f"cell ({c.q} {c.r}) port {port} is Out toward an empty cell")
-    return reg
+    if mask & ~present:
+        _refuse(c, pm, mask & ~present)
+    return mask
+
+
+def _refuse(c: Cell, pm: PortMap, empty: int) -> NoReturn:
+    """Raise for cell ``c`` Out toward the empty directions in ``empty``."""
+    if empty >> N_DIRS:
+        raise ConfigError(f"mask of cell ({c.q} {c.r}) is not six bits")
+    port = min(dir_to_port(pm, d) for d in range(N_DIRS) if empty >> d & 1)
+    raise ConfigError(f"cell ({c.q} {c.r}) port {port} is Out toward an empty cell")
 
 
 def all_in_configuration(
     support: Support, portmaps: Mapping[Cell, PortMap] | None = None
 ) -> Configuration:
-    pms = dict(portmaps) if portmaps is not None else identity_portmaps(support)
-    return Configuration(support, pms, {c: ALL_IN for c in support})
+    pms = portmaps if portmaps is not None else identity_portmaps(support)
+    return Configuration.from_masks(support, pms, bytes(len(support)))
+
+
+#: A ``masks`` byte of ``deserialize`` that no register line has set yet.
+_UNSET = 0xFF
 
 
 def deserialize(text: str) -> Configuration:
@@ -253,6 +356,8 @@ def deserialize(text: str) -> Configuration:
     shape_cells: list[Cell] = []
     reg_lines: list[tuple[int, str]] = []
     section = None
+    # ``Cell(q, r)`` without the named tuple's Python-level ``__new__``.
+    new_cell = tuple.__new__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -268,7 +373,7 @@ def deserialize(text: str) -> Configuration:
             if len(parts) != 2:
                 raise ConfigError(f"line {lineno}: expected 'q r' in shape block")
             try:
-                shape_cells.append(Cell(int(parts[0]), int(parts[1])))
+                shape_cells.append(new_cell(Cell, (int(parts[0]), int(parts[1]))))
             except ValueError:
                 raise ConfigError(f"line {lineno}: non-integer coordinate") from None
         elif section == "cells":
@@ -278,30 +383,49 @@ def deserialize(text: str) -> Configuration:
     if not shape_cells:
         raise ConfigError("missing or empty shape block")
     support = Support(shape_cells)
+    number = support.number
 
     portmaps: dict[Cell, PortMap] = {}
-    regs: dict[Cell, Registers] = {}
+    masks = bytearray([_UNSET]) * len(support)
+    # ``parsed[tail]``: the port map and Out mask of a line whose text after
+    # its first ``|`` is ``tail`` and parsed before.
+    parsed: dict[str, tuple[PortMap, int]] = {}
     for lineno, line in reg_lines:
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 3:
-            raise ConfigError(f"line {lineno}: expected 'q r | offset chirality | links'")
-        q, r = _int_pair(lineno, parts[0], "q r")
-        off, chi = _int_pair(lineno, parts[1], "offset chirality")
-        try:
-            pm = PortMap(off, chi)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        cell = Cell(q, r)
-        if cell not in support.cells:
+        head, _, tail = line.partition("|")
+        known = parsed.get(tail)
+        if known is None:
+            fields = tail.split("|")
+            if len(fields) != 2:
+                raise ConfigError(f"line {lineno}: expected 'q r | offset chirality | links'")
+        q, r = _int_pair(lineno, head, "q r")
+        if known is None:
+            off, chi = _int_pair(lineno, fields[0], "offset chirality")
+            try:
+                pm = PortMap(off, chi)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+        else:
+            pm, mask = known
+        cell = new_cell(Cell, (q, r))
+        i = number.get(cell)
+        if i is None:
             raise ConfigError(f"line {lineno}: cell ({q} {r}) is not in the shape block")
-        if cell in portmaps:
+        if masks[i] != _UNSET:
             raise ConfigError(f"line {lineno}: duplicate entry for cell ({q} {r})")
-        reg = _REGISTER_OF_TEXT.get(" ".join(parts[2].split()))
-        if reg is None:
-            raise ConfigError(f"line {lineno}: links must be six of I/O")
+        if known is None:
+            reg = _REGISTER_OF_TEXT.get(" ".join(fields[1].split()))
+            if reg is None:
+                raise ConfigError(f"line {lineno}: links must be six of I/O")
+            mask = OUT_MASK[pm][reg]
+            parsed[tail] = pm, mask
         portmaps[cell] = pm
-        regs[cell] = reg
-    return Configuration(support, portmaps, regs)
+        masks[i] = mask
+    if _UNSET in masks:
+        missing = [c for c, m in zip(support.order, masks) if m == _UNSET]
+        raise ConfigError(f"port maps do not match support (missing={missing}, extra=[])")
+    masks = bytes(masks)
+    _check_masks(support, portmaps, masks)
+    return Configuration._of(support, portmaps, masks)
 
 
 def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:
@@ -310,7 +434,7 @@ def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:
         a, b = map(int, text.split())
     except ValueError:
         raise ConfigError(
-            f"line {lineno}: expected '{fields}' as two integers, got {text!r}"
+            f"line {lineno}: expected '{fields}' as two integers, got {text.strip()!r}"
         ) from None
     return a, b
 

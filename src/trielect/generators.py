@@ -26,8 +26,9 @@ neighbours it makes erodible, then direct every edge from the
 earlier-removed to the later-removed endpoint.  The result satisfies all
 four validity rules, is globally acyclic, and its unique sink is the
 last particle standing.  Erosion and both register initialisations work
-on the support's cell numbers, with one Out mask per cell that
-``config.REGISTER`` turns into a register under the cell's port map.
+on the support's cell numbers, with one Out mask per cell over global
+directions, which is what a ``Configuration`` stores: the masks are
+handed over as they are, with no register built.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .lattice import (
     direction_from,
     neighbor,
 )
-from .config import ALL_IN, REGISTER, Configuration, identity_portmaps
+from .config import Configuration, all_in_configuration, identity_portmaps
 from .support import KeyFrame, Support, SupportError, symmetry_canonical_keys
 
 
@@ -225,9 +226,8 @@ def _configuration(
     s: Support, portmaps: Mapping[Cell, PortMap] | None, masks: list[int]
 ) -> Configuration:
     """Cell number ``i`` Out toward the directions in ``masks[i]``, under ``portmaps``."""
-    pms = dict(portmaps) if portmaps is not None else identity_portmaps(s)
-    regs = {c: REGISTER[pms[c]][mask] for c, mask in zip(s.order, masks)}
-    return Configuration(s, pms, regs)
+    pms = portmaps if portmaps is not None else identity_portmaps(s)
+    return Configuration.from_masks(s, pms, masks)
 
 
 # -- random registers -------------------------------------------------------------
@@ -340,7 +340,7 @@ def ring18() -> Configuration:
         assert neighbor(c, (pm.offset + pm.chirality * 2) % N_DIRS) == cells[(i - 1) % n]
         assert neighbor(c, (pm.offset + pm.chirality * 4) % N_DIRS) == cells[(i + 1) % n]
         portmaps[c] = pm
-    return Configuration(support, portmaps, {c: ALL_IN for c in support})
+    return all_in_configuration(support, portmaps)
 
 
 def shape_by_name(name: str) -> Support:

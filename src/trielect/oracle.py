@@ -23,7 +23,8 @@ their states are settled by a first move.  ``successors(state)`` runs
 the same row test over every cell in one pass and lists every next
 state; ``find_unfair_cycle``, which explores every move of every state
 it reaches, walks those lists.  States convert to and from
-configurations through ``config.OUT_MASK`` and ``config.REGISTER``.
+configurations through ``Configuration.masks``, the Out masks by cell
+number, with no register built.
 
 The exhaustive checks: ``check_unique_sink`` decides all 2^E
 orientations at once from ``orientation_lanes``, which holds one bit per
@@ -61,12 +62,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .lattice import ERODIBLE, Cell, N_DIRS, PortMap
-from .config import (
-    OUT_MASK,
-    REGISTER,
-    Configuration,
-    identity_portmaps,
-)
+from .config import Configuration, identity_portmaps
 from .rules import RULE
 from .support import Support
 
@@ -188,10 +184,8 @@ class ConfigGraph:
     def pack(self, config: Configuration) -> int:
         if config.support.cells != self.support.cells:
             raise ValueError("configuration lives on a different support")
-        pms, regs = config.portmaps, config.regs
         state = 0
-        for p, half in zip(self.cells, self.half_at):
-            mask = OUT_MASK[pms[p]][regs[p]]
+        for mask, half in zip(config.masks, self.half_at):
             # A Configuration is never Out toward an empty cell, so h >= 0.
             for d, h in enumerate(half):
                 if mask >> d & 1:
@@ -201,13 +195,12 @@ class ConfigGraph:
     def unpack(
         self, state: int, portmaps: Mapping[Cell, PortMap] | None = None
     ) -> Configuration:
-        pms = dict(portmaps) if portmaps is not None else identity_portmaps(self.support)
-        regs = {}
-        for p, half in zip(self.cells, self.half_at):
-            if p in pms:  # Configuration reports a cell without a port map
-                mask = sum(1 << d for d, h in enumerate(half) if h >= 0 and state >> h & 1)
-                regs[p] = REGISTER[pms[p]][mask]
-        return Configuration(self.support, pms, regs)
+        pms = portmaps if portmaps is not None else identity_portmaps(self.support)
+        masks = [
+            sum(1 << d for d, h in enumerate(half) if h >= 0 and state >> h & 1)
+            for half in self.half_at
+        ]
+        return Configuration.from_masks(self.support, pms, masks)
 
     # -- state enumeration --------------------------------------------------------
 

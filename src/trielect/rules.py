@@ -19,9 +19,10 @@ support's cell numbering: the neighbour of p at direction d is
 ``around[number[p]][d]``, and the port facing d is the port map's
 ``ports[d]``.  ``RULE`` is the same R2/R3/R4 as one 64-entry table over a
 cell's Out mask, read as stored by the scheduler's mask engine and by
-``oracle.ConfigGraph``; the reference reads neither it nor the register
-tables ``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare
-the two compare independent derivations.
+``oracle.ConfigGraph``; the reference reads neither it nor the stored
+masks (``Configuration.masks``) nor the register tables
+``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare the
+two compare independent derivations.
 """
 
 from __future__ import annotations

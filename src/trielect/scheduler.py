@@ -41,11 +41,12 @@ driving ``algorithm.activation_step`` step by step, which the tests
 check against an object-based reference loop.
 
 ``Configuration`` stays the boundary: ``run`` takes one and returns one.
-Registers become masks and masks registers through
-``config.OUT_MASK`` and ``config.REGISTER``; the final configuration is
-built once, from the masks that changed, through ``with_registers`` and
-its validation.  When per-step checks or traces are asked for,
-``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
+A configuration stores these very masks (``Configuration.masks``), so
+there is no round trip through registers: ``mine`` starts as
+``list(c0.masks)``, and the final, capped or failing configuration is
+built once from ``bytes(mine)`` by ``Configuration.with_masks``, whose one
+test per cell refuses Out toward an empty cell.  When per-step checks or
+traces are asked for, ``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
 activated particle and the neighbours ``_DEPS[flip]`` names, the only
 particles whose status a step can change, and keeps the violation count
 up to date cell by cell, building nothing per step; a configuration is
@@ -62,8 +63,10 @@ labels are formatted once per traced run, so observing a run builds no
 object per step; the unobserved loop does none of this work.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
 holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
-a rule and exactly one particle has ``mine == 0``.  ``violation_count``
-is the object-path full recount through ``rules.check_r2/3/4``.
+a rule and exactly one particle has ``mine == 0``.  ``valid_single_sink``
+is the same check on any configuration's masks; ``run`` on the command
+line decides its verdict with it.  ``violation_count`` is the
+object-path full recount through ``rules.check_r2/3/4``.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from enum import Enum
 from typing import IO, Sequence, Union
 
 from .lattice import Cell, N_DIRS
-from .config import OUT_MASK, REGISTER, Configuration
+from .config import Configuration
 from .support import SupportError, format_shape_text
 from .generators import check_seed
 from .rules import RULE, check_r2, check_r3, check_r4
@@ -201,19 +204,12 @@ _DEPS = tuple(
 def _masks(c: Configuration) -> tuple[list[int], list[int]]:
     """``(mine, theirs)`` of ``c`` by cell number: per cell, the directions
     it is Out toward, and those whose neighbour is Out toward it."""
-    pms, regs = c.portmaps, c.regs
-    mine = [OUT_MASK[pms[p]][regs[p]] for p in c.support.order]
+    mine = list(c.masks)
     theirs = [0] * len(mine)
     for m, a in zip(mine, c.support.around):
         for d, back in _FLIPS[m]:
             theirs[a[d]] |= back
     return mine, theirs
-
-
-def _with_masks(c: Configuration, masks: dict[Cell, int]) -> Configuration:
-    """``c`` with each cell of ``masks`` Out exactly toward its mask's directions."""
-    pms = c.portmaps
-    return c.with_registers({p: REGISTER[pms[p]][mask] for p, mask in masks.items()})
 
 
 def _set(
@@ -263,6 +259,16 @@ def _valid_single_sink(
     return mine.count(0) == 1
 
 
+def valid_single_sink(c: Configuration) -> bool:
+    """True iff ``c`` is valid with exactly one sink, read off ``c.masks``
+    by ``_breaks`` and ``_valid_single_sink``: what ``rules.is_valid(c)
+    and len(rules.sinks(c)) == 1`` decides on the object path."""
+    mine, theirs = _masks(c)
+    around = c.support.around
+    broken = any(_breaks(ci, mine, theirs, around) for ci in range(len(mine)))
+    return _valid_single_sink(mine, theirs, c.support.present, broken)
+
+
 # -- the driver --------------------------------------------------------------------
 
 
@@ -291,7 +297,6 @@ def run(
     cells, present, around = support.order, support.present, support.around
     n = len(cells)
     mine, theirs = _masks(c0)
-    start = mine[:]
 
     # ``fire[ci]`` is cell ``ci``'s next Out mask: the cell is activable
     # iff it differs from ``mine[ci]``.  ``todo`` names the cells whose
@@ -323,7 +328,7 @@ def run(
         )
 
     def current() -> Configuration:
-        return _with_masks(c0, {cells[ci]: m for ci, m in enumerate(mine) if m != start[ci]})
+        return c0.with_masks(bytes(mine))
 
     def result(outcome: Outcome) -> ExecutionResult:
         final = current()

@@ -57,6 +57,9 @@ membership test per candidate, each label walked from p again.
 ``formula_queries`` lists the labels it asks about.
 ``analyze_cycle`` checks the two cycle lemmas on configurations, port by
 port, as ``oracle.UnfairCycle.lemmas`` does on packed states.
+``register_masks`` reads a configuration's Out masks off its registers,
+port by port through ``arithmetic_port_to_dir``, and
+``assert_masks_match_regs`` checks that they equal the stored ``masks``.
 ``resolve_conflicts`` and ``remove_particle`` are single-purpose
 configuration edits, and ``read_trace``, ``trace_flags`` (the trace's
 flag formula, read off a cell's masks), ``mirrored``, ``are_adjacent``
@@ -87,6 +90,7 @@ from trielect.config import (
     IN,
     LINK_ORIENTATION,
     OUT,
+    REGISTER,
     ConfigError,
     Configuration,
     EdgeOrientation,
@@ -769,6 +773,24 @@ def arithmetic_port_to_dir(m: PortMap, port: int) -> int:
 
 def arithmetic_dir_to_port(m: PortMap, d: int) -> int:
     return (m.chirality * (d - m.offset)) % N_DIRS
+
+
+def register_masks(c: Configuration) -> bytes:
+    """Per cell number, the global directions ``c``'s register is Out toward."""
+    return bytes(
+        sum(1 << arithmetic_port_to_dir(c.portmaps[p], port)
+            for port in range(N_DIRS) if c.regs[p][port] is OUT)
+        for p in c.support.order
+    )
+
+
+def assert_masks_match_regs(c: Configuration) -> None:
+    """``c.masks`` and ``c.regs`` name the same links, every cell has a
+    register, and each register is the shared ``REGISTER`` object."""
+    assert set(c.regs) == c.support.cells
+    assert c.masks == register_masks(c)
+    for p, mask in zip(c.support.order, c.masks):
+        assert c.regs[p] is REGISTER[c.portmaps[p]][mask]
 
 
 def coordinate_port_of(c: Configuration, a: Cell, b: Cell) -> int:

@@ -2,12 +2,15 @@ import re
 
 import pytest
 
+import trielect.cli as cli
 from reference import reference_replay
 from trielect.cli import main
 from trielect.config import load, save
 from trielect.generators import ring18
 from trielect.lattice import Cell
 from trielect.render import render_svg
+from trielect.rules import rule_report
+from trielect.scheduler import ExecutionResult, Outcome
 from trielect.support import format_shape_text
 
 
@@ -80,6 +83,24 @@ def test_run_random_converges_and_traces(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("# trace shape=")
     assert len(lines) >= 1
+
+
+def test_run_reports_a_final_configuration_that_is_not_valid_single_sink(
+    tmp_path, capsys, monkeypatch
+):
+    """The verdict is read off the masks; the rule report is printed only
+    when it fails.  A run that stops at once on the all-In start stands in
+    for a broken engine."""
+    cfg = tmp_path / "t.cfg"
+    main(["gen", "--shape", "triangle3", "--init", "all-in", "--out", str(cfg)])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "drive", lambda c, kind, **_: ExecutionResult(Outcome.FINAL, c, 0))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().out == (
+        "FINAL steps=0 sinks=3\n"
+        "final configuration is not a valid single-sink state:\n"
+        f"{rule_report(load(str(cfg))).to_text()}\n"
+    )
 
 
 def test_verify_flags_violations(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import ast
 import copy
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 
@@ -27,14 +30,17 @@ from trielect.config import (
     identity_portmaps,
 )
 from trielect.generators import (
+    erosion_orientation,
     random_portmaps,
     random_registers,
     random_support,
+    ring18,
     triangle3,
 )
+from trielect.oracle import ConfigGraph
 from trielect.support import Support
 
-from reference import mirrored
+from reference import assert_masks_match_regs, mirrored
 
 
 def pair_config(a_links=ALL_IN, b_links=ALL_IN):
@@ -326,3 +332,162 @@ def test_port_of_uses_private_portmap():
     # direction 0 under offset 2, chirality -1: port = -(0 - 2) = 2
     assert c.port_of(Cell(0, 0), Cell(1, 0)) == 2
     assert c.port_of(Cell(1, 0), Cell(0, 0)) == 3
+
+
+def _legal_registers(s, pms, rng):
+    """A register per cell, Out at random toward occupied cells only."""
+    regs = {}
+    for c in s:
+        pm = pms[c]
+        regs[c] = tuple(
+            OUT if neighbor(c, port_to_dir(pm, port)) in s.cells and rng.random() < 0.5 else IN
+            for port in range(N_DIRS)
+        )
+    return regs
+
+
+def test_masks_and_regs_agree_on_every_construction_path():
+    rng = random.Random(3)
+    for n in (1, 2, 7, 30):
+        s = random_support(n, rng.randrange(2**31))
+        pms = random_portmaps(s, rng.randrange(2**31))
+        built = Configuration(s, pms, _legal_registers(s, pms, rng))
+        from_masks = random_registers(s, rng.randrange(2**31), 0.3, pms)
+        made = [
+            built,
+            from_masks,
+            Configuration.from_masks(s, pms, built.masks),
+            built.with_masks(from_masks.masks),
+            all_in_configuration(s, pms),
+            erosion_orientation(s, pms),
+            deserialize(from_masks.serialize()),
+        ]
+        graph = ConfigGraph(s) if len(s.edges()) <= 8 else None
+        if graph is not None:
+            made.append(graph.unpack(graph.pack(from_masks), pms))
+        # Updates of a configuration whose registers are built and of one
+        # whose registers are not yet read.
+        for base in (built, from_masks):
+            updates = _legal_registers(s, pms, rng)
+            c = rng.choice(s.order)
+            made.append(base.with_register(c, updates[c]))
+            made.append(base.with_registers({c: updates[c] for c in rng.sample(s.order, (n + 1) // 2)}))
+        for cfg in made:
+            assert_masks_match_regs(cfg)
+    assert_masks_match_regs(ring18())
+
+
+def test_registers_are_built_once_and_only_when_read():
+    s = random_support(20, 1)
+    cfg = random_registers(s, 2, 0.25, random_portmaps(s, 3))
+    assert cfg._regs is None
+    assert cfg.masks == deserialize(cfg.serialize()).masks and cfg._regs is None
+    updated = cfg.with_register(s.order[0], ALL_IN)
+    assert updated._regs is None
+    regs = cfg.regs
+    assert cfg._regs is regs and cfg.regs is regs
+    # A configuration built from registers keeps the dict it checked, and
+    # an update copies a built dict instead of rebuilding it.
+    assert cfg.with_register(s.order[0], ALL_IN)._regs is not None
+    kept = Configuration(s, cfg.portmaps, regs)
+    assert kept._regs == regs
+    for original in (cfg, updated):
+        for copied in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert copied == original and copied.regs == original.regs
+
+
+def test_equality_and_hash_read_the_support_port_maps_and_registers():
+    """``a == b`` iff the cells, port maps and registers are equal, as
+    they were compared before masks were stored; equal ones hash alike."""
+    rng = random.Random(9)
+    s = random_support(6, 2)
+    other = random_support(6, 5)
+    assert s.cells != other.cells and len(s) == len(other)
+    pool = []
+    for _ in range(12):
+        support = rng.choice((s, s, other))
+        pms = rng.choice((identity_portmaps(support), random_portmaps(support, 1)))
+        regs = _legal_registers(support, pms, random.Random(rng.randrange(3)))
+        pool.append(Configuration(support, pms, regs))
+        pool.append(deserialize(pool[-1].serialize()))
+    for a in pool:
+        for b in pool:
+            same = a.support.cells == b.support.cells and a.portmaps == b.portmaps and a.regs == b.regs
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+    # Equal masks on a different support, and equal masks under other port maps.
+    assert all_in_configuration(s) != all_in_configuration(other)
+    assert all_in_configuration(s) != all_in_configuration(s, random_portmaps(s, 1))
+    assert all_in_configuration(s) != all_in_configuration(s).masks
+
+
+def test_out_toward_an_empty_cell_is_refused_on_every_path():
+    s = random_support(6, 4)
+    for pm in (IDENTITY_PORTMAP, PortMap(3, -1)):
+        pms = {c: pm for c in s}
+        cfg = all_in_configuration(s, pms)
+        for i, c in enumerate(s.order):
+            for mask in range(1 << N_DIRS):
+                empty = mask & ~s.present[i]
+                if not empty:
+                    continue
+                links = REGISTER[pm][mask]
+                port = min(pm.ports[d] for d in range(N_DIRS) if empty >> d & 1)
+                message = f"cell ({c.q} {c.r}) port {port} is Out toward an empty cell"
+                masks = bytearray(cfg.masks)
+                masks[i] = mask
+                text = cfg.serialize().replace(
+                    f"{c.q} {c.r} | {pm.offset} {'+1' if pm.chirality == 1 else '-1'} | I I I I I I",
+                    f"{c.q} {c.r} | {pm.offset} {'+1' if pm.chirality == 1 else '-1'} | "
+                    + " ".join(link.value for link in links),
+                )
+                for build in (
+                    lambda: Configuration(s, pms, {**cfg.regs, c: links}),
+                    lambda: cfg.with_register(c, links),
+                    lambda: cfg.with_registers({c: links}),
+                    lambda: Configuration.from_masks(s, pms, masks),
+                    lambda: cfg.with_masks(bytes(masks)),
+                    lambda: deserialize(text),
+                ):
+                    with pytest.raises(ConfigError) as exc:
+                        build()
+                    assert str(exc.value) == message
+    # Bits above the six directions are refused too.
+    for high in (1 << 6, 1 << 7):
+        with pytest.raises(ConfigError, match=r"mask of cell \(.*\) is not six bits"):
+            cfg.with_masks(bytes([high]) + cfg.masks[1:])
+
+
+def test_from_masks_checks_its_arguments(tri):
+    pms = identity_portmaps(tri)
+    with pytest.raises(ConfigError, match="2 masks for a support of 3 cells"):
+        Configuration.from_masks(tri, pms, bytes(2))
+    with pytest.raises(ConfigError, match="4 masks for a support of 3 cells"):
+        all_in_configuration(tri).with_masks(bytes(4))
+    with pytest.raises(ConfigError, match="sequence of six-bit ints"):
+        Configuration.from_masks(tri, pms, [0, 0, 256])
+    with pytest.raises(ConfigError, match="sequence of six-bit ints"):
+        Configuration.from_masks(tri, pms, [0, 0, None])
+    with pytest.raises(ConfigError, match="port maps do not match support"):
+        Configuration.from_masks(tri, {**pms, Cell(5, 5): IDENTITY_PORTMAP}, bytes(3))
+    for bad in (None, (0, 1), [0, 1]):
+        with pytest.raises(ConfigError, match="must be a PortMap"):
+            Configuration.from_masks(tri, {**pms, Cell(0, 0): bad}, bytes(3))
+    assert Configuration.from_masks(tri, pms, [0, 0, 0]) == all_in_configuration(tri)
+
+
+def test_object_reference_reads_neither_masks_nor_the_register_tables():
+    """``rules``, ``algorithm`` and ``views`` read registers through
+    ``regs`` and the port maps only, so comparing them with the mask
+    engine and the oracle compares independent derivations."""
+    package = Path(__file__).resolve().parent.parent / "src" / "trielect"
+    forbidden = {"masks", "_regs", "from_masks", "with_masks", "OUT_MASK", "REGISTER"}
+    for module in ("rules", "algorithm", "views"):
+        nodes = list(ast.walk(ast.parse((package / f"{module}.py").read_text())))
+        names = (
+            {node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {node.name for node in nodes if isinstance(node, ast.alias)}
+        )
+        assert not names & forbidden, (module, names & forbidden)

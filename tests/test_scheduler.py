@@ -31,13 +31,20 @@ from trielect.scheduler import (
     _set,
     _valid_single_sink,
     _violates,
-    _with_masks,
     detect_final,
     run,
+    valid_single_sink,
     violation_count,
 )
 
-from reference import analyze_cycle, read_trace, reference_fire, reference_run, trace_flags
+from reference import (
+    analyze_cycle,
+    assert_masks_match_regs,
+    read_trace,
+    reference_fire,
+    reference_run,
+    trace_flags,
+)
 
 
 def _traced_run(*args, **kwargs):
@@ -409,11 +416,12 @@ def test_final_configuration_rejects_out_toward_an_empty_cell():
     cfg = random_registers(s, 9, 0.2, random_portmaps(s, 10))
     cells, present = s.order, s.present
     mine, _ = _masks(cfg)
-    assert _with_masks(cfg, dict(zip(cells, mine))) == cfg
+    assert cfg.with_masks(bytes(mine)) == cfg
     ci = next(ci for ci, m in enumerate(present) if m != 0b111111)
     empty = next(d for d in range(N_DIRS) if not present[ci] >> d & 1)
-    with pytest.raises(ConfigError, match="Out toward an empty cell"):
-        _with_masks(cfg, {cells[ci]: mine[ci] | 1 << empty})
+    mine[ci] |= 1 << empty
+    with pytest.raises(ConfigError, match=f"cell \\({cells[ci].q} {cells[ci].r}\\) port"):
+        cfg.with_masks(bytes(mine))
 
 
 def test_incremental_violation_count_matches_full_recount():
@@ -471,6 +479,53 @@ def test_breaks_matches_rule_checks_on_random_configurations():
                     is_valid(c) and len(sinks(c)) == 1
                 )
     assert r4_only  # the triangle branch was exercised
+
+
+def test_valid_single_sink_matches_the_object_path_pointwise():
+    """The mask reader ``run`` on the command line decides its verdict
+    with equals ``is_valid`` with exactly one sink, and the count of zero
+    masks equals the count of sinks: on every 4^E state of every support
+    with n <= 4, and on seeded random registers, their runs' final
+    configurations and erosion orientations up to 300 cells."""
+    rng = random.Random(23)
+    configs = []
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            configs += [graph.unpack(state, portmaps) for state in range(1 << 2 * graph.n_edges)]
+    for n in (5, 12, 40, 120, 300):
+        s = random_support(n, rng.randrange(2**31))
+        portmaps = random_portmaps(s, rng.randrange(2**31))
+        for conflict_prob in (0.0, 0.25, 1.0):
+            cfg = random_registers(s, rng.randrange(2**31), conflict_prob, portmaps)
+            configs += [cfg, run(cfg, RandomSequential(rng.randrange(2**31))).config]
+        configs.append(erosion_orientation(s, portmaps))
+    verdicts = set()
+    for cfg in configs:
+        expected = is_valid(cfg) and len(sinks(cfg)) == 1
+        assert valid_single_sink(cfg) == expected, cfg.serialize()
+        assert cfg.masks.count(0) == len(sinks(cfg))
+        verdicts.add(expected)
+    assert verdicts == {False, True}
+
+
+def test_run_results_store_masks_that_match_their_registers(monkeypatch):
+    """Final, capped and failing configurations of every scheduler kind."""
+    rng = random.Random(29)
+    s = random_support(25, rng.randrange(2**31))
+    cfg = random_registers(s, rng.randrange(2**31), 0.3, random_portmaps(s, rng.randrange(2**31)))
+    script = Scripted(tuple(reversed(s.order)))
+    for kind in (RandomSequential(rng.randrange(2**31)), RoundRobin(), script):
+        for cap in (0, 7, 10**4):
+            res = run(cfg, kind, max_steps=cap, check_invariants=True)
+            assert res.outcome is (Outcome.CAP_EXCEEDED if cap < 10 else Outcome.FINAL)
+            assert_masks_match_regs(res.config)
+            assert res.config.support is cfg.support and res.config.portmaps is cfg.portmaps
+    monkeypatch.setattr(scheduler, "_set", _SkipLine2Once(s.present, 1))
+    with pytest.raises(StepInvariantError) as got:
+        run(cfg, RandomSequential(3), check_invariants=True)
+    assert_masks_match_regs(got.value.config)
 
 
 class _SkipLine2Once:
