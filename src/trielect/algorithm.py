@@ -18,15 +18,20 @@ consecutiveness and triangle rules hold at the activated particle.
 
 Only the particle's own register is written, and only the registers and
 port labels of the particle and its six neighbours are read.
+``step_register`` tests line 2 on the would-be register in place, through
+``rules.r4_at`` for R4, and builds no configuration, so a step costs the
+same at any support size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Cell, N_DIRS, neighbor, port_to_dir
-from .config import Configuration, IN, OUT, Registers
-from .rules import check_r2, check_r3, check_r4
+from .lattice import CYCLIC_RUN, Cell, N_DIRS
+from .config import ALL_IN, Configuration, IN, OUT, Registers
+
+# ``check_r4`` stays importable here, where the benchmark's traced run wraps it.
+from .rules import check_r4, r4_at  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,9 @@ def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffec
     pm = c.portmaps[p]
     before = c.regs[p]
     reg = list(before)
-    occupied: list[tuple[int, Cell]] = []
-    for port in range(N_DIRS):
-        n = neighbor(p, port_to_dir(pm, port))
-        if n in c.support.cells:
-            occupied.append((port, n))
+    i, order = c.number_of(p), c.support.order
+    row = c.support.around[i]
+    occupied = [(port, order[row[d]]) for port, d in enumerate(pm.dirs) if row[d] >= 0]
 
     conflicts = 0
     for port, n in occupied:
@@ -57,26 +60,23 @@ def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffec
     undirected = [
         port for port, n in occupied if reg[port] is IN and c.link_toward(n, p) is IN
     ]
-    line1 = bool(undirected)
-    if line1:
-        for port in undirected:
-            reg[port] = OUT
+    for port in undirected:
+        reg[port] = OUT
 
-    line2 = False
-    if not _r234_with(c, p, tuple(reg)):
-        line2 = True
-        for port, _ in occupied:
-            if reg[port] is OUT:
-                reg[port] = IN
-
-    after = tuple(reg)
-    return after, ActivationEffect(after != before, line1, line2, conflicts)
+    # Line 2 marks every outgoing edge undirected; ports toward empty
+    # cells hold In already, so the register becomes all In.
+    trial = tuple(reg)
+    line2 = not _r234_with(c, i, trial)
+    after = ALL_IN if line2 else trial
+    return after, ActivationEffect(after != before, bool(undirected), line2, conflicts)
 
 
-def _r234_with(c: Configuration, p: Cell, reg: Registers) -> bool:
-    """R2, R3 and R4 at ``p`` with ``p``'s register hypothetically replaced."""
-    trial = c.with_register(p, reg)
-    return check_r2(trial, p) and check_r3(trial, p) and check_r4(trial, p)
+def _r234_with(c: Configuration, i: int, reg: Registers) -> bool:
+    """R2, R3 and R4 at cell number ``i`` with its register hypothetically
+    ``reg``, which is Out toward occupied cells only: its Out ports are the
+    outgoing ones ``check_r2`` and ``check_r3`` count."""
+    out = sum(1 << port for port in range(N_DIRS) if reg[port] is OUT)
+    return out.bit_count() <= 3 and CYCLIC_RUN[out] and r4_at(c, i, reg)
 
 
 def activation_step(c: Configuration, p: Cell) -> tuple[Configuration, ActivationEffect]:

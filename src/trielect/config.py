@@ -19,8 +19,9 @@ reading them is forced through the owning particle's PortMap.  Every
 particle-local reader (``rules``, ``algorithm``, ``views`` and the edge
 readers here) goes through ``regs`` and ``portmaps`` only, never through
 ``masks``; ``regs`` is derived from the masks by ``REGISTER`` on its
-first read.  That keeps the simulated particles honest: there is no
-shared rotation or chirality to lean on.
+first read, and no path hands a register dict on.  That keeps the
+simulated particles honest: there is no shared rotation or chirality to
+lean on.
 """
 
 from __future__ import annotations
@@ -124,10 +125,11 @@ class Configuration:
     """A support plus every particle's port map and link register.
 
     The stored state is ``masks``: the Out mask of cell number ``i`` over
-    global directions is ``masks[i]``.  ``regs`` reads it as registers,
-    ``REGISTER[pm][mask]``; it is built at most once per configuration,
-    on its first read, and a configuration built from registers keeps the
-    dict it checked.
+    global directions is ``masks[i]``, and nothing else is stored about
+    the registers.  ``regs`` reads the masks as registers,
+    ``REGISTER[pm][mask]``: the property builds the dict at most once per
+    configuration, on its first read, and is the only code that fills
+    ``_regs`` (None until then).
     """
 
     __slots__ = ("support", "portmaps", "masks", "_regs")
@@ -143,14 +145,10 @@ class Configuration:
         self.support = support
         self.portmaps = pms = dict(portmaps)
         present = support.present
-        masks = bytearray(len(present))
-        checked = {}
-        for i, c in enumerate(support.order):
-            pm = pms[c]
-            masks[i] = mask = _mask_of(c, pm, regs[c], present[i])
-            checked[c] = REGISTER[pm][mask]
-        self.masks = bytes(masks)
-        self._regs: dict[Cell, Registers] | None = checked
+        self.masks = bytes(
+            _mask_of(c, pms[c], regs[c], present[i]) for i, c in enumerate(support.order)
+        )
+        self._regs: dict[Cell, Registers] | None = None
 
     @classmethod
     def from_masks(
@@ -170,20 +168,13 @@ class Configuration:
         return cls._of(support, pms, masks)
 
     @classmethod
-    def _of(
-        cls,
-        support: Support,
-        portmaps: dict[Cell, PortMap],
-        masks: bytes,
-        regs: dict[Cell, Registers] | None = None,
-    ) -> "Configuration":
-        """The configuration of ``masks`` and, if given, the same state as
-        ``regs``; nothing is checked."""
+    def _of(cls, support: Support, portmaps: dict[Cell, PortMap], masks: bytes) -> "Configuration":
+        """The configuration of ``masks``; nothing is checked."""
         new = cls.__new__(cls)
         new.support = support
         new.portmaps = portmaps
         new.masks = masks
-        new._regs = regs
+        new._regs = None
         return new
 
     def with_masks(self, masks: bytes) -> "Configuration":
@@ -247,18 +238,13 @@ class Configuration:
         support, pms = self.support, self.portmaps
         number, present = support.number, support.present
         masks = bytearray(self.masks)
-        regs = self._regs
-        if regs is not None:
-            regs = dict(regs)
         for c, reg in updates.items():
             pm = pms.get(c)
             if pm is None:
                 raise ConfigError(f"cell {c} is not in the support")
             i = number[c]
-            masks[i] = mask = _mask_of(c, pm, reg, present[i])
-            if regs is not None:
-                regs[c] = REGISTER[pm][mask]
-        return self._of(support, pms, bytes(masks), regs)
+            masks[i] = _mask_of(c, pm, reg, present[i])
+        return self._of(support, pms, bytes(masks))
 
     # -- derived edge facts ---------------------------------------------------
 

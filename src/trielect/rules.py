@@ -17,9 +17,11 @@ The ``check_r*`` functions and ``sinks`` are the object reference.  They
 read a ``Configuration``'s port maps and registers only, along the
 support's cell numbering: the neighbour of p at direction d is
 ``around[number[p]][d]``, and the port facing d is the port map's
-``ports[d]``.  ``RULE`` is the same R2/R3/R4 as one 64-entry table over a
-cell's Out mask, read as stored by the scheduler's mask engine and by
-``oracle.ConfigGraph``; the reference reads neither it nor the stored
+``ports[d]``.  ``r4_at`` is ``check_r4``'s body with the cell's register
+as an argument, so that ``algorithm.step_register`` tests a trial
+register in place.  ``RULE`` is the same R2/R3/R4 as one 64-entry table
+over a cell's Out mask, read as stored by the scheduler's mask engine and
+by ``oracle.ConfigGraph``; the reference reads neither it nor the stored
 masks (``Configuration.masks``) nor the register tables
 ``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare the
 two compare independent derivations.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS
-from .config import OUT, Configuration
+from .config import OUT, Configuration, Registers
 
 
 def _consecutive_cyclic(ports: tuple[int, ...]) -> bool:
@@ -98,10 +100,15 @@ def check_r3(c: Configuration, p: Cell) -> bool:
 
 def check_r4(c: Configuration, p: Cell) -> bool:
     """No triangle containing ``p`` is a directed 3-cycle (omniscient reading)."""
+    return r4_at(c, c.number_of(p), c.regs[p])
+
+
+def r4_at(c: Configuration, i: int, reg: Registers) -> bool:
+    """``check_r4`` at cell number ``i`` with its register read as ``reg``."""
     support, regs, portmaps = c.support, c.regs, c.portmaps
     order = support.order
-    row = support.around[c.number_of(p)]
-    reg, ports = regs[p], portmaps[p].ports
+    row = support.around[i]
+    ports = portmaps[order[i]].ports
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
         if j < 0 or k < 0:

@@ -63,10 +63,10 @@ labels are formatted once per traced run, so observing a run builds no
 object per step; the unobserved loop does none of this work.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
 holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
-a rule and exactly one particle has ``mine == 0``.  ``valid_single_sink``
-is the same check on any configuration's masks; ``run`` on the command
-line decides its verdict with it.  ``violation_count`` is the
-object-path full recount through ``rules.check_r2/3/4``.
+a rule and exactly one particle has ``mine == 0``.  ``violating_cells``
+reads the same R1 and ``_breaks`` off any configuration's masks; ``run``
+and ``verify`` on the command line decide with it.  ``violation_count``
+is the object-path full recount through ``rules.check_r2/3/4``.
 """
 
 from __future__ import annotations
@@ -259,14 +259,15 @@ def _valid_single_sink(
     return mine.count(0) == 1
 
 
-def valid_single_sink(c: Configuration) -> bool:
-    """True iff ``c`` is valid with exactly one sink, read off ``c.masks``
-    by ``_breaks`` and ``_valid_single_sink``: what ``rules.is_valid(c)
-    and len(rules.sinks(c)) == 1`` decides on the object path."""
+def violating_cells(c: Configuration) -> list[int]:
+    """The cell numbers, ascending, of the particles that break a rule in
+    ``c``, read off ``c.masks``: R1 where ``mine ^ theirs != present``,
+    R2, R3 and R4 where ``_breaks``.  The same particles as
+    ``rules.violating_particles(c)`` on the object path."""
     mine, theirs = _masks(c)
-    around = c.support.around
-    broken = any(_breaks(ci, mine, theirs, around) for ci in range(len(mine)))
-    return _valid_single_sink(mine, theirs, c.support.present, broken)
+    present, around = c.support.present, c.support.around
+    return [ci for ci, occupied in enumerate(present)
+            if mine[ci] ^ theirs[ci] != occupied or _breaks(ci, mine, theirs, around)]
 
 
 # -- the driver --------------------------------------------------------------------
@@ -286,6 +287,8 @@ def run(
     particles violating any of them never increases.  ``trace_file``,
     if given, receives the trace log.
     """
+    if not isinstance(kind, (RandomSequential, RoundRobin, Scripted)):
+        raise TypeError(f"unknown scheduler kind {type(kind).__name__}")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if isinstance(kind, Scripted):

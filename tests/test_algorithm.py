@@ -4,14 +4,16 @@ import pytest
 
 from trielect.lattice import Cell
 from trielect.algorithm import activation_step, is_activable, step_register
-from trielect.config import EdgeOrientation, IN, OUT, all_in_configuration
+from trielect.config import Configuration, EdgeOrientation, IN, OUT, all_in_configuration
 from trielect.generators import (
+    enumerate_supports,
     erosion_orientation,
     line,
     random_portmaps,
     random_registers,
     random_support,
 )
+from trielect.oracle import ConfigGraph
 from trielect.rules import check_r2, check_r3, check_r4
 from trielect.support import Support
 
@@ -196,3 +198,27 @@ def test_synchronous_daemon_loops_on_two_cells():
         seen.append(cfg.orientation(a, b))
     assert seen == [EdgeOrientation.UNDIRECTED, EdgeOrientation.CONFLICT, EdgeOrientation.UNDIRECTED]
     assert cfg == all_in_configuration(line(2))
+
+
+def test_reference_step_builds_no_configuration(monkeypatch):
+    """``step_register`` tests its trial register in place: ``is_activable``
+    runs with every way to build a configuration refused, at every cell of
+    a seeded 300-cell configuration and of every 4^E state of every support
+    with n <= 4."""
+    rng = random.Random(37)
+    configs = []
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            configs += [graph.unpack(state, portmaps) for state in range(1 << 2 * graph.n_edges)]
+    s = random_support(300, rng.randrange(2**31))
+    configs.append(random_registers(s, rng.randrange(2**31), 0.25, random_portmaps(s, rng.randrange(2**31))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference step built a configuration")
+
+    monkeypatch.setattr(Configuration, "_of", refuse)
+    monkeypatch.setattr(Configuration, "with_registers", refuse)
+    verdicts = {is_activable(cfg, p) for cfg in configs for p in cfg.support}
+    assert verdicts == {False, True}

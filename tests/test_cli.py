@@ -5,13 +5,13 @@ import pytest
 import trielect.cli as cli
 from reference import reference_replay
 from trielect.cli import main
-from trielect.config import load, save
-from trielect.generators import ring18
-from trielect.lattice import Cell
+from trielect.config import IN, OUT, all_in_configuration, load, save
+from trielect.generators import erosion_orientation, hexagon, ring18
+from trielect.lattice import Cell, neighbor
 from trielect.render import render_svg
 from trielect.rules import rule_report
 from trielect.scheduler import ExecutionResult, Outcome
-from trielect.support import format_shape_text
+from trielect.support import Support, format_shape_text
 
 
 def test_gen_verify_roundtrip(tmp_path, capsys):
@@ -111,6 +111,77 @@ def test_verify_flags_violations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "valid=no" in out
     assert "FAIL" in out
+
+
+def _with_links(cfg, links, state=OUT):
+    """``cfg`` with each ``(a, b)`` in ``links`` setting a's link toward b to ``state``."""
+    regs = {}
+    for a, b in links:
+        reg = list(regs.get(a, cfg.regs[a]))
+        reg[cfg.port_of(a, b)] = state
+        regs[a] = tuple(reg)
+    return cfg.with_registers(regs)
+
+
+def _verify_inputs():
+    """The ``verify`` inputs by name: a valid erosion orientation, the same
+    with one conflict edge and with one undirected edge, ``ring18``, and a
+    directed 6-cycle on the six-cell ring around one empty cell."""
+    valid = erosion_orientation(hexagon(2))
+    a, b = next((a, b) for a, b in valid.support.edges() if valid.link_toward(a, b) is OUT)
+    six = [neighbor(Cell(0, 0), d) for d in range(6)]
+    return {
+        "valid": valid,
+        "conflict": _with_links(valid, [(b, a)]),
+        "undirected": _with_links(valid, [(a, b)], IN),
+        "ring18": ring18(),
+        "six-cycle": _with_links(all_in_configuration(Support(six)), zip(six, six[1:] + six[:1])),
+    }
+
+
+def _object_path_verify(cfg, per_particle):
+    """What ``verify`` prints and returns, built from ``rules.rule_report``."""
+    report = rule_report(cfg)
+    lines = [f"valid={'yes' if report.valid else 'no'} sinks={len(report.sinks)}"]
+    if per_particle:
+        lines += report.to_records()
+    if not report.valid:
+        lines.append("violations at: " + ", ".join(f"({c.q} {c.r})" for c in sorted(report.violating)))
+    elif len(report.sinks) != 1:
+        lines.append("valid configuration without a unique sink; this should be impossible")
+    return "\n".join(lines) + "\n", 0 if report.valid and len(report.sinks) == 1 else 1
+
+
+@pytest.mark.parametrize("name,head", [
+    ("valid", "valid=yes sinks=1"),
+    ("conflict", "valid=no sinks=1"),
+    ("undirected", "valid=no sinks=1"),
+    ("ring18", "valid=no sinks=18"),
+    ("six-cycle", "valid=yes sinks=0"),
+])
+def test_verify_reads_its_verdict_off_the_masks(tmp_path, capsys, monkeypatch, name, head):
+    """``verify`` prints what the object path's rule report decides, with
+    and without ``--per-particle``, and builds the report only for the
+    per-particle records."""
+    cfg = _verify_inputs()[name]
+    path = tmp_path / f"{name}.cfg"
+    save(cfg, str(path))
+    for per_particle in (False, True):
+        argv = ["verify", "--config", str(path)] + ["--per-particle"] * per_particle
+        text, code = _object_path_verify(load(str(path)), per_particle)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert out == text and out.splitlines()[0] == head
+    if name == "six-cycle":
+        assert out.splitlines()[-1].startswith("valid configuration without a unique sink")
+
+    def refuse(c):
+        raise AssertionError("rule_report built")
+
+    monkeypatch.setattr(cli, "rule_report", refuse)
+    assert main(["verify", "--config", str(path)]) == code
+    with pytest.raises(AssertionError, match="rule_report built"):
+        main(["verify", "--config", str(path), "--per-particle"])
 
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):

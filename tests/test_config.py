@@ -386,11 +386,11 @@ def test_registers_are_built_once_and_only_when_read():
     assert updated._regs is None
     regs = cfg.regs
     assert cfg._regs is regs and cfg.regs is regs
-    # A configuration built from registers keeps the dict it checked, and
-    # an update copies a built dict instead of rebuilding it.
-    assert cfg.with_register(s.order[0], ALL_IN)._regs is not None
+    # No path hands a dict on: an update of a configuration whose registers
+    # are built, and a configuration built from registers, store masks only.
+    assert cfg.with_register(s.order[0], ALL_IN)._regs is None
     kept = Configuration(s, cfg.portmaps, regs)
-    assert kept._regs == regs
+    assert kept._regs is None and kept.regs == regs
     for original in (cfg, updated):
         for copied in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
             assert copied == original and copied.regs == original.regs

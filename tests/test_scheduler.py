@@ -18,7 +18,7 @@ from trielect.generators import (
 )
 from trielect.oracle import ConfigGraph, UnfairCycle
 from trielect.support import Support
-from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks
+from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks, violating_particles
 from trielect.scheduler import (
     Outcome,
     RandomSequential,
@@ -33,7 +33,7 @@ from trielect.scheduler import (
     _violates,
     detect_final,
     run,
-    valid_single_sink,
+    violating_cells,
     violation_count,
 )
 
@@ -481,11 +481,12 @@ def test_breaks_matches_rule_checks_on_random_configurations():
     assert r4_only  # the triangle branch was exercised
 
 
-def test_valid_single_sink_matches_the_object_path_pointwise():
-    """The mask reader ``run`` on the command line decides its verdict
-    with equals ``is_valid`` with exactly one sink, and the count of zero
-    masks equals the count of sinks: on every 4^E state of every support
-    with n <= 4, and on seeded random registers, their runs' final
+def test_violating_cells_match_the_object_path_pointwise():
+    """``violating_cells``, the mask reader ``run`` and ``verify`` on the
+    command line decide with, names as cell numbers the particles
+    ``rules.violating_particles`` names, and the count of zero masks
+    equals the count of sinks: on every 4^E state of every support with
+    n <= 4, and on seeded random registers, their runs' final
     configurations and erosion orientations up to 300 cells."""
     rng = random.Random(23)
     configs = []
@@ -503,11 +504,19 @@ def test_valid_single_sink_matches_the_object_path_pointwise():
         configs.append(erosion_orientation(s, portmaps))
     verdicts = set()
     for cfg in configs:
-        expected = is_valid(cfg) and len(sinks(cfg)) == 1
-        assert valid_single_sink(cfg) == expected, cfg.serialize()
+        number = cfg.support.number
+        expected = sorted(number[p] for p in violating_particles(cfg))
+        assert violating_cells(cfg) == expected, cfg.serialize()
         assert cfg.masks.count(0) == len(sinks(cfg))
-        verdicts.add(expected)
+        verdicts.add(bool(expected))
     assert verdicts == {False, True}
+
+
+def test_run_refuses_an_unknown_scheduler_kind():
+    cfg = random_registers(hexagon(1), 1)
+    for kind, name in ((None, "NoneType"), ("random", "str"), (RandomSequential, "type")):
+        with pytest.raises(TypeError, match=f"^unknown scheduler kind {name}$"):
+            run(cfg, kind)
 
 
 def test_run_results_store_masks_that_match_their_registers(monkeypatch):
