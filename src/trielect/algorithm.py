@@ -44,10 +44,10 @@ class ActivationEffect:
 
 def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffect]:
     """New register of ``p`` after one activation, without building the config."""
-    pm = c.portmaps[p]
+    i, order = c.number_of(p), c.support.order
+    pm = c.portmaps[i]
     before = c.regs[p]
     reg = list(before)
-    i, order = c.number_of(p), c.support.order
     row = c.support.around[i]
     occupied = [(port, order[row[d]]) for port, d in enumerate(pm.dirs) if row[d] >= 0]
 

@@ -14,14 +14,15 @@ whose bit ``d`` is set iff the particle is Out toward global direction
 must be 0.  The mask engine (``scheduler.run``), the generators and the
 oracle read and write ``masks`` directly.
 
-Registers are indexed by local port, not by global direction, so any code
-reading them is forced through the owning particle's PortMap.  Every
-particle-local reader (``rules``, ``algorithm``, ``views`` and the edge
-readers here) goes through ``regs`` and ``portmaps`` only, never through
-``masks``; ``regs`` is derived from the masks by ``REGISTER`` on its
-first read, and no path hands a register dict on.  That keeps the
-simulated particles honest: there is no shared rotation or chirality to
-lean on.
+Beside them, ``portmaps`` is a tuple of one ``PortMap`` per cell number,
+taken by every constructor and shared by every update.  Registers are
+indexed by local port, not by global direction, so any code reading them
+is forced through the owning particle's PortMap.  Every particle-local
+reader (``rules``, ``algorithm``, ``views`` and the edge readers here)
+goes through ``regs`` and ``portmaps`` only, never through ``masks``;
+``regs`` is derived from the masks by ``REGISTER`` on its first read,
+and no path hands a register dict on.  That keeps the simulated
+particles honest: there is no shared rotation or chirality to lean on.
 """
 
 from __future__ import annotations
@@ -117,19 +118,23 @@ _LINK_TEXT = {reg: " ".join(link.value for link in reg) for reg in REGISTER[IDEN
 _REGISTER_OF_TEXT = {text: reg for reg, text in _LINK_TEXT.items()}
 
 
-def identity_portmaps(support: Support) -> dict[Cell, PortMap]:
-    return {c: IDENTITY_PORTMAP for c in support}
+#: One port map per cell number, in ``Support.order``.
+PortMaps = tuple[PortMap, ...]
+
+
+def identity_portmaps(support: Support) -> PortMaps:
+    return (IDENTITY_PORTMAP,) * len(support)
 
 
 class Configuration:
     """A support plus every particle's port map and link register.
 
-    The stored state is ``masks``: the Out mask of cell number ``i`` over
-    global directions is ``masks[i]``, and nothing else is stored about
-    the registers.  ``regs`` reads the masks as registers,
-    ``REGISTER[pm][mask]``: the property builds the dict at most once per
-    configuration, on its first read, and is the only code that fills
-    ``_regs`` (None until then).
+    The stored state is ``portmaps`` and ``masks``: cell number ``i`` has
+    port map ``portmaps[i]`` and Out mask ``masks[i]`` over global
+    directions, and nothing else is stored about the registers.  ``regs``
+    reads the masks as registers, ``REGISTER[pm][mask]``: the property
+    builds the dict at most once per configuration, on its first read,
+    and is the only code that fills ``_regs`` (None until then).
     """
 
     __slots__ = ("support", "portmaps", "masks", "_regs")
@@ -137,38 +142,36 @@ class Configuration:
     def __init__(
         self,
         support: Support,
-        portmaps: Mapping[Cell, PortMap],
+        portmaps: PortMaps,
         regs: Mapping[Cell, Registers],
     ):
-        for what, mapping in (("port maps", portmaps), ("registers", regs)):
-            _check_keys(support, what, mapping)
+        _check_portmaps(support, portmaps)
+        if (keys := set(regs)) != support.cells:
+            missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
+            raise ConfigError(f"registers do not match support (missing={missing}, extra={extra})")
         self.support = support
-        self.portmaps = pms = dict(portmaps)
-        present = support.present
+        self.portmaps = portmaps
         self.masks = bytes(
-            _mask_of(c, pms[c], regs[c], present[i]) for i, c in enumerate(support.order)
+            _mask_of(c, pm, regs[c], present)
+            for c, pm, present in zip(support.order, portmaps, support.present)
         )
         self._regs: dict[Cell, Registers] | None = None
 
     @classmethod
     def from_masks(
-        cls, support: Support, portmaps: Mapping[Cell, PortMap], masks: Iterable[int]
+        cls, support: Support, portmaps: PortMaps, masks: Iterable[int]
     ) -> "Configuration":
         """Cell number ``i`` Out toward the global directions in ``masks[i]``."""
-        _check_keys(support, "port maps", portmaps)
-        pms = dict(portmaps)
-        for c, pm in pms.items():
-            if not isinstance(pm, PortMap):
-                raise ConfigError(f"port map of {c} must be a PortMap")
+        _check_portmaps(support, portmaps)
         try:
             masks = bytes(masks)
         except (TypeError, ValueError):
             raise ConfigError("masks must be a sequence of six-bit ints") from None
-        _check_masks(support, pms, masks)
-        return cls._of(support, pms, masks)
+        _check_masks(support, portmaps, masks)
+        return cls._of(support, portmaps, masks)
 
     @classmethod
-    def _of(cls, support: Support, portmaps: dict[Cell, PortMap], masks: bytes) -> "Configuration":
+    def _of(cls, support: Support, portmaps: PortMaps, masks: bytes) -> "Configuration":
         """The configuration of ``masks``; nothing is checked."""
         new = cls.__new__(cls)
         new.support = support
@@ -187,9 +190,9 @@ class Configuration:
         """Every particle's register by cell, built on the first read."""
         regs = self._regs
         if regs is None:
-            pms = self.portmaps
             self._regs = regs = {
-                c: REGISTER[pms[c]][m] for c, m in zip(self.support.order, self.masks)
+                c: REGISTER[pm][m]
+                for c, pm, m in zip(self.support.order, self.portmaps, self.masks)
             }
         return regs
 
@@ -202,8 +205,7 @@ class Configuration:
         )
 
     def __hash__(self) -> int:
-        pms = self.portmaps
-        return hash((self.support.cells, self.masks, tuple(map(pms.__getitem__, self.support.order))))
+        return hash((self.support.cells, self.masks, self.portmaps))
 
     def __repr__(self) -> str:
         return f"Configuration({len(self.support)} cells)"
@@ -219,10 +221,7 @@ class Configuration:
 
     def port_of(self, c: Cell, toward: Cell) -> int:
         """Local port of ``c`` whose edge leads to the adjacent cell ``toward``."""
-        pm = self.portmaps.get(c)
-        if pm is None:
-            raise ConfigError(f"cell {c} is not in the support")
-        return pm.ports[direction_from(c, toward)]
+        return self.portmaps[self.number_of(c)].ports[direction_from(c, toward)]
 
     def link_toward(self, c: Cell, toward: Cell) -> LinkState:
         port = self.port_of(c, toward)
@@ -239,11 +238,10 @@ class Configuration:
         number, present = support.number, support.present
         masks = bytearray(self.masks)
         for c, reg in updates.items():
-            pm = pms.get(c)
-            if pm is None:
+            i = number.get(c)
+            if i is None:
                 raise ConfigError(f"cell {c} is not in the support")
-            i = number[c]
-            masks[i] = _mask_of(c, pm, reg, present[i])
+            masks[i] = _mask_of(c, pms[i], reg, present[i])
         return self._of(support, pms, bytes(masks))
 
     # -- derived edge facts ---------------------------------------------------
@@ -257,40 +255,45 @@ class Configuration:
             d = self.support.around[i].index(j)
         except ValueError:
             raise ValueError(f"cells {a} and {b} are not adjacent") from None
-        regs = self.regs
-        out_a = regs[a][self.portmaps[a].ports[d]] is OUT
-        out_b = regs[b][self.portmaps[b].ports[(d + 3) % N_DIRS]] is OUT
+        regs, pms = self.regs, self.portmaps
+        out_a = regs[a][pms[i].ports[d]] is OUT
+        out_b = regs[b][pms[j].ports[(d + 3) % N_DIRS]] is OUT
         return LINK_ORIENTATION[out_a][out_b]
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""
-        present = self.support.present[self.number_of(c)]
-        dirs = self.portmaps[c].dirs
+        i = self.number_of(c)
+        present, dirs = self.support.present[i], self.portmaps[i].dirs
         reg = (self._regs or self.regs)[c]
         return tuple(p for p in range(N_DIRS) if reg[p] is OUT and present >> dirs[p] & 1)
 
     # -- serialisation --------------------------------------------------------
 
     def serialize(self) -> str:
-        order, pms = self.support.order, self.portmaps
+        order = self.support.order
         lines = ["shape"]
         for c in order:
             lines.append(f"{c.q} {c.r}")
         lines.append("cells")
-        for c, mask in zip(order, self.masks):
-            pm = pms[c]
+        for c, pm, mask in zip(order, self.portmaps, self.masks):
             chir = "+1" if pm.chirality == 1 else "-1"
             lines.append(f"{c.q} {c.r} | {pm.offset} {chir} | {_LINK_TEXT[REGISTER[pm][mask]]}")
         return "\n".join(lines) + "\n"
 
 
-def _check_keys(support: Support, what: str, mapping: Mapping[Cell, object]) -> None:
-    if (keys := set(mapping)) != support.cells:
-        missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
-        raise ConfigError(f"{what} do not match support (missing={missing}, extra={extra})")
+def _check_portmaps(support: Support, portmaps: object) -> None:
+    """Refuse ``portmaps`` unless it is a tuple of one ``PortMap`` per cell number."""
+    if not isinstance(portmaps, tuple):
+        kind = type(portmaps).__name__
+        raise ConfigError(f"port maps must be a tuple by cell number, not a {kind}")
+    if len(portmaps) != len(support):
+        raise ConfigError(f"{len(portmaps)} port maps for a support of {len(support)} cells")
+    for c, pm in zip(support.order, portmaps):
+        if not isinstance(pm, PortMap):
+            raise ConfigError(f"port map of {c} must be a PortMap")
 
 
-def _check_masks(support: Support, portmaps: Mapping[Cell, PortMap], masks: bytes) -> None:
+def _check_masks(support: Support, portmaps: PortMaps, masks: bytes) -> None:
     """Refuse ``masks`` unless it has one mask per cell, each Out toward
     occupied cells only."""
     present = support.present
@@ -299,18 +302,14 @@ def _check_masks(support: Support, portmaps: Mapping[Cell, PortMap], masks: byte
     # ``mask & ~present`` at every cell in one AND: byte i of each int is cell i's.
     if int.from_bytes(masks, "little") & ~int.from_bytes(bytes(present), "little"):
         i, c = next((i, c) for i, c in enumerate(support.order) if masks[i] & ~present[i])
-        _refuse(c, portmaps[c], masks[i] & ~present[i])
+        _refuse(c, portmaps[i], masks[i] & ~present[i])
 
 
 def _mask_of(c: Cell, pm: PortMap, reg: Registers, present: int) -> int:
     """The Out mask over global directions of ``c``'s register ``reg``
     under ``pm``, refused unless it is Out toward ``present`` only."""
     try:
-        masks = OUT_MASK[pm]
-    except (TypeError, KeyError):
-        raise ConfigError(f"port map of {c} must be a PortMap") from None
-    try:
-        mask = masks[tuple(reg)]
+        mask = OUT_MASK[pm][tuple(reg)]
     except (TypeError, KeyError):
         raise ConfigError(f"register of {c} must be six link states") from None
     if mask & ~present:
@@ -327,7 +326,7 @@ def _refuse(c: Cell, pm: PortMap, empty: int) -> NoReturn:
 
 
 def all_in_configuration(
-    support: Support, portmaps: Mapping[Cell, PortMap] | None = None
+    support: Support, portmaps: PortMaps | None = None
 ) -> Configuration:
     pms = portmaps if portmaps is not None else identity_portmaps(support)
     return Configuration.from_masks(support, pms, bytes(len(support)))
@@ -371,7 +370,7 @@ def deserialize(text: str) -> Configuration:
     support = Support(shape_cells)
     number = support.number
 
-    portmaps: dict[Cell, PortMap] = {}
+    portmaps: list[PortMap | None] = [None] * len(support)
     masks = bytearray([_UNSET]) * len(support)
     # ``parsed[tail]``: the port map and Out mask of a line whose text after
     # its first ``|`` is ``tail`` and parsed before.
@@ -404,14 +403,14 @@ def deserialize(text: str) -> Configuration:
                 raise ConfigError(f"line {lineno}: links must be six of I/O")
             mask = OUT_MASK[pm][reg]
             parsed[tail] = pm, mask
-        portmaps[cell] = pm
+        portmaps[i] = pm
         masks[i] = mask
     if _UNSET in masks:
         missing = [c for c, m in zip(support.order, masks) if m == _UNSET]
         raise ConfigError(f"port maps do not match support (missing={missing}, extra=[])")
-    masks = bytes(masks)
-    _check_masks(support, portmaps, masks)
-    return Configuration._of(support, portmaps, masks)
+    masks, pms = bytes(masks), tuple(portmaps)
+    _check_masks(support, pms, masks)
+    return Configuration._of(support, pms, masks)
 
 
 def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:

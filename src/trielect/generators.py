@@ -28,7 +28,8 @@ four validity rules, is globally acyclic, and its unique sink is the
 last particle standing.  Erosion and both register initialisations work
 on the support's cell numbers, with one Out mask per cell over global
 directions, which is what a ``Configuration`` stores: the masks are
-handed over as they are, with no register built.
+handed over as they are, with no register built, and so are port maps,
+a tuple by cell number that ``random_portmaps`` draws in cell order.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, insort
-from typing import Mapping
-
 from .lattice import (
     ALL_PORTMAPS,
     CYCLIC_RUN,
@@ -48,7 +47,7 @@ from .lattice import (
     direction_from,
     neighbor,
 )
-from .config import Configuration, all_in_configuration, identity_portmaps
+from .config import Configuration, PortMaps, all_in_configuration, identity_portmaps
 from .support import KeyFrame, Support, SupportError, symmetry_canonical_keys
 
 
@@ -215,7 +214,7 @@ def _erode(s: Support) -> tuple[list[int], list[int]]:
 
 
 def erosion_orientation(
-    s: Support, portmaps: Mapping[Cell, PortMap] | None = None
+    s: Support, portmaps: PortMaps | None = None
 ) -> Configuration:
     """Acyclic all-directed configuration induced by the erosion order:
     each cell is Out toward the neighbours that outlast it."""
@@ -223,7 +222,7 @@ def erosion_orientation(
 
 
 def _configuration(
-    s: Support, portmaps: Mapping[Cell, PortMap] | None, masks: list[int]
+    s: Support, portmaps: PortMaps | None, masks: list[int]
 ) -> Configuration:
     """Cell number ``i`` Out toward the directions in ``masks[i]``, under ``portmaps``."""
     pms = portmaps if portmaps is not None else identity_portmaps(s)
@@ -233,17 +232,18 @@ def _configuration(
 # -- random registers -------------------------------------------------------------
 
 
-def random_portmaps(s: Support, seed: int) -> dict[Cell, PortMap]:
+def random_portmaps(s: Support, seed: int) -> PortMaps:
+    """One uniform port map per cell number, drawn in ``Support.order``."""
     check_seed(seed)
     rng = random.Random(seed)
-    return {c: rng.choice(ALL_PORTMAPS) for c in s}
+    return tuple([rng.choice(ALL_PORTMAPS) for _ in range(len(s))])
 
 
 def random_registers(
     s: Support,
     seed: int,
     conflict_probability: float = 0.25,
-    portmaps: Mapping[Cell, PortMap] | None = None,
+    portmaps: PortMaps | None = None,
 ) -> Configuration:
     """Arbitrary initial registers: per edge, Out/Out with the given
     probability, otherwise uniform over the three conflict-free states.
@@ -324,7 +324,7 @@ def ring18() -> Configuration:
     cells = ring18_cells()
     support = Support(cells)
     n = len(cells)
-    portmaps: dict[Cell, PortMap] = {}
+    portmaps: list[PortMap | None] = [None] * n
     for i, c in enumerate(cells):
         d_prev = direction_from(c, cells[(i - 1) % n])
         d_next = direction_from(c, cells[(i + 1) % n])
@@ -339,8 +339,8 @@ def ring18() -> Configuration:
             raise SupportError(f"ring cell {c} does not turn by 60 degrees")
         assert neighbor(c, (pm.offset + pm.chirality * 2) % N_DIRS) == cells[(i - 1) % n]
         assert neighbor(c, (pm.offset + pm.chirality * 4) % N_DIRS) == cells[(i + 1) % n]
-        portmaps[c] = pm
-    return all_in_configuration(support, portmaps)
+        portmaps[support.number[c]] = pm
+    return all_in_configuration(support, tuple(portmaps))
 
 
 def shape_by_name(name: str) -> Support:

@@ -24,7 +24,8 @@ the same row test over every cell in one pass and lists every next
 state; ``find_unfair_cycle``, which explores every move of every state
 it reaches, walks those lists.  States convert to and from
 configurations through ``Configuration.masks``, the Out masks by cell
-number, with no register built.
+number, with no register built; ``unpack`` takes the port maps as a
+tuple by cell number, as ``Configuration`` keeps them.
 
 The exhaustive checks: ``check_unique_sink`` decides all 2^E
 orientations at once from ``orientation_lanes``, which holds one bit per
@@ -59,10 +60,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
-from .lattice import ERODIBLE, Cell, N_DIRS, PortMap
-from .config import Configuration, identity_portmaps
+from .lattice import ERODIBLE, Cell, N_DIRS
+from .config import Configuration, PortMaps, identity_portmaps
 from .rules import RULE
 from .support import Support
 
@@ -193,7 +194,7 @@ class ConfigGraph:
         return state
 
     def unpack(
-        self, state: int, portmaps: Mapping[Cell, PortMap] | None = None
+        self, state: int, portmaps: PortMaps | None = None
     ) -> Configuration:
         pms = portmaps if portmaps is not None else identity_portmaps(self.support)
         masks = [

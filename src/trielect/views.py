@@ -17,24 +17,25 @@ all the triangle rule needs.  Depth 3 suffices and is the default
 everywhere.
 
 Because a label names at most one walk, "label in view_3(p)" is answered
-by walking it, and every walk goes through one step helper, ``_stepper``:
-it leaves a cell number with its port map through an exit port and
-returns the next cell number, that cell's port map and the entry port,
-the next cell's port back along the edge.  ``in_view`` walks a whole
-label with it.  The formula asks about sixteen labels per triangle, four
-per candidate, but they share their walks, and ``_candidates`` takes each
+by walking it, and every walk goes through one step helper,
+``_stepper``: it leaves a cell number with its port map through an exit
+port and returns the next cell number, that cell's port map (read by
+number, ``Configuration.portmaps[j]``) and the entry port, the next
+cell's port back along the edge.  ``in_view`` walks a whole label with
+it.  The formula asks about sixteen labels per triangle, four per
+candidate, but they share their walks, and ``_candidates`` takes each
 walk once.  The walk from p to q and on out of q's port x reaches one
 cell, and the entry port there is the only y the first conjunct can
 accept: so of the four candidates only the two values of x remain, each
-with the y its walk fixes, and the other conjuncts are single walks.  ``local_check_r4``
-and ``infer_triangle_labels`` therefore never build the whole view;
-``build_view`` is the definition of view_k and the reference the walks
-are tested against.  Like the omniscient checkers in ``rules``, these
-readers see a configuration's port maps and registers only, and local R4
-learns the far edge of a triangle from view walks alone, walking only
-for the triangles whose far edge can close a directed 3-cycle (see
-``local_check_r4``).  Every reader raises ``ConfigError`` for a cell
-outside the support.
+with the y its walk fixes, and the other conjuncts are single walks.
+``local_check_r4`` and ``infer_triangle_labels`` therefore never build
+the whole view; ``build_view`` is the definition of view_k and the
+reference the walks are tested against.  Like the omniscient checkers in
+``rules``, these readers see a configuration's port maps and registers
+only, and local R4 learns the far edge of a triangle from view walks
+alone, walking only for the triangles whose far edge can close a
+directed 3-cycle (see ``local_check_r4``).  Every reader raises
+``ConfigError`` for a cell outside the support.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ class View:
 
 def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
     """Labels of all walks of length <= k over occupied cells starting at p."""
-    if p not in c.support.cells:
-        raise ConfigError(f"cell {p} is not in the support")
+    c.number_of(p)  # a cell outside the support is a ConfigError
     if k < 1:
         raise ValueError("view depth must be >= 1")
     labels: set[PathLabel] = set()
@@ -83,7 +83,7 @@ def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
     for _ in range(k):
         nxt: list[tuple[Cell, PathLabel]] = []
         for cell, label in frontier:
-            pm = c.portmaps[cell]
+            pm = c.portmaps[c.number_of(cell)]
             for port in range(N_DIRS):
                 n = neighbor(cell, port_to_dir(pm, port))
                 if n not in c.support.cells:
@@ -108,15 +108,14 @@ def _stepper(c: Configuration) -> Step:
     port map and its port back along the edge (the entry port), or None
     when the exit port faces an empty cell.
     """
-    support, portmaps = c.support, c.portmaps
-    order, around = support.order, support.around
+    portmaps, around = c.portmaps, c.support.around
 
     def step(i: int, pm: PortMap, exit_port: int) -> Arrival | None:
         d = pm.dirs[exit_port]
         j = around[i][d]
         if j < 0:
             return None
-        pm = portmaps[order[j]]
+        pm = portmaps[j]
         return j, pm, pm.ports[(d + 3) % N_DIRS]
 
     return step
@@ -133,7 +132,7 @@ def in_view(c: Configuration, p: Cell, label: PathLabel) -> bool:
     if not 0 < len(label) <= VIEW_DEPTH:
         return False
     step = _stepper(c)
-    pm = c.portmaps[p]
+    pm = c.portmaps[i]
     for exit_port, entry_port in label:
         if not 0 <= exit_port < N_DIRS:
             return False
@@ -216,7 +215,7 @@ def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[
     row = around[i]
     if j not in row or k not in row or k not in around[j]:
         raise ValueError(f"{p}, {q}, {r} do not form a triangle")
-    pm = c.portmaps[p]
+    pm = c.portmaps[i]
     p0, p1 = pm.ports[row.index(k)], pm.ports[row.index(j)]
     step = _stepper(c)
     try:
@@ -242,19 +241,18 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
     order = support.order
     i = c.number_of(p)
     row = support.around[i]
-    pm = portmaps[p]
+    pm = portmaps[i]
     reg, ports = regs[p], pm.ports
     step = _stepper(c)
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
         if j < 0 or k < 0:
             continue
-        q, r = order[j], order[k]
-        q_pm, r_pm = portmaps[q], portmaps[r]
+        q_pm, r_pm = portmaps[j], portmaps[k]
         # q lies at d from p and r at d + 1; each meets p from the opposite side.
         p1, p0 = ports[d], ports[(d + 1) % N_DIRS]
         q1, r1 = q_pm.ports[(d + 3) % N_DIRS], r_pm.ports[(d + 4) % N_DIRS]
-        q_reg, r_reg = regs[q], regs[r]
+        q_reg, r_reg = regs[order[j]], regs[order[k]]
         # ``xy``: x is Out toward y.
         pq, qp = reg[p1] is OUT, q_reg[q1] is OUT
         pr, rp = reg[p0] is OUT, r_reg[r1] is OUT

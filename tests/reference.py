@@ -60,6 +60,10 @@ port, as ``oracle.UnfairCycle.lemmas`` does on packed states.
 ``register_masks`` reads a configuration's Out masks off its registers,
 port by port through ``arithmetic_port_to_dir``, and
 ``assert_masks_match_regs`` checks that they equal the stored ``masks``.
+``portmap_at`` looks a cell's port map up by its number, and
+``reference_random_portmaps`` is the ``Cell``-keyed draw
+``generators.random_portmaps`` made before port maps were kept by cell
+number.
 ``resolve_conflicts`` and ``remove_particle`` are single-purpose
 configuration edits, and ``read_trace``, ``trace_flags`` (the trace's
 flag formula, read off a cell's masks), ``mirrored``, ``are_adjacent``
@@ -75,6 +79,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import (
+    ALL_PORTMAPS,
     CYCLIC_RUN,
     DIR_OFFSETS,
     Cell,
@@ -444,7 +449,7 @@ def brute_sinks(c: Configuration) -> set[Cell]:
 def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:
     """Yield ``p``'s side of every conflict edge; everything else untouched."""
     reg = list(c.regs[p])
-    pm = c.portmaps[p]
+    pm = portmap_at(c, p)
     changed = False
     for port in range(N_DIRS):
         n = neighbor(p, port_to_dir(pm, port))
@@ -460,7 +465,7 @@ def remove_particle(c: Configuration, p: Cell) -> Configuration:
     if p not in c.support.cells:
         raise ValueError(f"{p} is not occupied")
     new_support = Support(c.support.cells - {p})
-    portmaps = {q: c.portmaps[q] for q in new_support}
+    portmaps = tuple(portmap_at(c, q) for q in new_support.order)
     regs = {q: list(c.regs[q]) for q in new_support}
     for q in c.support.occupied_neighbors(p):
         regs[q][c.port_of(q, p)] = IN
@@ -767,6 +772,17 @@ def relative_chirality(c: Configuration, p: Cell, q: Cell, r: Cell) -> int:
     return sp * sq
 
 
+def portmap_at(c: Configuration, p: Cell) -> PortMap:
+    """``p``'s port map, read by its cell number."""
+    return c.portmaps[c.support.number[p]]
+
+
+def reference_random_portmaps(s: Support, seed: int) -> dict[Cell, PortMap]:
+    """One uniform port map per cell, drawn while iterating ``s``."""
+    rng = random.Random(seed)
+    return {c: rng.choice(ALL_PORTMAPS) for c in s}
+
+
 def arithmetic_port_to_dir(m: PortMap, port: int) -> int:
     return (m.offset + m.chirality * port) % N_DIRS
 
@@ -778,7 +794,7 @@ def arithmetic_dir_to_port(m: PortMap, d: int) -> int:
 def register_masks(c: Configuration) -> bytes:
     """Per cell number, the global directions ``c``'s register is Out toward."""
     return bytes(
-        sum(1 << arithmetic_port_to_dir(c.portmaps[p], port)
+        sum(1 << arithmetic_port_to_dir(portmap_at(c, p), port)
             for port in range(N_DIRS) if c.regs[p][port] is OUT)
         for p in c.support.order
     )
@@ -790,11 +806,11 @@ def assert_masks_match_regs(c: Configuration) -> None:
     assert set(c.regs) == c.support.cells
     assert c.masks == register_masks(c)
     for p, mask in zip(c.support.order, c.masks):
-        assert c.regs[p] is REGISTER[c.portmaps[p]][mask]
+        assert c.regs[p] is REGISTER[portmap_at(c, p)][mask]
 
 
 def coordinate_port_of(c: Configuration, a: Cell, b: Cell) -> int:
-    return arithmetic_dir_to_port(c.portmaps[a], direction_from(a, b))
+    return arithmetic_dir_to_port(portmap_at(c, a), direction_from(a, b))
 
 
 def coordinate_orientation(c: Configuration, a: Cell, b: Cell) -> EdgeOrientation:
@@ -806,7 +822,7 @@ def coordinate_orientation(c: Configuration, a: Cell, b: Cell) -> EdgeOrientatio
 
 
 def coordinate_outgoing_ports(c: Configuration, p: Cell) -> tuple[int, ...]:
-    pm, reg = c.portmaps[p], c.regs[p]
+    pm, reg = portmap_at(c, p), c.regs[p]
     return tuple(
         port
         for port in range(N_DIRS)
@@ -858,9 +874,9 @@ def coordinate_check_r4(c: Configuration, p: Cell) -> bool:
 def coordinate_in_view(c: Configuration, p: Cell, label) -> bool:
     if not 0 < len(label) <= VIEW_DEPTH:
         return False
-    cells, portmaps = c.support.cells, c.portmaps
+    cells, portmaps, number = c.support.cells, c.portmaps, c.support.number
     q, r = p
-    pm = portmaps[p]
+    pm = portmap_at(c, p)
     for exit_port, entry_port in label:
         if not 0 <= exit_port < N_DIRS:
             return False
@@ -870,7 +886,7 @@ def coordinate_in_view(c: Configuration, p: Cell, label) -> bool:
         r += dr
         if (q, r) not in cells:
             return False
-        pm = portmaps[(q, r)]
+        pm = portmaps[number[q, r]]
         if arithmetic_dir_to_port(pm, (d + 3) % N_DIRS) != entry_port:
             return False
     return True

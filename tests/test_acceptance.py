@@ -215,8 +215,9 @@ def test_criterion_7_chirality_inference():
     tri = triangle3()
     cases = 0
     bad = 0
+    # Every port-map product, ``pms[i]`` the port map of cell number i.
     for pms in itertools.product(ALL_PORTMAPS, repeat=3):
-        cfg = Configuration(tri, dict(zip((p, q, r), pms)), {c: ALL_IN for c in tri})
+        cfg = Configuration(tri, pms, {c: ALL_IN for c in tri})
         for a, b, c3 in itertools.permutations((p, q, r)):
             cases += 1
             if infer_triangle_labels(cfg, a, b, c3) != (
@@ -229,9 +230,7 @@ def test_criterion_7_chirality_inference():
     rhomb = Support([p, q, r, r2])
     cases = 0
     for pms in itertools.product(ALL_PORTMAPS, repeat=4):
-        cfg = Configuration(
-            rhomb, dict(zip((p, q, r, r2), pms)), {c: ALL_IN for c in rhomb}
-        )
+        cfg = Configuration(rhomb, pms, {c: ALL_IN for c in rhomb})
         for a, b, c3 in ((p, q, r), (q, p, r), (p, q, r2), (q, p, r2)):
             cases += 1
             if infer_triangle_labels(cfg, a, b, c3) != (

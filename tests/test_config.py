@@ -97,7 +97,7 @@ def test_edge_readers_reject_empty_and_non_adjacent_cells():
         with pytest.raises(ConfigError):
             call()
     c3 = Configuration(
-        Support([a, Cell(1, 0), far]), {x: IDENTITY_PORTMAP for x in (a, Cell(1, 0), far)},
+        Support([a, Cell(1, 0), far]), (IDENTITY_PORTMAP,) * 3,
         {x: ALL_IN for x in (a, Cell(1, 0), far)},
     )
     for call in (
@@ -130,7 +130,7 @@ def test_empty_port_out_rejected():
 def test_out_toward_empty_names_the_lowest_offending_port_for_every_port_map():
     s = random_support(6, 4)
     for pm in ALL_PORTMAPS:
-        cfg = all_in_configuration(s, {c: pm for c in s})
+        cfg = all_in_configuration(s, (pm,) * len(s))
         for c in s:
             for mask in range(1 << N_DIRS):
                 links = tuple(OUT if mask >> port & 1 else IN for port in range(N_DIRS))
@@ -165,9 +165,40 @@ def test_register_that_is_not_six_link_states_is_a_config_error(bad):
 
 def test_port_map_that_is_not_a_port_map_is_a_config_error():
     c = pair_config()
+    i = c.support.number[Cell(0, 0)]
     for bad in (None, (0, 1), [0, 1]):
         with pytest.raises(ConfigError, match="must be a PortMap"):
-            Configuration(c.support, {**c.portmaps, Cell(0, 0): bad}, c.regs)
+            Configuration(c.support, c.portmaps[:i] + (bad,) + c.portmaps[i + 1:], c.regs)
+
+
+#: Every entry point that takes port maps, called with ``pms`` on ``s``.
+PORT_MAP_ENTRY_POINTS = {
+    "Configuration": lambda s, pms: Configuration(s, pms, {c: ALL_IN for c in s}),
+    "from_masks": lambda s, pms: Configuration.from_masks(s, pms, bytes(len(s))),
+    "all_in_configuration": all_in_configuration,
+    "erosion_orientation": erosion_orientation,
+    "random_registers": lambda s, pms: random_registers(s, 1, 0.25, pms),
+    "ConfigGraph.unpack": lambda s, pms: ConfigGraph(s).unpack(0, pms),
+}
+
+
+@pytest.mark.parametrize("bad", ["cell-keyed dict", "one entry short", "non-PortMap entry"])
+@pytest.mark.parametrize("entry", sorted(PORT_MAP_ENTRY_POINTS))
+def test_port_maps_other_than_a_tuple_by_cell_number_are_a_config_error(tri, entry, bad):
+    pms = identity_portmaps(tri)
+    pms, message = {
+        "cell-keyed dict": (
+            dict(zip(tri.order, pms)), "port maps must be a tuple by cell number, not a dict"
+        ),
+        "one entry short": (pms[:-1], "2 port maps for a support of 3 cells"),
+        "non-PortMap entry": (
+            pms[:1] + ((0, 1),) + pms[2:], f"port map of {tri.order[1]} must be a PortMap"
+        ),
+    }[bad]
+    with pytest.raises(ConfigError) as exc:
+        PORT_MAP_ENTRY_POINTS[entry](tri, pms)
+    assert str(exc.value) == message
+    assert PORT_MAP_ENTRY_POINTS[entry](tri, identity_portmaps(tri)).portmaps == identity_portmaps(tri)
 
 
 def test_with_register_validates():
@@ -201,12 +232,12 @@ def test_mismatched_portmaps_and_registers_name_missing_and_extra(tri):
     pms = identity_portmaps(tri)
     regs = {c: ALL_IN for c in tri}
     gone, stray = Cell(0, 0), Cell(5, 5)
-    bad_pms = {c: pm for c, pm in pms.items() if c != gone} | {stray: IDENTITY_PORTMAP}
+    bad_pms = pms[:-1]
     bad_regs = {c: r for c, r in regs.items() if c != gone} | {stray: ALL_IN}
     tail = "(missing=[Cell(q=0, r=0)], extra=[Cell(q=5, r=5)])"
     with pytest.raises(ConfigError) as exc:
         Configuration(tri, bad_pms, regs)
-    assert str(exc.value) == "port maps do not match support " + tail
+    assert str(exc.value) == "2 port maps for a support of 3 cells"
     with pytest.raises(ConfigError) as exc:
         Configuration(tri, pms, bad_regs)
     assert str(exc.value) == "registers do not match support " + tail
@@ -273,8 +304,8 @@ def test_deserialize_reads_the_shared_port_maps_and_registers():
     cfg = random_registers(s, 6, 0.25, random_portmaps(s, 7))
     back = deserialize(cfg.serialize())
     assert back == cfg
-    for c in s:
-        assert back.portmaps[c] is ALL_PORTMAPS[ALL_PORTMAPS.index(cfg.portmaps[c])]
+    for i, c in enumerate(s.order):
+        assert back.portmaps[i] is ALL_PORTMAPS[ALL_PORTMAPS.index(cfg.portmaps[i])]
         assert back.regs[c] is REGISTER[IDENTITY_PORTMAP][OUT_MASK[IDENTITY_PORTMAP][cfg.regs[c]]]
     text = cfg.serialize()
     for bad, message in (("| 6 +1 |", "offset 6 out of range"), ("| 0 +2 |", "chirality must be")):
@@ -327,8 +358,9 @@ def test_port_of_uses_private_portmap():
     from trielect.support import Support
 
     s = Support([Cell(0, 0), Cell(1, 0)])
-    pms = {Cell(0, 0): PortMap(2, -1), Cell(1, 0): IDENTITY_PORTMAP}
-    c = Configuration(s, pms, {Cell(0, 0): ALL_IN, Cell(1, 0): ALL_IN})
+    pms = [None] * 2
+    pms[s.number[Cell(0, 0)]], pms[s.number[Cell(1, 0)]] = PortMap(2, -1), IDENTITY_PORTMAP
+    c = Configuration(s, tuple(pms), {Cell(0, 0): ALL_IN, Cell(1, 0): ALL_IN})
     # direction 0 under offset 2, chirality -1: port = -(0 - 2) = 2
     assert c.port_of(Cell(0, 0), Cell(1, 0)) == 2
     assert c.port_of(Cell(1, 0), Cell(0, 0)) == 3
@@ -338,7 +370,7 @@ def _legal_registers(s, pms, rng):
     """A register per cell, Out at random toward occupied cells only."""
     regs = {}
     for c in s:
-        pm = pms[c]
+        pm = pms[s.number[c]]
         regs[c] = tuple(
             OUT if neighbor(c, port_to_dir(pm, port)) in s.cells and rng.random() < 0.5 else IN
             for port in range(N_DIRS)
@@ -425,7 +457,7 @@ def test_equality_and_hash_read_the_support_port_maps_and_registers():
 def test_out_toward_an_empty_cell_is_refused_on_every_path():
     s = random_support(6, 4)
     for pm in (IDENTITY_PORTMAP, PortMap(3, -1)):
-        pms = {c: pm for c in s}
+        pms = (pm,) * len(s)
         cfg = all_in_configuration(s, pms)
         for i, c in enumerate(s.order):
             for mask in range(1 << N_DIRS):
@@ -469,11 +501,11 @@ def test_from_masks_checks_its_arguments(tri):
         Configuration.from_masks(tri, pms, [0, 0, 256])
     with pytest.raises(ConfigError, match="sequence of six-bit ints"):
         Configuration.from_masks(tri, pms, [0, 0, None])
-    with pytest.raises(ConfigError, match="port maps do not match support"):
-        Configuration.from_masks(tri, {**pms, Cell(5, 5): IDENTITY_PORTMAP}, bytes(3))
+    with pytest.raises(ConfigError, match="4 port maps for a support of 3 cells"):
+        Configuration.from_masks(tri, pms + (IDENTITY_PORTMAP,), bytes(3))
     for bad in (None, (0, 1), [0, 1]):
         with pytest.raises(ConfigError, match="must be a PortMap"):
-            Configuration.from_masks(tri, {**pms, Cell(0, 0): bad}, bytes(3))
+            Configuration.from_masks(tri, (bad,) + pms[1:], bytes(3))
     assert Configuration.from_masks(tri, pms, [0, 0, 0]) == all_in_configuration(tri)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from trielect.lattice import Cell, neighbors
-from trielect.config import EdgeOrientation, OUT
+from trielect.config import ALL_IN, EdgeOrientation, OUT
 from trielect.generators import (
     ErosionError,
     _erode,
@@ -25,6 +25,7 @@ from trielect.generators import (
     triangle3,
 )
 from trielect.rules import is_valid, sinks
+from trielect.scheduler import RandomSequential, run
 from trielect.support import (
     KeyFrame,
     Support,
@@ -41,6 +42,7 @@ from reference import (
     neighbor_mask_random_support,
     reference_enumerate_supports,
     reference_erosion_order,
+    reference_random_portmaps,
     reference_random_support,
     reference_random_support_prefixes,
     rescan_erode,
@@ -252,6 +254,25 @@ def test_seeded_generator_outputs_frozen():
         got = (_digest(format_shape_text(s.cells)),) + _config_digests(s, seed)
         assert got == expected, (n, seed)
     assert _config_digests(hexagon(18), 5) == HEXAGON18_DIGESTS
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_random_portmaps_draw_by_cell_number_in_support_order(n):
+    """``random_portmaps(s, seed)[i]`` is the map the ``Cell``-keyed draw
+    gave ``order[i]``, and every configuration built or stepped from the
+    tuple keeps that same object."""
+    for seed in range(3):
+        s = random_support(n, seed)
+        pms = random_portmaps(s, seed + 10)
+        assert type(pms) is tuple and len(pms) == n
+        expected = reference_random_portmaps(s, seed + 10)
+        for i, c in enumerate(s.order):
+            assert pms[i] is expected[c]
+        cfg = random_registers(s, seed + 1, 0.25, pms)
+        assert cfg.portmaps is pms
+        assert cfg.with_masks(bytes(n)).portmaps is pms
+        assert cfg.with_register(s.order[-1], ALL_IN).portmaps is pms
+        assert run(cfg, RandomSequential(seed)).config.portmaps is pms
 
 
 def test_random_registers_conflict_probability_zero():

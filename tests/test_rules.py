@@ -186,7 +186,7 @@ def test_rule_table_matches_reference_at_hexagon_centre(hex1):
                 else:
                     masks[ring[(d + 1) % N_DIRS]] |= 1 << (d + 5) % N_DIRS
             pms = random_portmaps(hex1, rng.randrange(2**31))
-            regs = {c: REGISTER[pms[c]][mask] for c, mask in zip(hex1.order, masks)}
+            regs = {c: REGISTER[pm][mask] for c, pm, mask in zip(hex1.order, pms, masks)}
             cfg = Configuration(hex1, pms, regs)
             entry = RULE[m]
             assert (entry is None) == (not (check_r2(cfg, z) and check_r3(cfg, z))), m
@@ -241,7 +241,7 @@ def test_observation_rule_consecutive_flips():
                 continue
             lo, hi = _arc_ends(outs)
             for flip in ((lo - 1) % 6, (hi + 1) % 6):
-                target = neighbor(p, port_to_dir(cfg.portmaps[p], flip))
+                target = neighbor(p, port_to_dir(cfg.portmaps[s.number[p]], flip))
                 if target in s.cells and flip not in outs:
                     assert check_r3(set_ports(cfg, p, flip), p)
                     checked += 1
@@ -325,7 +325,7 @@ def _states(s, codes, portmaps):
         if code & 2:
             masks[b] |= 1 << (d + 3) % N_DIRS
     regs = {
-        c: tuple(OUT if masks[c] >> arithmetic_port_to_dir(portmaps[c], port) & 1 else IN
+        c: tuple(OUT if masks[c] >> arithmetic_port_to_dir(portmaps[s.number[c]], port) & 1 else IN
                  for port in range(N_DIRS))
         for c in s
     }
@@ -334,8 +334,8 @@ def _states(s, codes, portmaps):
 
 def _covering_portmaps(s, rng):
     """Twelve port-map assignments; each cell meets all twelve maps once."""
-    draws = {c: rng.sample(ALL_PORTMAPS, len(ALL_PORTMAPS)) for c in s}
-    return [{c: draws[c][t] for c in s} for t in range(len(ALL_PORTMAPS))]
+    draws = [rng.sample(ALL_PORTMAPS, len(ALL_PORTMAPS)) for _ in s.order]
+    return [tuple(drawn[t] for drawn in draws) for t in range(len(ALL_PORTMAPS))]
 
 
 def test_numbered_readers_match_coordinate_readers_on_every_small_state():
@@ -365,7 +365,7 @@ def test_numbered_readers_match_coordinate_readers_on_four_cell_supports():
     for s in supports:
         edges = len(s.edges())
         for i in range(48):
-            portmaps = {c: rng.choice(ALL_PORTMAPS) for c in s}
+            portmaps = tuple(rng.choice(ALL_PORTMAPS) for _ in s.order)
             cfg = _states(s, [rng.randrange(4) for _ in range(edges)], portmaps)
             _assert_rule_readers_agree(cfg)
             if i % 24 == 0:

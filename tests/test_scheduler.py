@@ -342,8 +342,8 @@ def test_engine_step_matches_reference_and_packed_steps():
                     before = mine[ci]
                     after = reference_fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
-                    assert REGISTER[cfg.portmaps[p]][before] == cfg.regs[p]
-                    assert REGISTER[cfg.portmaps[p]][after] == reg
+                    assert REGISTER[cfg.portmaps[ci]][before] == cfg.regs[p]
+                    assert REGISTER[cfg.portmaps[ci]][after] == reg
                     flags = (effect.line1_fired, effect.line2_fired, effect.changed)
                     assert trace_flags(before, after, theirs[ci], present[ci]) == flags
                     res, rows = _traced_run(cfg, Scripted((p,)), max_steps=1)
@@ -576,7 +576,7 @@ class _ActivationStepSkippingLine2Once:
         if not effect.line2_fired or self.skipped_at is not None or self.activations < self.start:
             return new, effect
         self.skipped_at = self.activations
-        pm = c.portmaps[p]
+        pm = c.portmaps[c.support.number[p]]
         reg = []
         for port in range(N_DIRS):
             n = neighbor(p, port_to_dir(pm, port))

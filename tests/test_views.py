@@ -40,7 +40,11 @@ R2 = Cell(1, -1)  # second common neighbour of P and Q
 
 
 def portmap_config(support, assignment):
-    return Configuration(support, dict(assignment), {c: ALL_IN for c in support})
+    """All-In registers under the port map ``assignment[c]`` of each cell ``c``."""
+    pms = [None] * len(support)
+    for c, pm in assignment.items():
+        pms[support.number[c]] = pm
+    return Configuration(support, tuple(pms), {c: ALL_IN for c in support})
 
 
 def test_view_of_isolated_pair():
@@ -220,7 +224,8 @@ def _assert_candidates_match_reference(cfg):
     for p in cfg.support:
         view = build_view(cfg, p, VIEW_DEPTH)
         three_steps = {label for label in view.labels if len(label) == 3}
-        i, pm = cfg.support.number[p], cfg.portmaps[p]
+        i = cfg.support.number[p]
+        pm = cfg.portmaps[i]
         for q, r in triangles_at(cfg, p):
             p0, p1, q1, r1 = (cfg.port_of(p, r), cfg.port_of(p, q),
                               cfg.port_of(q, p), cfg.port_of(r, p))
@@ -250,7 +255,7 @@ def test_candidates_match_reference_formula():
         assignment[R2] = rng.choice(ALL_PORTMAPS)
         _assert_candidates_match_reference(portmap_config(rhomb, assignment))
     hex2 = hexagon(2)
-    assert _assert_candidates_match_reference(portmap_config(hex2, random_portmaps(hex2, 220)))
+    assert _assert_candidates_match_reference(all_in_configuration(hex2, random_portmaps(hex2, 220)))
 
 
 @pytest.mark.parametrize("init", ["erosion", "random"])
