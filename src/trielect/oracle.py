@@ -13,9 +13,9 @@ Out onto an edge whose far side is already Out.
 ``ConfigGraph`` numbers the half-edges of a support's cells and steps
 and checks whole states with mask algebra (a pair swap, the identity
 ``mine = not theirs``, per-cell own-pattern tables that read each
-``rules.RULE`` triple through the half-edge numbering, and 3-bit
-triangle cycle masks built from the geometry alone), an independent
-rewrite of the reference step that tests compare pointwise.  Its step
+``rules.RULE`` triple through the half-edge numbering, and validity as
+an all-directed state without a move), an independent rewrite of the
+reference step that tests compare pointwise.  Its step
 scan, ``move(state, start)``, returns the first activable cell at or
 after ``start`` with the state it steps to; finality, single steps,
 ``final_states`` and ``reach_fates`` resume it cell by cell, as most of
@@ -46,8 +46,15 @@ conflict states by a lemma (every endpoint of a conflict edge can step
 and clear it), falling back to a pass from every state only if some
 conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
-states with one seen bit per packed state and one successor list per
-frame of its path.
+states with one successor list per frame of its path and one seen bit
+per base-3 rank, 3^E bits, which per-byte tables compute from a packed
+state; it takes its seeds in rank order from the first unseen bit.
+When a state finishes, so does every image of it under the support's
+automorphisms (``ConfigGraph.automorphisms``), which the search marks
+seen too: a finished state cannot reach a cycle, and an automorphism
+maps moves onto moves, so neither can its images.  The search skips
+them, but meets the states that reach a cycle in the same order as
+without the marks, so it finds the same cycle.
 ``UnfairCycle.lemmas`` checks the two facts the convergence proof needs
 about a periodic execution, one about stable edges and one about how
 unstable edges spread, on the packed states of the period: an edge's
@@ -58,6 +65,7 @@ unstable edge, and each cell's own half-edge bits read the rest.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -65,7 +73,7 @@ from typing import Callable, Iterable, Iterator
 from .lattice import ERODIBLE, Cell, N_DIRS
 from .config import Configuration, PortMaps, identity_portmaps
 from .rules import RULE
-from .support import Support
+from .support import Support, automorphisms
 
 
 class StateSpaceTooLarge(ValueError):
@@ -94,9 +102,13 @@ class ConfigGraph:
     the pattern unless line 2 fires.
 
     ``is_valid``: every edge is directed iff ``(state ^ state >> 1) & LO
-    == LO``.  R2 and R3 hold at a cell iff its entry for ``state & own``
-    is not -1; R4 fails iff ``state & nsw``, which is ``state`` once every
-    edge is directed, covers one of a triangle's two 3-bit cycle masks.
+    == LO``, and such a state is valid iff it has no move.  There ``own &
+    nsw`` is ``state & own``, so a cell steps exactly when line 2 fires:
+    where its entry is -1 (R2 or R3 breaks) or where it names a far
+    half-edge of a directed triangle (R4).  A directed triangle is Out
+    from each corner toward one other corner and In from the third, so it
+    sits at an end of the corner's Out run, where ``RULE`` looks.
+    Validity thus reads ``RULE`` alone, as a variant of the rule needs.
     """
 
     def __init__(self, support: Support):
@@ -110,26 +122,10 @@ class ConfigGraph:
         self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
         # Per cell: (its index, own half-edges, every other half-edge, own-pattern table).
         rows: list[tuple[int, int, int, dict[int, int]]] = []
-        cycles: dict[int, None] = {}
         for ci, (row, half) in enumerate(zip(around, self.half_at)):
-            # far[d]: the half-edge of the neighbour at d toward the one at
-            # d + 1, or -1 where either is missing.
-            far = tuple(
-                half_at[cj][(d + 2) % N_DIRS] if cj >= 0 else -1 for d, cj in enumerate(row)
-            )
             own = sum(1 << h for h in half if h >= 0)
             rows.append((ci, own, ~own, _own_pattern_table(half, row, half_at)))
-            # Triangle p, q, r with q at d and r at d + 1 from p: the cycles
-            # p -> q -> r -> p and p -> r -> q -> p.  Every corner yields
-            # the same two masks, so the dict keeps each triangle once.
-            for d, f in enumerate(far):
-                if f < 0:
-                    continue
-                pq, pr = half[d], half[(d + 1) % N_DIRS]
-                cycles[1 << pq | 1 << f | 1 << (pr ^ 1)] = None
-                cycles[1 << pr | 1 << (f ^ 1) | 1 << (pq ^ 1)] = None
         self._rows: tuple[tuple[int, int, int, dict[int, int]], ...] = tuple(rows)
-        self._cycles: tuple[int, ...] = tuple(cycles)
 
     # -- state transitions ---------------------------------------------------
 
@@ -169,16 +165,31 @@ class ConfigGraph:
 
     def is_valid(self, state: int) -> bool:
         lo = self._lo
-        if (state ^ state >> 1) & lo != lo:
-            return False
-        for _, own, _, table in self._rows:
-            if table[state & own] < 0:
-                return False
-        # All-directed, so ``state`` is Out exactly where the far side is In.
-        for cycle in self._cycles:
-            if state & cycle == cycle:
-                return False
-        return True
+        return (state ^ state >> 1) & lo == lo and self.move(state) is None
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """The support's ``support.automorphisms`` as half-edge permutations
+        ``image[h]``, each kept only if it maps every row onto its image
+        cell's row.  The own half-edges of a cell map onto those of its
+        image by construction; each entry of the own-pattern table must map
+        onto the entry of the image pattern, -1 onto -1.  Then
+        ``successors`` of an image state are the images of the successors,
+        so a ``RULE`` that lacks a symmetry of the lattice drops it here."""
+        rows, half_at = self._rows, self.half_at
+        found = []
+        for cells, dirs in automorphisms(self.support):
+            image = [0] * (2 * self.n_edges)
+            for half, target in zip(half_at, cells):
+                for d, h in enumerate(half):
+                    if h >= 0:
+                        image[h] = half_at[target][dirs[d]]
+            if all(
+                rows[j][3][_moved(bits, image)] == (entry if entry < 0 else _moved(entry, image))
+                for (_, _, _, table), j in zip(rows, cells)
+                for bits, entry in table.items()
+            ):
+                found.append(tuple(image))
+        return found
 
     # -- conversions -----------------------------------------------------------
 
@@ -218,6 +229,44 @@ class ConfigGraph:
 
 def _edge_count(s: Support) -> int:
     return sum(map(int.bit_count, s.present)) // 2
+
+
+def _moved(bits: int, image: list[int]) -> int:
+    """The half-edge set ``bits`` with each half-edge h moved to ``image[h]``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << image[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def rank_tables(image: Iterable[int]) -> tuple[list[int], ...]:
+    """Four per-byte tables for the base-3 rank of a conflict-free state,
+    edge i being digit i, after each half-edge h moves to ``image[h]``:
+    the rank is ``t[0][s & 255] + t[1][s >> 8 & 255] + t[2][s >> 16 & 255]
+    + t[3][s >> 24]`` for a state ``s`` below 2^32, that is E <= 16.
+
+    A conflict-free edge has code 0, 1 or 2, each at most one bit, so the
+    rank is linear in the bits: half-edge h weighs 3^(h >> 1), twice that
+    when odd.  Table k sums the weights of the set bits of its byte."""
+    weights = [(1 + (h & 1)) * 3 ** (h >> 1) for h in image]
+    weights += [0] * (32 - len(weights))
+    tables = []
+    for k in range(4):
+        table = [0]
+        for w in weights[8 * k : 8 * k + 8]:
+            table += [x + w for x in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+#: The rank tables of the identity, which serve every support.
+_RANK = rank_tables(range(32))
+#: ``_CODES[d]``: the four edge codes whose base-3 rank is ``d < 81``, as a byte.
+_CODES = [sum(d // 3**i % 3 << 2 * i for i in range(4)) for d in range(81)]
+#: The first byte of a seen-bit array with an unseen bit.
+_UNSEEN_BYTE = re.compile(b"[^\xff]")
 
 
 def _half_edges(around: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -735,23 +784,45 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     decorated with a permanently frozen Out/Out edge.  A depth-first
     search lists each state's moves once with ``successors`` and walks
     them with one iterator per frame; it marks the states it has seen in
-    one bit per packed state, and a seen state is on the current path
-    (gray) iff it is in ``depth_of``.  The search stays in the subspace, so
-    the bits stop at its largest state, every edge Out at its larger end.
-    A step changes only the activated cell's own half-edges, so the cells
-    of a cycle's script are read off consecutive states.
+    one bit per base-3 rank (``rank_tables``), and a seen state is on the
+    current path (gray) iff it is in ``depth_of``.  Seeds are the unseen
+    ranks in increasing order, which is the order of
+    ``conflict_free_states``.
+
+    A state that finishes (turns black) before any cycle is found reaches
+    no cycle, nor does any image of it under ``graph.automorphisms()``,
+    so the search marks those images seen as well.  Every state it skips
+    so reaches no cycle, and a walk into such a state returns without
+    changing which cycle-reaching states are seen or gray.  So the search
+    meets the cycle-reaching states, seeds among them, in the order it
+    would without the marks, and returns the same cycle.  A step changes
+    only the activated cell's own half-edges, so the cells of a cycle's
+    script are read off consecutive states.
     """
     graph = ConfigGraph(s)
-    if 3**graph.n_edges > max_states:
-        raise StateSpaceTooLarge(f"3^{graph.n_edges} states is over budget")
+    e = graph.n_edges
+    total = 3**e
+    if total > max_states:
+        raise StateSpaceTooLarge(f"3^{e} states is over budget")
+    if e > 16:
+        raise StateSpaceTooLarge(f"{e} edges is over the 16 the rank tables cover")
     successors = graph.successors
-    seen = bytearray((2 * graph._lo >> 3) + 1)
+    r0, r1, r2, r3 = _RANK
+    images = [rank_tables(image) for image in graph.automorphisms()]
+    seen = bytearray((total >> 3) + 1)
+    seen[-1] = 0xFF << (total & 7) & 0xFF  # the ranks past 3^E
     depth_of: dict[int, int] = {}
 
-    for seed in graph.conflict_free_states():
-        if seen[seed >> 3] >> (seed & 7) & 1:
-            continue
-        seen[seed >> 3] |= 1 << (seed & 7)
+    at = 0
+    while unseen := _UNSEEN_BYTE.search(seen, at):
+        at = unseen.start()
+        bit = (~seen[at] & seen[at] + 1).bit_length() - 1
+        seen[at] |= 1 << bit
+        rank = 8 * at + bit
+        seed = (
+            _CODES[rank % 81] | _CODES[rank // 81 % 81] << 8
+            | _CODES[rank // 6561 % 81] << 16 | _CODES[rank // 531441] << 24
+        )
         depth_of[seed] = 0
         # The walk is at ``state`` and takes its next move from ``nexts``;
         # ``path`` holds the (state, nexts) of every state above it.
@@ -759,7 +830,8 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
         path: list[tuple[int, Iterator[int]]] = []
         while True:
             for nxt in nexts:
-                if seen[nxt >> 3] >> (nxt & 7) & 1:
+                rank = r0[nxt & 255] + r1[nxt >> 8 & 255] + r2[nxt >> 16 & 255] + r3[nxt >> 24]
+                if seen[rank >> 3] >> (rank & 7) & 1:
                     if nxt in depth_of:
                         loop = [st for st, _ in path[depth_of[nxt]:]] + [state]
                         owners = [(c, row[1]) for c, row in zip(graph.cells, graph._rows)]
@@ -769,13 +841,18 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
                         )
                         return UnfairCycle(s, tuple(loop), script)
                     continue
-                seen[nxt >> 3] |= 1 << (nxt & 7)
+                seen[rank >> 3] |= 1 << (rank & 7)
                 path.append((state, nexts))
                 depth_of[nxt] = len(path)
                 state, nexts = nxt, iter(successors(nxt))
                 break
             else:
                 del depth_of[state]
+                if images:
+                    b0, b1, b2, b3 = state & 255, state >> 8 & 255, state >> 16 & 255, state >> 24
+                    for t0, t1, t2, t3 in images:
+                        rank = t0[b0] + t1[b1] + t2[b2] + t3[b3]
+                        seen[rank >> 3] |= 1 << (rank & 7)
                 if not path:
                     break
                 state, nexts = path.pop()

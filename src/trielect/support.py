@@ -630,6 +630,30 @@ def symmetry_canonical_keys(keys: Iterable[int], frame: KeyFrame) -> tuple[int, 
     return best
 
 
+def automorphisms(s: Support) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lattice symmetries other than the identity that map ``s`` onto
+    itself, each as ``(cells, dirs)``: ``cells[i]`` is the number of the
+    image of cell ``i`` and ``dirs[d]`` the image of direction ``d``.
+
+    A symmetry's image of ``s`` is a translate of ``s`` iff the translate
+    that moves the image's smallest cell onto ``s``'s smallest cell lies in
+    ``s``, since both have ``len(s)`` cells.
+    """
+    number = s.number
+    q0, r0 = s.order[0]
+    found = []
+    for a, b, c, d in _SYMMETRIES:
+        if (a, b, c, d) == (1, 0, 0, 1):
+            continue
+        image = [(a * q + b * r, c * q + d * r) for q, r in s.order]
+        mq, mr = min(image)
+        cells = tuple([number.get((q + q0 - mq, r + r0 - mr), -1) for q, r in image])
+        if -1 not in cells:
+            dirs = tuple([DIR_OFFSETS.index((a * x + b * y, c * x + d * y)) for x, y in DIR_OFFSETS])
+            found.append((cells, dirs))
+    return found
+
+
 # -- shape files --------------------------------------------------------------
 
 

@@ -43,7 +43,14 @@ at once in lane integers: one ``is_valid`` test and one sink count,
 ``orientation_states``.
 ``reference_find_unfair_cycle`` is the depth-first search
 ``oracle.find_unfair_cycle`` ran before it listed each state's moves
-once: every frame resumes ``move`` at the cell after its last move.  The
+once: every frame resumes ``move`` at the cell after its last move, and
+it marks one seen bit per packed state, with no automorphism marks.
+``geometric_is_valid`` is ``ConfigGraph.is_valid`` as it was before it
+read validity off ``move``: R2/R3 off each cell's own-pattern table and
+R4 off two 3-bit cycle masks per triangle, built from the geometry.
+``base3_rank`` is a conflict-free state's index in
+``conflict_free_states``, digit by digit, and ``permuted_state`` moves
+each half-edge of a state to its image under a half-edge permutation.  The
 ``coordinate_*`` readers (R1-R4, ``outgoing_ports``, ``orientation``,
 ``port_of``, ``in_view`` and local R4) are the rule and view readers
 before they walked the support's cell numbering: neighbours by coordinate
@@ -720,6 +727,44 @@ def reference_find_unfair_cycle(s: Support) -> UnfairCycle | None:
             depth_of[nxt] = len(path)
             state, start = nxt, 0
     return None
+
+
+def geometric_is_valid(graph: ConfigGraph, state: int) -> bool:
+    """Every edge directed, no cell's own-pattern entry -1 (R2 or R3), and
+    no triangle p, q, r directed p -> q -> r -> p or p -> r -> q -> p, read
+    as three half-edges all Out."""
+    lo = graph._lo
+    if (state ^ state >> 1) & lo != lo:
+        return False
+    if any(table[state & own] < 0 for _, own, _, table in graph._rows):
+        return False
+    half_at = graph.half_at
+    for row, half in zip(graph.support.around, half_at):
+        for d in range(N_DIRS):
+            cj, ck = row[d], row[(d + 1) % N_DIRS]
+            if cj < 0 or ck < 0:
+                continue
+            pq, pr, qr = half[d], half[(d + 1) % N_DIRS], half_at[cj][(d + 2) % N_DIRS]
+            for cycle in (1 << pq | 1 << qr | 1 << (pr ^ 1), 1 << pr | 1 << (qr ^ 1) | 1 << (pq ^ 1)):
+                if state & cycle == cycle:
+                    return False
+    return True
+
+
+def base3_rank(state: int, e: int) -> int:
+    """The index of conflict-free ``state`` among the 3^e states, edge i
+    being the base-3 digit of weight 3^i."""
+    return sum((state >> 2 * i & 3) * 3**i for i in range(e))
+
+
+def permuted_state(state: int, image: Sequence[int]) -> int:
+    """``state`` with the bit of each half-edge h moved to ``image[h]``."""
+    moved = 0
+    while state:
+        low = state & -state
+        moved |= 1 << image[low.bit_length() - 1]
+        state ^= low
+    return moved
 
 
 def read_trace(text: str) -> list[tuple[int, Cell, int, int, int, int]]:

@@ -32,11 +32,14 @@ from trielect.oracle import (
 )
 from trielect.rules import is_valid, sinks
 from trielect.scheduler import Outcome, Scripted, detect_final, run
-from trielect.support import Support
+from trielect.support import Support, automorphisms
 
 from reference import (
+    base3_rank,
+    geometric_is_valid,
     orientation_states,
     packed_sinks,
+    permuted_state,
     reference_find_unfair_cycle,
     reference_reaches,
     reference_silence,
@@ -228,6 +231,8 @@ def test_budget_guards():
         check_silence(big, max_edges=20)
     with pytest.raises(StateSpaceTooLarge):
         find_unfair_cycle(big, max_states=1000)
+    with pytest.raises(StateSpaceTooLarge, match="rank tables"):
+        find_unfair_cycle(big, max_states=3 ** len(big.edges()))
     with pytest.raises(StateSpaceTooLarge):
         check_reachability(big, max_states=1 << 20)
     with pytest.raises(StateSpaceTooLarge):
@@ -323,6 +328,111 @@ def test_packed_validity_and_sinks_agree():
         seen["final"] += graph.move(state) is None
         seen["activable"] += bool(expected)
     assert all(seen.values()), seen
+
+
+def test_is_valid_matches_the_geometric_formula():
+    """``is_valid``, all directed and no move, equals the formula of R2/R3
+    entries and triangle cycle masks pointwise: on every state of every
+    support with n <= 4, on every orientation of ``hexagon1`` and on
+    10,000 seeded ``hexagon1`` states."""
+    cases = [
+        (graph, state)
+        for n in range(1, 5)
+        for s in enumerate_supports(n)
+        for graph in [ConfigGraph(s)]
+        for state in range(1 << 2 * graph.n_edges)
+    ]
+    graph = ConfigGraph(hexagon(1))
+    cases += [(graph, state) for state in orientation_states(graph.n_edges)]
+    rng = random.Random(31)
+    cases += [(graph, rng.getrandbits(2 * graph.n_edges)) for _ in range(10_000)]
+    valid = 0
+    for graph, state in cases:
+        assert graph.is_valid(state) == geometric_is_valid(graph, state), (graph.cells, state)
+        valid += graph.is_valid(state)
+    assert valid >= 500, valid
+
+
+def _assert_conjugates(graph, images, states):
+    """Each half-edge permutation of ``images`` maps the moves of each of
+    ``states`` onto the moves of its image, keeps ``is_valid``, and its
+    rank tables give the rank of the image."""
+    tables = [oracle.rank_tables(image) for image in images]
+    for state in states:
+        nexts, valid = graph.successors(state), graph.is_valid(state)
+        for image, (t0, t1, t2, t3) in zip(images, tables):
+            moved = permuted_state(state, image)
+            expected = {permuted_state(nxt, image) for nxt in nexts}
+            assert set(graph.successors(moved)) == expected, (graph.cells, image, state)
+            assert graph.is_valid(moved) == valid, (graph.cells, image, state)
+            rank = t0[state & 255] + t1[state >> 8 & 255] + t2[state >> 16 & 255] + t3[state >> 24]
+            assert rank == base3_rank(moved, graph.n_edges), (graph.cells, image, state)
+
+
+def _seeded_conflict_free_states(graph, count, seed):
+    rng = random.Random(seed)
+    return [
+        sum(rng.randrange(3) << 2 * i for i in range(graph.n_edges)) for _ in range(count)
+    ]
+
+
+def test_automorphisms_conjugate_the_successor_relation():
+    """Every lattice automorphism of a support is kept under the paper's
+    ``RULE``, and each conjugates ``successors``, keeps ``is_valid`` and
+    has rank tables that rank the image state: on every conflict-free
+    state of every support with n <= 5, and on 20,000 seeded conflict-free
+    states of ``hexagon1``, dealt in turn to its 11 automorphisms."""
+    kept = 0
+    for n in range(2, 6):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            images = graph.automorphisms()
+            assert len(images) == len(automorphisms(s)), sorted(s.cells)
+            _assert_conjugates(graph, images, graph.conflict_free_states())
+            kept += len(images)
+    assert kept >= 50, kept
+    graph = ConfigGraph(hexagon(1))
+    images = graph.automorphisms()
+    assert len(images) == 11
+    states = _seeded_conflict_free_states(graph, 20_000, 37)
+    for k, image in enumerate(images):
+        _assert_conjugates(graph, [image], states[k :: len(images)])
+
+
+def test_an_asymmetric_rule_keeps_only_the_automorphisms_it_has(monkeypatch):
+    """With the ``RULE`` entry of Out flags on directions 0 and 1 made None
+    and its five rotations left as they are, ``hexagon1`` keeps only the
+    mirror that swaps directions 0 and 1.  It conjugates as before, each
+    dropped automorphism breaks ``successors`` on some seeded state, and
+    the search still equals the reference on ``hexagon1`` and on every
+    support with n <= 5."""
+    rule = list(oracle.RULE)
+    rule[0b000011] = None
+    monkeypatch.setattr(oracle, "RULE", tuple(rule))
+    hex1 = hexagon(1)
+    graph = ConfigGraph(hex1)
+    kept = graph.automorphisms()
+    assert len(kept) == 1
+    states = _seeded_conflict_free_states(graph, 2_000, 41)
+    _assert_conjugates(graph, kept, states)
+    for cells, dirs in automorphisms(hex1):
+        image = [0] * (2 * graph.n_edges)
+        for half, target in zip(graph.half_at, cells):
+            for d, h in enumerate(half):
+                if h >= 0:
+                    image[h] = graph.half_at[target][dirs[d]]
+        if tuple(image) in kept:
+            assert sorted(dirs[:2]) == [0, 1]
+            continue
+        assert any(
+            set(graph.successors(permuted_state(state, image)))
+            != {permuted_state(nxt, image) for nxt in graph.successors(state)}
+            for state in states
+        ), dirs
+    assert find_unfair_cycle(hex1) == reference_find_unfair_cycle(hex1)
+    for n in range(2, 6):
+        for s in enumerate_supports(n):
+            assert find_unfair_cycle(s) == reference_find_unfair_cycle(s), sorted(s.cells)
 
 
 def test_move_resumes_at_every_start():
@@ -527,8 +637,9 @@ def test_erosion_state_is_final_and_valid(hex1):
 
 def test_conflict_free_enumeration():
     """The enumeration lists each of the 3^E conflict-free states once, on
-    supports with E = 3, 4, 5, 8 and 12 (hexagon1), and none is above every
-    edge Out at its larger end, where ``find_unfair_cycle``'s seen bits stop."""
+    supports with E = 3, 4, 5, 8 and 12 (hexagon1), the largest being every
+    edge Out at its larger end, and the identity's rank tables, which index
+    ``find_unfair_cycle``'s seen bits, give the i-th state rank i."""
     supports = [
         triangle3(),
         line(5),
@@ -544,6 +655,9 @@ def test_conflict_free_enumeration():
         assert len(states) == len(set(states)) == 3**e
         assert all(st >> 2 * j & 3 != 3 for st in states for j in range(e))
         assert max(states) == sum(2 << 2 * j for j in range(e))
+        t0, t1, t2, t3 = oracle.rank_tables(range(32))
+        ranks = [t0[st & 255] + t1[st >> 8 & 255] + t2[st >> 16 & 255] + t3[st >> 24] for st in states]
+        assert ranks == list(range(3**e))
 
 
 def test_find_unfair_cycle_single_particle():
@@ -606,6 +720,22 @@ def test_find_unfair_cycle_hexagon(hex1, hexagon_cycle):
         assert effect.changed
         assert graph.pack(cfg) == cycle.states[(i + 1) % cycle.period]
     assert cfg == cycle.initial_config()
+
+
+def test_find_unfair_cycle_skips_the_images_of_finished_states(monkeypatch, hexagon_cycle):
+    """On ``hexagon1`` the search lists the moves of at most 30,000 states,
+    27,980 since it marks the automorphic images of finished states seen
+    (98,574 before), and returns the pinned cycle."""
+    listed = []
+    successors = ConfigGraph.successors
+
+    def counted(self, state):
+        listed.append(state)
+        return successors(self, state)
+
+    monkeypatch.setattr(ConfigGraph, "successors", counted)
+    assert find_unfair_cycle(hexagon(1)) == hexagon_cycle
+    assert len(listed) <= 30_000, len(listed)
 
 
 def test_find_unfair_cycle_hexagon_is_pinned(hexagon_cycle):

@@ -12,6 +12,7 @@ from trielect.support import (
     Support,
     SupportError,
     angle_class,
+    automorphisms,
     ARTICULATION,
     PENDING,
     boundary_cycle,
@@ -363,3 +364,35 @@ def test_boundary_witness_flat_pair_in_leaf_block():
     assert s.classify(w.second) == angle_class(120)
     for c in w.path:
         assert s.classify(c) == angle_class(180)
+
+
+def test_automorphisms_map_every_support_onto_itself():
+    """``automorphisms`` lists each non-identity symmetry of the 12 that
+    maps a support onto a translate of itself, on every support with
+    2 <= n <= 6 (229 of the 1,057 have one) and on ``hexagon1`` (11): as
+    many as the reference rotations and mirror find, each a permutation of
+    the cell numbers that sends the neighbour at d to the image's neighbour
+    at the image of d."""
+    supports = [s for n in range(2, 7) for s in enumerate_supports(n)]
+    assert len(supports) == 1057
+    symmetric = 0
+    for s in supports + [hexagon(1)]:
+        found = automorphisms(s)
+        own = canonical_cells(s.cells)
+        images = []
+        for reflect in (False, True):
+            img = [Cell(c.q + c.r, -c.r) for c in s.order] if reflect else list(s.order)
+            for _ in range(6):
+                img = [Cell(-c.r, c.q + c.r) for c in img]
+                images.append(canonical_cells(img) == own)
+        assert len(found) == images.count(True) - 1, sorted(s.cells)
+        assert len(set(found)) == len(found)
+        for cells, dirs in found:
+            assert sorted(cells) == list(range(len(s))) and sorted(dirs) == list(range(6))
+            assert dirs != tuple(range(6))
+            for i, row in enumerate(s.around):
+                for d, j in enumerate(row):
+                    assert s.around[cells[i]][dirs[d]] == (cells[j] if j >= 0 else -1)
+        symmetric += bool(found)
+    assert symmetric == 229 + 1
+    assert len(automorphisms(hexagon(1))) == 11
