@@ -25,7 +25,7 @@ same at any support size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS
 from .config import ALL_IN, Configuration, IN, OUT, Registers
@@ -34,8 +34,7 @@ from .config import ALL_IN, Configuration, IN, OUT, Registers
 from .rules import check_r4, r4_at  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ActivationEffect:
+class ActivationEffect(NamedTuple):
     changed: bool
     line1_fired: bool
     line2_fired: bool

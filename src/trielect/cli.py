@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 from .lattice import Cell
@@ -204,6 +203,9 @@ def cmd_enum(args: argparse.Namespace) -> int:
     payloads = [(args.check, s) for s in supports]
     label = f"enum check={args.check}"
     if args.jobs > 1:
+        # Imported only here, so that no other command pays for the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             # ``map`` yields in input order as results arrive.
             outcomes = pool.map(_enum_one, payloads, chunksize=16)

@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .lattice import ERODIBLE, Cell, N_DIRS
 from .config import Configuration, PortMaps, identity_portmaps
@@ -163,9 +162,13 @@ class ConfigGraph:
         found = self.move(state, ci)
         return found[1] if found is not None and found[0] == ci else state
 
-    def is_valid(self, state: int) -> bool:
+    def all_directed(self, state: int) -> bool:
+        """Every edge directed: on a state without a move, ``is_valid``."""
         lo = self._lo
-        return (state ^ state >> 1) & lo == lo and self.move(state) is None
+        return (state ^ state >> 1) & lo == lo
+
+    def is_valid(self, state: int) -> bool:
+        return self.all_directed(state) and self.move(state) is None
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """The support's ``support.automorphisms`` as half-edge permutations
@@ -313,8 +316,7 @@ def _own_pattern_table(
 # -- report types ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniqueSinkReport:
+class UniqueSinkReport(NamedTuple):
     support: Support
     orientations: int
     valid: int
@@ -325,8 +327,7 @@ class UniqueSinkReport:
         return not self.counterexamples
 
 
-@dataclass(frozen=True)
-class SilenceReport:
+class SilenceReport(NamedTuple):
     support: Support
     states: int
     mismatches: tuple[str, ...]
@@ -336,8 +337,7 @@ class SilenceReport:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     support: Support
     states: int
     unreachable: tuple[str, ...]
@@ -350,8 +350,7 @@ class ReachabilityReport:
 Edge = tuple[Cell, Cell]
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """``UnfairCycle.lemmas``: the edges of a periodic window split into
     stable and unstable, and the particles that break either fact."""
 
@@ -367,8 +366,7 @@ class CycleReport:
         return not self.stable_out_violations and not self.unstable_spread_violations
 
 
-@dataclass(frozen=True)
-class UnfairCycle:
+class UnfairCycle(NamedTuple):
     """A cycle in the sequential successor graph, with its replay script."""
 
     support: Support
@@ -669,14 +667,19 @@ UNSEEN, ON_STACK, REACHES, CANNOT = range(4)
 def reach_fates(
     total: int,
     move: Callable[[int, int], tuple[int, int] | None],
-    is_valid: Callable[[int], bool],
+    is_target: Callable[[int], bool],
     roots: Iterable[int] | None = None,
 ) -> bytearray:
     """The fate, ``REACHES`` or ``CANNOT``, of every state ``0 .. total - 1``
     of the graph whose moves ``move(state, start)`` lists one at a time (the
     first at index ``start`` or later, as ``ConfigGraph.move`` does); the
-    targets are the valid states without a move.  With ``roots``, only the
-    states those reach get a fate; the others stay ``UNSEEN``.
+    targets are the states without a move that pass ``is_target``.  With
+    ``roots``, only the states those reach get a fate; the others stay
+    ``UNSEEN``.
+
+    ``is_target`` is called only on a state ``move(state, 0)`` has just
+    found to have no move, so it need not test for one:
+    ``ConfigGraph.all_directed`` alone gives the valid final states.
 
     One lazy iterative Tarjan pass.  Every state on the Tarjan stack reaches
     the current DFS node, so a target, or a move to a state that already
@@ -694,7 +697,7 @@ def reach_fates(
             continue
         found = move(root, 0)
         if found is None:
-            fate[root] = REACHES if is_valid(root) else CANNOT
+            fate[root] = REACHES if is_target(root) else CANNOT
             continue
         if fate[found[1]] == REACHES:
             fate[root] = REACHES
@@ -721,7 +724,7 @@ def reach_fates(
                     stack.append(nxt)
                 elif fate[nxt] == ON_STACK:
                     low = min(low, pos_of[nxt])
-            elif not start and is_valid(state):
+            elif not start and is_target(state):
                 break
             else:
                 if low == pos:
@@ -764,9 +767,9 @@ def check_reachability(s: Support, max_states: int = 1 << 24) -> ReachabilityRep
     total = 1 << 2 * graph.n_edges
     if total > max_states:
         raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
-    fate = reach_fates(total, graph.move, graph.is_valid, graph.conflict_free_states())
+    fate = reach_fates(total, graph.move, graph.all_directed, graph.conflict_free_states())
     if CANNOT in fate:
-        fate = reach_fates(total, graph.move, graph.is_valid)
+        fate = reach_fates(total, graph.move, graph.all_directed)
     unreachable = []
     state = fate.find(CANNOT)
     while state >= 0:

@@ -30,7 +30,7 @@ independent derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS
 from .config import OUT, Configuration, Registers
@@ -144,8 +144,7 @@ def is_valid(c: Configuration) -> bool:
     return not violating_particles(c)
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(NamedTuple):
     per_particle: dict[Cell, tuple[bool, bool, bool, bool]]
     valid: bool
     sinks: frozenset[Cell]

@@ -74,9 +74,8 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence, Union
+from typing import IO, NamedTuple, Sequence, Union
 
 from .lattice import Cell, N_DIRS
 from .config import Configuration
@@ -93,28 +92,40 @@ from .algorithm import activation_step, is_activable, step_register  # noqa: F40
 # -- scheduler kinds -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomSequential:
+# A ``NamedTuple`` body cannot define ``__new__``, so the kinds that check
+# their field do it in a thin subclass of their field tuple.
+
+
+class _RandomSequential(NamedTuple):
     seed: int
 
-    def __post_init__(self) -> None:
-        check_seed(self.seed)
+
+class RandomSequential(_RandomSequential):
+    __slots__ = ()
+
+    def __new__(cls, seed: int) -> RandomSequential:
+        check_seed(seed)
+        return super().__new__(cls, seed)
 
 
-@dataclass(frozen=True)
-class RoundRobin:
-    pass
+class RoundRobin(NamedTuple):
+    def __bool__(self) -> bool:
+        return True  # a tuple with no fields is empty, and so would be false
 
 
-@dataclass(frozen=True)
-class Scripted:
-    """Cyclic list of cells to activate; a non-activable entry is a no-op event."""
-
+class _Scripted(NamedTuple):
     cells: tuple[Cell, ...]
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+
+class Scripted(_Scripted):
+    """Cyclic list of cells to activate; a non-activable entry is a no-op event."""
+
+    __slots__ = ()
+
+    def __new__(cls, cells: tuple[Cell, ...]) -> Scripted:
+        if not cells:
             raise ValueError("scripted schedule must list at least one cell")
+        return super().__new__(cls, cells)
 
 
 SchedulerKind = Union[RandomSequential, RoundRobin, Scripted]
@@ -125,8 +136,7 @@ class Outcome(Enum):
     CAP_EXCEEDED = "cap"
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     outcome: Outcome
     config: Configuration
     steps: int

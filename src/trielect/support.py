@@ -32,7 +32,6 @@ membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, repeat
 from operator import eq
@@ -66,8 +65,7 @@ class BoundaryKind(Enum):
     ANGLE = "angle"
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryClass:
+class BoundaryClass(NamedTuple):
     kind: BoundaryKind
     angle: int | None = None  # degrees, set only for ANGLE
 
@@ -480,18 +478,15 @@ def check_angle_census(s: Support) -> bool:
 # -- boundary witness --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PendingWitness:
+class PendingWitness(NamedTuple):
     cell: Cell
 
 
-@dataclass(frozen=True)
-class SixtyWitness:
+class SixtyWitness(NamedTuple):
     cell: Cell
 
 
-@dataclass(frozen=True)
-class FlatPairWitness:
+class FlatPairWitness(NamedTuple):
     """Two 120-degree particles joined along the boundary by 180-degree cells."""
 
     first: Cell

@@ -40,8 +40,7 @@ directed 3-cycle (see ``local_check_r4``).  Every reader raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lattice import Cell, N_DIRS, PortMap, neighbor, port_to_dir
 from .config import OUT, ConfigError, Configuration
@@ -63,8 +62,7 @@ class ChiralityInferenceError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     owner: Cell
     depth: int
     labels: frozenset[PathLabel]

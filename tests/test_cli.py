@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -213,6 +217,21 @@ def test_enum_witness_and_census(capsys):
 def test_enum_parallel_jobs(capsys):
     assert main(["enum", "--n", "4", "--check", "unique-sink", "--jobs", "2"]) == 0
     assert "0 counterexamples" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only ``enum --jobs N`` with N > 1 imports the pool; a fresh
+    interpreter that imports the CLI has neither pool module loaded."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, trielect.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n", out
 
 
 def test_search_unfair_and_replay(tmp_path, capsys):

@@ -507,9 +507,9 @@ def _count_passes(monkeypatch) -> list[bool]:
     appends whether it was given roots."""
     passes = []
 
-    def counted(total, move, is_valid, roots=None):
+    def counted(total, move, is_target, roots=None):
         passes.append(roots is not None)
-        return reach_fates(total, move, is_valid, roots)
+        return reach_fates(total, move, is_target, roots)
 
     monkeypatch.setattr(oracle, "reach_fates", counted)
     return passes
@@ -528,18 +528,19 @@ def test_reachability_equals_full_root_pass(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["reject one", "accept one"])
 def test_reachability_equals_full_root_pass_under_a_fault(monkeypatch, fault):
-    """With ``is_valid`` wrong on the valid final conflict-free states of
+    """With ``all_directed``, the target test ``check_reachability`` gives
+    ``reach_fates``, wrong on the valid final conflict-free states of
     seeded supports with n <= 5, rejecting one of them or all but one, the
     conflict-free pass finds a state that cannot, the pass from every
     state runs, and the report equals that pass's.  Rejecting one never
     strands a conflict state on these sizes; accepting one does."""
     rng = random.Random(14)
-    is_valid = ConfigGraph.is_valid
+    all_directed = ConfigGraph.all_directed
     picked = None
 
     def faulty(self, state):
         if fault == "reject one":
-            return state != picked and is_valid(self, state)
+            return state != picked and all_directed(self, state)
         return state == picked
 
     passes = _count_passes(monkeypatch)
@@ -550,13 +551,13 @@ def test_reachability_equals_full_root_pass_under_a_fault(monkeypatch, fault):
             graph = ConfigGraph(s)
             finals = [st for st in graph.conflict_free_states() if graph.move(st) is None]
             picked = rng.choice([st for st in finals if graph.is_valid(st)])
-            monkeypatch.setattr(ConfigGraph, "is_valid", faulty)
+            monkeypatch.setattr(ConfigGraph, "all_directed", faulty)
             passes.clear()
             rep = check_reachability(s)
             assert passes == [True, False]
             assert rep == _full_root_report(s), sorted(s.cells)
             assert rep.unreachable
-            monkeypatch.setattr(ConfigGraph, "is_valid", is_valid)
+            monkeypatch.setattr(ConfigGraph, "all_directed", all_directed)
             states = [graph.pack(deserialize(text)) for text in rep.unreachable]
             conflict_lines += sum(bool(st & st >> 1 & graph._lo) for st in states)
     assert (conflict_lines > 0) == (fault == "accept one"), conflict_lines
@@ -627,6 +628,29 @@ def test_reach_fates_match_reverse_search_on_small_supports():
             graph = ConfigGraph(s)
             fate = _reach_fates_agree(1 << 2 * graph.n_edges, graph.move, graph.is_valid)
             assert fate.count(REACHES) == len(fate)
+
+
+def test_reach_fates_with_all_directed_equal_those_with_is_valid():
+    """On every support with n <= 5, rooted at the conflict-free states as
+    ``check_reachability`` roots its first pass and at every state, the
+    fates with ``all_directed`` as the target test equal those with
+    ``is_valid``: ``reach_fates`` asks the test only of states without a
+    move, which the wrapped test checks."""
+    for n in range(1, 6):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            asked = []
+
+            def target(state):
+                asked.append(state)
+                return graph.all_directed(state)
+
+            total = 1 << 2 * graph.n_edges
+            for roots in (list(graph.conflict_free_states()), None):
+                asked.clear()
+                fate = reach_fates(total, graph.move, target, roots)
+                assert fate == reach_fates(total, graph.move, graph.is_valid, roots), sorted(s.cells)
+                assert asked and all(graph.move(state) is None for state in asked)
 
 
 def test_erosion_state_is_final_and_valid(hex1):
