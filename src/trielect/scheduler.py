@@ -9,28 +9,31 @@ adversarial executions.
 
 ``run`` holds the paper's per-particle state directly: two lists of
 six-bit masks over global directions, ``mine[ci]`` (the particle's own
-Out flags) and ``theirs[ci]`` (bit ``d`` set iff the neighbour at ``d``
-is Out toward it).  Cell numbers, ``around[ci]`` (the neighbours' cell
+Out flags) and ``free[ci]`` (bit ``d`` set iff the cell at ``d`` is
+occupied and not Out toward it: the Out mask that resolving conflicts and
+line 1 leave).  Cell numbers, ``around[ci]`` (the neighbours' cell
 numbers by direction, -1 where the cell is empty) and ``present[ci]``
 (the mask of occupied directions) are the support's own
 (``Support.order``, ``Support.around``, ``Support.present``); ``run``
 builds nothing per support.  It keeps every particle's next Out
 mask in ``fire[ci]``, computed by one block at the top of its loop: it
-looks ``present & ~theirs`` up in ``rules.RULE`` and reads the at most
-two triangles it names off the masks of the neighbour the particle is Out
-toward.  The particle is activable iff ``fire[ci] != mine[ci]``, and an
+looks ``free`` up in ``rules.RULE`` and reads the at most two triangles
+it names off ``mine & free`` of the neighbour the particle is Out toward.
+The particle is activable iff ``fire[ci] != mine[ci]``, and an
 activation applies it.  A step writes ``mine[ci]`` and flips one
-``theirs`` bit at each neighbour whose edge changed (``_set``, the one
-writer), and the block then recomputes ``fire`` at the activated cell's
-neighbours only (``_DEPS[flip]`` names the ones a step can change, and
-the cell's own next mask reads none of its own Out flags): O(1) table
-work instead of copying the configuration.  The same block's first pass
-over every cell fills ``fire``; it touches ``fire[x]`` and the activable
-list only where the mask changed, and a no-op step refreshes nothing.
+``free`` bit at each neighbour whose edge changed (``_set``, the one
+writer), and the block then recomputes ``fire`` only at the neighbours
+``_DEPS[flip]`` names, the ones a step can change (the cell's own next
+mask reads none of its own Out flags): O(1) table work instead of
+copying the configuration.  The same block's first pass over every cell
+fills ``fire``; it touches ``fire[x]`` and the activable list only where
+the mask changed, and a no-op step refreshes nothing.
 The activable particles are kept as a sorted list of cell numbers,
 updated with ``bisect`` for the activated particle and those cells only.
 Cell numbers follow the support's sorted cell order, so the list equals
-the one a rebuild from scratch would give.  The random draw is
+the one a rebuild from scratch would give, and round robin picks the
+first activable cell after its last pick, wrapping round, with one
+``bisect_left`` on it.  The random draw is
 ``random.Random.randrange(k)``'s own rejection loop written out, with
 ``getrandbits`` bound once per run: ``r = getrandbits(k.bit_length())``
 until ``r < k``.  That is exactly what ``randrange(k)`` does for ``k >
@@ -55,14 +58,14 @@ cell is read only to name it in that check's message.
 The trace log written to ``trace_file`` is a run's one per-step record:
 a header, then one ``step q r line1 line2 changed violations`` line per
 event, the last field the violation count after the step.  Its flags are
-read off the masks the step already holds, with ``free = present &
-~theirs``, the edges line 1 leaves Out: line 1 fired iff ``free &
-~before`` (an edge was undirected once conflicts were settled), line 2
-iff ``after != free`` and the register changed iff ``flip``.  The ``q r``
+read off the masks the step already holds, with ``free[ci]`` the edges
+line 1 leaves Out: line 1 fired iff ``free[ci] & ~before`` (an edge was
+undirected once conflicts were settled), line 2 iff ``after !=
+free[ci]`` and the register changed iff ``flip``.  The ``q r``
 labels are formatted once per traced run, so observing a run builds no
 object per step; the unobserved loop does none of this work.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
-holds iff ``mine ^ theirs == present`` at every cell, no particle breaks
+holds iff ``mine == free`` at every cell, no particle breaks
 a rule and exactly one particle has ``mine == 0``.  ``violating_cells``
 reads the same R1 and ``_breaks`` off any configuration's masks; ``run``
 and ``verify`` on the command line decide with it.  ``violation_count``
@@ -188,7 +191,7 @@ def _kind_label(kind: SchedulerKind) -> str:
 
 
 #: ``_FLIPS[mask]``: ``(d, 1 << (d + 3) % 6)`` for every direction ``d`` in
-#: ``mask``, i.e. the neighbour's ``theirs`` bit an Out flag toward ``d`` sets.
+#: ``mask``, i.e. the neighbour's ``free`` bit an Out flag toward ``d`` clears.
 _FLIPS = tuple(
     tuple((d, 1 << (d + 3) % N_DIRS) for d in range(N_DIRS) if mask >> d & 1)
     for mask in range(1 << N_DIRS)
@@ -198,7 +201,7 @@ _FLIPS = tuple(
 #: ``d`` in ``flip``.  A step that flips the edges toward ``flip`` can
 #: change the next mask and ``_breaks`` only at the stepping cell and its
 #: neighbours in these directions: the far end of a flipped edge reads it
-#: through ``theirs``, and the two cells adjacent to both its ends read it
+#: through ``free``, and the two cells adjacent to both its ends read it
 #: as a triangle's far edge.  The stepping cell's own next mask reads
 #: none of its own edges' Out flags, so only its ``_breaks`` can change.
 _DEPS = tuple(
@@ -212,72 +215,74 @@ _DEPS = tuple(
 
 
 def _masks(c: Configuration) -> tuple[list[int], list[int]]:
-    """``(mine, theirs)`` of ``c`` by cell number: per cell, the directions
-    it is Out toward, and those whose neighbour is Out toward it."""
+    """``(mine, free)`` of ``c`` by cell number: per cell, its Out
+    directions and the occupied ones whose neighbour is not Out toward it."""
     mine = list(c.masks)
-    theirs = [0] * len(mine)
+    free = list(c.support.present)
     for m, a in zip(mine, c.support.around):
         for d, back in _FLIPS[m]:
-            theirs[a[d]] |= back
-    return mine, theirs
+            free[a[d]] ^= back
+    return mine, free
 
 
 def _set(
-    ci: int, after: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
+    ci: int, after: int, mine: list[int], free: list[int], around: Sequence[tuple[int, ...]]
 ) -> None:
-    """Make ``after`` the Out mask of cell ``ci``, flipping the ``theirs``
+    """Make ``after`` the Out mask of cell ``ci``, flipping the ``free``
     bit of every neighbour whose edge changed."""
     a = around[ci]
     for d, back in _FLIPS[mine[ci] ^ after]:
-        theirs[a[d]] ^= back
+        free[a[d]] ^= back
     mine[ci] = after
 
 
 def _breaks(
-    ci: int, mine: list[int], theirs: list[int], around: Sequence[tuple[int, ...]]
+    ci: int,
+    mine: list[int],
+    free: list[int],
+    present: Sequence[int],
+    around: Sequence[tuple[int, ...]],
 ) -> bool:
     """True iff cell ``ci`` breaks R2, R3 or R4 under the masks.
 
     Unlike ``run``'s next-mask block this assumes nothing about the
-    edges: bit ``d`` of ``mine ^ theirs`` is set iff the edge at ``d`` is
-    directed, and a triangle closes a directed 3-cycle only when both its
-    near edges and its far edge are directed; undirected and conflict
-    edges never close one, as in ``rules.check_r4``.
+    edges: bit ``d`` of ``present & ~(mine ^ free)`` is set iff the edge
+    at ``d`` is directed, and a triangle closes a directed 3-cycle only
+    when both its near edges and its far edge are directed; undirected
+    and conflict edges never close one, as in ``rules.check_r4``.
     """
     m = mine[ci]
     corners = RULE[m]
     if corners is None:
         return True
-    directed = m ^ theirs[ci]
+    directed = present[ci] & ~(m ^ free[ci])
     a = around[ci]
     for xd, bit, near in corners:
         if directed & near == near:
             x = a[xd]
-            if mine[x] & ~theirs[x] & bit:
+            if mine[x] & free[x] & bit:
                 return True
     return False
 
 
-def _valid_single_sink(
-    mine: list[int], theirs: list[int], present: Sequence[int], violations: int
-) -> bool:
-    """True iff every edge has exactly one Out side (R1: ``mine ^ theirs ==
-    present`` at every cell), no cell ``_breaks`` (``violations`` counts
-    those that do) and exactly one cell has no Out flag: a sink."""
-    if violations or any(m ^ t != p for m, t, p in zip(mine, theirs, present)):
+def _valid_single_sink(mine: list[int], free: list[int], violations: int) -> bool:
+    """True iff every edge has exactly one Out side (R1: ``mine == free``
+    at every cell), no cell ``_breaks`` (``violations`` counts those that
+    do) and exactly one cell has no Out flag: a sink."""
+    if violations or mine != free:
         return False
     return mine.count(0) == 1
 
 
 def violating_cells(c: Configuration) -> list[int]:
     """The cell numbers, ascending, of the particles that break a rule in
-    ``c``, read off ``c.masks``: R1 where ``mine ^ theirs != present``,
-    R2, R3 and R4 where ``_breaks``.  The same particles as
+    ``c``, read off ``c.masks``: R1 where ``mine != free``, R2, R3 and R4
+    where ``_breaks``.  The same particles as
     ``rules.violating_particles(c)`` on the object path."""
-    mine, theirs = _masks(c)
+    mine, free = _masks(c)
     present, around = c.support.present, c.support.around
-    return [ci for ci, occupied in enumerate(present)
-            if mine[ci] ^ theirs[ci] != occupied or _breaks(ci, mine, theirs, around)]
+    return [ci for ci in range(len(mine))
+            if mine[ci] != free[ci] or _breaks(ci, mine, free, present, around)]
 
 
 # -- the driver --------------------------------------------------------------------
@@ -309,20 +314,21 @@ def run(
     support = c0.support
     cells, present, around = support.order, support.present, support.around
     n = len(cells)
-    mine, theirs = _masks(c0)
+    mine, free = _masks(c0)
 
     # ``fire[ci]`` is cell ``ci``'s next Out mask: the cell is activable
-    # iff it differs from ``mine[ci]``.  ``todo`` names the cells whose
-    # next mask the loop's first block recomputes: every cell at first,
-    # then the activated cell's neighbours after a step that changes it.
+    # iff it differs from ``mine[ci]``.  The loop's first block recomputes
+    # it at ``a[d]`` for ``d`` in ``dirs``: every cell at first, then the
+    # neighbours ``_DEPS[flip]`` names after a step that flips edges.
     fire = mine[:]
     live: list[int] = []
-    todo: Sequence[int] = range(n)
+    a: Sequence[int] = range(n)
+    dirs: Sequence[int] = a
     rule = RULE
 
     draw = random.Random(kind.seed).getrandbits if isinstance(kind, RandomSequential) else None
     round_robin = isinstance(kind, RoundRobin)
-    rr_index = 0
+    rr = 0
     script: list[int] = []
     if isinstance(kind, Scripted):
         script = [support.number[p] for p in kind.cells]
@@ -330,7 +336,7 @@ def run(
 
     observed = check_invariants or trace_file is not None
     if observed:
-        violating = bytearray(_breaks(ci, mine, theirs, around) for ci in range(n))
+        violating = bytearray(_breaks(ci, mine, free, present, around) for ci in range(n))
         violations = sum(violating)
 
     if trace_file is not None:
@@ -346,7 +352,7 @@ def run(
     def result(outcome: Outcome) -> ExecutionResult:
         final = current()
         if outcome is Outcome.FINAL and check_invariants:
-            if not _valid_single_sink(mine, theirs, present, violations):
+            if not _valid_single_sink(mine, free, violations):
                 raise StepInvariantError(
                     "final configuration is not a valid single-sink state", final
                 )
@@ -354,15 +360,16 @@ def run(
 
     step = 0
     while True:
-        for x in todo:
+        for d in dirs:
+            x = a[d]
             if x < 0:
                 continue
             # Resolving conflicts and then line 1 leave the cell Out
-            # exactly toward ``nxt``, so every edge at the cell is directed
-            # when line 2's test runs: ``RULE`` alone decides R2 and R3,
-            # and a triangle it names is a directed 3-cycle iff its far
-            # edge, read off the neighbour at ``xd``, is.
-            nxt = present[x] & ~theirs[x]
+            # exactly toward ``free[x]``, so every edge at the cell is
+            # directed when line 2's test runs: ``RULE`` alone decides R2
+            # and R3, and a triangle it names is a directed 3-cycle iff
+            # its far edge, read off the neighbour at ``xd``, is.
+            nxt = free[x]
             corners = rule[nxt]
             if corners is None:
                 nxt = 0
@@ -370,7 +377,7 @@ def run(
                 ax = around[x]
                 for xd, bit, _ in corners:
                     y = ax[xd]
-                    if mine[y] & ~theirs[y] & bit:
+                    if mine[y] & free[y] & bit:
                         nxt = 0
                         break
             old = fire[x]
@@ -398,15 +405,15 @@ def run(
                 r = draw(bits)
             ci = live[r]
             del live[r]
+        elif round_robin:
+            # The first activable cell at or after ``rr``, wrapping round.
+            r = bisect_left(live, rr) % len(live)
+            ci = live[r]
+            del live[r]
+            rr = ci + 1
         else:
-            if round_robin:
-                while fire[rr_index % n] == mine[rr_index % n]:
-                    rr_index += 1
-                ci = rr_index % n
-                rr_index += 1
-            else:
-                ci = script[script_index % len(script)]
-                script_index += 1
+            ci = script[script_index % len(script)]
+            script_index += 1
             if fire[ci] != mine[ci]:
                 del live[bisect_left(live, ci)]
 
@@ -415,22 +422,21 @@ def run(
         step += 1
         flip = before ^ after
         if flip:
-            _set(ci, after, mine, theirs, around)
-            todo = a = around[ci]
-        else:
-            todo = ()
+            _set(ci, after, mine, free, around)
+            a = around[ci]
+        dirs = _DEPS[flip]
 
         if not observed:
             continue
         prev_violations = violations
         if flip:
-            v = _breaks(ci, mine, theirs, around)
+            v = _breaks(ci, mine, free, present, around)
             violations += v - violating[ci]
             violating[ci] = v
-            for d in _DEPS[flip]:
+            for d in dirs:
                 x = a[d]
                 if x >= 0:
-                    v = _breaks(x, mine, theirs, around)
+                    v = _breaks(x, mine, free, present, around)
                     violations += v - violating[x]
                     violating[x] = v
         if check_invariants:
@@ -445,8 +451,8 @@ def run(
                     current(),
                 )
         if trace_file is not None:
-            free = present[ci] & ~theirs[ci]
+            line1 = free[ci]
             trace_file.write(
-                f"{step - 1} {labels[ci]} {1 if free & ~before else 0} "
-                f"{0 if after == free else 1} {1 if flip else 0} {violations}\n"
+                f"{step - 1} {labels[ci]} {1 if line1 & ~before else 0} "
+                f"{0 if after == line1 else 1} {1 if flip else 0} {violations}\n"
             )

@@ -18,7 +18,15 @@ from trielect.generators import (
 )
 from trielect.oracle import ConfigGraph, UnfairCycle
 from trielect.support import Support
-from trielect.rules import check_r2, check_r3, check_r4, is_valid, sinks, violating_particles
+from trielect.rules import (
+    check_r1,
+    check_r2,
+    check_r3,
+    check_r4,
+    is_valid,
+    sinks,
+    violating_particles,
+)
 from trielect.scheduler import (
     Outcome,
     RandomSequential,
@@ -319,11 +327,18 @@ def _packed_masks(state, graph):
     return mine, theirs
 
 
+def _flipped(masks, present):
+    """``present & ~mask`` per cell: the engine's ``free`` masks from the
+    reference's ``theirs`` masks, and back."""
+    return [p & ~m for p, m in zip(present, masks)]
+
+
 def test_engine_step_matches_reference_and_packed_steps():
     """Every cell of every state of every support with n <= 4: the engine's
-    masks, the next-mask formula (``reference_fire``, and ``run``'s inline
-    block through a one-step scripted run), the engine's write of the step,
-    and the trace's flag formula against ``step_register``'s effect, both
+    masks (``free`` is ``present & ~theirs``), the next-mask formula
+    (``reference_fire``, and ``run``'s inline block through a one-step
+    scripted run), the engine's write of the step, and the trace's flag
+    formula against ``step_register``'s effect, both
     as ``trace_flags`` states it and as a one-step traced run writes it (a
     final state takes no step, so it writes no line)."""
     rng = random.Random(5)
@@ -335,8 +350,9 @@ def test_engine_step_matches_reference_and_packed_steps():
             assert cells == graph.cells
             for state in range(1 << 2 * graph.n_edges):
                 cfg = graph.unpack(state, portmaps)
-                mine, theirs = _masks(cfg)
-                assert (mine, theirs) == _packed_masks(state, graph)
+                mine, theirs = _packed_masks(state, graph)
+                free = _flipped(theirs, present)
+                assert _masks(cfg) == (mine, free)
                 live = not detect_final(cfg)
                 for ci, (p, half) in enumerate(zip(cells, graph.half_at)):
                     before = mine[ci]
@@ -354,30 +370,38 @@ def test_engine_step_matches_reference_and_packed_steps():
                         if h >= 0:
                             packed = packed & ~(1 << h) | (after >> d & 1) << h
                     assert packed == graph.successor(state, ci)
-                    stepped = mine[:], theirs[:]
+                    stepped = mine[:], free[:]
                     _set(ci, after, *stepped, around)
-                    assert stepped == _packed_masks(packed, graph)
+                    packed_mine, packed_theirs = _packed_masks(packed, graph)
+                    assert stepped == (packed_mine, _flipped(packed_theirs, present))
 
 
-def _assert_steps_reach_only_deps(mine, theirs, present, around, near):
+def _assert_steps_reach_only_deps(mine, free, present, around, near):
     """Apply the engine's step (``_set`` to the next mask ``reference_fire``
     gives) at each cell ``ci`` in turn, from the same masks: every cell of
     ``near(ci)`` but ``ci`` and the neighbours ``_DEPS[flip]`` names keeps
     its next mask and its ``_breaks`` value, and ``ci`` keeps its next mask."""
 
-    def values(x, mine, theirs):
-        return reference_fire(x, mine, theirs, present, around), _breaks(x, mine, theirs, around)
+    def values(x, mine, free, theirs):
+        return (
+            reference_fire(x, mine, theirs, present, around),
+            _breaks(x, mine, free, present, around),
+        )
 
+    theirs = _flipped(free, present)
     for ci in range(len(mine)):
         after = reference_fire(ci, mine, theirs, present, around)
         flip = mine[ci] ^ after
-        stepped = mine[:], theirs[:]
+        stepped = mine[:], free[:]
         _set(ci, after, *stepped, around)
-        assert reference_fire(ci, *stepped, present, around) == after, ci
+        stepped_theirs = _flipped(stepped[1], present)
+        assert reference_fire(ci, stepped[0], stepped_theirs, present, around) == after, ci
         reach = {ci, *(around[ci][d] for d in _DEPS[flip])}
         for x in near(ci):
             if x not in reach:
-                assert values(x, *stepped) == values(x, mine, theirs), (ci, x, flip)
+                assert values(x, *stepped, stepped_theirs) == values(x, mine, free, theirs), (
+                    ci, x, flip
+                )
 
 
 def test_dependency_table_covers_every_step_on_every_small_state():
@@ -389,12 +413,13 @@ def test_dependency_table_covers_every_step_on_every_small_state():
             every = range(n)
             for state in range(1 << 2 * graph.n_edges):
                 mine, theirs = _packed_masks(state, graph)
-                _assert_steps_reach_only_deps(mine, theirs, s.present, s.around, lambda ci: every)
+                free = _flipped(theirs, s.present)
+                _assert_steps_reach_only_deps(mine, free, s.present, s.around, lambda ci: every)
 
 
 def test_dependency_table_covers_every_step_at_scale():
     """Seeded random registers on 300 to 2,000 cells.  ``_set`` writes only
-    ``mine[ci]`` and ``theirs`` at ``ci``'s neighbours, and the next mask
+    ``mine[ci]`` and ``free`` at ``ci``'s neighbours, and the next mask
     and ``_breaks`` at a cell read only its own and its neighbours' masks, so
     the cells within two steps of ``ci`` are all a step can reach; all of
     them are compared."""
@@ -449,11 +474,11 @@ def test_breaks_matches_rule_checks_on_every_small_state():
             cells, present, around = s.order, s.present, s.around
             for state in range(1 << 2 * graph.n_edges):
                 cfg = graph.unpack(state, portmaps)
-                mine, theirs = _masks(cfg)
+                mine, free = _masks(cfg)
+                breaks = [_breaks(ci, mine, free, present, around) for ci in range(len(cells))]
                 for ci, p in enumerate(cells):
-                    assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), (state, p)
-                violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
-                assert _valid_single_sink(mine, theirs, present, violations) == (
+                    assert breaks[ci] == _violates(cfg, p), (state, p)
+                assert _valid_single_sink(mine, free, sum(breaks)) == (
                     is_valid(cfg) and len(sinks(cfg)) == 1
                 ), state
 
@@ -468,17 +493,46 @@ def test_breaks_matches_rule_checks_on_random_configurations():
                 s, rng.randrange(2**31), conflict_prob, random_portmaps(s, rng.randrange(2**31))
             )
             cells, present, around = s.order, s.present, s.around
-            mine, theirs = _masks(cfg)
+            mine, free = _masks(cfg)
             for ci, p in enumerate(cells):
-                assert _breaks(ci, mine, theirs, around) == _violates(cfg, p), p
+                assert _breaks(ci, mine, free, present, around) == _violates(cfg, p), p
                 r4_only += check_r2(cfg, p) and check_r3(cfg, p) and not check_r4(cfg, p)
             for c in (cfg, erosion_orientation(s)):
-                mine, theirs = _masks(c)
-                violations = sum(_breaks(ci, mine, theirs, around) for ci in range(len(cells)))
-                assert _valid_single_sink(mine, theirs, present, violations) == (
+                mine, free = _masks(c)
+                violations = sum(
+                    _breaks(ci, mine, free, present, around) for ci in range(len(cells))
+                )
+                assert _valid_single_sink(mine, free, violations) == (
                     is_valid(c) and len(sinks(c)) == 1
                 )
     assert r4_only  # the triangle branch was exercised
+
+
+def test_engine_r1_matches_check_r1():
+    """The engine reads R1 as ``mine[ci] == free[ci]``: it equals
+    ``rules.check_r1`` at every cell of every 4^E state of every support
+    with n <= 4, and of seeded random registers on 300 to 2,000 cells."""
+    rng = random.Random(37)
+    configs = []
+    for n in range(1, 5):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            configs += [graph.unpack(state, portmaps) for state in range(1 << 2 * graph.n_edges)]
+    for n in (300, 900, 2000):
+        s = random_support(n, rng.randrange(2**31))
+        portmaps = random_portmaps(s, rng.randrange(2**31))
+        configs += [
+            random_registers(s, rng.randrange(2**31), conflict_prob, portmaps)
+            for conflict_prob in (0.0, 0.25)
+        ]
+    verdicts = set()
+    for cfg in configs:
+        mine, free = _masks(cfg)
+        for ci, p in enumerate(cfg.support.order):
+            assert (mine[ci] == free[ci]) == check_r1(cfg, p), (cfg.serialize(), p)
+            verdicts.add(mine[ci] == free[ci])
+    assert verdicts == {False, True}
 
 
 def test_violating_cells_match_the_object_path_pointwise():
@@ -531,7 +585,7 @@ def test_run_results_store_masks_that_match_their_registers(monkeypatch):
             assert res.outcome is (Outcome.CAP_EXCEEDED if cap < 10 else Outcome.FINAL)
             assert_masks_match_regs(res.config)
             assert res.config.support is cfg.support and res.config.portmaps is cfg.portmaps
-    monkeypatch.setattr(scheduler, "_set", _SkipLine2Once(s.present, 1))
+    monkeypatch.setattr(scheduler, "_set", _SkipLine2Once(1))
     with pytest.raises(StepInvariantError) as got:
         run(cfg, RandomSequential(3), check_invariants=True)
     assert_masks_match_regs(got.value.config)
@@ -547,19 +601,18 @@ class _SkipLine2Once:
     wrapper writes the mask line 1 left instead.
     """
 
-    def __init__(self, present, start: int):
-        self.present = present
+    def __init__(self, start: int):
         self.start = start
         self.activations = 0
         self.skipped_at = None
 
-    def __call__(self, ci, after, mine, theirs, around):
+    def __call__(self, ci, after, mine, free, around):
         self.activations += 1
-        line1_mask = self.present[ci] & ~theirs[ci]
+        line1_mask = free[ci]
         if after != line1_mask and self.skipped_at is None and self.activations >= self.start:
             self.skipped_at = self.activations
             after = line1_mask
-        _set(ci, after, mine, theirs, around)
+        _set(ci, after, mine, free, around)
 
 
 class _ActivationStepSkippingLine2Once:
@@ -595,7 +648,7 @@ def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch
     kind = RandomSequential(rng.randrange(2**31))
     start = 6
 
-    fire = _SkipLine2Once(s.present, start)
+    fire = _SkipLine2Once(start)
     monkeypatch.setattr(scheduler, "_set", fire)
     with pytest.raises(StepInvariantError) as got:
         run(cfg, kind, check_invariants=True)
