@@ -17,12 +17,14 @@ run.  Random growth keeps every empty cell next to the shape with its
 mask of occupied directions, and the cells that pass (the growable
 frontier) as a sorted list, and adds one uniform draw from them per cell;
 an added cell ORs one bit into each empty neighbour's mask, and only
-those neighbours can change their answer.  Removing a cell whose occupied
+those neighbours can change their answer, which one lookup in a table
+built from ``CYCLIC_RUN`` (``_GROWTH``) gives.  Removing a cell whose occupied
 neighbours form one run of one to three cells (``lattice.ERODIBLE``)
 cannot disconnect the rest, because that run is itself a path.  The
 erosion orientation walks that reduction forwards: repeatedly remove the
 smallest such particle, kept on a heap that a removal refills with the
-neighbours it makes erodible, then direct every edge from the
+neighbours it makes erodible (a removal visits only the neighbours
+``lattice.SET_DIRS`` lists for its mask), then direct every edge from the
 earlier-removed to the later-removed endpoint.  The result satisfies all
 four validity rules, is globally acyclic, and its unique sink is the
 last particle standing.  Erosion and both register initialisations work
@@ -30,6 +32,11 @@ on the support's cell numbers, with one Out mask per cell over global
 directions, which is what a ``Configuration`` stores: the masks are
 handed over as they are, with no register built, and so are port maps,
 a tuple by cell number that ``random_portmaps`` draws in cell order.
+Every seeded draw is ``random``'s own written out over ``getrandbits``:
+``randrange(k)`` and ``choice`` of ``k`` items call
+``getrandbits(k.bit_length())`` until the result is below ``k``, so the
+generators make the same calls and give the same outputs without two
+Python frames per draw.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .lattice import (
     ERODIBLE,
     N_DIRS,
     PortMap,
+    SET_DIRS,
     direction_from,
     neighbor,
 )
@@ -66,8 +74,7 @@ def check_seed(seed: object) -> None:
 
 #: Per direction ``d``, the bit at which the neighbour in direction ``d`` of
 #: a cell sees that cell in its mask of occupied directions.
-_SEEN = tuple(1 << (d + 3) % N_DIRS for d in range(N_DIRS))
-
+_SEEN = tuple(back for _, back in SET_DIRS[(1 << N_DIRS) - 1])
 
 
 def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
@@ -114,6 +121,28 @@ def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
     return [Support._from_keys(list(shape), frame) for shape in sorted(shapes)]
 
 
+def _growth_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``_GROWTH[d][mask]``: ``(new, move)`` for an empty cell with occupied
+    directions ``mask`` when the cell at ``(d + 3) % 6`` from it is added,
+    i.e. for the added cell's neighbour at ``d``.  ``new`` is ``mask`` with
+    that bit set.  The growable frontier holds the rim cells whose mask is
+    a nonempty ``CYCLIC_RUN``, so the cell is listed after iff ``new`` is
+    one run and was listed before iff ``mask`` is a nonempty one; ``move``
+    is 1 where it joins the list, -1 where it leaves and 0 where neither."""
+    table = []
+    for bit in _SEEN:
+        row = []
+        for mask in range(1 << N_DIRS):
+            new = mask | bit
+            after = CYCLIC_RUN[new]
+            row.append((new, after - (bool(mask) and CYCLIC_RUN[mask])))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_GROWTH = _growth_table()
+
+
 def random_support(n: int, seed: int) -> Support:
     """Random simply connected support grown cell by cell.
 
@@ -123,20 +152,23 @@ def random_support(n: int, seed: int) -> Support:
     The growable frontier is the rim cells whose mask is one cyclic run,
     held as a sorted list of keys; each step pops the one at index
     ``rng.randrange(len(growable))``, drawn as ``randrange``'s own
-    rejection loop over ``getrandbits``, so every growable cell is equally
+    rejection loop over ``getrandbits`` (``getrandbits(k.bit_length())``
+    until the result is below ``k``), so every growable cell is equally
     likely.  Adding a cell sets one bit in the mask of each empty
-    neighbour, and only those can join or leave the list.
+    neighbour, and only those can join or leave the list: one lookup in
+    ``_GROWTH``, a table built from ``CYCLIC_RUN`` by direction and mask,
+    gives the new mask and whether the cell joins, leaves or stays.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_seed(seed)
     draw = random.Random(seed).getrandbits
     frame = KeyFrame.centred(n)
-    steps = tuple(zip(frame.steps, _SEEN))
     origin = frame.key(0, 0)
     cells = {origin}
-    rim = {origin + step: bit for step, bit in steps}
+    rim = {origin + step: bit for step, bit in zip(frame.steps, _SEEN)}
     growable = sorted(rim)
+    steps = tuple(zip(frame.steps, _GROWTH))
     for _ in range(n - 1):
         k = len(growable)
         bits = k.bit_length()
@@ -146,18 +178,16 @@ def random_support(n: int, seed: int) -> Support:
         c = growable.pop(i)
         del rim[c]
         cells.add(c)
-        for step, bit in steps:
+        for step, table in steps:
             x = c + step
             if x in cells:
                 continue
-            old = rim.get(x, 0)
-            rim[x] = mask = old | bit
-            # x was listed iff ``old`` is a nonempty run.
-            if CYCLIC_RUN[mask]:
-                if not (old and CYCLIC_RUN[old]):
+            rim[x], move = table[rim.get(x, 0)]
+            if move:
+                if move > 0:
                     insort(growable, x)
-            elif CYCLIC_RUN[old]:
-                del growable[bisect_left(growable, x)]
+                else:
+                    del growable[bisect_left(growable, x)]
     keys = sorted(cells)
     del cells, rim, growable  # freed before the numbering's peak
     return Support._from_keys(keys, frame)
@@ -182,6 +212,10 @@ def _erode(s: Support) -> tuple[list[int], list[int]]:
 
     A removal changes only its neighbours' masks, so the heap holds every
     erodible cell; an entry found gone or no longer erodible is dropped.
+    The removed cell's mask lists its remaining neighbours, and
+    ``lattice.SET_DIRS`` gives each one's direction and the bit it sees the
+    cell at; the remaining masks are symmetric, so that bit is set and
+    the removal flips it off.
     """
     if not s.is_simply_connected():
         raise SupportError("erosion orientation requires a simply connected support")
@@ -203,12 +237,11 @@ def _erode(s: Support) -> tuple[list[int], list[int]]:
         left[i] = 0
         gone.append(i)
         row = around[i]
-        for d in range(N_DIRS):
-            if mask >> d & 1:
-                j = row[d]
-                present[j] = m = present[j] & ~(1 << (d + 3) % N_DIRS)
-                if ERODIBLE[m]:
-                    heapq.heappush(heap, j)
+        for d, back in SET_DIRS[mask]:
+            j = row[d]
+            present[j] = m = present[j] ^ back
+            if ERODIBLE[m]:
+                heapq.heappush(heap, j)
     gone.append(left.index(1))
     return gone, present
 
@@ -233,10 +266,29 @@ def _configuration(
 
 
 def random_portmaps(s: Support, seed: int) -> PortMaps:
-    """One uniform port map per cell number, drawn in ``Support.order``."""
+    """One uniform port map per cell number, drawn in ``Support.order``.
+
+    Each draw is ``rng.choice(ALL_PORTMAPS)``'s own: ``getrandbits(4)``
+    until the result is below 12, so it makes the same calls as
+    ``choice`` and picks the same map, without two Python frames per cell.
+    """
     check_seed(seed)
-    rng = random.Random(seed)
-    return tuple([rng.choice(ALL_PORTMAPS) for _ in range(len(s))])
+    draw = random.Random(seed).getrandbits
+    k = len(ALL_PORTMAPS)
+    bits = k.bit_length()
+    pms = []
+    for _ in range(len(s)):
+        i = draw(bits)
+        while i >= k:
+            i = draw(bits)
+        pms.append(ALL_PORTMAPS[i])
+    return tuple(pms)
+
+
+#: The directions whose neighbour has the larger cell number: cells are
+#: numbered in (q, r) order, and directions 0, 1 and 5 raise q or keep q
+#: and raise r.
+_LATER = 1 << 0 | 1 << 1 | 1 << 5
 
 
 def random_registers(
@@ -250,23 +302,32 @@ def random_registers(
 
     The default 0.25 makes every free port an independent fair coin.
     Ports toward empty cells always hold In.  Edges draw in
-    ``Support.edges`` order.
+    ``Support.edges`` order: per cell number, its ``lattice.SET_DIRS``
+    among the ``_LATER`` directions.  Each edge calls ``rng.random()``,
+    and unless that gives Out/Out draws ``rng.randrange(3)`` as
+    ``randrange`` does: ``getrandbits(2)`` until the result is below 3.
     """
     if not 0.0 <= conflict_probability <= 1.0:
         raise ValueError("conflict probability must lie in [0, 1]")
     check_seed(seed)
     rng = random.Random(seed)
+    uniform, draw = rng.random, rng.getrandbits
     masks = [0] * len(s)
-    for i, row in enumerate(s.around):
-        for d, j in enumerate(row):
-            if j <= i:
-                continue
-            # Bit 0: Out at i toward j; bit 1: Out at j toward i.
-            outs = 3 if rng.random() < conflict_probability else rng.randrange(3)
+    for i, (row, present) in enumerate(zip(s.around, s.present)):
+        out = masks[i]
+        for d, back in SET_DIRS[present & _LATER]:
+            # Bit 0: Out at i toward ``row[d]``; bit 1: Out from it toward i.
+            if uniform() < conflict_probability:
+                outs = 3
+            else:
+                outs = draw(2)
+                while outs == 3:
+                    outs = draw(2)
             if outs & 1:
-                masks[i] |= 1 << d
+                out |= 1 << d
             if outs & 2:
-                masks[j] |= 1 << (d + 3) % N_DIRS
+                masks[row[d]] |= back
+        masks[i] = out
     return _configuration(s, portmaps, masks)
 
 

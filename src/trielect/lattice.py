@@ -79,6 +79,25 @@ CYCLIC_RUN = _cyclic_run_table()
 #: the run is itself a path.
 ERODIBLE = tuple(1 <= m.bit_count() <= 3 and CYCLIC_RUN[m] for m in range(1 << N_DIRS))
 
+def _set_dirs_table() -> tuple[tuple[tuple[Dir, int], ...], ...]:
+    """Each entry is the entry of the mask without its highest direction
+    ``d``, plus ``d``: one lookup per mask, not a test of all six bits."""
+    table: list[tuple[tuple[Dir, int], ...]] = [()]
+    for mask in range(1, 1 << N_DIRS):
+        d = mask.bit_length() - 1
+        table.append(table[mask ^ 1 << d] + ((d, 1 << (d + 3) % N_DIRS),))
+    return tuple(table)
+
+
+#: ``SET_DIRS[mask]``: ``(d, 1 << (d + 3) % 6)`` for every direction ``d``
+#: set in ``mask``, in increasing order: the direction and the bit at which
+#: the neighbour in that direction sees the cell.  A loop over the set
+#: bits of a direction mask reads this instead of shift-testing all six.
+#: Where masks are symmetric (bit ``d`` of a cell's mask is set iff the
+#: neighbour at ``d`` has the cell's bit set), that bit is the one to flip
+#: at the neighbour when the edge at ``d`` changes.
+SET_DIRS = _set_dirs_table()
+
 
 def common_neighbors(a: Cell, b: Cell) -> set[Cell]:
     """The two cells adjacent to both endpoints of an edge."""

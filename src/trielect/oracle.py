@@ -35,9 +35,10 @@ the sink count with one/many accumulators, with no ``ConfigGraph`` and
 no search; a graph is built only to unpack a counterexample.
 ``check_silence`` decides final <=> valid on all 4^E states from both
 ends: it compares the final states ``final_states`` lists (a depth-first
-search over edge codes that runs a cell's row of ``move`` as soon as
-every edge it reads is fixed, and drops the branch if the cell is
-activable) with the valid ones ``lane_states`` reads off the lanes;
+search over edge codes, in a greedy order that completes rows early,
+that runs a cell's row of ``move`` as soon as every edge it reads is
+fixed, and drops the branch if the cell is activable) with the valid
+ones ``lane_states`` reads off the lanes;
 ``check_reachability`` gives the conflict-free states a fate in one
 lazy Tarjan pass (``reach_fates``) that settles a root on its first
 move where it can, stops a walk at a valid final state or a state known
@@ -69,7 +70,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .lattice import ERODIBLE, Cell, N_DIRS
+from .lattice import ERODIBLE, Cell, N_DIRS, SET_DIRS
 from .config import Configuration, PortMaps, identity_portmaps
 from .rules import RULE
 from .support import Support, automorphisms
@@ -435,10 +436,11 @@ class UnfairCycle(NamedTuple):
 # -- exhaustive checks ----------------------------------------------------------------
 
 
-#: ``_DIRS[mask]``: the directions in ``mask``; ``_CORNERS[mask]``: the
-#: directions d with d and d + 1 in ``mask``, the triangles at a cell.
-_DIRS = tuple(tuple(d for d in range(N_DIRS) if m >> d & 1) for m in range(1 << N_DIRS))
-_CORNERS = tuple(_DIRS[m & (m >> 1 | m << N_DIRS - 1)] for m in range(1 << N_DIRS))
+#: ``_CORNERS[mask]``: the directions d with d and d + 1 in ``mask``, the
+#: triangles at a cell.
+_CORNERS = tuple(
+    tuple(d for d, _ in SET_DIRS[m & (m >> 1 | m << N_DIRS - 1)]) for m in range(1 << N_DIRS)
+)
 
 
 def lane_variables(e: int) -> list[int]:
@@ -457,8 +459,17 @@ def lane_variables(e: int) -> list[int]:
     return x
 
 
+def _spread_table() -> tuple[int, ...]:
+    """Each entry is the entry of ``b >> 1`` shifted up by two, plus bit 0
+    of ``b``: one lookup per byte, not a sum over its bits."""
+    spread = [0]
+    for b in range(1, 256):
+        spread.append(spread[b >> 1] << 2 | b & 1)
+    return tuple(spread)
+
+
 #: ``_SPREAD[b]``: byte ``b`` with bit i moved to bit 2i.
-_SPREAD = tuple(sum(1 << 2 * i for i in range(8) if b >> i & 1) for b in range(256))
+_SPREAD = _spread_table()
 
 
 def lane_states(lanes: int, e: int) -> list[int]:
@@ -531,7 +542,7 @@ def orientation_lanes(s: Support) -> tuple[int, int, int]:
     for ci, (row, half, present) in enumerate(zip(around, half_at, s.present)):
         # (direction, x, 1 at the larger endpoint): Out where x is set at
         # the larger endpoint, where it is clear at the smaller.
-        lits = [(d, x[h >> 1], h & 1) for d in _DIRS[present] for h in [half[d]]]
+        lits = [(d, x[h >> 1], h & 1) for d, _ in SET_DIRS[present] for h in [half[d]]]
         # A branch holds the lanes ``acc`` whose Out flags on the first j
         # directions of ``lits`` are ``mask``, with ``rest`` still open; it
         # follows Out and leaves In to ``pending``.
@@ -594,46 +605,64 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
 def final_states(graph: ConfigGraph) -> list[int]:
     """Every state of ``graph`` without a move, in increasing order.
 
-    A depth-first search fixes the edge codes from the highest edge down.
-    A cell's row in ``move`` reads only its read set: the edges of its own
+    A depth-first search fixes the edge codes one edge at a time.  A
+    cell's row in ``move`` reads only its read set: the edges of its own
     half-edges and of the far half-edges its own-pattern table names, that
     is its incident edges and the far edges of its triangles.  Once the
-    lowest edge of that set is fixed, the row test is exact on the partial
+    last edge of that set is fixed, the row test is exact on the partial
     state, so the search runs ``move`` on a copy of ``graph`` that holds
     only the rows completed at that edge and drops the branch if any cell
-    is activable.  Every cell is tested on the way to a leaf, except a
-    cell without edges, which is never activable.
+    is activable.  The edges are fixed in a greedy order that completes
+    rows early: next come the unfixed read edges, in increasing order, of
+    the cell with the fewest of them (the first such cell on a tie).  Every
+    cell is tested on the way to a leaf, except a cell without edges,
+    which is never activable.  The leaves are sorted at the end.
     """
-    # rows[i]: the rows of the cells whose read set's lowest edge is i;
-    # levels[i] runs ``move`` over those alone, None where there are none.
-    rows: list[list[tuple[int, int, int, dict[int, int]]]] = [[] for _ in range(graph.n_edges)]
+    # Each row with the edges it reads; a row that reads none is never activable.
+    reads: list[tuple[tuple[int, int, int, dict[int, int]], set[int]]] = []
     for row in graph._rows:
-        reads = row[1]
+        bits = row[1]
         for far in row[3].values():
             if far > 0:
-                reads |= far
-        if reads:
-            rows[(reads & -reads).bit_length() - 1 >> 1].append(row)
-    levels: list[Callable[[int], tuple[int, int] | None] | None] = [None] * graph.n_edges
-    for i, level_rows in enumerate(rows):
+                bits |= far
+        if bits:
+            reads.append((row, {h >> 1 for h in range(bits.bit_length()) if bits >> h & 1}))
+    order: list[int] = []
+    left = [edges for _, edges in reads]
+    while left:
+        new = sorted(min(left, key=len))
+        order += new
+        left = [rest for edges in left if (rest := edges.difference(new))]
+    # levels[p] runs ``move`` over the rows whose last read edge is
+    # ``order[p]``, and is None where there are none.
+    position = {edge: p for p, edge in enumerate(order)}
+    rows: list[list[tuple[int, int, int, dict[int, int]]]] = [[] for _ in order]
+    for row, edges in reads:
+        rows[max(position[edge] for edge in edges)].append(row)
+    levels: list[Callable[[int], tuple[int, int] | None] | None] = [None] * len(order)
+    for p, level_rows in enumerate(rows):
         if level_rows:
             level = copy.copy(graph)
             level._rows = tuple(level_rows)
-            levels[i] = level.move
+            levels[p] = level.move
+    shifts = [2 * edge for edge in order]
     found: list[int] = []
 
-    def fix(state: int, i: int) -> None:
-        """Extend ``state``, whose edges above ``i`` are fixed, by every code of edge i."""
-        if i < 0:
+    def fix(state: int, p: int) -> None:
+        """Extend ``state``, whose edges ``order[:p]`` are fixed, by every
+        code of edge ``order[p]``."""
+        if p == len(order):
             found.append(state)
             return
-        move = levels[i]
+        move = levels[p]
+        shift = shifts[p]
         for code in range(4):
-            nxt = state | code << 2 * i
+            nxt = state | code << shift
             if move is None or move(nxt) is None:
-                fix(nxt, i - 1)
+                fix(nxt, p + 1)
 
-    fix(0, graph.n_edges - 1)
+    fix(0, 0)
+    found.sort()
     return found
 
 

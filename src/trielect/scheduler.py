@@ -22,7 +22,9 @@ it names off ``mine & free`` of the neighbour the particle is Out toward.
 The particle is activable iff ``fire[ci] != mine[ci]``, and an
 activation applies it.  A step writes ``mine[ci]`` and flips one
 ``free`` bit at each neighbour whose edge changed (``_set``, the one
-writer), and the block then recomputes ``fire`` only at the neighbours
+writer, which reads the changed directions and the bit each neighbour
+sees the cell at off ``lattice.SET_DIRS``, the table erosion walks
+too), and the block then recomputes ``fire`` only at the neighbours
 ``_DEPS[flip]`` names, the ones a step can change (the cell's own next
 mask reads none of its own Out flags): O(1) table work instead of
 copying the configuration.  The same block's first pass over every cell
@@ -80,9 +82,9 @@ from bisect import bisect_left, insort
 from enum import Enum
 from typing import IO, NamedTuple, Sequence, Union
 
-from .lattice import Cell, N_DIRS
+from .lattice import Cell, N_DIRS, SET_DIRS
 from .config import Configuration
-from .support import SupportError, format_shape_text
+from .support import SupportError
 from .generators import check_seed
 from .rules import RULE, check_r2, check_r3, check_r4
 
@@ -175,7 +177,10 @@ def violation_count(c: Configuration) -> int:
 
 
 def shape_hash(c: Configuration) -> str:
-    text = format_shape_text(c.support.cells)
+    """The first 12 hex digits of the sha1 of ``support.format_shape_text``
+    of the support, written from ``Support.order``, which is already
+    sorted and distinct."""
+    text = "".join(f"{p.q} {p.r}\n" for p in c.support.order)
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
@@ -189,13 +194,6 @@ def _kind_label(kind: SchedulerKind) -> str:
 
 # -- the mask engine ---------------------------------------------------------------
 
-
-#: ``_FLIPS[mask]``: ``(d, 1 << (d + 3) % 6)`` for every direction ``d`` in
-#: ``mask``, i.e. the neighbour's ``free`` bit an Out flag toward ``d`` clears.
-_FLIPS = tuple(
-    tuple((d, 1 << (d + 3) % N_DIRS) for d in range(N_DIRS) if mask >> d & 1)
-    for mask in range(1 << N_DIRS)
-)
 
 #: ``_DEPS[flip]``: the directions ``d - 1``, ``d`` and ``d + 1`` for every
 #: ``d`` in ``flip``.  A step that flips the edges toward ``flip`` can
@@ -220,7 +218,7 @@ def _masks(c: Configuration) -> tuple[list[int], list[int]]:
     mine = list(c.masks)
     free = list(c.support.present)
     for m, a in zip(mine, c.support.around):
-        for d, back in _FLIPS[m]:
+        for d, back in SET_DIRS[m]:
             free[a[d]] ^= back
     return mine, free
 
@@ -231,7 +229,7 @@ def _set(
     """Make ``after`` the Out mask of cell ``ci``, flipping the ``free``
     bit of every neighbour whose edge changed."""
     a = around[ci]
-    for d, back in _FLIPS[mine[ci] ^ after]:
+    for d, back in SET_DIRS[mine[ci] ^ after]:
         free[a[d]] ^= back
     mine[ci] = after
 

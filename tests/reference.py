@@ -70,7 +70,9 @@ port by port through ``arithmetic_port_to_dir``, and
 ``portmap_at`` looks a cell's port map up by its number, and
 ``reference_random_portmaps`` is the ``Cell``-keyed draw
 ``generators.random_portmaps`` made before port maps were kept by cell
-number.
+number, with ``rng.choice``.  ``randrange_random_register_masks`` is the
+draw ``generators.random_registers`` made with ``rng.randrange(3)``
+over every neighbour of every cell.
 ``resolve_conflicts`` and ``remove_particle`` are single-purpose
 configuration edits, and ``read_trace``, ``trace_flags`` (the trace's
 flag formula, read off a cell's masks), ``mirrored``, ``are_adjacent``
@@ -826,6 +828,28 @@ def reference_random_portmaps(s: Support, seed: int) -> dict[Cell, PortMap]:
     """One uniform port map per cell, drawn while iterating ``s``."""
     rng = random.Random(seed)
     return {c: rng.choice(ALL_PORTMAPS) for c in s}
+
+
+def randrange_random_register_masks(
+    s: Support, seed: int, conflict_probability: float
+) -> list[int]:
+    """The Out masks by cell number that ``generators.random_registers``
+    drew before it wrote ``randrange``'s rejection loop out: every
+    neighbour of every cell visited, edges kept where the neighbour's
+    number is larger, and ``rng.randrange(3)`` per edge that is not
+    Out/Out."""
+    rng = random.Random(seed)
+    masks = [0] * len(s)
+    for i, row in enumerate(s.around):
+        for d, j in enumerate(row):
+            if j <= i:
+                continue
+            outs = 3 if rng.random() < conflict_probability else rng.randrange(3)
+            if outs & 1:
+                masks[i] |= 1 << d
+            if outs & 2:
+                masks[j] |= 1 << (d + 3) % N_DIRS
+    return masks
 
 
 def arithmetic_port_to_dir(m: PortMap, port: int) -> int:

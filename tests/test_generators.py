@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from trielect.lattice import Cell, neighbors
+from trielect.lattice import CYCLIC_RUN, N_DIRS, Cell, neighbors
 from trielect.config import ALL_IN, EdgeOrientation, OUT
 from trielect.generators import (
+    _GROWTH,
     ErosionError,
     _erode,
     enumerate_supports,
@@ -40,6 +41,7 @@ from reference import (
     empty_component_count,
     globally_acyclic,
     neighbor_mask_random_support,
+    randrange_random_register_masks,
     reference_enumerate_supports,
     reference_erosion_order,
     reference_random_portmaps,
@@ -175,6 +177,23 @@ def test_random_support_law_at_four_cells():
     assert chi2 < 86.5, float(chi2)
 
 
+def test_growth_table_matches_cyclic_run_branches():
+    """``_GROWTH[d][old]`` gives the mask and the move the branches on
+    ``CYCLIC_RUN`` gave, for every mask and direction: a rim cell is
+    listed iff its mask is a nonempty run."""
+    for d in range(N_DIRS):
+        bit = 1 << (d + 3) % N_DIRS
+        for old in range(1 << N_DIRS):
+            mask = old | bit
+            move = 0
+            if CYCLIC_RUN[mask]:
+                if not (old and CYCLIC_RUN[old]):
+                    move = 1
+            elif CYCLIC_RUN[old]:
+                move = -1
+            assert _GROWTH[d][old] == (mask, move), (d, old)
+
+
 def test_random_support_large():
     for seed in (0, 1, 2):
         s = random_support(5000, seed)
@@ -273,6 +292,20 @@ def test_random_portmaps_draw_by_cell_number_in_support_order(n):
         assert cfg.with_masks(bytes(n)).portmaps is pms
         assert cfg.with_register(s.order[-1], ALL_IN).portmaps is pms
         assert run(cfg, RandomSequential(seed)).config.portmaps is pms
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 1.0])
+def test_draws_match_choice_and_randrange(n, p):
+    """The written-out draws pick what ``rng.choice`` and
+    ``rng.randrange(3)`` picked."""
+    for seed in range(2):
+        s = random_support(n, seed)
+        pms = random_portmaps(s, seed + 3)
+        expected = reference_random_portmaps(s, seed + 3)
+        assert all(pm is expected[c] for pm, c in zip(pms, s.order))
+        cfg = random_registers(s, seed + 4, p, pms)
+        assert cfg.masks == bytes(randrange_random_register_masks(s, seed + 4, p))
 
 
 def test_random_registers_conflict_probability_zero():

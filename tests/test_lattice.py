@@ -10,6 +10,7 @@ from trielect.lattice import (
     Cell,
     N_DIRS,
     PortMap,
+    SET_DIRS,
     common_neighbors,
     dir_to_port,
     direction_from,
@@ -139,3 +140,11 @@ def test_portmap_keeps_its_value_semantics():
                 setattr(twin, attr, getattr(m, attr))
     assert len(set(ALL_PORTMAPS)) == 12
     assert PortMap(2, -1) != PortMap(2, 1) and PortMap(2, -1) != PortMap(3, -1)
+
+
+def test_set_dirs_list_each_set_direction_with_the_opposite_bit():
+    assert len(SET_DIRS) == 1 << N_DIRS
+    for mask, entries in enumerate(SET_DIRS):
+        assert [d for d, _ in entries] == [d for d in range(N_DIRS) if mask >> d & 1]
+        for d, back in entries:
+            assert back == 1 << (d + 3) % N_DIRS

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -17,7 +18,7 @@ from trielect.generators import (
     random_support,
 )
 from trielect.oracle import ConfigGraph, UnfairCycle
-from trielect.support import Support
+from trielect.support import Support, format_shape_text
 from trielect.rules import (
     check_r1,
     check_r2,
@@ -41,6 +42,7 @@ from trielect.scheduler import (
     _violates,
     detect_final,
     run,
+    shape_hash,
     violating_cells,
     violation_count,
 )
@@ -165,7 +167,11 @@ def test_trace_file_format(tmp_path, tri):
     buf = io.StringIO()
     res = run(cfg, RoundRobin(), trace_file=buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("# trace shape=")
+    shape = hashlib.sha1(format_shape_text(tri.cells).encode()).hexdigest()[:12]
+    assert lines[0].startswith(f"# trace shape={shape} ")
+    for s in (Support([Cell(0, 0)]), random_support(40, 2)):
+        text = format_shape_text(reversed(s.order))
+        assert shape_hash(all_in_configuration(s)) == hashlib.sha1(text.encode()).hexdigest()[:12]
     assert "scheduler=roundrobin" in lines[0]
     assert len(lines) == res.steps + 1
     for line in lines[1:]:
