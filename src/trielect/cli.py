@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--random", type=_int_at_least(1), metavar="N", help="random support of N cells")
     src.add_argument("--file", help="shape file (one 'q r' per line)")
     p.add_argument("--init", choices=("erosion", "all-in", "random"), default="erosion")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--conflict-prob", type=_probability, default=0.25)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="drive a configuration with a scheduler")
     p.add_argument("--config", required=True)
     p.add_argument("--scheduler", default="random", help="random | roundrobin | script:PATH")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--max-steps", type=_int_at_least(0), default=1_000_000)
     p.add_argument("--trace", help="write a trace log to this path")
     p.set_defaults(fn=cmd_run)

@@ -64,10 +64,13 @@ class ErosionError(RuntimeError):
 
 
 def check_seed(seed: object) -> None:
-    """Raise ``TypeError`` unless ``seed`` is an ``int``: ``random.Random``
-    would seed ``None`` from OS entropy, and a run could not be repeated."""
-    if not isinstance(seed, int):
+    """Raise ``TypeError`` unless ``seed`` is an ``int`` (not a ``bool``)
+    and ``ValueError`` if it is negative: ``random.Random`` would seed
+    ``None`` from OS entropy, ``-s`` as ``s`` and ``True`` as ``1``."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise TypeError(f"seed must be an int, not {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -19,15 +19,14 @@ builds nothing per support.  It keeps every particle's next Out
 mask in ``fire[ci]``, computed by one block at the top of its loop: it
 looks ``free`` up in ``rules.RULE`` and reads the at most two triangles
 it names off ``mine & free`` of the neighbour the particle is Out toward.
-The particle is activable iff ``fire[ci] != mine[ci]``, and an
-activation applies it.  A step writes ``mine[ci]`` and flips one
-``free`` bit at each neighbour whose edge changed (``_set``, the one
-writer, which reads the changed directions and the bit each neighbour
-sees the cell at off ``lattice.SET_DIRS``, the table erosion walks
-too), and the block then recomputes ``fire`` only at the neighbours
-``_DEPS[flip]`` names, the ones a step can change (the cell's own next
-mask reads none of its own Out flags): O(1) table work instead of
-copying the configuration.  The same block's first pass over every cell
+The particle is activable iff ``fire[ci] != mine[ci]``, and the loop
+applies an activation itself, the one writer of both lists after
+``_masks``: it flips one ``free`` bit at each neighbour whose edge
+changed, off ``lattice.SET_DIRS`` (the table erosion walks too), and
+writes ``mine[ci]``.  The block then recomputes ``fire`` only at the
+neighbours ``_DEPS[flip]`` names, the ones a step can change (the
+cell's own next mask reads none of its own Out flags): O(1) table work
+instead of copying the configuration.  The same block's first pass over every cell
 fills ``fire``; it touches ``fire[x]`` and the activable list only where
 the mask changed, and a no-op step refreshes nothing.
 The activable particles are kept as a sorted list of cell numbers,
@@ -51,7 +50,8 @@ there is no round trip through registers: ``mine`` starts as
 ``list(c0.masks)``, and the final, capped or failing configuration is
 built once from ``bytes(mine)`` by ``Configuration.with_masks``, whose one
 test per cell refuses Out toward an empty cell.  When per-step checks or
-traces are asked for, ``_breaks`` reads R2, R3 and R4 off the same masks and ``RULE`` for the
+traces are asked for, ``_breaks`` reads R2, R3 and R4 off the same masks and the ``RULE``
+bound at its definition (``run`` reads ``scheduler.RULE`` per call) for the
 activated particle and the neighbours ``_DEPS[flip]`` names, the only
 particles whose status a step can change, and keeps the violation count
 up to date cell by cell, building nothing per step; a configuration is
@@ -218,20 +218,10 @@ def _masks(c: Configuration) -> tuple[list[int], list[int]]:
     mine = list(c.masks)
     free = list(c.support.present)
     for m, a in zip(mine, c.support.around):
-        for d, back in SET_DIRS[m]:
-            free[a[d]] ^= back
+        if m:
+            for d, back in SET_DIRS[m]:
+                free[a[d]] ^= back
     return mine, free
-
-
-def _set(
-    ci: int, after: int, mine: list[int], free: list[int], around: Sequence[tuple[int, ...]]
-) -> None:
-    """Make ``after`` the Out mask of cell ``ci``, flipping the ``free``
-    bit of every neighbour whose edge changed."""
-    a = around[ci]
-    for d, back in SET_DIRS[mine[ci] ^ after]:
-        free[a[d]] ^= back
-    mine[ci] = after
 
 
 def _breaks(
@@ -240,6 +230,7 @@ def _breaks(
     free: list[int],
     present: Sequence[int],
     around: Sequence[tuple[int, ...]],
+    rule: Sequence = RULE,
 ) -> bool:
     """True iff cell ``ci`` breaks R2, R3 or R4 under the masks.
 
@@ -250,7 +241,7 @@ def _breaks(
     and conflict edges never close one, as in ``rules.check_r4``.
     """
     m = mine[ci]
-    corners = RULE[m]
+    corners = rule[m]
     if corners is None:
         return True
     directed = present[ci] & ~(m ^ free[ci])
@@ -420,8 +411,10 @@ def run(
         step += 1
         flip = before ^ after
         if flip:
-            _set(ci, after, mine, free, around)
             a = around[ci]
+            for d, back in SET_DIRS[flip]:
+                free[a[d]] ^= back
+            mine[ci] = after
         dirs = _DEPS[flip]
 
         if not observed:

@@ -440,6 +440,9 @@ def _exit_code(argv):
         (["gen", "--shape", "parallelogram0x3", "--out", "{out}"], None),
         (["search-unfair", "--shape", "line0"], None),
         (["gen", "--file", "{trace}", "--out", "{out}"], "0 0\n0 1000000000000\n"),
+        (["gen", "--random", "40", "--seed", "-5", "--out", "{out}"], None),
+        (["gen", "--shape", "line2", "--init", "random", "--seed", "-1", "--out", "{out}"], None),
+        (["run", "--config", "{cfg}", "--seed", "-7"], None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

@@ -6,7 +6,7 @@ import pytest
 
 import reference
 import trielect.scheduler as scheduler
-from trielect.lattice import Cell, N_DIRS, neighbor, port_to_dir
+from trielect.lattice import Cell, N_DIRS, SET_DIRS, neighbor, port_to_dir
 from trielect.algorithm import ActivationEffect, activation_step, step_register
 from trielect.config import IN, OUT, REGISTER, ConfigError, all_in_configuration
 from trielect.generators import (
@@ -37,7 +37,6 @@ from trielect.scheduler import (
     _DEPS,
     _breaks,
     _masks,
-    _set,
     _valid_single_sink,
     _violates,
     detect_final,
@@ -99,10 +98,23 @@ def test_random_runs_deterministic_per_seed():
     assert [row[1] for row in c_rows] != [row[1] for row in a_rows] or c.config == a.config
 
 
-@pytest.mark.parametrize("seed", [None, 1.0, "3"])
-def test_seeds_must_be_explicit_ints(seed):
-    """``random.Random(None)`` would seed from OS entropy: the scheduler and
-    the three seeded generators refuse any seed that is not an ``int``."""
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (None, TypeError, "^seed must be an int, not NoneType$"),
+        (1.0, TypeError, "^seed must be an int, not float$"),
+        ("3", TypeError, "^seed must be an int, not str$"),
+        (True, TypeError, "^seed must be an int, not bool$"),
+        (False, TypeError, "^seed must be an int, not bool$"),
+        (-1, ValueError, "^seed must be >= 0, got -1$"),
+        (-7, ValueError, "^seed must be >= 0, got -7$"),
+    ],
+)
+def test_seeds_must_be_explicit_ints(seed, error, message):
+    """``random.Random(None)`` would seed from OS entropy, and
+    ``random.Random`` seeds ``-s`` as ``s`` and ``True`` as ``1``: the
+    scheduler and the three seeded generators refuse any seed that is not
+    a non-negative ``int``, a ``bool`` included."""
     s = hexagon(1)
     makers = (
         lambda: RandomSequential(seed),
@@ -111,7 +123,7 @@ def test_seeds_must_be_explicit_ints(seed):
         lambda: random_registers(s, seed),
     )
     for make in makers:
-        with pytest.raises(TypeError, match="^seed must be an int, not "):
+        with pytest.raises(error, match=message):
             make()
 
 
@@ -337,6 +349,16 @@ def _flipped(masks, present):
     """``present & ~mask`` per cell: the engine's ``free`` masks from the
     reference's ``theirs`` masks, and back."""
     return [p & ~m for p, m in zip(present, masks)]
+
+
+def _set(ci, after, mine, free, around):
+    """The engine's write of one step, as ``run`` applies it: make
+    ``after`` the Out mask of cell ``ci``, flipping the ``free`` bit of
+    every neighbour whose edge changed."""
+    a = around[ci]
+    for d, back in SET_DIRS[mine[ci] ^ after]:
+        free[a[d]] ^= back
+    mine[ci] = after
 
 
 def test_engine_step_matches_reference_and_packed_steps():
@@ -591,60 +613,87 @@ def test_run_results_store_masks_that_match_their_registers(monkeypatch):
             assert res.outcome is (Outcome.CAP_EXCEEDED if cap < 10 else Outcome.FINAL)
             assert_masks_match_regs(res.config)
             assert res.config.support is cfg.support and res.config.portmaps is cfg.portmaps
-    monkeypatch.setattr(scheduler, "_set", _SkipLine2Once(1))
+    monkeypatch.setattr(scheduler, "RULE", _rule_admitting(_ADMITTED))
     with pytest.raises(StepInvariantError) as got:
         run(cfg, RandomSequential(3), check_invariants=True)
     assert_masks_match_regs(got.value.config)
 
 
-class _SkipLine2Once:
-    """``scheduler._set`` that skips line 2 on one activation.
+#: An Out mask ``rules.RULE`` refuses: four Out flags in a run break R2.
+_ADMITTED = 0b001111
 
-    ``run`` keeps each cell's next mask and applies it
-    with one ``_set`` call per activation that changes the register,
-    which under a random scheduler is every activation.  On the first
-    activation numbered ``start`` or later at which line 2 fires, this
-    wrapper writes the mask line 1 left instead.
+
+def _rule_admitting(mask):
+    """``RULE`` with the refused ``mask`` admitted and no triangle to test.
+
+    ``run`` reads the table it is given through ``scheduler.RULE``, while
+    ``_breaks`` keeps the true one, so under this table the engine skips
+    line 2 exactly where a cell's line-1 mask (``free``) is ``mask``, and
+    the checks see the step break a rule.
     """
+    rule = list(scheduler.RULE)
+    assert rule[mask] is None
+    rule[mask] = ()
+    return tuple(rule)
 
-    def __init__(self, start: int):
-        self.start = start
+
+def _first_skip(cfg, kind, mask):
+    """The number of the first activation at which ``run`` under
+    ``_rule_admitting(mask)`` skips line 2, or None: the first line of
+    its trace whose line-2 flag is 0 where ``activation_step``, replaying
+    the trace, fires line 2.  The runs agree up to that step."""
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "RULE", _rule_admitting(mask))
+        run(cfg, kind, trace_file=buf)
+    replay = cfg
+    for step, p, _, line2, _, _ in read_trace(buf.getvalue()):
+        replay, effect = activation_step(replay, p)
+        if effect.line2_fired != bool(line2):
+            assert effect.line2_fired
+            return step + 1
+    return None
+
+
+class _ActivationStepSkippingLine2:
+    """``activation_step`` and ``is_activable`` on the object path, under
+    the fault ``_rule_admitting(mask)`` puts into the engine: line 2 does
+    not fire where the Out mask line 1 leaves is ``mask``.
+    ``skipped_at`` numbers the first activation it skipped."""
+
+    def __init__(self, mask: int):
+        self.mask = mask
         self.activations = 0
         self.skipped_at = None
 
-    def __call__(self, ci, after, mine, free, around):
-        self.activations += 1
-        line1_mask = free[ci]
-        if after != line1_mask and self.skipped_at is None and self.activations >= self.start:
-            self.skipped_at = self.activations
-            after = line1_mask
-        _set(ci, after, mine, free, around)
-
-
-class _ActivationStepSkippingLine2Once:
-    """``activation_step`` that skips line 2 on one activation, as above."""
-
-    def __init__(self, start: int):
-        self.start = start
-        self.activations = 0
-        self.skipped_at = None
-
-    def __call__(self, c, p):
+    def step(self, c, p):
         new, effect = activation_step(c, p)
-        self.activations += 1
-        if not effect.line2_fired or self.skipped_at is not None or self.activations < self.start:
-            return new, effect
-        self.skipped_at = self.activations
+        if not effect.line2_fired:
+            return new, effect, False
         pm = c.portmaps[c.support.number[p]]
-        reg = []
+        reg, line1_mask = [], 0
         for port in range(N_DIRS):
-            n = neighbor(p, port_to_dir(pm, port))
+            d = port_to_dir(pm, port)
+            n = neighbor(p, d)
             line1_out = n in c.support.cells and c.link_toward(n, p) is IN
             reg.append(OUT if line1_out else IN)
+            line1_mask |= line1_out << d
+        if line1_mask != self.mask:
+            return new, effect, False
         reg = tuple(reg)
         changed = reg != c.regs[p]
         effect = ActivationEffect(changed, effect.line1_fired, False, effect.conflicts_resolved)
-        return (c.with_register(p, reg) if changed else c), effect
+        return (c.with_register(p, reg) if changed else c), effect, True
+
+    def __call__(self, c, p):
+        new, effect, skipped = self.step(c, p)
+        self.activations += 1
+        if skipped and self.skipped_at is None:
+            self.skipped_at = self.activations
+        return new, effect
+
+    def is_activable(self, c, p):
+        return self.step(c, p)[1].changed
 
 
 def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch):
@@ -652,21 +701,21 @@ def test_step_invariant_error_carries_the_failing_step_configuration(monkeypatch
     s = random_support(14, rng.randrange(2**31))
     cfg = random_registers(s, rng.randrange(2**31), 0.2, random_portmaps(s, rng.randrange(2**31)))
     kind = RandomSequential(rng.randrange(2**31))
-    start = 6
 
-    fire = _SkipLine2Once(start)
-    monkeypatch.setattr(scheduler, "_set", fire)
+    skipped_at = _first_skip(cfg, kind, _ADMITTED)
+    monkeypatch.setattr(scheduler, "RULE", _rule_admitting(_ADMITTED))
     with pytest.raises(StepInvariantError) as got:
         run(cfg, kind, check_invariants=True)
     monkeypatch.undo()
 
-    step = _ActivationStepSkippingLine2Once(start)
+    step = _ActivationStepSkippingLine2(_ADMITTED)
     monkeypatch.setattr(reference, "activation_step", step)
+    monkeypatch.setattr(reference, "is_activable", step.is_activable)
     with pytest.raises(StepInvariantError) as want:
         reference_run(cfg, kind, check_invariants=True)
 
-    assert fire.skipped_at is not None and fire.skipped_at == step.skipped_at
-    assert f"step {fire.skipped_at}:" in str(got.value)
+    assert skipped_at is not None and skipped_at == step.skipped_at
+    assert f"step {skipped_at}:" in str(got.value)
     assert got.value.config == want.value.config
     assert got.value.config != cfg
 
