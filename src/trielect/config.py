@@ -368,6 +368,8 @@ def deserialize(text: str) -> Configuration:
     if not shape_cells:
         raise ConfigError("missing or empty shape block")
     support = Support(shape_cells)
+    if len(support) < len(shape_cells):
+        _refuse_repeat(text)
     number = support.number
 
     portmaps: list[PortMap | None] = [None] * len(support)
@@ -406,11 +408,29 @@ def deserialize(text: str) -> Configuration:
         portmaps[i] = pm
         masks[i] = mask
     if _UNSET in masks:
-        missing = [c for c, m in zip(support.order, masks) if m == _UNSET]
-        raise ConfigError(f"port maps do not match support (missing={missing}, extra=[])")
+        missing = ", ".join(f"({q} {r})" for (q, r), m in zip(support.order, masks) if m == _UNSET)
+        raise ConfigError(f"port maps do not match support (missing=[{missing}], extra=[])")
     masks, pms = bytes(masks), tuple(portmaps)
     _check_masks(support, pms, masks)
     return Configuration._of(support, pms, masks)
+
+
+def _refuse_repeat(text: str) -> NoReturn:
+    """Raise for the first shape line of ``text``, which ``deserialize``
+    has parsed, that repeats a cell: read again on this error path only,
+    so a good file keeps no line numbers for its shape block."""
+    seen = set()
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line in ("shape", "cells"):
+            section = line
+        elif line and section == "shape":
+            q, r = map(int, line.split())
+            if (q, r) in seen:
+                raise ConfigError(f"line {lineno}: duplicate shape cell ({q} {r})")
+            seen.add((q, r))
+    raise AssertionError("no shape cell is repeated")
 
 
 def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:

@@ -18,7 +18,10 @@ mask of occupied directions, and the cells that pass (the growable
 frontier) as a sorted list, and adds one uniform draw from them per cell;
 an added cell ORs one bit into each empty neighbour's mask, and only
 those neighbours can change their answer, which one lookup in a table
-built from ``CYCLIC_RUN`` (``_GROWTH``) gives.  Removing a cell whose occupied
+built from ``CYCLIC_RUN`` (``_GROWTH``) gives; the shape's own cells stay
+in the same dict under a value that the table's extra entry leaves as it
+is, so a neighbour costs one probe whether it is empty or not.
+Removing a cell whose occupied
 neighbours form one run of one to three cells (``lattice.ERODIBLE``)
 cannot disconnect the rest, because that run is itself a path.  The
 erosion orientation walks that reduction forwards: repeatedly remove the
@@ -124,6 +127,11 @@ def enumerate_supports(n: int, canonical: str = "translation") -> list[Support]:
     return [Support._from_keys(list(shape), frame) for shape in sorted(shapes)]
 
 
+#: The ``rim`` value of a cell of the shape in ``random_support``: one
+#: past the six-bit masks, so ``_GROWTH`` reads it in its extra entry.
+_SHAPE = 1 << N_DIRS
+
+
 def _growth_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     """``_GROWTH[d][mask]``: ``(new, move)`` for an empty cell with occupied
     directions ``mask`` when the cell at ``(d + 3) % 6`` from it is added,
@@ -131,7 +139,9 @@ def _growth_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     that bit set.  The growable frontier holds the rim cells whose mask is
     a nonempty ``CYCLIC_RUN``, so the cell is listed after iff ``new`` is
     one run and was listed before iff ``mask`` is a nonempty one; ``move``
-    is 1 where it joins the list, -1 where it leaves and 0 where neither."""
+    is 1 where it joins the list, -1 where it leaves and 0 where neither.
+    One more entry per direction, ``_GROWTH[d][_SHAPE]``, is
+    ``(_SHAPE, 0)``: a cell of the shape stays one and moves nothing."""
     table = []
     for bit in _SEEN:
         row = []
@@ -139,6 +149,7 @@ def _growth_table() -> tuple[tuple[tuple[int, int], ...], ...]:
             new = mask | bit
             after = CYCLIC_RUN[new]
             row.append((new, after - (bool(mask) and CYCLIC_RUN[mask])))
+        row.append((_SHAPE, 0))
         table.append(tuple(row))
     return tuple(table)
 
@@ -151,7 +162,8 @@ def random_support(n: int, seed: int) -> Support:
 
     Cells are keys in ``KeyFrame.centred(n)``, which holds every cell
     within ``n`` of the origin, so key order is (q, r) order.  ``rim`` maps
-    each empty cell next to the shape to its mask of occupied directions.
+    each empty cell next to the shape to its mask of occupied directions,
+    and each cell of the shape to ``_SHAPE``.
     The growable frontier is the rim cells whose mask is one cyclic run,
     held as a sorted list of keys; each step pops the one at index
     ``rng.randrange(len(growable))``, drawn as ``randrange``'s own
@@ -160,7 +172,9 @@ def random_support(n: int, seed: int) -> Support:
     likely.  Adding a cell sets one bit in the mask of each empty
     neighbour, and only those can join or leave the list: one lookup in
     ``_GROWTH``, a table built from ``CYCLIC_RUN`` by direction and mask,
-    gives the new mask and whether the cell joins, leaves or stays.
+    gives the new mask and whether the cell joins, leaves or stays.  Its
+    extra entry leaves a neighbour in the shape as it is, so each
+    neighbour costs one probe of ``rim`` and no test of membership.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -168,9 +182,11 @@ def random_support(n: int, seed: int) -> Support:
     draw = random.Random(seed).getrandbits
     frame = KeyFrame.centred(n)
     origin = frame.key(0, 0)
-    cells = {origin}
     rim = {origin + step: bit for step, bit in zip(frame.steps, _SEEN)}
     growable = sorted(rim)
+    rim[origin] = _SHAPE
+    cells = [origin]
+    get = rim.get
     steps = tuple(zip(frame.steps, _GROWTH))
     for _ in range(n - 1):
         k = len(growable)
@@ -179,21 +195,19 @@ def random_support(n: int, seed: int) -> Support:
         while i >= k:
             i = draw(bits)
         c = growable.pop(i)
-        del rim[c]
-        cells.add(c)
+        rim[c] = _SHAPE
+        cells.append(c)
         for step, table in steps:
             x = c + step
-            if x in cells:
-                continue
-            rim[x], move = table[rim.get(x, 0)]
+            rim[x], move = table[get(x, 0)]
             if move:
                 if move > 0:
                     insort(growable, x)
                 else:
                     del growable[bisect_left(growable, x)]
-    keys = sorted(cells)
-    del cells, rim, growable  # freed before the numbering's peak
-    return Support._from_keys(keys, frame)
+    cells.sort()
+    del rim, get, growable  # freed before the numbering's peak
+    return Support._from_keys(cells, frame)
 
 
 # -- erosion orientation ---------------------------------------------------------

@@ -11,7 +11,6 @@ may leak a global direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 #: Global direction index, 0..5 counter-clockwise.
@@ -105,7 +104,6 @@ def common_neighbors(a: Cell, b: Cell) -> set[Cell]:
     return {neighbor(a, (d - 1) % N_DIRS), neighbor(a, (d + 1) % N_DIRS)}
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class PortMap:
     """A particle's private bijection between local ports and directions.
 
@@ -120,14 +118,18 @@ class PortMap:
     ``pickle`` and ``copy`` all return the one in ``ALL_PORTMAPS``.  So
     equal port maps are identical and the identity hash, computed in C,
     agrees with equality; every ``OUT_MASK``/``REGISTER`` lookup hashes one.
+    A port map is frozen: assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``, as the frozen dataclass it was
+    did.  It is a plain class so that importing the package loads neither
+    ``dataclasses`` nor the ``inspect`` that it imports.
     """
+
+    __slots__ = ("offset", "chirality", "dirs", "ports")
 
     offset: int
     chirality: int
-    dirs: tuple[Dir, ...] = field(init=False, repr=False, compare=False)
-    ports: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    __hash__ = object.__hash__
+    dirs: tuple[Dir, ...]
+    ports: tuple[int, ...]
 
     def __new__(cls, offset: int, chirality: int) -> PortMap:
         try:
@@ -138,8 +140,28 @@ class PortMap:
             raise ValueError(f"port map offset {offset} out of range")
         raise ValueError(f"chirality must be +1 or -1, got {chirality}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PortMap:
+            return NotImplemented
+        return (self.offset, self.chirality) == (other.offset, other.chirality)  # type: ignore[attr-defined]
+
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"PortMap(offset={self.offset}, chirality={self.chirality})"
+
     def __reduce__(self) -> tuple[type[PortMap], tuple[int, int]]:
         return PortMap, (self.offset, self.chirality)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _shared_portmaps() -> dict[tuple[int, int], PortMap]:

@@ -18,12 +18,17 @@ routine sorts the keys, numbers them in an int-keyed dict and reads each
 neighbour's number with one int add and one lookup; ``Support(cells)``
 frames and keys its cells (every coordinate must be an ``int``, and cells
 spread over as many q or r values as there are cells are refused as
-disconnected before a frame is made), and the generators, which grow and enumerate shapes on keys, hand their keys to
-the internal ``Support._from_keys``.  Only ``hole_cells``, which names
-enclosed cells once a support is found not simply connected, floods.
-Articulation points and blocks are memoised on first use.  Boundary
-cells of a simply connected support fall into a
-strict trichotomy: pending (one occupied neighbour), articulation point,
+disconnected before a frame is made), and the generators, which grow and
+enumerate shapes on keys, hand their keys to the internal
+``Support._from_keys``.  Every support, generated or not, is then
+flooded once over ``around`` and refused unless connected; the flood
+reads an empty neighbour (-1) off a sentinel slot, so it tests no
+index.  Simple connectivity is one table lookup per cell, ``_EULER``,
+summed to six times V - E + T; only ``hole_cells``, which names enclosed
+cells once a support is found not simply connected, floods the empty
+cells.  Articulation points and blocks are memoised on first use.
+Boundary cells of a simply connected support fall into a strict
+trichotomy: pending (one occupied neighbour), articulation point,
 or a theta-angle particle whose occupied neighbours form a single cyclic
 arc spanning theta degrees.  A 300-degree angle cannot occur: an arc of
 six would mean every neighbour is occupied, contradicting boundary
@@ -86,6 +91,16 @@ def angle_class(degrees: int) -> BoundaryClass:
 
 
 _ALL_DIRS = (1 << N_DIRS) - 1
+
+#: ``_EULER[mask]``: six times a cell's share of V - E + T, where ``mask``
+#: is its occupied directions: 6 for the cell, -3 per edge (each shared by
+#: two cells) and +2 per triangle corner (pairs of cyclically consecutive
+#: directions; each triangle has three).  So a support's masks sum to 6
+#: exactly when V - E + T = 1.
+_EULER = tuple(
+    6 - 3 * m.bit_count() + 2 * (m & (m >> 1 | m << 5)).bit_count()
+    for m in range(1 << N_DIRS)
+)
 
 
 class KeyFrame(NamedTuple):
@@ -161,8 +176,10 @@ class Support:
         """The support of the cells with the sorted, distinct ``keys`` of
         ``frame``, every one of which, with its neighbours, lies in the
         frame's r window.  It empties ``keys``.  Internal to the package:
-        nothing here checks these preconditions, which ``Support(cells)``
-        establishes and the generators keep."""
+        the frame and key preconditions, which ``Support(cells)``
+        establishes and the generators keep, are not checked here, but
+        ``_number`` floods the cells and refuses them unless connected,
+        as it does for every support."""
         self = cls.__new__(cls)
         self._number(keys, frame)
         return self
@@ -209,22 +226,11 @@ class Support:
             for a, b, c, d, e, f in around
         ])
         self.cells = frozenset(order)
-        if not self._is_connected():
+        if not _is_connected(around):
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None
         self._articulation: frozenset[Cell] | None = None
         self._blocks: tuple[frozenset[Cell], ...] | None = None
-
-    def _is_connected(self) -> bool:
-        seen = bytearray(len(self.order))
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            for j in self.around[stack.pop()]:
-                if j >= 0 and not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-        return all(seen)
 
     # -- basic queries ----------------------------------------------------
 
@@ -274,12 +280,11 @@ class Support:
         are its T triangles of mutually adjacent cells plus one face per
         enclosed empty region, so Euler's formula reads V - E + T = 1 - holes.
         Each cell sees its edges as occupied directions and its triangle
-        corners as pairs of cyclically consecutive occupied directions.
+        corners as pairs of cyclically consecutive occupied directions, so
+        six times the count is the sum over cells of ``_EULER[mask]``, one
+        lookup per cell.
         """
-        present = self.present
-        edge_ends = sum(m.bit_count() for m in present)
-        corners = sum((m & (m >> 1 | m << 5)).bit_count() for m in present)
-        return len(present) - edge_ends // 2 + corners // 3 == 1
+        return sum(map(_EULER.__getitem__, self.present)) == 6
 
     def hole_cells(self) -> frozenset[Cell]:
         """The empty cells of every enclosed region.
@@ -398,6 +403,41 @@ class Support:
                 "an articulation point; support cannot be simply connected"
             )
         return angle_class(60 * (occupied - 1))
+
+
+def _is_connected(around: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff every cell number is reached from cell 0 through ``around``.
+
+    ``seen`` has one more slot than there are cells, at index n, set from
+    the start: an empty neighbour, -1, indexes it and so reads as seen,
+    and each row is unpacked with no test of ``j >= 0``.
+    """
+    n = len(around)
+    seen = bytearray(n + 1)
+    seen[0] = seen[n] = 1
+    stack = [0]
+    push, pop = stack.append, stack.pop
+    while stack:
+        a, b, c, d, e, f = around[pop()]
+        if not seen[a]:
+            seen[a] = 1
+            push(a)
+        if not seen[b]:
+            seen[b] = 1
+            push(b)
+        if not seen[c]:
+            seen[c] = 1
+            push(c)
+        if not seen[d]:
+            seen[d] = 1
+            push(d)
+        if not seen[e]:
+            seen[e] = 1
+            push(e)
+        if not seen[f]:
+            seen[f] = 1
+            push(f)
+    return 0 not in seen
 
 
 def _flood(seeds: set[Cell], inside: Callable[[Cell], bool]) -> set[Cell]:

@@ -9,7 +9,9 @@ principles.  Expected values frozen into the tests were produced by these
 functions.  ``reference_random_support`` (and its prefix-yielding twin
 ``reference_random_support_prefixes``), ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
-reads off one cyclic-run lookup.  ``neighbor_mask`` is the six-bit
+reads off one cyclic-run lookup; ``flood_connected`` is their flood, by
+coordinates and a set of cells, against which ``support._is_connected``,
+the flood over cell numbers, is checked.  ``neighbor_mask`` is the six-bit
 mask of a cell's neighbours in a set, by coordinates.
 ``reference_numbering`` is the ``Cell``-keyed numbering and
 ``reference_enumerate_supports`` the ``Cell``-tuple enumeration that
@@ -289,7 +291,8 @@ def simply_connected_shape_count(n: int) -> int:
     )
 
 
-def _connected(cells: set[Cell]) -> bool:
+def flood_connected(cells: set[Cell]) -> bool:
+    """True iff ``cells`` is connected: a flood by coordinates from one cell."""
     start = next(iter(cells))
     seen = {start}
     stack = [start]
@@ -389,7 +392,7 @@ def reference_erosion_order(s: Support) -> list[Cell]:
     while len(remaining) > 1:
         for c in sorted(remaining):
             occ = [d for d in range(6) if neighbor(c, d) in remaining]
-            if 1 <= len(occ) <= 3 and _runs(occ) == 1 and _connected(remaining - {c}):
+            if 1 <= len(occ) <= 3 and _runs(occ) == 1 and flood_connected(remaining - {c}):
                 order.append(c)
                 remaining.remove(c)
                 break
@@ -407,7 +410,7 @@ def reference_boundary_class(cells: frozenset[Cell], p: Cell) -> str:
     occ = [d for d in range(6) if neighbor(p, d) in cells]
     if len(occ) == 1:
         return "pending"
-    if not _connected(set(cells) - {p}):
+    if not flood_connected(set(cells) - {p}):
         return "articulation"
     assert _runs(occ) == 1, f"{p} is no articulation point but has {_runs(occ)} arcs"
     return f"angle({60 * (len(occ) - 1)})"

@@ -234,6 +234,22 @@ def test_cli_import_loads_no_process_pool():
     assert out == "[]\n", out
 
 
+def test_cli_import_loads_no_dataclasses():
+    """No trielect class is a dataclass, so a fresh interpreter that
+    imports the CLI loads neither ``dataclasses`` nor the ``inspect`` it
+    imports; ``PortMap`` imports ``FrozenInstanceError`` only to raise it."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, trielect.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n", out
+
+
 def test_search_unfair_and_replay(tmp_path, capsys):
     cfg_path = tmp_path / "cycle.cfg"
     script_path = tmp_path / "cycle.script"
@@ -396,6 +412,9 @@ _PINNED_ERRORS = {
     "gen --shape parallelogram0x3 --out {out}":
         "error: shape name 'parallelogram0x3': sides must be >= 1 in parallelogramWxH\n",
     "search-unfair --shape line0": "error: shape name 'line0': n must be >= 1 in lineN\n",
+    "run --config {trace}": "error: line 3: duplicate shape cell (0 0)\n",
+    "verify --per-particle --config {trace}":
+        "error: port maps do not match support (missing=[(1 0)], extra=[])\n",
 }
 
 
@@ -443,6 +462,10 @@ def _exit_code(argv):
         (["gen", "--random", "40", "--seed", "-5", "--out", "{out}"], None),
         (["gen", "--shape", "line2", "--init", "random", "--seed", "-1", "--out", "{out}"], None),
         (["run", "--config", "{cfg}", "--seed", "-7"], None),
+        (["run", "--config", "{trace}"],
+         "shape\n0 0\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n1 0 | 0 1 | I I I I I I\n"),
+        (["verify", "--per-particle", "--config", "{trace}"],
+         "shape\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n"),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

@@ -331,7 +331,7 @@ def test_deserialize_errors_name_location():
     missing = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(ConfigError) as exc:
         deserialize(missing)
-    assert str(exc.value) == "port maps do not match support (missing=[Cell(q=1, r=0)], extra=[])"
+    assert str(exc.value) == "port maps do not match support (missing=[(1 0)], extra=[])"
 
     with pytest.raises(ConfigError):
         deserialize(good.replace("shape", "shap", 1))
@@ -346,6 +346,11 @@ def test_deserialize_rejects_duplicates_and_unknown_cells():
     alien = good + "9 9 | 0 +1 | I I I I I I\n"
     with pytest.raises(ConfigError):
         deserialize(alien)
+    # A repeated shape line is refused too, at its second occurrence.
+    repeated = good.replace("shape\n0 0\n", "shape\n0 0\n# again\n0 0\n", 1)
+    with pytest.raises(ConfigError) as exc:
+        deserialize(repeated)
+    assert str(exc.value) == "line 4: duplicate shape cell (0 0)"
 
 
 def test_comments_and_blank_lines_ignored(tri):

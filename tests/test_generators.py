@@ -9,6 +9,7 @@ from trielect.lattice import CYCLIC_RUN, N_DIRS, Cell, neighbors
 from trielect.config import ALL_IN, EdgeOrientation, OUT
 from trielect.generators import (
     _GROWTH,
+    _SHAPE,
     ErosionError,
     _erode,
     enumerate_supports,
@@ -192,6 +193,24 @@ def test_growth_table_matches_cyclic_run_branches():
             elif CYCLIC_RUN[old]:
                 move = -1
             assert _GROWTH[d][old] == (mask, move), (d, old)
+
+
+def test_growth_table_leaves_shape_cells_as_they_are():
+    """The extra entry of every direction maps a cell of the shape to
+    itself with move 0: a neighbour already grown stays grown and never
+    joins or leaves the growable list."""
+    assert _SHAPE == 1 << N_DIRS
+    for d in range(N_DIRS):
+        assert len(_GROWTH[d]) == _SHAPE + 1
+        assert _GROWTH[d][_SHAPE] == (_SHAPE, 0), d
+
+
+def test_erosion_refuses_holed_supports():
+    for s in (ring18().support, Support(hexagon(1).cells - {Cell(0, 0)})):
+        with pytest.raises(SupportError, match="simply connected"):
+            erosion_orientation(s)
+        with pytest.raises(SupportError, match="simply connected"):
+            erosion_order(s)
 
 
 def test_random_support_large():

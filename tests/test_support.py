@@ -3,8 +3,11 @@ from collections import Counter
 
 import pytest
 
-from trielect.lattice import CYCLIC_RUN, Cell, neighbor, neighbors
+from trielect import support as support_module
+from trielect.lattice import CYCLIC_RUN, Cell, N_DIRS, neighbor, neighbors
 from trielect.support import (
+    _EULER,
+    _is_connected,
     FlatPairWitness,
     KeyFrame,
     PendingWitness,
@@ -27,6 +30,7 @@ from reference import (
     canonical_cells,
     empty_component_count,
     enclosed_components,
+    flood_connected,
     neighbor_mask,
     reference_boundary_class,
     reference_numbering,
@@ -104,6 +108,74 @@ def test_simply_connected_matches_component_oracle():
             sum(any(nb in comp for nb in neighbors(c)) for comp in comps) >= 2 for c in s
         )
     assert by_count[2] >= 200 and by_count[3] >= 150 and meeting >= 250, (by_count, meeting)
+
+
+def test_euler_table_matches_the_two_sum_formula():
+    """``_EULER[mask]`` is six times the cell's share of V - E + T: on all
+    64 masks, 6 less 3 per occupied direction plus 2 per pair of
+    cyclically consecutive ones, counted direction by direction; and over
+    supports with and without holes, the masks' sum is six times the
+    count the two sums over ``present`` give."""
+    assert len(_EULER) == 1 << N_DIRS
+    for mask in range(1 << N_DIRS):
+        occupied = [d for d in range(N_DIRS) if mask >> d & 1]
+        corners = [d for d in occupied if (d + 1) % N_DIRS in occupied]
+        assert _EULER[mask] == 6 - 3 * len(occupied) + 2 * len(corners), mask
+    holed = [ring18().support, Support(hexagon(1).cells - {Cell(0, 0)})]
+    for s in (*holed, hexagon(3), *enumerate_supports(5)):
+        edge_ends = sum(m.bit_count() for m in s.present)
+        corners = sum((m & (m >> 1 | m << 5)).bit_count() for m in s.present)
+        euler = len(s) - edge_ends // 2 + corners // 3
+        assert euler == (0 if s in holed else 1)
+        assert sum(_EULER[m] for m in s.present) == 6 * euler
+
+
+def test_simply_connected_iff_no_hole_cells_on_every_small_support():
+    """Every connected support of at most seven cells, holed or not, and
+    the holed shapes ``ring18`` and ``hexagon(1)`` without its centre."""
+    supports = [Support(shape) for n in range(1, 8) for shape in rooted_growth_shapes(n)]
+    supports += [ring18().support, Support(hexagon(1).cells - {Cell(0, 0)})]
+    holed = 0
+    for s in supports:
+        holes = s.hole_cells()
+        assert s.is_simply_connected() == (not holes), sorted(s.cells)
+        holed += bool(holes)
+    assert holed >= 3, holed
+
+
+def test_constructor_floods_cells_that_pass_the_span_precheck(monkeypatch):
+    """Cells spread over fewer q and r values than there are cells get
+    past the precheck, so the flood over ``around`` must refuse them."""
+    floods = []
+
+    def counted(around):
+        floods.append(len(around))
+        return _is_connected(around)
+
+    monkeypatch.setattr(support_module, "_is_connected", counted)
+    for cells in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (2, 0), (2, 1)]):
+        with pytest.raises(SupportError, match="not connected"):
+            Support([Cell(q, r) for q, r in cells])
+        assert floods == [len(cells)]
+        floods.clear()
+    random_support(40, 5)
+    assert floods == [40]
+
+
+def test_is_connected_matches_a_coordinate_flood():
+    """``_is_connected`` on the numbering of seeded random subsets of a
+    hexagon and of lines, against ``reference.flood_connected``."""
+    rng = random.Random(3141)
+    pools = [sorted(hexagon(3).cells), [Cell(q, 0) for q in range(8)], [Cell(0, r) for r in range(8)]]
+    outcomes = Counter()
+    for _ in range(3000):
+        pool = rng.choice(pools)
+        cells = rng.sample(pool, rng.randrange(1, min(len(pool), 14) + 1))
+        around = reference_numbering(cells)[3]
+        expected = flood_connected(set(cells))
+        assert _is_connected(around) == expected, sorted(cells)
+        outcomes[expected] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 300, outcomes
 
 
 def test_cell_numbering_agrees_with_the_lattice():
