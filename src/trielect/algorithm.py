@@ -17,10 +17,12 @@ particle does not count as activable.  After any activation the out-degree,
 consecutiveness and triangle rules hold at the activated particle.
 
 Only the particle's own register is written, and only the registers and
-port labels of the particle and its six neighbours are read.
-``step_register`` tests line 2 on the would-be register in place, through
-``rules.r4_at`` for R4, and builds no configuration, so a step costs the
-same at any support size.
+port labels of the particle and its six neighbours are read, each by cell
+number: ``register(j)`` and ``portmaps[j]``.  ``step_register`` tests
+line 2 on the would-be register in place, through ``rules.r4_at`` for
+R4, and builds no configuration; ``activation_step`` builds one only for
+a changed register, by copying the masks, so a chained step costs about
+the same at any support size.
 """
 
 from __future__ import annotations
@@ -43,22 +45,24 @@ class ActivationEffect(NamedTuple):
 
 def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffect]:
     """New register of ``p`` after one activation, without building the config."""
-    i, order = c.number_of(p), c.support.order
-    pm = c.portmaps[i]
-    before = c.regs[p]
+    i, register, portmaps = c.number_of(p), c.register, c.portmaps
+    before = register(i)
     reg = list(before)
     row = c.support.around[i]
-    occupied = [(port, order[row[d]]) for port, d in enumerate(pm.dirs) if row[d] >= 0]
+    # Each occupied port with the neighbour's link back along its edge.
+    occupied = [
+        (port, register(j)[portmaps[j].ports[(d + 3) % N_DIRS]])
+        for port, d in enumerate(portmaps[i].dirs)
+        if (j := row[d]) >= 0
+    ]
 
     conflicts = 0
-    for port, n in occupied:
-        if reg[port] is OUT and c.link_toward(n, p) is OUT:
+    for port, back in occupied:
+        if reg[port] is OUT and back is OUT:
             reg[port] = IN
             conflicts += 1
 
-    undirected = [
-        port for port, n in occupied if reg[port] is IN and c.link_toward(n, p) is IN
-    ]
+    undirected = [port for port, back in occupied if reg[port] is IN and back is IN]
     for port in undirected:
         reg[port] = OUT
 
@@ -80,7 +84,7 @@ def _r234_with(c: Configuration, i: int, reg: Registers) -> bool:
 
 def activation_step(c: Configuration, p: Cell) -> tuple[Configuration, ActivationEffect]:
     """Apply one activation of ``p``; only ``p``'s register may change."""
-    if p not in c.support.cells:
+    if p not in c.support:
         raise ValueError(f"{p} is not occupied")
     reg, effect = step_register(c, p)
     if not effect.changed:

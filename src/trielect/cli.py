@@ -172,7 +172,7 @@ def _enum_one(payload: tuple[str, Support]) -> tuple[bool, str]:
     if check == "angle-census":
         if len(support) < 3 or not support.is_two_connected():
             return True, ""
-        return check_angle_census(support), f"census identity fails on {sorted(support.cells)}"
+        return check_angle_census(support), f"census identity fails on {list(support)}"
     if check == "boundary-witness":
         if len(support) < 2:
             return True, ""
@@ -180,7 +180,7 @@ def _enum_one(payload: tuple[str, Support]) -> tuple[bool, str]:
             boundary_witness(support)
             return True, ""
         except Exception as exc:  # raise -> counterexample
-            return False, f"{sorted(support.cells)}: {exc}"
+            return False, f"{list(support)}: {exc}"
     raise UsageError(f"unknown check {check!r}")
 
 
@@ -286,7 +286,7 @@ def _trace_cells(path: str, cfg: Configuration) -> list[Cell]:
                 raise UsageError(
                     f"trace line {lineno}: expected 'step q r ...', got {raw.strip()!r}"
                 ) from None
-            if cell not in cfg.support.cells:
+            if cell not in cfg.support:
                 raise UsageError(
                     f"trace line {lineno}: cell ({cell.q} {cell.r}) is not in the configuration"
                 )

@@ -19,10 +19,11 @@ taken by every constructor and shared by every update.  Registers are
 indexed by local port, not by global direction, so any code reading them
 is forced through the owning particle's PortMap.  Every particle-local
 reader (``rules``, ``algorithm``, ``views`` and the edge readers here)
-goes through ``regs`` and ``portmaps`` only, never through ``masks``;
-``regs`` is derived from the masks by ``REGISTER`` on its first read,
-and no path hands a register dict on.  That keeps the simulated
-particles honest: there is no shared rotation or chirality to lean on.
+goes through ``register(i)`` and ``portmaps`` only, by the cell numbers
+it already holds, never through ``masks``; ``register(i)`` reads cell
+number ``i``'s register off its mask by ``REGISTER``, and nothing is
+built or kept per configuration.  That keeps the simulated particles
+honest: there is no shared rotation or chirality to lean on.
 """
 
 from __future__ import annotations
@@ -131,13 +132,11 @@ class Configuration:
 
     The stored state is ``portmaps`` and ``masks``: cell number ``i`` has
     port map ``portmaps[i]`` and Out mask ``masks[i]`` over global
-    directions, and nothing else is stored about the registers.  ``regs``
-    reads the masks as registers, ``REGISTER[pm][mask]``: the property
-    builds the dict at most once per configuration, on its first read,
-    and is the only code that fills ``_regs`` (None until then).
+    directions, and nothing else is stored about the registers.
+    ``register(i)`` reads cell number ``i``'s as ``REGISTER[pm][mask]``.
     """
 
-    __slots__ = ("support", "portmaps", "masks", "_regs")
+    __slots__ = ("support", "portmaps", "masks")
 
     def __init__(
         self,
@@ -146,8 +145,8 @@ class Configuration:
         regs: Mapping[Cell, Registers],
     ):
         _check_portmaps(support, portmaps)
-        if (keys := set(regs)) != support.cells:
-            missing, extra = sorted(support.cells - keys), sorted(keys - support.cells)
+        if (keys := set(regs)) != (cells := support.number.keys()):
+            missing, extra = sorted(cells - keys), sorted(keys - cells)
             raise ConfigError(f"registers do not match support (missing={missing}, extra={extra})")
         self.support = support
         self.portmaps = portmaps
@@ -155,7 +154,6 @@ class Configuration:
             _mask_of(c, pm, regs[c], present)
             for c, pm, present in zip(support.order, portmaps, support.present)
         )
-        self._regs: dict[Cell, Registers] | None = None
 
     @classmethod
     def from_masks(
@@ -177,7 +175,6 @@ class Configuration:
         new.support = support
         new.portmaps = portmaps
         new.masks = masks
-        new._regs = None
         return new
 
     def with_masks(self, masks: bytes) -> "Configuration":
@@ -185,32 +182,25 @@ class Configuration:
         _check_masks(self.support, self.portmaps, masks)
         return self._of(self.support, self.portmaps, masks)
 
-    @property
-    def regs(self) -> dict[Cell, Registers]:
-        """Every particle's register by cell, built on the first read."""
-        regs = self._regs
-        if regs is None:
-            self._regs = regs = {
-                c: REGISTER[pm][m]
-                for c, pm, m in zip(self.support.order, self.portmaps, self.masks)
-            }
-        return regs
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Configuration)
             and self.masks == other.masks
-            and (self.support is other.support or self.support.cells == other.support.cells)
+            and self.support == other.support
             and (self.portmaps is other.portmaps or self.portmaps == other.portmaps)
         )
 
     def __hash__(self) -> int:
-        return hash((self.support.cells, self.masks, self.portmaps))
+        return hash((self.support, self.masks, self.portmaps))
 
     def __repr__(self) -> str:
         return f"Configuration({len(self.support)} cells)"
 
     # -- register access ----------------------------------------------------
+
+    def register(self, i: int) -> Registers:
+        """Cell number ``i``'s register, indexed by its local ports."""
+        return REGISTER[self.portmaps[i]][self.masks[i]]
 
     def number_of(self, c: Cell) -> int:
         """``c``'s number in the support's cell numbering."""
@@ -222,11 +212,6 @@ class Configuration:
     def port_of(self, c: Cell, toward: Cell) -> int:
         """Local port of ``c`` whose edge leads to the adjacent cell ``toward``."""
         return self.portmaps[self.number_of(c)].ports[direction_from(c, toward)]
-
-    def link_toward(self, c: Cell, toward: Cell) -> LinkState:
-        port = self.port_of(c, toward)
-        # The built registers without the property's call, or build them.
-        return (self._regs or self.regs)[c][port]
 
     def with_register(self, c: Cell, reg: Registers) -> "Configuration":
         """Copy of this configuration with one register replaced (re-validated)."""
@@ -255,16 +240,16 @@ class Configuration:
             d = self.support.around[i].index(j)
         except ValueError:
             raise ValueError(f"cells {a} and {b} are not adjacent") from None
-        regs, pms = self.regs, self.portmaps
-        out_a = regs[a][pms[i].ports[d]] is OUT
-        out_b = regs[b][pms[j].ports[(d + 3) % N_DIRS]] is OUT
+        pms = self.portmaps
+        out_a = self.register(i)[pms[i].ports[d]] is OUT
+        out_b = self.register(j)[pms[j].ports[(d + 3) % N_DIRS]] is OUT
         return LINK_ORIENTATION[out_a][out_b]
 
     def outgoing_ports(self, c: Cell) -> tuple[int, ...]:
         """Ports of ``c`` holding Out toward an occupied neighbour."""
         i = self.number_of(c)
         present, dirs = self.support.present[i], self.portmaps[i].dirs
-        reg = (self._regs or self.regs)[c]
+        reg = self.register(i)
         return tuple(p for p in range(N_DIRS) if reg[p] is OUT and present >> dirs[p] & 1)
 
     # -- serialisation --------------------------------------------------------

@@ -444,7 +444,8 @@ def shape_by_name(name: str) -> Support:
 
 
 def _shape_size(name: str, text: str, form: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"shape name {name!r} does not match {form}") from None
+    """A size in a shape name: ASCII digits only, so no sign, space,
+    underscore or other script's digit is read as part of a number."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"shape name {name!r} does not match {form}")
+    return int(text)

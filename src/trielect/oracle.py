@@ -198,7 +198,7 @@ class ConfigGraph:
     # -- conversions -----------------------------------------------------------
 
     def pack(self, config: Configuration) -> int:
-        if config.support.cells != self.support.cells:
+        if config.support != self.support:
             raise ValueError("configuration lives on a different support")
         state = 0
         for mask, half in zip(config.masks, self.half_at):

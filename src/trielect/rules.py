@@ -16,16 +16,16 @@ elected leader.
 The ``check_r*`` functions and ``sinks`` are the object reference.  They
 read a ``Configuration``'s port maps and registers only, along the
 support's cell numbering: the neighbour of p at direction d is
-``around[number[p]][d]``, cell number j's port map is ``portmaps[j]``,
-and the port facing d is the port map's ``ports[d]``.  ``r4_at`` is
-``check_r4``'s body with the cell's register as an argument, so that
-``algorithm.step_register`` tests a trial register in place.  ``RULE``
-is the same R2/R3/R4 as one 64-entry table over a cell's Out mask, read
-as stored by the scheduler's mask engine and by ``oracle.ConfigGraph``;
-the reference reads neither it nor the stored masks
-(``Configuration.masks``) nor the register tables ``config.OUT_MASK``
-and ``config.REGISTER``, so tests that compare the two compare
-independent derivations.
+``around[number[p]][d]``, cell number j's port map is ``portmaps[j]``
+and its register ``register(j)``, and the port facing d is the port
+map's ``ports[d]``.  ``r4_at`` is ``check_r4``'s body with the cell's
+register as an argument, so that ``algorithm.step_register`` tests a
+trial register in place.  ``RULE`` is the same R2/R3/R4 as one
+64-entry table over a cell's Out mask, read as stored by the scheduler's
+mask engine and by ``oracle.ConfigGraph``; the reference reads neither
+it nor the stored masks (``Configuration.masks``) nor the register
+tables ``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare
+the two compare independent derivations.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ RULE = _rule_table()
 
 def check_r1(c: Configuration, p: Cell) -> bool:
     """Every edge at ``p`` is agreed-directed: no undirected, no conflict."""
-    support, regs, portmaps = c.support, c.regs, c.portmaps
-    order, i = support.order, c.number_of(p)
-    reg, ports = regs[p], portmaps[i].ports
-    for d, j in enumerate(support.around[i]):
+    register, portmaps = c.register, c.portmaps
+    i = c.number_of(p)
+    reg, ports = register(i), portmaps[i].ports
+    for d, j in enumerate(c.support.around[i]):
         # Directed and agreed iff exactly one end holds Out.
         if j >= 0 and (reg[ports[d]] is OUT) is (
-            regs[order[j]][portmaps[j].ports[(d + 3) % N_DIRS]] is OUT
+            register(j)[portmaps[j].ports[(d + 3) % N_DIRS]] is OUT
         ):
             return False
     return True
@@ -100,21 +100,21 @@ def check_r3(c: Configuration, p: Cell) -> bool:
 
 def check_r4(c: Configuration, p: Cell) -> bool:
     """No triangle containing ``p`` is a directed 3-cycle (omniscient reading)."""
-    return r4_at(c, c.number_of(p), c.regs[p])
+    i = c.number_of(p)
+    return r4_at(c, i, c.register(i))
 
 
 def r4_at(c: Configuration, i: int, reg: Registers) -> bool:
     """``check_r4`` at cell number ``i`` with its register read as ``reg``."""
-    support, regs, portmaps = c.support, c.regs, c.portmaps
-    order = support.order
-    row = support.around[i]
+    register, portmaps = c.register, c.portmaps
+    row = c.support.around[i]
     ports = portmaps[i].ports
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
         if j < 0 or k < 0:
             continue
-        q_reg, q_ports = regs[order[j]], portmaps[j].ports
-        r_reg, r_ports = regs[order[k]], portmaps[k].ports
+        q_reg, q_ports = register(j), portmaps[j].ports
+        r_reg, r_ports = register(k), portmaps[k].ports
         # q lies at d from p and r at d + 1, so r lies at d + 2 from q, and
         # p at d + 3 from q and at d + 4 from r.  ``xy``: x is Out toward y.
         pq, qp = reg[ports[d]] is OUT, q_reg[q_ports[(d + 3) % N_DIRS]] is OUT

@@ -296,7 +296,7 @@ def run(
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if isinstance(kind, Scripted):
-        unknown = sorted(set(kind.cells) - c0.support.cells)
+        unknown = sorted({p for p in kind.cells if p not in c0.support})
         if unknown:
             listed = ", ".join(f"({c.q} {c.r})" for c in unknown)
             raise SupportError(f"scripted cells not in the support: {listed}")

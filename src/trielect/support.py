@@ -2,10 +2,12 @@
 
 A Support is a finite nonempty connected set of occupied cells.  It
 numbers its cells once, at construction, in sorted order (``order[i]``
-is cell number ``i``, ``number`` maps back), and keeps per cell
-``around[i]``, its neighbours' numbers by direction
-(-1 where the cell is empty), and ``present[i]``, the six-bit mask of
-its occupied directions.  Connectivity, simple connectivity (an Euler
+is cell number ``i``, ``number`` maps back).  ``number`` is its one
+``Cell`` index: ``in`` reads it and ``cells`` is a read-only view of its
+keys, while ``len``, ``==`` and ``hash`` read the sorted ``order``.  It
+keeps per cell ``around[i]``, its neighbours' numbers by direction (-1
+where the cell is empty), and ``present[i]``, the six-bit mask of its
+occupied directions.  Connectivity, simple connectivity (an Euler
 count), edges, the boundary and the boundary class read these; the
 scheduler's engine, the packed oracle, register validation and the
 generators read them too, so the numbering is decided here only.  The
@@ -40,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice, repeat
 from operator import eq
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Union
 
 from .lattice import (
     CYCLIC_RUN,
@@ -135,7 +137,6 @@ class Support:
     """Immutable connected set of occupied cells with cached geometry."""
 
     __slots__ = (
-        "cells",
         "order",
         "number",
         "around",
@@ -225,7 +226,6 @@ class Support:
             (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2 | (d >= 0) << 3 | (e >= 0) << 4 | (f >= 0) << 5
             for a, b, c, d, e, f in around
         ])
-        self.cells = frozenset(order)
         if not _is_connected(around):
             raise SupportError("support is not connected")
         self._boundary: frozenset[Cell] | None = None
@@ -234,23 +234,29 @@ class Support:
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def cells(self) -> KeysView[Cell]:
+        """The cells as a set, read-only: the keys of ``number``."""
+        return self.number.keys()
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.order)
 
     def __contains__(self, c: Cell) -> bool:
-        return c in self.cells
+        return c in self.number
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.order)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Support) and self.cells == other.cells
+        # Sorted, so two supports have equal cells iff equal ``order``s.
+        return self is other or (isinstance(other, Support) and self.order == other.order)
 
     def __hash__(self) -> int:
-        return hash(self.cells)
+        return hash(self.order)
 
     def __repr__(self) -> str:
-        return f"Support({len(self.cells)} cells, first={self.order[0]})"
+        return f"Support({len(self.order)} cells, first={self.order[0]})"
 
     def occupied_neighbors(self, c: Cell) -> tuple[Cell, ...]:
         """The occupied neighbours of ``c``, by direction."""
@@ -294,10 +300,10 @@ class Support:
         cell, is outer.  So the outer region is flooded through empty
         neighbours only, and the enclosed ones from those left over.
         """
-        cells = self.cells
-        rim = {nb for c in self.boundary() for nb in neighbors(c) if nb not in cells}
+        number = self.number
+        rim = {nb for c in self.boundary() for nb in neighbors(c) if nb not in number}
         outer = _flood({min(rim)}, rim.__contains__)
-        return frozenset(_flood(rim - outer, lambda nb: nb not in cells))
+        return frozenset(_flood(rim - outer, lambda nb: nb not in number))
 
     # -- articulation points and blocks -------------------------------------
 
@@ -326,7 +332,7 @@ class Support:
         counter = 0
 
         root = self.order[0]
-        if len(self.cells) == 1:
+        if len(self.order) == 1:
             self._articulation = frozenset()
             self._blocks = (frozenset({root}),)
             return
@@ -390,7 +396,7 @@ class Support:
         mask = self.present[i]
         if mask == _ALL_DIRS:
             raise SupportError(f"{p} is not on the boundary")
-        if len(self.cells) == 1:
+        if len(self.order) == 1:
             raise SupportError(f"{p} is a lone particle, which has no boundary class")
         occupied = mask.bit_count()
         if occupied == 1:
@@ -470,7 +476,7 @@ def boundary_cycle(s: Support) -> list[Cell]:
     for c in sorted(bnd):
         for n in s.occupied_neighbors(c):
             if n in bnd:
-                empties = [x for x in common_neighbors(c, n) if x not in s.cells]
+                empties = [x for x in common_neighbors(c, n) if x not in s]
                 if len(empties) == 2:
                     raise BoundaryStructureError(
                         f"edge {c}-{n} has two empty common neighbours in a "

@@ -32,10 +32,11 @@ with the y its walk fixes, and the other conjuncts are single walks.
 the whole view; ``build_view`` is the definition of view_k and the
 reference the walks are tested against.  Like the omniscient checkers in
 ``rules``, these readers see a configuration's port maps and registers
-only, and local R4 learns the far edge of a triangle from view walks
-alone, walking only for the triangles whose far edge can close a
-directed 3-cycle (see ``local_check_r4``).  Every reader raises
-``ConfigError`` for a cell outside the support.
+only, each read by cell number (``portmaps[j]``, ``register(j)``), and
+local R4 learns the far edge of a triangle from view walks alone,
+walking only for the triangles whose far edge can close a directed
+3-cycle (see ``local_check_r4``).  Every reader raises ``ConfigError``
+for a cell outside the support.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_view(c: Configuration, p: Cell, k: int = VIEW_DEPTH) -> View:
             pm = c.portmaps[c.number_of(cell)]
             for port in range(N_DIRS):
                 n = neighbor(cell, port_to_dir(pm, port))
-                if n not in c.support.cells:
+                if n not in c.support:
                     continue
                 extended = label + ((port, c.port_of(n, cell)),)
                 labels.add(extended)
@@ -235,12 +236,11 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
     those triangles; a ``ChiralityInferenceError`` can come only from a
     triangle that is still inferred.
     """
-    support, regs, portmaps = c.support, c.regs, c.portmaps
-    order = support.order
+    register, portmaps = c.register, c.portmaps
     i = c.number_of(p)
-    row = support.around[i]
+    row = c.support.around[i]
     pm = portmaps[i]
-    reg, ports = regs[p], pm.ports
+    reg, ports = register(i), pm.ports
     step = _stepper(c)
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
@@ -250,7 +250,7 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
         # q lies at d from p and r at d + 1; each meets p from the opposite side.
         p1, p0 = ports[d], ports[(d + 1) % N_DIRS]
         q1, r1 = q_pm.ports[(d + 3) % N_DIRS], r_pm.ports[(d + 4) % N_DIRS]
-        q_reg, r_reg = regs[order[j]], regs[order[k]]
+        q_reg, r_reg = register(j), register(k)
         # ``xy``: x is Out toward y.
         pq, qp = reg[p1] is OUT, q_reg[q1] is OUT
         pr, rp = reg[p0] is OUT, r_reg[r1] is OUT

@@ -66,9 +66,13 @@ membership test per candidate, each label walked from p again.
 ``formula_queries`` lists the labels it asks about.
 ``analyze_cycle`` checks the two cycle lemmas on configurations, port by
 port, as ``oracle.UnfairCycle.lemmas`` does on packed states.
-``register_masks`` reads a configuration's Out masks off its registers,
-port by port through ``arithmetic_port_to_dir``, and
-``assert_masks_match_regs`` checks that they equal the stored ``masks``.
+``CellRegisters`` is a configuration's registers as a ``Cell``-keyed
+mapping, each read by the cell's number through ``register`` when it is
+looked up: the one reading by which tests name, compare and edit
+registers cell by cell.  ``register_masks`` reads a configuration's Out
+masks off its registers, port by port through ``arithmetic_port_to_dir``,
+and ``assert_masks_match_regs`` checks that they equal the stored
+``masks``.
 ``portmap_at`` looks a cell's port map up by its number, and
 ``reference_random_portmaps`` is the ``Cell``-keyed draw
 ``generators.random_portmaps`` made before port maps were kept by cell
@@ -86,7 +90,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import partial
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from trielect.algorithm import activation_step, is_activable
 from trielect.lattice import (
@@ -110,6 +114,7 @@ from trielect.config import (
     ConfigError,
     Configuration,
     EdgeOrientation,
+    Registers,
 )
 from trielect.rules import RULE, check_r2, check_r3, check_r4, is_valid, sinks
 from trielect.rules import _consecutive_cyclic
@@ -460,12 +465,13 @@ def brute_sinks(c: Configuration) -> set[Cell]:
 
 def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:
     """Yield ``p``'s side of every conflict edge; everything else untouched."""
-    reg = list(c.regs[p])
+    regs = CellRegisters(c)
+    reg = list(regs[p])
     pm = portmap_at(c, p)
     changed = False
     for port in range(N_DIRS):
         n = neighbor(p, port_to_dir(pm, port))
-        if n in c.support.cells and reg[port] is OUT and c.link_toward(n, p) is OUT:
+        if n in c.support and reg[port] is OUT and regs[n][c.port_of(n, p)] is OUT:
             reg[port] = IN
             changed = True
     return c.with_register(p, tuple(reg)) if changed else c
@@ -474,11 +480,11 @@ def resolve_conflicts(c: Configuration, p: Cell) -> Configuration:
 def remove_particle(c: Configuration, p: Cell) -> Configuration:
     """Configuration on the support minus ``p``: the vacated cell becomes
     empty and every neighbour's port toward it is reset to In."""
-    if p not in c.support.cells:
+    if p not in c.support:
         raise ValueError(f"{p} is not occupied")
     new_support = Support(c.support.cells - {p})
     portmaps = tuple(portmap_at(c, q) for q in new_support.order)
-    regs = {q: list(c.regs[q]) for q in new_support}
+    regs = {q: list(CellRegisters(c)[q]) for q in new_support}
     for q in c.support.occupied_neighbors(p):
         regs[q][c.port_of(q, p)] = IN
     return Configuration(new_support, portmaps, {q: tuple(r) for q, r in regs.items()})
@@ -863,22 +869,38 @@ def arithmetic_dir_to_port(m: PortMap, d: int) -> int:
     return (m.chirality * (d - m.offset)) % N_DIRS
 
 
+class CellRegisters(Mapping[Cell, Registers]):
+    """``c``'s registers by cell, each read by the cell's number when looked up."""
+
+    def __init__(self, c: Configuration):
+        self.c = c
+
+    def __getitem__(self, p: Cell) -> Registers:
+        return self.c.register(self.c.support.number[p])
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self.c.support.order)
+
+    def __len__(self) -> int:
+        return len(self.c.support.order)
+
+
 def register_masks(c: Configuration) -> bytes:
     """Per cell number, the global directions ``c``'s register is Out toward."""
+    regs = CellRegisters(c)
     return bytes(
         sum(1 << arithmetic_port_to_dir(portmap_at(c, p), port)
-            for port in range(N_DIRS) if c.regs[p][port] is OUT)
+            for port in range(N_DIRS) if regs[p][port] is OUT)
         for p in c.support.order
     )
 
 
 def assert_masks_match_regs(c: Configuration) -> None:
-    """``c.masks`` and ``c.regs`` name the same links, every cell has a
-    register, and each register is the shared ``REGISTER`` object."""
-    assert set(c.regs) == c.support.cells
+    """``c.masks`` and ``c``'s registers name the same links, and each
+    register is the shared ``REGISTER`` object."""
     assert c.masks == register_masks(c)
-    for p, mask in zip(c.support.order, c.masks):
-        assert c.regs[p] is REGISTER[portmap_at(c, p)][mask]
+    for i, (p, mask) in enumerate(zip(c.support.order, c.masks)):
+        assert c.register(i) is REGISTER[portmap_at(c, p)][mask]
 
 
 def coordinate_port_of(c: Configuration, a: Cell, b: Cell) -> int:
@@ -886,19 +908,20 @@ def coordinate_port_of(c: Configuration, a: Cell, b: Cell) -> int:
 
 
 def coordinate_orientation(c: Configuration, a: Cell, b: Cell) -> EdgeOrientation:
-    if a not in c.support.cells or b not in c.support.cells:
+    if a not in c.support or b not in c.support:
         raise ConfigError(f"edge {a}-{b} is not between occupied cells")
-    out_a = c.regs[a][coordinate_port_of(c, a, b)] is OUT
-    out_b = c.regs[b][coordinate_port_of(c, b, a)] is OUT
+    regs = CellRegisters(c)
+    out_a = regs[a][coordinate_port_of(c, a, b)] is OUT
+    out_b = regs[b][coordinate_port_of(c, b, a)] is OUT
     return LINK_ORIENTATION[out_a][out_b]
 
 
 def coordinate_outgoing_ports(c: Configuration, p: Cell) -> tuple[int, ...]:
-    pm, reg = portmap_at(c, p), c.regs[p]
+    pm, reg = portmap_at(c, p), CellRegisters(c)[p]
     return tuple(
         port
         for port in range(N_DIRS)
-        if reg[port] is OUT and neighbor(p, arithmetic_port_to_dir(pm, port)) in c.support.cells
+        if reg[port] is OUT and neighbor(p, arithmetic_port_to_dir(pm, port)) in c.support
     )
 
 
@@ -1003,6 +1026,7 @@ def reference_infer(
 
 def coordinate_local_check_r4(c: Configuration, p: Cell) -> bool:
     has = partial(coordinate_in_view, c, p)
+    regs = CellRegisters(c)
     for q, r in triangles_at(c, p):
         q_to_r, r_to_q = reference_infer(
             has,
@@ -1013,7 +1037,7 @@ def coordinate_local_check_r4(c: Configuration, p: Cell) -> bool:
         )
         pq = coordinate_orientation(c, p, q)
         pr = coordinate_orientation(c, p, r)
-        qr = LINK_ORIENTATION[c.regs[q][q_to_r] is OUT][c.regs[r][r_to_q] is OUT]
+        qr = LINK_ORIENTATION[regs[q][q_to_r] is OUT][regs[r][r_to_q] is OUT]
         fwd = (
             pq is EdgeOrientation.A_TO_B
             and qr is EdgeOrientation.A_TO_B

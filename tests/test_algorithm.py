@@ -17,11 +17,11 @@ from trielect.oracle import ConfigGraph
 from trielect.rules import check_r2, check_r3, check_r4
 from trielect.support import Support
 
-from reference import resolve_conflicts
+from reference import CellRegisters, resolve_conflicts
 
 
 def set_ports(cfg, cell, *ports, state=OUT):
-    reg = list(cfg.regs[cell])
+    reg = list(CellRegisters(cfg)[cell])
     for p in ports:
         reg[p] = state
     return cfg.with_register(cell, tuple(reg))
@@ -88,7 +88,7 @@ def test_net_identity_step_is_not_activable():
     cfg = all_in_configuration(s)
     center = Cell(0, 0)
     reg, effect = step_register(cfg, center)
-    assert reg == cfg.regs[center]
+    assert reg == CellRegisters(cfg)[center]
     assert effect.line1_fired and effect.line2_fired and not effect.changed
     assert not is_activable(cfg, center)
 
@@ -131,7 +131,7 @@ def test_step_dichotomy():
         p = rng.choice(sorted(cfg.support.cells))
         pre = resolve_conflicts(cfg, p)
         after, effect = activation_step(cfg, p)
-        if after.regs[p] == pre.regs[p]:
+        if CellRegisters(after)[p] == CellRegisters(pre)[p]:
             continue
         nbs = pre.support.occupied_neighbors(p)
         pre_undirected = [
@@ -155,7 +155,7 @@ def test_only_own_register_changes():
         after, _ = activation_step(cfg, p)
         for q in cfg.support:
             if q != p:
-                assert after.regs[q] == cfg.regs[q]
+                assert CellRegisters(after)[q] == CellRegisters(cfg)[q]
 
 
 def test_locality_far_cells_do_not_matter():
@@ -174,7 +174,7 @@ def test_locality_far_cells_do_not_matter():
         )
         mutated = cfg
         for f in far:
-            mutated = mutated.with_register(f, other.regs[f])
+            mutated = mutated.with_register(f, CellRegisters(other)[f])
         a, ea = step_register(cfg, p)
         b, eb = step_register(mutated, p)
         assert a == b and ea == eb

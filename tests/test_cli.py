@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import trielect.cli as cli
-from reference import reference_replay
+from reference import CellRegisters, reference_replay
 from trielect.cli import main
 from trielect.config import IN, OUT, all_in_configuration, load, save
 from trielect.generators import erosion_orientation, hexagon, ring18
@@ -121,7 +121,7 @@ def _with_links(cfg, links, state=OUT):
     """``cfg`` with each ``(a, b)`` in ``links`` setting a's link toward b to ``state``."""
     regs = {}
     for a, b in links:
-        reg = list(regs.get(a, cfg.regs[a]))
+        reg = list(regs.get(a, CellRegisters(cfg)[a]))
         reg[cfg.port_of(a, b)] = state
         regs[a] = tuple(reg)
     return cfg.with_registers(regs)
@@ -132,7 +132,8 @@ def _verify_inputs():
     with one conflict edge and with one undirected edge, ``ring18``, and a
     directed 6-cycle on the six-cell ring around one empty cell."""
     valid = erosion_orientation(hexagon(2))
-    a, b = next((a, b) for a, b in valid.support.edges() if valid.link_toward(a, b) is OUT)
+    regs = CellRegisters(valid)
+    a, b = next((a, b) for a, b in valid.support.edges() if regs[a][valid.port_of(a, b)] is OUT)
     six = [neighbor(Cell(0, 0), d) for d in range(6)]
     return {
         "valid": valid,
@@ -407,8 +408,9 @@ _PINNED_ERRORS = {
     "verify --config {trace}":
         "error: line 5: expected 'offset chirality' as two integers, got '0 1 1'\n",
     "gen --shape line0 --out {out}": "error: shape name 'line0': n must be >= 1 in lineN\n",
-    "gen --shape hexagon-1 --out {out}":
-        "error: shape name 'hexagon-1': k must be >= 0 in hexagonK\n",
+    "gen --shape hexagon-1 --out {out}": "error: shape name 'hexagon-1' does not match hexagonK\n",
+    "gen --shape hexagon1_0 --out {out}": "error: shape name 'hexagon1_0' does not match hexagonK\n",
+    "gen --shape line\u0663 --out {out}": "error: shape name 'line\u0663' does not match lineN\n",
     "gen --shape parallelogram0x3 --out {out}":
         "error: shape name 'parallelogram0x3': sides must be >= 1 in parallelogramWxH\n",
     "search-unfair --shape line0": "error: shape name 'line0': n must be >= 1 in lineN\n",
@@ -457,6 +459,11 @@ def _exit_code(argv):
         (["gen", "--shape", "line0", "--out", "{out}"], None),
         (["gen", "--shape", "hexagon-1", "--out", "{out}"], None),
         (["gen", "--shape", "parallelogram0x3", "--out", "{out}"], None),
+        (["gen", "--shape", "hexagon1_0", "--out", "{out}"], None),
+        (["gen", "--shape", "line 3", "--out", "{out}"], None),
+        (["gen", "--shape", "line+3", "--out", "{out}"], None),
+        (["gen", "--shape", "line\u0663", "--out", "{out}"], None),
+        (["gen", "--shape", "parallelogram 2x3", "--out", "{out}"], None),
         (["search-unfair", "--shape", "line0"], None),
         (["gen", "--file", "{trace}", "--out", "{out}"], "0 0\n0 1000000000000\n"),
         (["gen", "--random", "40", "--seed", "-5", "--out", "{out}"], None),

@@ -40,7 +40,7 @@ from trielect.generators import (
 from trielect.oracle import ConfigGraph
 from trielect.support import Support
 
-from reference import assert_masks_match_regs, mirrored
+from reference import CellRegisters, assert_masks_match_regs, mirrored
 
 
 def pair_config(a_links=ALL_IN, b_links=ALL_IN):
@@ -89,7 +89,6 @@ def test_edge_readers_reject_empty_and_non_adjacent_cells():
     a, far, empty = Cell(0, 0), Cell(2, 0), Cell(0, 1)
     for call in (
         lambda: c.port_of(empty, a),
-        lambda: c.link_toward(empty, a),
         lambda: c.orientation(a, empty),
         lambda: c.orientation(empty, a),
         lambda: c.outgoing_ports(empty),
@@ -102,7 +101,6 @@ def test_edge_readers_reject_empty_and_non_adjacent_cells():
     )
     for call in (
         lambda: c3.port_of(a, far),
-        lambda: c3.link_toward(a, far),
         lambda: c3.orientation(a, far),
         lambda: c3.orientation(a, a),
     ):
@@ -110,7 +108,7 @@ def test_edge_readers_reject_empty_and_non_adjacent_cells():
             call()
         assert not isinstance(exc.value, ConfigError)
     # A port toward an adjacent empty cell exists and holds In.
-    assert c.port_of(a, empty) == 1 and c.link_toward(a, empty) is IN
+    assert c.port_of(a, empty) == 1 and c.register(c.number_of(a))[1] is IN
 
 
 def test_outgoing_ports():
@@ -140,14 +138,14 @@ def test_out_toward_empty_names_the_lowest_offending_port_for_every_port_map():
                     if links[port] is OUT and neighbor(c, port_to_dir(pm, port)) not in s.cells
                 ]
                 if not offending:
-                    assert cfg.with_register(c, links).regs[c] == links
+                    assert CellRegisters(cfg.with_register(c, links))[c] == links
                     continue
                 message = f"cell ({c.q} {c.r}) port {offending[0]} is Out toward an empty cell"
                 with pytest.raises(ConfigError) as exc:
                     cfg.with_register(c, links)
                 assert str(exc.value) == message
                 with pytest.raises(ConfigError) as exc:
-                    Configuration(s, cfg.portmaps, {**cfg.regs, c: links})
+                    Configuration(s, cfg.portmaps, {**CellRegisters(cfg), c: links})
                 assert str(exc.value) == message
 
 
@@ -160,7 +158,7 @@ def test_register_that_is_not_six_link_states_is_a_config_error(bad):
     with pytest.raises(ConfigError, match="must be six link states"):
         c.with_register(Cell(0, 0), bad)
     with pytest.raises(ConfigError, match="must be six link states"):
-        Configuration(c.support, c.portmaps, {**c.regs, Cell(0, 0): bad})
+        Configuration(c.support, c.portmaps, {**CellRegisters(c), Cell(0, 0): bad})
 
 
 def test_port_map_that_is_not_a_port_map_is_a_config_error():
@@ -168,7 +166,7 @@ def test_port_map_that_is_not_a_port_map_is_a_config_error():
     i = c.support.number[Cell(0, 0)]
     for bad in (None, (0, 1), [0, 1]):
         with pytest.raises(ConfigError, match="must be a PortMap"):
-            Configuration(c.support, c.portmaps[:i] + (bad,) + c.portmaps[i + 1:], c.regs)
+            Configuration(c.support, c.portmaps[:i] + (bad,) + c.portmaps[i + 1:], CellRegisters(c))
 
 
 #: Every entry point that takes port maps, called with ``pms`` on ``s``.
@@ -217,7 +215,7 @@ def test_update_outside_the_support_is_a_config_error():
         c.with_register(Cell(5, 5), ALL_IN)
     with pytest.raises(ConfigError, match=r"Cell\(q=5, r=5\) is not in the support"):
         c.with_registers({Cell(0, 0): reg(p0=OUT), Cell(5, 5): ALL_IN})
-    assert c.regs[Cell(0, 0)] == ALL_IN
+    assert CellRegisters(c)[Cell(0, 0)] == ALL_IN
 
 
 def test_constructor_requires_matching_keys(tri):
@@ -304,9 +302,9 @@ def test_deserialize_reads_the_shared_port_maps_and_registers():
     cfg = random_registers(s, 6, 0.25, random_portmaps(s, 7))
     back = deserialize(cfg.serialize())
     assert back == cfg
-    for i, c in enumerate(s.order):
+    for i in range(len(s)):
         assert back.portmaps[i] is ALL_PORTMAPS[ALL_PORTMAPS.index(cfg.portmaps[i])]
-        assert back.regs[c] is REGISTER[IDENTITY_PORTMAP][OUT_MASK[IDENTITY_PORTMAP][cfg.regs[c]]]
+        assert back.register(i) is REGISTER[IDENTITY_PORTMAP][OUT_MASK[IDENTITY_PORTMAP][cfg.register(i)]]
     text = cfg.serialize()
     for bad, message in (("| 6 +1 |", "offset 6 out of range"), ("| 0 +2 |", "chirality must be")):
         with pytest.raises(ConfigError, match=message):
@@ -402,8 +400,7 @@ def test_masks_and_regs_agree_on_every_construction_path():
         graph = ConfigGraph(s) if len(s.edges()) <= 8 else None
         if graph is not None:
             made.append(graph.unpack(graph.pack(from_masks), pms))
-        # Updates of a configuration whose registers are built and of one
-        # whose registers are not yet read.
+        # Updates of a configuration built from registers and of one built from masks.
         for base in (built, from_masks):
             updates = _legal_registers(s, pms, rng)
             c = rng.choice(s.order)
@@ -412,25 +409,6 @@ def test_masks_and_regs_agree_on_every_construction_path():
         for cfg in made:
             assert_masks_match_regs(cfg)
     assert_masks_match_regs(ring18())
-
-
-def test_registers_are_built_once_and_only_when_read():
-    s = random_support(20, 1)
-    cfg = random_registers(s, 2, 0.25, random_portmaps(s, 3))
-    assert cfg._regs is None
-    assert cfg.masks == deserialize(cfg.serialize()).masks and cfg._regs is None
-    updated = cfg.with_register(s.order[0], ALL_IN)
-    assert updated._regs is None
-    regs = cfg.regs
-    assert cfg._regs is regs and cfg.regs is regs
-    # No path hands a dict on: an update of a configuration whose registers
-    # are built, and a configuration built from registers, store masks only.
-    assert cfg.with_register(s.order[0], ALL_IN)._regs is None
-    kept = Configuration(s, cfg.portmaps, regs)
-    assert kept._regs is None and kept.regs == regs
-    for original in (cfg, updated):
-        for copied in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
-            assert copied == original and copied.regs == original.regs
 
 
 def test_equality_and_hash_read_the_support_port_maps_and_registers():
@@ -449,10 +427,13 @@ def test_equality_and_hash_read_the_support_port_maps_and_registers():
         pool.append(deserialize(pool[-1].serialize()))
     for a in pool:
         for b in pool:
-            same = a.support.cells == b.support.cells and a.portmaps == b.portmaps and a.regs == b.regs
+            same = (a.support.cells == b.support.cells and a.portmaps == b.portmaps
+                    and CellRegisters(a) == CellRegisters(b))
             assert (a == b) == same
             if same:
                 assert hash(a) == hash(b)
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == a and hash(copied) == hash(a)
     # Equal masks on a different support, and equal masks under other port maps.
     assert all_in_configuration(s) != all_in_configuration(other)
     assert all_in_configuration(s) != all_in_configuration(s, random_portmaps(s, 1))
@@ -480,7 +461,7 @@ def test_out_toward_an_empty_cell_is_refused_on_every_path():
                     + " ".join(link.value for link in links),
                 )
                 for build in (
-                    lambda: Configuration(s, pms, {**cfg.regs, c: links}),
+                    lambda: Configuration(s, pms, {**CellRegisters(cfg), c: links}),
                     lambda: cfg.with_register(c, links),
                     lambda: cfg.with_registers({c: links}),
                     lambda: Configuration.from_masks(s, pms, masks),

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from trielect.support import (
 )
 
 from reference import (
+    CellRegisters,
     are_adjacent,
     canonical_cells,
     empty_component_count,
@@ -348,10 +350,11 @@ def test_random_registers_port_statistics():
     outs = 0
     for seed in range(1000):
         cfg = random_registers(s, seed)
+        regs = CellRegisters(cfg)
         for a, b in edges:
             total += 2
-            outs += cfg.link_toward(a, b) is OUT
-            outs += cfg.link_toward(b, a) is OUT
+            outs += regs[a][cfg.port_of(a, b)] is OUT
+            outs += regs[b][cfg.port_of(b, a)] is OUT
     assert abs(outs / total - 0.5) < 0.05
 
 
@@ -402,6 +405,19 @@ def test_shape_by_name():
     assert len(shape_by_name("ring18")) == 18
     with pytest.raises(ValueError):
         shape_by_name("dodecahedron")
+    # Sizes are ASCII digits only: ``int`` would read each of these.
+    for name, form in (
+        ("hexagon1_0", "hexagonK"),
+        ("hexagon-1", "hexagonK"),
+        ("line 3", "lineN"),
+        ("line+3", "lineN"),
+        ("line\u0663", "lineN"),
+        ("line3 ", "lineN"),
+        ("parallelogram 2x3", "parallelogramWxH"),
+        ("parallelogram2x3\n", "parallelogramWxH"),
+    ):
+        with pytest.raises(ValueError, match=f"^shape name {re.escape(repr(name))} does not match {form}$"):
+            shape_by_name(name)
 
 
 def test_erosion_non_sinks_have_outgoing_edges(hex1):

@@ -35,6 +35,7 @@ from trielect.rules import (
 from trielect.views import build_view, in_view, infer_triangle_labels, local_check_r4
 
 from reference import (
+    CellRegisters,
     arithmetic_port_to_dir,
     brute_sinks,
     coordinate_check_r1,
@@ -53,7 +54,7 @@ from reference import (
 
 
 def set_ports(cfg, cell, *ports, state=OUT):
-    reg = list(cfg.regs[cell])
+    reg = list(CellRegisters(cfg)[cell])
     for p in ports:
         reg[p] = state
     return cfg.with_register(cell, tuple(reg))
@@ -215,7 +216,7 @@ def test_r2_r3_depend_only_on_own_register():
         before = (check_r2(cfg, p), check_r3(cfg, p))
         other = rng.choice([c for c in s.cells if c != p])
         mutated = random_registers(s, rng.randrange(10**9), 0.2)
-        cfg2 = cfg.with_register(other, mutated.regs[other])
+        cfg2 = cfg.with_register(other, CellRegisters(mutated)[other])
         assert (check_r2(cfg2, p), check_r3(cfg2, p)) == before
 
 
@@ -310,7 +311,6 @@ def _assert_rule_readers_agree(cfg):
             assert cfg.port_of(p, n) == coordinate_port_of(cfg, p, n)
             if n in cells:
                 assert cfg.orientation(p, n) is coordinate_orientation(cfg, p, n)
-                assert cfg.link_toward(p, n) is cfg.regs[p][coordinate_port_of(cfg, p, n)]
     assert sinks(cfg) == {p for p in cfg.support if not coordinate_outgoing_ports(cfg, p)}
 
 

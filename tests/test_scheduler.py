@@ -47,6 +47,7 @@ from trielect.scheduler import (
 )
 
 from reference import (
+    CellRegisters,
     analyze_cycle,
     assert_masks_match_regs,
     read_trace,
@@ -386,12 +387,12 @@ def test_engine_step_matches_reference_and_packed_steps():
                     before = mine[ci]
                     after = reference_fire(ci, mine, theirs, present, around)
                     reg, effect = step_register(cfg, p)
-                    assert REGISTER[cfg.portmaps[ci]][before] == cfg.regs[p]
+                    assert REGISTER[cfg.portmaps[ci]][before] == CellRegisters(cfg)[p]
                     assert REGISTER[cfg.portmaps[ci]][after] == reg
                     flags = (effect.line1_fired, effect.line2_fired, effect.changed)
                     assert trace_flags(before, after, theirs[ci], present[ci]) == flags
                     res, rows = _traced_run(cfg, Scripted((p,)), max_steps=1)
-                    assert res.config.regs[p] == reg
+                    assert CellRegisters(res.config)[p] == reg
                     assert [row[1:5] for row in rows] == ([(p, *flags)] if live else [])
                     packed = state
                     for d, h in enumerate(half):
@@ -488,6 +489,24 @@ def test_incremental_violation_count_matches_full_recount():
             replay, _ = activation_step(replay, p)
             assert violations == violation_count(replay)
         assert replay == res.config
+
+
+def test_chained_activation_steps_replay_a_run_at_a_thousand_cells():
+    """A seeded fair run on the 1,027 cells of ``hexagon(18)``, from
+    random registers and port maps, replayed one ``activation_step`` at a
+    time, each on the configuration the one before returned: every step's
+    flags equal the trace's, and the last configuration the run's."""
+    s = hexagon(18)
+    cfg = random_registers(s, 7, portmaps=random_portmaps(s, 8))
+    res, rows = _traced_run(cfg, RandomSequential(5))
+    assert res.is_final and len(rows) == res.steps > len(s)
+    replay = cfg
+    for step, p, line1, line2, changed, _ in rows:
+        replay, effect = activation_step(replay, p)
+        assert (effect.changed, effect.line1_fired, effect.line2_fired) == (
+            bool(changed), bool(line1), bool(line2)
+        ), step
+    assert replay == res.config and replay.masks == res.config.masks
 
 
 def test_breaks_matches_rule_checks_on_every_small_state():
@@ -675,13 +694,13 @@ class _ActivationStepSkippingLine2:
         for port in range(N_DIRS):
             d = port_to_dir(pm, port)
             n = neighbor(p, d)
-            line1_out = n in c.support.cells and c.link_toward(n, p) is IN
+            line1_out = n in c.support.cells and CellRegisters(c)[n][c.port_of(n, p)] is IN
             reg.append(OUT if line1_out else IN)
             line1_mask |= line1_out << d
         if line1_mask != self.mask:
             return new, effect, False
         reg = tuple(reg)
-        changed = reg != c.regs[p]
+        changed = reg != CellRegisters(c)[p]
         effect = ActivationEffect(changed, effect.line1_fired, False, effect.conflicts_resolved)
         return (c.with_register(p, reg) if changed else c), effect, True
 
@@ -728,7 +747,7 @@ def test_final_check_raises_on_a_final_state_that_is_not_valid_single_sink(monke
     ring = [neighbor(Cell(0, 0), d) for d in range(N_DIRS)]
     cycle = all_in_configuration(Support(ring))
     for a, b in zip(ring, ring[1:] + ring[:1]):
-        reg = list(cycle.regs[a])
+        reg = list(CellRegisters(cycle)[a])
         reg[cycle.port_of(a, b)] = OUT
         cycle = cycle.with_register(a, tuple(reg))
     assert is_valid(cycle) and not sinks(cycle) and detect_final(cycle)

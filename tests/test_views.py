@@ -28,6 +28,7 @@ from trielect.views import (
 )
 
 from reference import (
+    CellRegisters,
     formula_queries,
     reference_formula_holds,
     reference_infer,
@@ -155,7 +156,7 @@ def test_local_r4_detects_directed_triangle():
     cfg = portmap_config(tri, {c: ALL_PORTMAPS[7] for c in tri})
     order = [(P, Q), (Q, R), (R, P)]
     for a, b in order:
-        reg = list(cfg.regs[a])
+        reg = list(CellRegisters(cfg)[a])
         reg[cfg.port_of(a, b)] = OUT
         cfg = cfg.with_register(a, tuple(reg))
     for c in tri:
