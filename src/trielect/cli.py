@@ -230,20 +230,21 @@ def cmd_search_unfair(args: argparse.Namespace) -> int:
     else:
         # Smallest supports first, fewest edges first within a size.
         groups = (
-            (n, sorted(generators.enumerate_supports(n), key=lambda s: len(s.edges())))
+            (n, sorted(generators.enumerate_supports(n), key=Support.edge_count))
             for n in range(2, args.max_n + 1)
         )
     for n, candidates in groups:
         start = time.perf_counter()
         for support in candidates:
             # A scan skips what is over budget; a named shape reports it.
-            if n is not None and 3 ** len(support.edges()) > args.max_states:
+            edges = support.edge_count()
+            if n is not None and 3 ** edges > args.max_states:
                 continue
             found = oracle.find_unfair_cycle(support, max_states=args.max_states)
             if found is None:
                 continue
             print(
-                f"cycle found: {len(support)} cells, {len(support.edges())} edges, "
+                f"cycle found: {len(support)} cells, {edges} edges, "
                 f"period {found.period}"
             )
             if args.out_config:

@@ -273,9 +273,11 @@ def _check_portmaps(support: Support, portmaps: object) -> None:
         raise ConfigError(f"port maps must be a tuple by cell number, not a {kind}")
     if len(portmaps) != len(support):
         raise ConfigError(f"{len(portmaps)} port maps for a support of {len(support)} cells")
-    for c, pm in zip(support.order, portmaps):
-        if not isinstance(pm, PortMap):
-            raise ConfigError(f"port map of {c} must be a PortMap")
+    # One pass over the types in C; the cells are decoded only to name a bad one.
+    if set(map(type, portmaps)) != {PortMap}:
+        for c, pm in zip(support.order, portmaps):
+            if not isinstance(pm, PortMap):
+                raise ConfigError(f"port map of {c} must be a PortMap")
 
 
 def _check_masks(support: Support, portmaps: PortMaps, masks: bytes) -> None:

@@ -4,8 +4,8 @@ Growth and enumeration hold cells as the integer keys of a
 ``support.KeyFrame`` centred on the origin, wide enough for every cell
 and neighbour of an n-cell shape grown from it: a neighbour is a key
 plus a step, key order is (q, r) order, and a finished shape's sorted
-keys go to ``Support._from_keys``, which numbers them without a ``Cell``
-per neighbour.  Enumeration grows simply connected supports one cell at
+keys go to ``Support._from_keys``, which numbers them and keeps them,
+making no ``Cell`` until a reader asks for one.  Enumeration grows simply connected supports one cell at
 a time, deduplicating canonical translates at every size (key tuples
 whose smallest key is the origin's); growth from simply
 connected shapes is complete because any such shape can lose an erodible

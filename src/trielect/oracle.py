@@ -113,11 +113,10 @@ class ConfigGraph:
 
     def __init__(self, support: Support):
         self.support = support
-        self.cells: tuple[Cell, ...] = support.order
         around = support.around
         half_at = _half_edges(around)
         self.half_at: tuple[tuple[int, ...], ...] = tuple(map(tuple, half_at))
-        self.n_edges = _edge_count(support)
+        self.n_edges = support.edge_count()
 
         self._lo = ((1 << 2 * self.n_edges) - 1) // 3  # 0b0101...01
         # Per cell: (its index, own half-edges, every other half-edge, own-pattern table).
@@ -126,6 +125,11 @@ class ConfigGraph:
             own = sum(1 << h for h in half if h >= 0)
             rows.append((ci, own, ~own, _own_pattern_table(half, row, half_at)))
         self._rows: tuple[tuple[int, int, int, dict[int, int]], ...] = tuple(rows)
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The support's cells by number, decoded only when read."""
+        return self.support.order
 
     # -- state transitions ---------------------------------------------------
 
@@ -229,10 +233,6 @@ class ConfigGraph:
             twos = (state >> 1 & ~state & lo) * 3  # every edge with code 2
             carry = (twos + 1) & ~twos  # the lowest edge without: add 1 there, clear below
             state = (state & ~(carry - 1)) + carry
-
-
-def _edge_count(s: Support) -> int:
-    return sum(map(int.bit_count, s.present)) // 2
 
 
 def _moved(bits: int, image: list[int]) -> int:
@@ -533,7 +533,7 @@ def orientation_lanes(s: Support) -> tuple[int, int, int]:
     """
     around = s.around
     half_at = _half_edges(around)
-    e = _edge_count(s)
+    e = s.edge_count()
     full = (1 << (1 << e)) - 1
     x = lane_variables(e)
     fates = _rule_fates(RULE)
@@ -591,7 +591,7 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
     At E = 24 the lanes are 2 MB ints, and the check allocates about
     83 MB at its peak.
     """
-    e = _edge_count(s)
+    e = s.edge_count()
     if e > max_edges:
         raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
     _, valid, single = orientation_lanes(s)

@@ -14,8 +14,9 @@ occupied and not Out toward it: the Out mask that resolving conflicts and
 line 1 leave).  Cell numbers, ``around[ci]`` (the neighbours' cell
 numbers by direction, -1 where the cell is empty) and ``present[ci]``
 (the mask of occupied directions) are the support's own
-(``Support.order``, ``Support.around``, ``Support.present``); ``run``
-builds nothing per support.  It keeps every particle's next Out
+(``Support.around``, ``Support.present``); ``run`` builds nothing per
+support, and reads the cells themselves, ``Support.order``, only for a
+trace's labels and header and for an invariant error's message.  It keeps every particle's next Out
 mask in ``fire[ci]``, computed by one block at the top of its loop: it
 looks ``free`` up in ``rules.RULE`` and reads the at most two triangles
 it names off ``mine & free`` of the neighbour the particle is Out toward.
@@ -301,8 +302,8 @@ def run(
             listed = ", ".join(f"({c.q} {c.r})" for c in unknown)
             raise SupportError(f"scripted cells not in the support: {listed}")
     support = c0.support
-    cells, present, around = support.order, support.present, support.around
-    n = len(cells)
+    present, around = support.present, support.around
+    n = len(present)
     mine, free = _masks(c0)
 
     # ``fire[ci]`` is cell ``ci``'s next Out mask: the cell is activable
@@ -329,7 +330,7 @@ def run(
         violations = sum(violating)
 
     if trace_file is not None:
-        labels = [f"{p.q} {p.r}" for p in cells]
+        labels = [f"{p.q} {p.r}" for p in support.order]
         trace_file.write(
             f"# trace shape={shape_hash(c0)} scheduler={_kind_label(kind)}"
             f" cap={max_steps}\n"
@@ -432,8 +433,9 @@ def run(
                     violating[x] = v
         if check_invariants:
             if violating[ci]:
+                p = support.order[ci]
                 raise StepInvariantError(
-                    f"step {step}: activated particle {cells[ci]} violates a repairable rule",
+                    f"step {step}: activated particle {p} violates a repairable rule",
                     current(),
                 )
             if violations > prev_violations:

@@ -1,28 +1,31 @@
 """Occupied-cell sets and their boundary structure.
 
 A Support is a finite nonempty connected set of occupied cells.  It
-numbers its cells once, at construction, in sorted order (``order[i]``
-is cell number ``i``, ``number`` maps back).  ``number`` is its one
-``Cell`` index: ``in`` reads it and ``cells`` is a read-only view of its
-keys, while ``len``, ``==`` and ``hash`` read the sorted ``order``.  It
-keeps per cell ``around[i]``, its neighbours' numbers by direction (-1
-where the cell is empty), and ``present[i]``, the six-bit mask of its
-occupied directions.  Connectivity, simple connectivity (an Euler
-count), edges, the boundary and the boundary class read these; the
+numbers its cells at construction, in sorted order, and keeps per cell
+``around[i]``, its neighbours' numbers by direction (-1 where the cell
+is empty), and ``present[i]``, the six-bit mask of its occupied
+directions.  Connectivity, simple connectivity (an Euler count), the
+edge count, the boundary and the boundary class read these; the
 scheduler's engine, the packed oracle, register validation and the
-generators read them too, so the numbering is decided here only.  The
-numbering runs on one integer key per cell, defined here only by
-``KeyFrame``: in a frame of width ``w``, cell ``(q, r)`` has key
-``(q - q0) * w + (r - r0)``, where ``w`` is wider than the r-range of the
-cells and their neighbours.  So key order is (q, r) order, and the
-neighbour in direction ``d`` has the key plus ``dq * w + dr``.  One
-routine sorts the keys, numbers them in an int-keyed dict and reads each
-neighbour's number with one int add and one lookup; ``Support(cells)``
-frames and keys its cells (every coordinate must be an ``int``, and cells
-spread over as many q or r values as there are cells are refused as
-disconnected before a frame is made), and the generators, which grow and
-enumerate shapes on keys, hand their keys to the internal
-``Support._from_keys``.  Every support, generated or not, is then
+generators read them too, so the numbering is decided here only.  Cells
+are made only at the edges: ``order`` (``order[i]`` is cell number
+``i``) and ``number``, its one ``Cell`` index, which maps back, are
+decoded from the sorted keys the first time a reader asks for them and
+kept from then on, so a support that is only grown, oriented and run
+never builds a ``Cell``.  ``in`` reads ``number`` and ``cells`` is a
+read-only view of its keys; ``==``, ``hash`` and iteration read
+``order``, and ``len`` reads ``around``.  The numbering runs on one integer key per cell,
+defined here only by ``KeyFrame``: in a frame of width ``w``, cell
+``(q, r)`` has key ``(q - q0) * w + (r - r0)``, where ``w`` is wider
+than the r-range of the cells and their neighbours.  So key order is
+(q, r) order, and the neighbour in direction ``d`` has the key plus
+``dq * w + dr``.  One routine sorts the keys, numbers them in an
+int-keyed dict and reads each neighbour's number with one int add and
+one lookup; ``Support(cells)`` frames and keys its cells (every
+coordinate must be an ``int``, and cells spread over as many q or r
+values as there are cells are refused as disconnected before a frame is
+made), and the generators, which grow and enumerate shapes on keys, hand
+their keys to the internal ``Support._from_keys``.  Every support, generated or not, is then
 flooded once over ``around`` and refused unless connected; the flood
 reads an empty neighbour (-1) off a sentinel slot, so it tests no
 index.  Simple connectivity is one table lookup per cell, ``_EULER``,
@@ -40,6 +43,7 @@ membership.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from itertools import islice, repeat
 from operator import eq
 from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Union
@@ -134,11 +138,19 @@ class KeyFrame(NamedTuple):
 
 
 class Support:
-    """Immutable connected set of occupied cells with cached geometry."""
+    """Immutable connected set of occupied cells with cached geometry.
+
+    ``order`` and ``number`` are cached properties: the first read stores
+    the value in the instance ``__dict__``, where every later read finds
+    it without a Python call.  They are not slots behind ``__getattr__``:
+    a class with ``__getattr__`` makes every one of its attribute reads
+    take CPython's unspecialised path, ``around`` and ``present`` too.
+    """
 
     __slots__ = (
-        "order",
-        "number",
+        "_keys",
+        "_frame",
+        "__dict__",
         "around",
         "present",
         "_boundary",
@@ -176,24 +188,24 @@ class Support:
     def _from_keys(cls, keys: list[int], frame: KeyFrame) -> Support:
         """The support of the cells with the sorted, distinct ``keys`` of
         ``frame``, every one of which, with its neighbours, lies in the
-        frame's r window.  It empties ``keys``.  Internal to the package:
-        the frame and key preconditions, which ``Support(cells)``
-        establishes and the generators keep, are not checked here, but
-        ``_number`` floods the cells and refuses them unless connected,
-        as it does for every support."""
+        frame's r window.  The support keeps ``keys``, which the caller
+        must not change after.  Internal to the package: the frame and key
+        preconditions, which ``Support(cells)`` establishes and the
+        generators keep, are not checked here, but ``_number`` floods the
+        cells and refuses them unless connected, as it does for every
+        support."""
         self = cls.__new__(cls)
         self._number(keys, frame)
         return self
 
     def _number(self, keys: list[int], frame: KeyFrame) -> None:
-        """Number the cells of the sorted, distinct ``keys``, and empty it.
+        """Number the cells of the sorted, distinct ``keys``, and keep them.
 
         Cell ``i`` has ``keys[i]``, and a neighbour's number is one
-        int-keyed lookup of the cell's key plus the direction's step.
-        Each list is dropped once read, since at a million cells each costs
-        tens of MB.
+        int-keyed lookup of the cell's key plus the direction's step.  No
+        ``Cell`` is made here: ``_decode`` makes them from ``keys`` and
+        ``frame`` when ``order`` is first read.
         """
-        w, q0, r0 = frame
         index = dict(zip(keys, range(len(keys))))
         get = index.get
         s0, s1, s2, s3, s4, s5 = frame.steps
@@ -205,32 +217,43 @@ class Support:
              get(k + s3, -1), get(k + s4, -1), get(k + s5, -1))
             for k in keys
         ])
-        # The cell numbers, each int made once and shared with ``around``.
-        numbers = list(index.values())
         del index, get
-        # Coordinates come from one int per value of q and of r present.
-        low = keys[0] // w
-        qs = list(range(q0 + low, q0 + keys[-1] // w + 1))
-        rem = w.__rmod__
-        bottom = min(map(rem, keys))
-        rs = list(range(r0 + bottom, r0 + max(map(rem, keys)) + 1))
-        new = tuple.__new__
-        self.order = order = tuple([
-            new(Cell, (qs[q - low], rs[r - bottom])) for q, r in map(divmod, keys, repeat(w))
-        ])
-        keys.clear()
-        del qs, rs
-        self.number = dict(zip(order, numbers))
-        del numbers
         self.present = tuple([
             (a >= 0) | (b >= 0) << 1 | (c >= 0) << 2 | (d >= 0) << 3 | (e >= 0) << 4 | (f >= 0) << 5
             for a, b, c, d, e, f in around
         ])
         if not _is_connected(around):
             raise SupportError("support is not connected")
+        self._keys = keys
+        self._frame = frame
         self._boundary: frozenset[Cell] | None = None
         self._articulation: frozenset[Cell] | None = None
         self._blocks: tuple[frozenset[Cell], ...] | None = None
+
+    def _decode(self) -> tuple[Cell, ...]:
+        """The cells by number: those of the keys, in key order, which is
+        sorted order.
+
+        Coordinates come from one int per value of q and of r present.
+        """
+        keys = self._keys
+        w, q0, r0 = self._frame
+        low = keys[0] // w
+        qs = list(range(q0 + low, q0 + keys[-1] // w + 1))
+        rem = w.__rmod__
+        bottom = min(map(rem, keys))
+        rs = list(range(r0 + bottom, r0 + max(map(rem, keys)) + 1))
+        new = tuple.__new__
+        return tuple([
+            new(Cell, (qs[q - low], rs[r - bottom])) for q, r in map(divmod, keys, repeat(w))
+        ])
+
+    order = cached_property(_decode)
+
+    @cached_property
+    def number(self) -> dict[Cell, int]:
+        """Each cell's number: the one ``Cell`` index."""
+        return dict(zip(self.order, range(len(self.around))))
 
     # -- basic queries ----------------------------------------------------
 
@@ -240,7 +263,7 @@ class Support:
         return self.number.keys()
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.around)
 
     def __contains__(self, c: Cell) -> bool:
         return c in self.number
@@ -256,7 +279,11 @@ class Support:
         return hash(self.order)
 
     def __repr__(self) -> str:
-        return f"Support({len(self.order)} cells, first={self.order[0]})"
+        return f"Support({len(self)} cells, first={self.order[0]})"
+
+    def edge_count(self) -> int:
+        """The number of occupied adjacent pairs, read off ``present``."""
+        return sum(map(int.bit_count, self.present)) // 2
 
     def occupied_neighbors(self, c: Cell) -> tuple[Cell, ...]:
         """The occupied neighbours of ``c``, by direction."""
@@ -265,8 +292,10 @@ class Support:
 
     def edges(self) -> list[tuple[Cell, Cell]]:
         """All occupied adjacent pairs ``(a, b)`` with ``a < b``: by ``a``, then
-        by the direction from ``a`` to ``b``."""
-        order = self.order
+        by the direction from ``a`` to ``b``.  Cells not yet decoded are
+        decoded for this list only, so counting edges through it leaves
+        ``order`` empty; ``edge_count`` counts without any ``Cell``."""
+        order = self.__dict__.get("order") or self._decode()
         return [(order[i], order[j]) for i, row in enumerate(self.around) for j in row if i < j]
 
     # -- boundary and holes -----------------------------------------------

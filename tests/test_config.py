@@ -497,7 +497,7 @@ def test_from_masks_checks_its_arguments(tri):
 
 def test_object_reference_reads_neither_masks_nor_the_register_tables():
     """``rules``, ``algorithm`` and ``views`` read registers through
-    ``regs`` and the port maps only, so comparing them with the mask
+    ``register(i)`` and the port maps only, so comparing them with the mask
     engine and the oracle compares independent derivations."""
     package = Path(__file__).resolve().parent.parent / "src" / "trielect"
     forbidden = {"masks", "_regs", "from_masks", "with_masks", "OUT_MASK", "REGISTER"}

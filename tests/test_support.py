@@ -237,6 +237,92 @@ def test_numbering_matches_cell_keyed_reference():
     _assert_numbered_as_reference(Support([Cell(5, -5)]), [Cell(5, -5)])
 
 
+def _filled(s: Support, name: str) -> bool:
+    """Whether the cached property ``name`` holds a value, without reading it."""
+    return name in s.__dict__
+
+
+def _assert_decoded_as_keys(s: Support) -> None:
+    """``order``, ``number`` and ``cells``, filled on first read, against
+    each key decoded on its own as ``(q0 + key // w, r0 + key % w)``."""
+    w, q0, r0 = s._frame
+    eager = tuple(Cell(q0 + k // w, r0 + k % w) for k in s._keys)
+    assert s.order == eager
+    assert _filled(s, "order")
+    assert s.number == {c: i for i, c in enumerate(eager)}
+    assert _filled(s, "number")
+    assert s.cells == set(eager)
+    assert tuple(s) == eager and len(s) == len(eager)
+
+
+def test_lazy_cells_match_an_eager_decoding_of_the_keys():
+    """Every support with n <= 7, as enumerated and as built from its
+    cells, and seeded 10^4-cell supports, as grown and as loaded by
+    ``deserialize`` from the erosion orientation's file text."""
+    from trielect.config import deserialize
+    from trielect.generators import erosion_orientation
+
+    for n in range(1, 8):
+        for s in enumerate_supports(n):
+            assert not _filled(s, "order") and not _filled(s, "number")
+            _assert_decoded_as_keys(s)
+            _assert_decoded_as_keys(Support(s._decode()))
+    for seed in (5, 6):
+        s = random_support(10**4, seed)
+        assert not _filled(s, "order")
+        text = erosion_orientation(s).serialize()
+        _assert_decoded_as_keys(s)
+        loaded = deserialize(text).support
+        _assert_decoded_as_keys(loaded)
+        assert loaded == s
+
+
+def test_generate_orient_draw_run_and_check_build_no_cells():
+    """The numbers-first path: growing, the erosion orientation, port maps
+    and registers, an unobserved run, the unique-sink check, the edge
+    count and ``edges()`` leave ``order`` and ``number`` unfilled."""
+    from trielect.generators import erosion_orientation, random_portmaps, random_registers
+    from trielect.oracle import check_unique_sink
+    from trielect.scheduler import RandomSequential, RoundRobin, run
+
+    for n, seed in ((10, 1), (10, 2), (150, 3)):
+        s = random_support(n, seed)
+        erosion_orientation(s)
+        config = random_registers(s, seed + 1, 0.25, random_portmaps(s, seed + 2))
+        run(config, RandomSequential(seed + 3))
+        run(config, RoundRobin())
+        if s.edge_count() <= 24:
+            check_unique_sink(s)
+        assert len(s) == n and s.is_simply_connected()
+        assert len(s.edges()) == s.edge_count()
+        assert not _filled(s, "order") and not _filled(s, "number"), (n, seed)
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_support_pickles_with_cells_unfilled_or_filled(fill):
+    """A pickled or copied support equals its original and has its cells
+    filled exactly where the original had; pickling fills nothing in the
+    original.  ``enum --jobs`` sends supports to worker processes this
+    way."""
+    import copy
+    import pickle
+
+    for s in (random_support(40, 8), hexagon(2), enumerate_supports(5)[7]):
+        if fill:
+            s.cells
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(s, protocol)) for protocol in protocols]
+        copies += [copy.copy(s), copy.deepcopy(s)]
+        assert _filled(s, "order") == _filled(s, "number") == fill
+        for twin in copies:
+            assert _filled(twin, "order") == _filled(twin, "number") == fill
+            assert (twin._keys, twin._frame) == (s._keys, s._frame)
+            assert (twin.around, twin.present) == (s.around, s.present)
+            assert twin == s and hash(twin) == hash(s)
+            assert twin.boundary() == s.boundary() and twin.blocks() == s.blocks()
+            _assert_decoded_as_keys(twin)
+
+
 @pytest.mark.parametrize("bad", [0.5, "a", None])
 def test_coordinates_must_be_ints(bad):
     for cell in ((bad, 0), (0, bad)):
