@@ -33,19 +33,24 @@ orientation in Python ints (lane k is orientation k) and computes R2/R3
 per cell by a Shannon expansion over its Out flags, R4 per triangle and
 the sink count with one/many accumulators, with no ``ConfigGraph`` and
 no search; a graph is built only to unpack a counterexample.
+Both of the next two checks rest on one lemma, which
+``tests/test_oracle.py::test_no_move_makes_a_conflict_and_a_conflict_endpoint_clears_it``
+pins: no step makes an Out/Out edge, and every endpoint of one can step
+and clear it.
 ``check_silence`` decides final <=> valid on all 4^E states from both
 ends: it compares the final states ``final_states`` lists (a depth-first
-search over edge codes, in a greedy order that completes rows early,
-that runs a cell's row of ``move`` as soon as every edge it reads is
-fixed, and drops the branch if the cell is activable) with the valid
-ones ``lane_states`` reads off the lanes;
+search over the codes 0, 1 and 2 of each edge, as by the lemma no final
+state holds code 3, in a greedy order that completes rows early, that
+runs a cell's row of ``move`` as soon as every edge it reads is fixed,
+and drops the branch if the cell is activable) with the valid ones
+``lane_states`` reads off the lanes;
 ``check_reachability`` gives the conflict-free states a fate in one
-lazy Tarjan pass (``reach_fates``) that settles a root on its first
-move where it can, stops a walk at a valid final state or a state known
-to reach one, and pops a component that cannot, and settles the
-conflict states by a lemma (every endpoint of a conflict edge can step
-and clear it), falling back to a pass from every state only if some
-conflict-free state cannot;
+lazy Tarjan pass (``reach_fates``), rooted at ``conflict_free_states``,
+which takes the codes of the lowest six edges from one table, that
+settles a root on its first move where it can, stops a walk at a valid
+final state or a state known to reach one, and pops a component that
+cannot, and settles the conflict states by the lemma, falling back to a
+pass from every state only if some conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
 states with one successor list per frame of its path and one seen bit
 per base-3 rank, 3^E bits, which per-byte tables compute from a packed
@@ -65,9 +70,9 @@ unstable edge, and each cell's own half-edge bits read the rest.
 
 from __future__ import annotations
 
-import copy
 import re
 from functools import lru_cache
+from types import MethodType, SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .lattice import ERODIBLE, Cell, N_DIRS, SET_DIRS
@@ -225,14 +230,22 @@ class ConfigGraph:
     # -- state enumeration --------------------------------------------------------
 
     def conflict_free_states(self) -> Iterator[int]:
-        """All 3^E states without any Out/Out edge, in base-3 index order."""
-        lo = self._lo
-        state = 0
-        for _ in range(3**self.n_edges):
-            yield state
-            twos = (state >> 1 & ~state & lo) * 3  # every edge with code 2
-            carry = (twos + 1) & ~twos  # the lowest edge without: add 1 there, clear below
-            state = (state & ~(carry - 1)) + carry
+        """All 3^E states without any Out/Out edge, in base-3 index order.
+
+        The lowest k = min(E, 6) edges are the fastest digits, and their
+        3^k codes are the first 3^k entries of ``_LOW_STATES``, so each
+        high part is OR-ed onto that list; a carry over edges k and up
+        steps the high part once per 3^k states."""
+        k = min(self.n_edges, _LOW_EDGES)
+        low = _LOW_STATES[: 3**k]
+        unit = 1 << 2 * k
+        lo = self._lo & -unit  # the even bits of edges k and up
+        high = 0
+        for _ in range(3 ** (self.n_edges - k)):
+            yield from map(high.__or__, low)
+            twos = (high >> 1 & ~high & lo) * 3  # every high edge with code 2
+            carry = (twos + unit) & ~twos  # the lowest high edge without: add 1 there, clear below
+            high = (high & ~(carry - 1)) + carry
 
 
 def _moved(bits: int, image: list[int]) -> int:
@@ -267,8 +280,25 @@ def rank_tables(image: Iterable[int]) -> tuple[list[int], ...]:
 
 #: The rank tables of the identity, which serve every support.
 _RANK = rank_tables(range(32))
+
+
+def _low_states(e: int) -> list[int]:
+    """The conflict-free states of the lowest ``e`` edges in base-3 rank
+    order.  Edge i is digit i, so each edge adds its codes 1 and 2 above
+    the list so far."""
+    states = [0]
+    for i in range(e):
+        states = [state | code << 2 * i for code in range(3) for state in states]
+    return states
+
+
+#: ``_LOW_STATES[d]``: the conflict-free state of the lowest ``_LOW_EDGES``
+#: edges whose base-3 rank is ``d``; its first 3^k entries are those of the
+#: lowest k edges.
+_LOW_EDGES = 6
+_LOW_STATES = _low_states(_LOW_EDGES)
 #: ``_CODES[d]``: the four edge codes whose base-3 rank is ``d < 81``, as a byte.
-_CODES = [sum(d // 3**i % 3 << 2 * i for i in range(4)) for d in range(81)]
+_CODES = _LOW_STATES[:81]
 #: The first byte of a seen-bit array with an unseen bit.
 _UNSEEN_BYTE = re.compile(b"[^\xff]")
 
@@ -605,18 +635,22 @@ def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
 def final_states(graph: ConfigGraph) -> list[int]:
     """Every state of ``graph`` without a move, in increasing order.
 
-    A depth-first search fixes the edge codes one edge at a time.  A
-    cell's row in ``move`` reads only its read set: the edges of its own
-    half-edges and of the far half-edges its own-pattern table names, that
-    is its incident edges and the far edges of its triangles.  Once the
-    last edge of that set is fixed, the row test is exact on the partial
-    state, so the search runs ``move`` on a copy of ``graph`` that holds
-    only the rows completed at that edge and drops the branch if any cell
-    is activable.  The edges are fixed in a greedy order that completes
-    rows early: next come the unfixed read edges, in increasing order, of
-    the cell with the fewest of them (the first such cell on a tie).  Every
-    cell is tested on the way to a leaf, except a cell without edges,
-    which is never activable.  The leaves are sorted at the end.
+    A depth-first search fixes the edge codes one edge at a time, to 0,
+    1 or 2 only: an endpoint of an Out/Out edge always has a move, as
+    line 1 clears its own Out there, so no final state holds code 3,
+    whatever ``RULE`` is.  A cell's row in ``move`` reads only its read
+    set: the edges of its own half-edges and of the far half-edges its
+    own-pattern table names, that is its incident edges and the far edges
+    of its triangles.  Once the last edge of that set is fixed, the row
+    test is exact on the partial state, so the search runs ``move`` over
+    only the rows completed at that edge, bound to a namespace that holds
+    those rows and ``graph``'s even-bit mask, and drops the branch if any
+    cell is activable.  The edges are fixed in a greedy order that
+    completes rows early: next come the unfixed read edges, in increasing
+    order, of the cell with the fewest of them (the first such cell on a
+    tie).  Every cell is tested on the way to a leaf, except a cell
+    without edges, which is never activable.  The leaves are sorted at
+    the end.
     """
     # Each row with the edges it reads; a row that reads none is never activable.
     reads: list[tuple[tuple[int, int, int, dict[int, int]], set[int]]] = []
@@ -639,25 +673,24 @@ def final_states(graph: ConfigGraph) -> list[int]:
     rows: list[list[tuple[int, int, int, dict[int, int]]]] = [[] for _ in order]
     for row, edges in reads:
         rows[max(position[edge] for edge in edges)].append(row)
-    levels: list[Callable[[int], tuple[int, int] | None] | None] = [None] * len(order)
-    for p, level_rows in enumerate(rows):
-        if level_rows:
-            level = copy.copy(graph)
-            level._rows = tuple(level_rows)
-            levels[p] = level.move
-    shifts = [2 * edge for edge in order]
+    levels: list[Callable[[int], tuple[int, int] | None] | None] = [
+        MethodType(ConfigGraph.move, SimpleNamespace(_lo=graph._lo, _rows=tuple(level_rows)))
+        if level_rows else None
+        for level_rows in rows
+    ]
+    # Codes 0, 1 and 2 of each edge: no final state holds code 3.
+    codes = [(0, 1 << 2 * edge, 2 << 2 * edge) for edge in order]
     found: list[int] = []
 
     def fix(state: int, p: int) -> None:
         """Extend ``state``, whose edges ``order[:p]`` are fixed, by every
-        code of edge ``order[p]``."""
+        code but 3 of edge ``order[p]``."""
         if p == len(order):
             found.append(state)
             return
         move = levels[p]
-        shift = shifts[p]
-        for code in range(4):
-            nxt = state | code << shift
+        for code in codes[p]:
+            nxt = state | code
             if move is None or move(nxt) is None:
                 fix(nxt, p + 1)
 

@@ -65,8 +65,9 @@ read off the masks the step already holds, with ``free[ci]`` the edges
 line 1 leaves Out: line 1 fired iff ``free[ci] & ~before`` (an edge was
 undirected once conflicts were settled), line 2 iff ``after !=
 free[ci]`` and the register changed iff ``flip``.  The ``q r``
-labels are formatted once per traced run, so observing a run builds no
-object per step; the unobserved loop does none of this work.
+labels are formatted once per traced run, and the header's ``shape=``
+digest is hashed from them, so observing a run builds no object per
+step; the unobserved loop does none of this work.
 The end-of-run check reads the masks too (``_valid_single_sink``): R1
 holds iff ``mine == free`` at every cell, no particle breaks
 a rule and exactly one particle has ``mine == 0``.  ``violating_cells``
@@ -181,8 +182,12 @@ def shape_hash(c: Configuration) -> str:
     """The first 12 hex digits of the sha1 of ``support.format_shape_text``
     of the support, written from ``Support.order``, which is already
     sorted and distinct."""
-    text = "".join(f"{p.q} {p.r}\n" for p in c.support.order)
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
+    return _labels_hash([f"{p.q} {p.r}" for p in c.support.order])
+
+
+def _labels_hash(labels: list[str]) -> str:
+    """``shape_hash`` from the ``q r`` labels of the cells in order."""
+    return hashlib.sha1("".join(f"{label}\n" for label in labels).encode()).hexdigest()[:12]
 
 
 def _kind_label(kind: SchedulerKind) -> str:
@@ -332,7 +337,7 @@ def run(
     if trace_file is not None:
         labels = [f"{p.q} {p.r}" for p in support.order]
         trace_file.write(
-            f"# trace shape={shape_hash(c0)} scheduler={_kind_label(kind)}"
+            f"# trace shape={_labels_hash(labels)} scheduler={_kind_label(kind)}"
             f" cap={max_steps}\n"
         )
 

@@ -56,8 +56,11 @@ from reference import (
     symmetry_canonical_cells,
 )
 
-# Values computed by the rooted-growth oracle in reference.py.
-SIMPLY_CONNECTED_COUNTS = {1: 1, 2: 3, 3: 11, 4: 44, 5: 186, 6: 813}
+# Values computed by the rooted-growth oracle in reference.py (n <= 6) and by
+# the enumerator itself (n = 7, 8).  With the fixed supports that have a hole,
+# 1, 12 and 99 at n = 6, 7 and 8, they give the fixed polyhex counts of OEIS
+# A001207: 814, 3,652 and 16,689.
+SIMPLY_CONNECTED_COUNTS = {1: 1, 2: 3, 3: 11, 4: 44, 5: 186, 6: 813, 7: 3640, 8: 16590}
 
 
 def test_enumerate_counts_frozen():
@@ -91,7 +94,7 @@ def test_enumerate_no_duplicates_and_all_simply_connected():
 
 def test_enumerate_symmetry_reduction():
     # Distinct shapes under the full 12-element symmetry group.
-    expected = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 81}
+    expected = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 81, 7: 331, 8: 1435}
     for n, count in expected.items():
         assert len(enumerate_supports(n, canonical="symmetry")) == count
 

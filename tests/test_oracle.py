@@ -144,15 +144,25 @@ def test_silence_matches_reference_scan():
 
 def test_final_states_match_full_move_scan():
     """The search lists exactly the states without a move, in increasing
-    order, on every support with n <= 5 and on 40 seeded six-cell ones."""
+    order, on every support with n <= 5, on 40 seeded six-cell ones, and
+    on three with a hole: ``hexagon1`` without its centre and that ring
+    with a cell beside one ring cell or beside two.  The supports with a
+    hole have final states with an In/In edge, which are invalid; the
+    search, which tries codes 0, 1 and 2 only, lists those too."""
     rng = random.Random(12)
     supports = [s for n in range(1, 6) for s in enumerate_supports(n)]
     supports += [random_support(6, rng.randrange(2**31)) for _ in range(40)]
     assert {len(s.edges()) for s in supports[-40:]} >= {6, 7, 8, 9}
-    for s in supports:
+    ring = sorted(hexagon(1).cells - {Cell(0, 0)})
+    holed = [Support(ring), Support(ring + [Cell(2, 0)]), Support(ring + [Cell(2, -1)])]
+    assert [(len(s), len(s.edges())) for s in holed] == [(6, 6), (7, 7), (7, 8)]
+    assert not any(s.is_simply_connected() for s in holed)
+    for s in supports + holed:
         graph = ConfigGraph(s)
         expected = [state for state in range(1 << 2 * graph.n_edges) if graph.move(state) is None]
         assert final_states(graph) == expected, sorted(s.cells)
+        if s in holed:
+            assert not all(map(graph.all_directed, expected)), sorted(s.cells)
 
 
 def _inject_two_lane_fault(monkeypatch, s):

@@ -126,6 +126,22 @@ def test_r4(tri):
         assert check_r4(partial, c)
 
 
+def test_rule_admits_only_masks_of_charge_zero_but_the_sink():
+    """The local charge lemma behind unique sink: at every Out mask ``m``
+    that ``RULE`` admits, read as stored, ``1 - |m| + |m & rot(m)|`` is 1
+    when ``m`` is 0 and 0 otherwise.  ``rot`` shifts by one direction, so
+    the last term counts the triangles at the cell that it is Out on both
+    near edges of: Out points only at occupied cells, and neighbours in
+    consecutive directions are adjacent.  Summed over a valid orientation,
+    the charges give the sink count V - E + T."""
+    for m in range(1 << N_DIRS):
+        if RULE[m] is None:
+            continue
+        rot = (m << 1 | m >> N_DIRS - 1) & (1 << N_DIRS) - 1
+        charge = 1 - m.bit_count() + (m & rot).bit_count()
+        assert charge == (m == 0), f"Out mask {m:06b} has charge {charge}"
+
+
 def test_sinks(tri, hex1):
     single = all_in_configuration(random_support(1, 0))
     assert sinks(single) == frozenset({Cell(0, 0)})
