@@ -16,7 +16,14 @@ from typing import Callable, Iterable, Iterator
 from .lattice import Cell
 from .config import ConfigError, Configuration, all_in_configuration, load, save
 from .oracle import StateSpaceTooLarge
-from .support import Support, SupportError, check_angle_census, boundary_witness, parse_shape_text
+from .support import (
+    Support,
+    SupportError,
+    boundary_witness,
+    check_angle_census,
+    parse_int,
+    parse_shape_text,
+)
 from . import generators, oracle
 from .rules import rule_report
 from .render import render_svg
@@ -282,7 +289,7 @@ def _trace_cells(path: str, cfg: Configuration) -> list[Cell]:
             if not parts:
                 continue
             try:
-                cell = Cell(int(parts[1]), int(parts[2]))
+                cell = Cell(parse_int(parts[1]), parse_int(parts[2]))
             except (IndexError, ValueError):
                 raise UsageError(
                     f"trace line {lineno}: expected 'step q r ...', got {raw.strip()!r}"

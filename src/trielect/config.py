@@ -40,7 +40,7 @@ from .lattice import (
     dir_to_port,
     direction_from,
 )
-from .support import Support
+from .support import Support, parse_int
 
 
 class ConfigError(ValueError):
@@ -345,7 +345,7 @@ def deserialize(text: str) -> Configuration:
             if len(parts) != 2:
                 raise ConfigError(f"line {lineno}: expected 'q r' in shape block")
             try:
-                shape_cells.append(new_cell(Cell, (int(parts[0]), int(parts[1]))))
+                shape_cells.append(new_cell(Cell, (parse_int(parts[0]), parse_int(parts[1]))))
             except ValueError:
                 raise ConfigError(f"line {lineno}: non-integer coordinate") from None
         elif section == "cells":
@@ -423,7 +423,7 @@ def _refuse_repeat(text: str) -> NoReturn:
 def _int_pair(lineno: int, text: str, fields: str) -> tuple[int, int]:
     """``text``, the ``fields`` field of register line ``lineno``, as two integers."""
     try:
-        a, b = map(int, text.split())
+        a, b = map(parse_int, text.split())
     except ValueError:
         raise ConfigError(
             f"line {lineno}: expected '{fields}' as two integers, got {text.strip()!r}"

@@ -54,7 +54,8 @@ pass from every state only if some conflict-free state cannot;
 ``find_unfair_cycle`` runs a depth-first search over the conflict-free
 states with one successor list per frame of its path and one seen bit
 per base-3 rank, 3^E bits, which per-byte tables compute from a packed
-state; it takes its seeds in rank order from the first unseen bit.
+state; its seeds are the states of ``conflict_free_states`` not yet
+seen, as that list's index is the base-3 rank.
 When a state finishes, so does every image of it under the support's
 automorphisms (``ConfigGraph.automorphisms``), which the search marks
 seen too: a finished state cannot reach a cycle, and an automorphism
@@ -70,7 +71,6 @@ unstable edge, and each cell's own half-edge bits read the rest.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from types import MethodType, SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -297,10 +297,6 @@ def _low_states(e: int) -> list[int]:
 #: lowest k edges.
 _LOW_EDGES = 6
 _LOW_STATES = _low_states(_LOW_EDGES)
-#: ``_CODES[d]``: the four edge codes whose base-3 rank is ``d < 81``, as a byte.
-_CODES = _LOW_STATES[:81]
-#: The first byte of a seen-bit array with an unseen bit.
-_UNSEEN_BYTE = re.compile(b"[^\xff]")
 
 
 def _half_edges(around: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -850,9 +846,9 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     search lists each state's moves once with ``successors`` and walks
     them with one iterator per frame; it marks the states it has seen in
     one bit per base-3 rank (``rank_tables``), and a seen state is on the
-    current path (gray) iff it is in ``depth_of``.  Seeds are the unseen
-    ranks in increasing order, which is the order of
-    ``conflict_free_states``.
+    current path (gray) iff it is in ``depth_of``.  Seeds are the states
+    of ``conflict_free_states``, whose index is their base-3 rank, that
+    are not yet seen.
 
     A state that finishes (turns black) before any cycle is found reaches
     no cycle, nor does any image of it under ``graph.automorphisms()``,
@@ -875,19 +871,12 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     r0, r1, r2, r3 = _RANK
     images = [rank_tables(image) for image in graph.automorphisms()]
     seen = bytearray((total >> 3) + 1)
-    seen[-1] = 0xFF << (total & 7) & 0xFF  # the ranks past 3^E
     depth_of: dict[int, int] = {}
 
-    at = 0
-    while unseen := _UNSEEN_BYTE.search(seen, at):
-        at = unseen.start()
-        bit = (~seen[at] & seen[at] + 1).bit_length() - 1
-        seen[at] |= 1 << bit
-        rank = 8 * at + bit
-        seed = (
-            _CODES[rank % 81] | _CODES[rank // 81 % 81] << 8
-            | _CODES[rank // 6561 % 81] << 16 | _CODES[rank // 531441] << 24
-        )
+    for rank, seed in enumerate(graph.conflict_free_states()):
+        if seen[rank >> 3] >> (rank & 7) & 1:
+            continue
+        seen[rank >> 3] |= 1 << (rank & 7)
         depth_of[seed] = 0
         # The walk is at ``state`` and takes its next move from ``nexts``;
         # ``path`` holds the (state, nexts) of every state above it.

@@ -31,7 +31,9 @@ reads an empty neighbour (-1) off a sentinel slot, so it tests no
 index.  Simple connectivity is one table lookup per cell, ``_EULER``,
 summed to six times V - E + T; only ``hole_cells``, which names enclosed
 cells once a support is found not simply connected, floods the empty
-cells.  Articulation points and blocks are memoised on first use.
+cells.  Articulation points and blocks come from one lowpoint pass over
+``around`` by cell number, and the boundary from ``present``; each is
+cached on first use, and only its result is made of ``Cell``s.
 Boundary cells of a simply connected support fall into a strict
 trichotomy: pending (one occupied neighbour), articulation point,
 or a theta-angle particle whose occupied neighbours form a single cyclic
@@ -140,9 +142,10 @@ class KeyFrame(NamedTuple):
 class Support:
     """Immutable connected set of occupied cells with cached geometry.
 
-    ``order`` and ``number`` are cached properties: the first read stores
-    the value in the instance ``__dict__``, where every later read finds
-    it without a Python call.  They are not slots behind ``__getattr__``:
+    ``order`` and ``number``, like the boundary and the cut structure,
+    are cached properties: the first read stores the value in the
+    instance ``__dict__``, where every later read finds it without a
+    Python call.  They are not slots behind ``__getattr__``:
     a class with ``__getattr__`` makes every one of its attribute reads
     take CPython's unspecialised path, ``around`` and ``present`` too.
     """
@@ -153,9 +156,6 @@ class Support:
         "__dict__",
         "around",
         "present",
-        "_boundary",
-        "_articulation",
-        "_blocks",
     )
 
     def __init__(self, cells: Iterable[Cell]):
@@ -226,9 +226,6 @@ class Support:
             raise SupportError("support is not connected")
         self._keys = keys
         self._frame = frame
-        self._boundary: frozenset[Cell] | None = None
-        self._articulation: frozenset[Cell] | None = None
-        self._blocks: tuple[frozenset[Cell], ...] | None = None
 
     def _decode(self) -> tuple[Cell, ...]:
         """The cells by number: those of the keys, in key order, which is
@@ -302,11 +299,11 @@ class Support:
 
     def boundary(self) -> frozenset[Cell]:
         """Occupied cells with at least one empty neighbour."""
-        if self._boundary is None:
-            self._boundary = frozenset(
-                c for c, mask in zip(self.order, self.present) if mask != _ALL_DIRS
-            )
-        return self._boundary
+        return self._boundary_cells
+
+    @cached_property
+    def _boundary_cells(self) -> frozenset[Cell]:
+        return frozenset([c for c, mask in zip(self.order, self.present) if mask != _ALL_DIRS])
 
     def is_simply_connected(self) -> bool:
         """True iff the support encloses no empty region.
@@ -337,83 +334,74 @@ class Support:
     # -- articulation points and blocks -------------------------------------
 
     def articulation_points(self) -> frozenset[Cell]:
-        if self._articulation is None:
-            self._compute_blocks()
-        return self._articulation  # type: ignore[return-value]
+        return self._cut_structure[0]
 
     def blocks(self) -> tuple[frozenset[Cell], ...]:
         """2-connected components of the occupancy graph (bridges give 2-cell blocks)."""
-        if self._blocks is None:
-            self._compute_blocks()
-        return self._blocks  # type: ignore[return-value]
+        return self._cut_structure[1]
 
     def is_two_connected(self) -> bool:
         return not self.articulation_points()
 
-    def _compute_blocks(self) -> None:
-        # Iterative lowpoint computation with an edge stack.
-        disc: dict[Cell, int] = {}
-        low: dict[Cell, int] = {}
-        parent: dict[Cell, Cell | None] = {}
-        aps: set[Cell] = set()
+    @cached_property
+    def _cut_structure(self) -> tuple[frozenset[Cell], tuple[frozenset[Cell], ...]]:
+        """The articulation points and the blocks, from one lowpoint pass
+        over ``around``.
+
+        A depth-first search from cell 0 numbers the cells in the order it
+        finds them (``disc``); ``low[u]`` is the smallest ``disc`` that
+        ``u``'s subtree reaches by one edge that is not a tree edge.  When
+        a child ``u`` of ``p`` finishes with ``low[u] >= disc[p]``, nothing
+        below ``u`` reaches above ``p``: the cells found from ``u`` on that
+        no block holds yet, and ``p``, form a block, and ``p`` is a cut
+        cell, unless it is the root, which is one only if it starts two
+        blocks.  Each frame holds its cell, its parent, where its cell sits
+        in ``found`` and its neighbour iterator.
+        """
+        around, order = self.around, self.order
+        n = len(around)
+        if n == 1:
+            return frozenset(), (frozenset(order),)
+        disc = [-1] * n
+        low = [0] * n
+        disc[0] = 0
+        found = [0]  # the cells found and not yet in a block, in finding order
+        cuts: set[int] = set()
         blocks: list[frozenset[Cell]] = []
-        edge_stack: list[tuple[Cell, Cell]] = []
-        counter = 0
-
-        root = self.order[0]
-        if len(self.order) == 1:
-            self._articulation = frozenset()
-            self._blocks = (frozenset({root}),)
-            return
-
-        parent[root] = None
-        stack: list[tuple[Cell, Iterator[Cell]]] = [(root, iter(self.occupied_neighbors(root)))]
-        disc[root] = low[root] = counter
-        counter += 1
-        root_children = 0
-
+        root_blocks = 0
+        counter = 1
+        stack = [(0, -1, 0, iter(around[0]))]
         while stack:
-            u, it = stack[-1]
-            advanced = False
+            u, parent, mark, it = stack[-1]
             for v in it:
-                if v not in disc:
-                    parent[v] = u
+                if v < 0 or v == parent:
+                    continue
+                if disc[v] < 0:
                     disc[v] = low[v] = counter
                     counter += 1
-                    edge_stack.append((u, v))
-                    if u is root:
-                        root_children += 1
-                    stack.append((v, iter(self.occupied_neighbors(v))))
-                    advanced = True
+                    stack.append((v, u, len(found), iter(around[v])))
+                    found.append(v)
                     break
-                elif v != parent[u] and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= disc[p]:
-                    if parent[p] is not None:
-                        aps.add(p)
-                    members: set[Cell] = set()
-                    while edge_stack and disc[edge_stack[-1][0]] >= disc[u]:
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                    if edge_stack and edge_stack[-1] == (p, u):
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                    members.add(p)
-                    members.add(u)
-                    blocks.append(frozenset(members))
-        if root_children > 1:
-            aps.add(root)
-        self._articulation = frozenset(aps)
-        self._blocks = tuple(blocks)
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:
+                    if parent:
+                        cuts.add(parent)
+                    else:
+                        root_blocks += 1
+                    block = found[mark:]
+                    del found[mark:]
+                    block.append(parent)
+                    blocks.append(frozenset([order[i] for i in block]))
+        if root_blocks > 1:
+            cuts.add(0)
+        return frozenset([order[i] for i in cuts]), tuple(blocks)
 
     # -- boundary classification -------------------------------------------
 
@@ -727,6 +715,20 @@ def automorphisms(s: Support) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 # -- shape files --------------------------------------------------------------
 
 
+def parse_int(text: str) -> int:
+    """``text`` as an integer: ASCII digits after at most one sign.
+
+    ``int`` alone also reads other scripts' digits, underscores between
+    digits and surrounding spaces; every number in a shape, configuration,
+    script or trace file is read here instead, and ``ValueError`` is
+    raised for anything else.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_shape_text(text: str) -> list[Cell]:
     """Parse the one-cell-per-line ``q r`` shape format ('#' comments allowed)."""
     cells = []
@@ -738,7 +740,7 @@ def parse_shape_text(text: str) -> list[Cell]:
         if len(parts) != 2:
             raise SupportError(f"line {lineno}: expected 'q r', got {raw!r}")
         try:
-            cells.append(Cell(int(parts[0]), int(parts[1])))
+            cells.append(Cell(parse_int(parts[0]), parse_int(parts[1])))
         except ValueError:
             raise SupportError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
     if not cells:

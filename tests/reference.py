@@ -9,7 +9,10 @@ principles.  Expected values frozen into the tests were produced by these
 functions.  ``reference_random_support`` (and its prefix-yielding twin
 ``reference_random_support_prefixes``), ``reference_erosion_order`` and
 ``reference_boundary_class`` re-derive with flood fills what the package
-reads off one cyclic-run lookup; ``flood_connected`` is their flood, by
+reads off one cyclic-run lookup, and ``reference_articulation_points``
+and ``reference_blocks`` what ``Support`` reads off one lowpoint pass:
+the cells whose removal disconnects the rest, and the classes of edges
+that no one cell's removal separates; ``flood_connected`` is their flood, by
 coordinates and a set of cells, against which ``support._is_connected``,
 the flood over cell numbers, is checked.  ``neighbor_mask`` is the six-bit
 mask of a cell's neighbours in a set, by coordinates.
@@ -419,6 +422,54 @@ def reference_boundary_class(cells: frozenset[Cell], p: Cell) -> str:
         return "articulation"
     assert _runs(occ) == 1, f"{p} is no articulation point but has {_runs(occ)} arcs"
     return f"angle({60 * (len(occ) - 1)})"
+
+
+def _component_of(cells: frozenset[Cell]) -> dict[Cell, Cell]:
+    """Each cell's component in ``cells``, named by the first cell its
+    flood by coordinates started from."""
+    of: dict[Cell, Cell] = {}
+    for start in cells:
+        if start in of:
+            continue
+        of[start] = start
+        stack = [start]
+        while stack:
+            for nb in neighbors(stack.pop()):
+                if nb in cells and nb not in of:
+                    of[nb] = start
+                    stack.append(nb)
+    return of
+
+
+def reference_articulation_points(cells: frozenset[Cell]) -> frozenset[Cell]:
+    """The cells whose removal leaves the rest of ``cells`` disconnected."""
+    return frozenset(
+        c for c in cells if len(set(_component_of(cells - {c}).values())) > 1
+    )
+
+
+def reference_blocks(cells: frozenset[Cell]) -> set[frozenset[Cell]]:
+    """The blocks of ``cells``' occupancy graph by their definition: two
+    edges share a block iff no single cell's removal separates them, that
+    is, leaves the ends of one that remain and those of the other in two
+    components.  A block is the cells of one class of edges; a lone cell
+    is one block."""
+    if len(cells) == 1:
+        return {cells}
+    edges = [(a, b) for a in cells for b in neighbors(a) if b in cells and a < b]
+    without = [(c, _component_of(cells - {c})) for c in cells]
+
+    def together(e: tuple[Cell, Cell], f: tuple[Cell, Cell]) -> bool:
+        return all(len({of[x] for x in e + f if x != c}) == 1 for c, of in without)
+
+    classes: list[list[tuple[Cell, Cell]]] = []
+    for e in edges:
+        home = next((cls for cls in classes if together(cls[0], e)), None)
+        if home is None:
+            classes.append([e])
+        else:
+            home.append(e)
+    return {frozenset(x for e in cls for x in e) for cls in classes}
 
 
 def directed_edge_list(c: Configuration) -> list[tuple[Cell, Cell]]:

@@ -473,6 +473,21 @@ def _exit_code(argv):
          "shape\n0 0\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n1 0 | 0 1 | I I I I I I\n"),
         (["verify", "--per-particle", "--config", "{trace}"],
          "shape\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n"),
+        (["gen", "--file", "{trace}", "--out", "{out}"], "0 0\n\u0661 0\n"),
+        (["gen", "--file", "{trace}", "--out", "{out}"], "1_0 0\n"),
+        (["render", "--config", "{trace}", "--out", "{out}"],
+         "shape\n0 0\n\u0661 0\ncells\n0 0 | 0 1 | I I I I I I\n1 0 | 0 1 | I I I I I I\n"),
+        (["render", "--config", "{trace}", "--out", "{out}"],
+         "shape\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n\u0661 0 | 0 1 | I I I I I I\n"),
+        (["render", "--config", "{trace}", "--out", "{out}"],
+         "shape\n0 0\n1 0\ncells\n0 0 | 0 1 | I I I I I I\n1 0 | 0_0 1 | I I I I I I\n"),
+        (["render", "--config", "{trace}", "--out", "{out}"],
+         "shape\n0 0\n1 0\ncells\n0 0 | 0 \u0661 | I I I I I I\n1 0 | 0 1 | I I I I I I\n"),
+        (["run", "--config", "{cfg}", "--scheduler", "script:{trace}"], "0 0\n\u0661 0\n"),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--frame", "1", "--out", "{out}"],
+         "0 \u0661 0 1 0 1 0\n"),
+        (["render", "--config", "{cfg}", "--trace", "{trace}", "--frame", "1", "--out", "{out}"],
+         "0 0 0_0 1 0 1 0\n"),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):
@@ -504,3 +519,40 @@ def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text)
     assert "Traceback" not in err
     if " ".join(argv) in _PINNED_ERRORS:
         assert err == _PINNED_ERRORS[" ".join(argv)]
+
+
+_REGISTERS = "cells\n0 0 | 0 1 | I I I I I I\n1 0 | 0 1 | I I I I I I\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, err",
+    [
+        (["gen", "--file", "{file}", "--out", "{out}"], "0 0\n\u0661 0\n",
+         "error: shape file {file}: line 2: non-integer coordinate in '\u0661 0'\n"),
+        (["gen", "--file", "{file}", "--out", "{out}"], "1_0 0\n",
+         "error: shape file {file}: line 1: non-integer coordinate in '1_0 0'\n"),
+        (["verify", "--config", "{file}"], "shape\n0 0\n1 0\n\u0661 \u0661\n" + _REGISTERS,
+         "error: line 4: non-integer coordinate\n"),
+        (["verify", "--config", "{file}"], "shape\n0 0\n1 0\n" + _REGISTERS.replace("1 0 |", "1_0 0 |"),
+         "error: line 6: expected 'q r' as two integers, got '1_0 0'\n"),
+        (["verify", "--config", "{file}"], "shape\n0 0\n1 0\n" + _REGISTERS.replace("| 0 1 |", "| 0 \u0661 |", 1),
+         "error: line 5: expected 'offset chirality' as two integers, got '0 \u0661'\n"),
+        (["run", "--config", "{cfg}", "--scheduler", "script:{file}"], "0 0\n+1 0\n1 \uff10\n",
+         "error: script file {file}: line 3: non-integer coordinate in '1 \uff10'\n"),
+        (["render", "--config", "{cfg}", "--trace", "{file}", "--out", "{out}"], "0 \u0661 0 1 0 1 0\n",
+         "error: trace line 1: expected 'step q r ...', got '0 \u0661 0 1 0 1 0'\n"),
+    ],
+)
+def test_integers_in_files_are_ascii_digits_after_one_sign(tmp_path, capsys, argv, text, err):
+    """A number in a shape, configuration, script or trace file is ASCII
+    digits after at most one sign; anything else that ``int`` would read
+    exits 2 naming the line."""
+    cfg = tmp_path / "p.cfg"
+    main(["gen", "--shape", "line2", "--init", "all-in", "--out", str(cfg)])
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    paths = {"cfg": str(cfg), "file": str(path), "out": str(tmp_path / "out")}
+    assert _exit_code([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == err.format(**paths)
+    assert not (tmp_path / "out").exists()

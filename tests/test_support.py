@@ -22,6 +22,7 @@ from trielect.support import (
     check_angle_census,
     format_shape_text,
     boundary_witness,
+    parse_int,
     parse_shape_text,
 )
 from trielect.generators import enumerate_supports, hexagon, parallelogram, random_support, ring18
@@ -32,6 +33,8 @@ from reference import (
     enclosed_components,
     flood_connected,
     neighbor_mask,
+    reference_articulation_points,
+    reference_blocks,
     reference_boundary_class,
     reference_numbering,
     rooted_growth_shapes,
@@ -444,6 +447,48 @@ def test_articulation_matches_removal_definition():
         assert s.articulation_points() == frozenset(expected)
 
 
+def _holed_fixtures() -> list[Support]:
+    """``hexagon(1)`` without its centre, that ring plus one cell, and
+    ``ring18``: supports where cut cells are not read off one cell's
+    neighbours."""
+    ring = hexagon(1).cells - {Cell(0, 0)}
+    return [Support(ring), Support(ring | {Cell(2, 0)}), ring18().support]
+
+
+def _split_cells(s: Support) -> frozenset[Cell]:
+    """The cells whose occupied directions are not one cyclic run."""
+    return frozenset(c for c, mask in zip(s.order, s.present) if not CYCLIC_RUN[mask])
+
+
+def test_articulation_points_are_the_cells_without_one_cyclic_run():
+    """In a simply connected support of at least two cells, a cell cuts
+    it exactly when its occupied directions are not one cyclic run: on
+    every such support with n <= 7 (4,697 of them), and the removal
+    definition on the holed fixtures, where that rule fails."""
+    count = 0
+    for n in range(2, 8):
+        for s in enumerate_supports(n):
+            assert s.articulation_points() == _split_cells(s), sorted(s.cells)
+            count += 1
+    assert count == 4697
+    for s in _holed_fixtures():
+        cut = s.articulation_points()
+        assert cut == reference_articulation_points(frozenset(s.cells)), s
+        assert cut != _split_cells(s)
+
+
+def test_blocks_match_the_edge_separation_reference():
+    """``blocks()`` lists each block of the reference once, on every
+    support with n <= 6 and on the holed fixtures; ``is_two_connected``
+    agrees with a single block."""
+    supports = [s for n in range(1, 7) for s in enumerate_supports(n)] + _holed_fixtures()
+    for s in supports:
+        blocks = s.blocks()
+        expected = reference_blocks(frozenset(s.cells))
+        assert len(blocks) == len(expected) and set(blocks) == expected, sorted(s.cells)
+        assert s.is_two_connected() == (len(blocks) == 1), sorted(s.cells)
+
+
 def test_check_angle_census_examples(tri, hex1, para23):
     assert check_angle_census(tri)
     assert check_angle_census(hex1)
@@ -496,6 +541,19 @@ def test_shape_text_roundtrip(hex1):
     text = format_shape_text(hex1.cells)
     assert Support(parse_shape_text(text)).cells == hex1.cells
     assert "\n" in text and text.endswith("\n")
+
+
+@pytest.mark.parametrize("text", ["0", "7", "+1", "-17", "007", "123456789012345678901234567890"])
+def test_parse_int_reads_ascii_digits_after_one_sign(text):
+    assert parse_int(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "+", "-", "+-1", "--1", "1_0", " 1", "1 ", "1.0", "0x1", "1e3", "\u0661", "\uff11", "\u00b2", "\u0967"]
+)
+def test_parse_int_refuses_what_else_int_reads(text):
+    with pytest.raises(ValueError):
+        parse_int(text)
 
 
 def test_parse_shape_text_errors():
