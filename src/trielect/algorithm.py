@@ -16,13 +16,17 @@ edges and immediately retracts them nets to the identity, so such a
 particle does not count as activable.  After any activation the out-degree,
 consecutiveness and triangle rules hold at the activated particle.
 
-Only the particle's own register is written, and only the registers and
-port labels of the particle and its six neighbours are read, each by cell
-number: ``register(j)`` and ``portmaps[j]``.  ``step_register`` tests
-line 2 on the would-be register in place, through ``rules.r4_at`` for
-R4, and builds no configuration; ``activation_step`` builds one only for
-a changed register, by copying the masks, so a chained step costs about
-the same at any support size.
+Only the particle's own register is written.  The particle reads its own
+register, its neighbours' registers and the port labels of its depth-3
+view, each by cell number: ``register(j)`` and ``portmaps[j]``.
+``step_register`` tests line 2 on the would-be register in place: R2 and
+R3 off its Out ports, and R4 as the particle infers it from its view,
+through ``views.local_r4_at``, never through the omniscient
+``rules.check_r4``.  So it raises ``views.ChiralityInferenceError`` where
+inference fails, which never happens for a valid port-map assignment, as
+inference reads port maps only.  It builds no configuration;
+``activation_step`` builds one only for a changed register, by copying
+the masks, so a chained step costs about the same at any support size.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from typing import NamedTuple
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS
 from .config import ALL_IN, Configuration, IN, OUT, Registers
+from .views import local_r4_at
 
 # ``check_r4`` stays importable here, where the benchmark's traced run wraps it.
-from .rules import check_r4, r4_at  # noqa: F401
+from .rules import check_r4  # noqa: F401
 
 
 class ActivationEffect(NamedTuple):
@@ -67,19 +72,14 @@ def step_register(c: Configuration, p: Cell) -> tuple[Registers, ActivationEffec
         reg[port] = OUT
 
     # Line 2 marks every outgoing edge undirected; ports toward empty
-    # cells hold In already, so the register becomes all In.
+    # cells hold In already, so the register becomes all In.  The trial
+    # register is Out toward occupied cells only: its Out ports are the
+    # outgoing ones R2 and R3 count.
     trial = tuple(reg)
-    line2 = not _r234_with(c, i, trial)
+    out = sum(1 << port for port in range(N_DIRS) if trial[port] is OUT)
+    line2 = not (out.bit_count() <= 3 and CYCLIC_RUN[out] and local_r4_at(c, i, trial))
     after = ALL_IN if line2 else trial
     return after, ActivationEffect(after != before, bool(undirected), line2, conflicts)
-
-
-def _r234_with(c: Configuration, i: int, reg: Registers) -> bool:
-    """R2, R3 and R4 at cell number ``i`` with its register hypothetically
-    ``reg``, which is Out toward occupied cells only: its Out ports are the
-    outgoing ones ``check_r2`` and ``check_r3`` count."""
-    out = sum(1 << port for port in range(N_DIRS) if reg[port] is OUT)
-    return out.bit_count() <= 3 and CYCLIC_RUN[out] and r4_at(c, i, reg)
 
 
 def activation_step(c: Configuration, p: Cell) -> tuple[Configuration, ActivationEffect]:

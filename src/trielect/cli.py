@@ -4,6 +4,12 @@ Subcommands: gen, run, verify, enum, search-unfair, render.  Every command
 is deterministic given its flags; randomness always flows from an explicit
 --seed.  Exit codes: 0 success, 1 a checked property failed or a searched
 object was not found, 2 usage or input errors.
+
+Integer flags are read by ``support.parse_int``, the rule every number in
+the files follows, and the defaults of ``--conflict-prob``,
+``--max-steps`` and ``--max-states`` are the library's own constants.  A
+``search-unfair --max-n`` scan skips a support the cycle search refuses
+as over budget; a named shape reports it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from . import generators, oracle
 from .rules import rule_report
 from .render import render_svg
 from .scheduler import (
+    MAX_STEPS,
     Outcome,
     RandomSequential,
     RoundRobin,
@@ -43,10 +50,11 @@ class UsageError(Exception):
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type: an integer no smaller than ``low``."""
+    """argparse type: an integer no smaller than ``low``, read by
+    ``support.parse_int`` as every number in the files is."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = parse_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -56,6 +64,10 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _probability(text: str) -> float:
+    """argparse type: a number in [0, 1], in ASCII with no ``_`` or
+    surrounding space, which ``float`` alone would accept."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a probability: {text!r}")
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
@@ -243,15 +255,16 @@ def cmd_search_unfair(args: argparse.Namespace) -> int:
     for n, candidates in groups:
         start = time.perf_counter()
         for support in candidates:
-            # A scan skips what is over budget; a named shape reports it.
-            edges = support.edge_count()
-            if n is not None and 3 ** edges > args.max_states:
+            try:
+                found = oracle.find_unfair_cycle(support, max_states=args.max_states)
+            except StateSpaceTooLarge:
+                if n is None:  # a named shape reports it; a scan skips it
+                    raise
                 continue
-            found = oracle.find_unfair_cycle(support, max_states=args.max_states)
             if found is None:
                 continue
             print(
-                f"cycle found: {len(support)} cells, {edges} edges, "
+                f"cycle found: {len(support)} cells, {support.edge_count()} edges, "
                 f"period {found.period}"
             )
             if args.out_config:
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="shape file (one 'q r' per line)")
     p.add_argument("--init", choices=("erosion", "all-in", "random"), default="erosion")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--conflict-prob", type=_probability, default=0.25)
+    p.add_argument("--conflict-prob", type=_probability, default=generators.CONFLICT_PROBABILITY)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
@@ -338,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--scheduler", default="random", help="random | roundrobin | script:PATH")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--max-steps", type=_int_at_least(0), default=1_000_000)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=MAX_STEPS)
     p.add_argument("--trace", help="write a trace log to this path")
     p.set_defaults(fn=cmd_run)
 
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--shape", help="search one named shape")
     src.add_argument("--max-n", type=_int_at_least(1), help="scan all supports up to N cells")
-    p.add_argument("--max-states", type=_int_at_least(1), default=2_000_000)
+    p.add_argument("--max-states", type=_int_at_least(1), default=oracle.MAX_CYCLE_STATES)
     p.add_argument("--out-config", help="write the cycle's initial configuration here")
     p.add_argument("--out-script", help="write the cyclic activation script here")
     p.set_defaults(fn=cmd_search_unfair)

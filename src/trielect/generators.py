@@ -308,16 +308,20 @@ def random_portmaps(s: Support, seed: int) -> PortMaps:
 _LATER = 1 << 0 | 1 << 1 | 1 << 5
 
 
+#: ``random_registers``' default chance of an Out/Out edge, at which every
+#: free port is an independent fair coin.
+CONFLICT_PROBABILITY = 0.25
+
+
 def random_registers(
     s: Support,
     seed: int,
-    conflict_probability: float = 0.25,
+    conflict_probability: float = CONFLICT_PROBABILITY,
     portmaps: PortMaps | None = None,
 ) -> Configuration:
     """Arbitrary initial registers: per edge, Out/Out with the given
     probability, otherwise uniform over the three conflict-free states.
 
-    The default 0.25 makes every free port an independent fair coin.
     Ports toward empty cells always hold In.  Edges draw in
     ``Support.edges`` order: per cell number, its ``lattice.SET_DIRS``
     among the ``_LATER`` directions.  Each edge calls ``rng.random()``,

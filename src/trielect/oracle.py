@@ -27,7 +27,11 @@ configurations through ``Configuration.masks``, the Out masks by cell
 number, with no register built; ``unpack`` takes the port maps as a
 tuple by cell number, as ``Configuration`` keeps them.
 
-The exhaustive checks: ``check_unique_sink`` decides all 2^E
+The exhaustive checks take the support only; their budgets are the
+module constants ``MAX_LANE_EDGES`` and ``MAX_REACH_STATES``, and
+``MAX_CYCLE_STATES`` is ``find_unfair_cycle``'s default, each checked
+from the support's edge count before any graph is built.
+``check_unique_sink`` decides all 2^E
 orientations at once from ``orientation_lanes``, which holds one bit per
 orientation in Python ints (lane k is orientation k) and computes R2/R3
 per cell by a Shannon expansion over its Out flags, R4 per triangle and
@@ -83,6 +87,15 @@ from .support import Support, automorphisms
 
 class StateSpaceTooLarge(ValueError):
     pass
+
+
+#: The budgets of the exhaustive checks: the most edges ``check_unique_sink``
+#: and ``check_silence`` decide (their lanes hold 2^E bits), the most
+#: states ``check_reachability`` gives a fate, and ``find_unfair_cycle``'s
+#: default state budget, which ``search-unfair --max-states`` overrides.
+MAX_LANE_EDGES = 24
+MAX_REACH_STATES = 1 << 24
+MAX_CYCLE_STATES = 2_000_000
 
 
 class ConfigGraph:
@@ -608,18 +621,24 @@ def orientation_lanes(s: Support) -> tuple[int, int, int]:
     return e, full & ~bad, one & ~many
 
 
-def check_unique_sink(s: Support, max_edges: int = 24) -> UniqueSinkReport:
+def _lane_edges(s: Support) -> int:
+    """``s``'s edge count E, refused over ``MAX_LANE_EDGES``."""
+    e = s.edge_count()
+    if e > MAX_LANE_EDGES:
+        raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
+    return e
+
+
+def check_unique_sink(s: Support) -> UniqueSinkReport:
     """Every all-directed orientation passing the rules has exactly one sink.
 
     ``orientation_lanes`` decides all 2^E orientations at once; a
     ``ConfigGraph`` is built only to unpack the valid orientations whose
     sink count is not one, which ``lane_states`` gives in lane order.
-    At E = 24 the lanes are 2 MB ints, and the check allocates about
-    83 MB at its peak.
+    At E = ``MAX_LANE_EDGES`` the lanes are 2 MB ints, and the check
+    allocates about 83 MB at its peak.
     """
-    e = s.edge_count()
-    if e > max_edges:
-        raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
+    e = _lane_edges(s)
     _, valid, single = orientation_lanes(s)
     counterexamples: tuple[str, ...] = ()
     if bad := valid & ~single:
@@ -695,19 +714,17 @@ def final_states(graph: ConfigGraph) -> list[int]:
     return found
 
 
-def check_silence(s: Support, max_edges: int = 24) -> SilenceReport:
+def check_silence(s: Support) -> SilenceReport:
     """final <=> valid over every register state, Out/Out included, decided
     from both ends without visiting each state: the final states
     ``final_states`` lists against the valid ones, which are all-directed
     and which ``lane_states`` reads off the ``valid`` lanes of
     ``orientation_lanes``.  Each mismatch is tagged with the side it is
     on, in packed-state order.  ``states`` counts the 4^E states this
-    decides; ``max_edges`` bounds E, as the lanes hold 2^E bits.
+    decides.
     """
+    e = _lane_edges(s)
     graph = ConfigGraph(s)
-    e = graph.n_edges
-    if e > max_edges:
-        raise StateSpaceTooLarge(f"2^{e} orientations is over budget")
     final = set(final_states(graph))
     valid = set(lane_states(orientation_lanes(s)[1], e))
     return SilenceReport(s, 1 << 2 * e, tuple(
@@ -805,7 +822,7 @@ def reach_fates(
     return fate
 
 
-def check_reachability(s: Support, max_states: int = 1 << 24) -> ReachabilityReport:
+def check_reachability(s: Support) -> ReachabilityReport:
     """Some valid final state is reachable from every register state.
 
     The pass walks the 3^E conflict-free states only and settles the
@@ -819,12 +836,14 @@ def check_reachability(s: Support, max_states: int = 1 << 24) -> ReachabilityRep
     within as many steps as it has conflicts, and reaches a valid final
     state if every conflict-free state does.  If some conflict-free state
     cannot, a pass from every state lists all that cannot, conflict
-    states included.  ``states`` counts the 4^E states this decides.
+    states included.  ``states`` counts the 4^E states this decides, at
+    most ``MAX_REACH_STATES``.
     """
+    e = s.edge_count()
+    total = 1 << 2 * e
+    if total > MAX_REACH_STATES:
+        raise StateSpaceTooLarge(f"4^{e} states is over budget")
     graph = ConfigGraph(s)
-    total = 1 << 2 * graph.n_edges
-    if total > max_states:
-        raise StateSpaceTooLarge(f"4^{graph.n_edges} states is over budget")
     fate = reach_fates(total, graph.move, graph.all_directed, graph.conflict_free_states())
     if CANNOT in fate:
         fate = reach_fates(total, graph.move, graph.all_directed)
@@ -836,7 +855,7 @@ def check_reachability(s: Support, max_states: int = 1 << 24) -> ReachabilityRep
     return ReachabilityReport(s, total, tuple(unreachable))
 
 
-def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | None:
+def find_unfair_cycle(s: Support, max_states: int = MAX_CYCLE_STATES) -> UnfairCycle | None:
     """Search the conflict-free state space for a sequential cycle.
 
     Any cycle avoids valid states automatically: valid states are final
@@ -859,14 +878,18 @@ def find_unfair_cycle(s: Support, max_states: int = 2_000_000) -> UnfairCycle | 
     would without the marks, and returns the same cycle.  A step changes
     only the activated cell's own half-edges, so the cells of a cycle's
     script are read off consecutive states.
+
+    A support over ``max_states`` conflict-free states, or over the 16
+    edges the rank tables cover, is refused from its edge count before
+    any graph is built.
     """
-    graph = ConfigGraph(s)
-    e = graph.n_edges
+    e = s.edge_count()
     total = 3**e
     if total > max_states:
         raise StateSpaceTooLarge(f"3^{e} states is over budget")
     if e > 16:
         raise StateSpaceTooLarge(f"{e} edges is over the 16 the rank tables cover")
+    graph = ConfigGraph(s)
     successors = graph.successors
     r0, r1, r2, r3 = _RANK
     images = [rank_tables(image) for image in graph.automorphisms()]

@@ -18,14 +18,15 @@ read a ``Configuration``'s port maps and registers only, along the
 support's cell numbering: the neighbour of p at direction d is
 ``around[number[p]][d]``, cell number j's port map is ``portmaps[j]``
 and its register ``register(j)``, and the port facing d is the port
-map's ``ports[d]``.  ``r4_at`` is ``check_r4``'s body with the cell's
-register as an argument, so that ``algorithm.step_register`` tests a
-trial register in place.  ``RULE`` is the same R2/R3/R4 as one
-64-entry table over a cell's Out mask, read as stored by the scheduler's
-mask engine and by ``oracle.ConfigGraph``; the reference reads neither
-it nor the stored masks (``Configuration.masks``) nor the register
-tables ``config.OUT_MASK`` and ``config.REGISTER``, so tests that compare
-the two compare independent derivations.
+map's ``ports[d]``.  They are the omniscient verdict only: what a
+particle itself reads, R4 inferred from its view included, is in
+``views``, and ``algorithm.step_register`` is built on that.  ``RULE``
+is the same R2/R3/R4 as one 64-entry table over a cell's Out mask, read
+as stored by the scheduler's mask engine and by ``oracle.ConfigGraph``;
+the reference reads neither it nor the stored masks
+(``Configuration.masks``) nor the register tables ``config.OUT_MASK``
+and ``config.REGISTER``, so tests that compare the two compare
+independent derivations.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lattice import CYCLIC_RUN, Cell, N_DIRS
-from .config import OUT, Configuration, Registers
+from .config import OUT, Configuration
 
 
 def _consecutive_cyclic(ports: tuple[int, ...]) -> bool:
@@ -100,13 +101,9 @@ def check_r3(c: Configuration, p: Cell) -> bool:
 
 def check_r4(c: Configuration, p: Cell) -> bool:
     """No triangle containing ``p`` is a directed 3-cycle (omniscient reading)."""
-    i = c.number_of(p)
-    return r4_at(c, i, c.register(i))
-
-
-def r4_at(c: Configuration, i: int, reg: Registers) -> bool:
-    """``check_r4`` at cell number ``i`` with its register read as ``reg``."""
     register, portmaps = c.register, c.portmaps
+    i = c.number_of(p)
+    reg = register(i)
     row = c.support.around[i]
     ports = portmaps[i].ports
     for d in range(N_DIRS):

@@ -283,10 +283,14 @@ def violating_cells(c: Configuration) -> list[int]:
 # -- the driver --------------------------------------------------------------------
 
 
+#: ``run``'s default cap on events.
+MAX_STEPS = 1_000_000
+
+
 def run(
     c0: Configuration,
     kind: SchedulerKind,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_STEPS,
     check_invariants: bool = False,
     trace_file: IO[str] | None = None,
 ) -> ExecutionResult:

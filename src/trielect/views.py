@@ -28,15 +28,19 @@ walk once.  The walk from p to q and on out of q's port x reaches one
 cell, and the entry port there is the only y the first conjunct can
 accept: so of the four candidates only the two values of x remain, each
 with the y its walk fixes, and the other conjuncts are single walks.
-``local_check_r4`` and ``infer_triangle_labels`` therefore never build
-the whole view; ``build_view`` is the definition of view_k and the
-reference the walks are tested against.  Like the omniscient checkers in
-``rules``, these readers see a configuration's port maps and registers
-only, each read by cell number (``portmaps[j]``, ``register(j)``), and
-local R4 learns the far edge of a triangle from view walks alone,
-walking only for the triangles whose far edge can close a directed
-3-cycle (see ``local_check_r4``).  Every reader raises ``ConfigError``
-for a cell outside the support.
+Local R4 and ``infer_triangle_labels`` therefore never build the whole
+view; ``build_view`` is the definition of view_k and the reference the
+walks are tested against.
+
+This module is everything a particle reads.  Like the omniscient
+checkers in ``rules``, these readers see a configuration's port maps and
+registers only, each read by cell number (``portmaps[j]``,
+``register(j)``), and local R4 learns the far edge of a triangle from
+view walks alone, walking only for the triangles whose far edge can
+close a directed 3-cycle.  ``local_r4_at`` is the particle's R4 with its
+register given, which ``algorithm.step_register`` passes line 2's trial
+register, and ``local_check_r4`` reads the stored register.  Every
+reader of a cell raises ``ConfigError`` for one outside the support.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .lattice import Cell, N_DIRS, PortMap, neighbor, port_to_dir
-from .config import OUT, ConfigError, Configuration
+from .config import OUT, ConfigError, Configuration, Registers
 
 #: Sequence of (exit port at step i, entry port at step i+1) pairs.
 PathLabel = tuple[tuple[int, int], ...]
@@ -56,7 +60,7 @@ class ChiralityInferenceError(RuntimeError):
     """No or several candidate labelings satisfy the view formula.
 
     Raising this would falsify the triangle-chirality statement; it is
-    never expected on well-formed configurations.  ``local_check_r4``
+    never expected on well-formed configurations.  ``local_r4_at``
     infers only the triangles whose near edges form a directed path
     through the particle, so it can raise this only for such a triangle;
     ``infer_triangle_labels`` infers the triangle it is asked about.
@@ -224,24 +228,29 @@ def infer_triangle_labels(c: Configuration, p: Cell, q: Cell, r: Cell) -> tuple[
 
 
 def local_check_r4(c: Configuration, p: Cell) -> bool:
-    """Triangle rule at ``p`` computed from view_3(p) and neighbour registers.
+    """Triangle rule at ``p`` computed from view_3(p) and neighbour registers."""
+    i = c.number_of(p)
+    return local_r4_at(c, i, c.register(i))
 
-    Agrees pointwise with the omniscient checker: the only extra knowledge
-    the omniscient version uses is the labelling of the far edge of each
-    triangle, which the view formula recovers.  The far edge of a triangle
+
+def local_r4_at(c: Configuration, i: int, reg: Registers) -> bool:
+    """The particle's triangle rule at cell number ``i``, its register read as ``reg``.
+
+    Agrees pointwise with the omniscient ``rules.check_r4``: the only extra
+    knowledge the omniscient checker uses is the labelling of the far edge
+    of each triangle, which the view formula recovers.  The far edge of a triangle
     p, q, r can close a directed 3-cycle only when p's two near edges,
     which p reads off its own and its neighbours' registers, already form
     a directed path through p: r -> p -> q or q -> p -> r.  So the four
     near-edge flags are read first and the far edge is inferred only for
     those triangles; a ``ChiralityInferenceError`` can come only from a
-    triangle that is still inferred.
+    triangle that is still inferred.  ``reg`` need not be the stored
+    register: ``algorithm.step_register`` passes line 2's trial register.
     """
     register, portmaps = c.register, c.portmaps
-    i = c.number_of(p)
     row = c.support.around[i]
     pm = portmaps[i]
-    reg, ports = register(i), pm.ports
-    step = _stepper(c)
+    ports = pm.ports
     for d in range(N_DIRS):
         j, k = row[d], row[(d + 1) % N_DIRS]
         if j < 0 or k < 0:
@@ -257,7 +266,7 @@ def local_check_r4(c: Configuration, p: Cell) -> bool:
         ahead = pq and not qp and rp and not pr  # r -> p -> q
         if not ahead and not (pr and not rp and qp and not pq):  # nor q -> p -> r
             continue
-        q_to_r, r_to_q = _infer(step, i, pm, p0, p1, (j, q_pm, q1), (k, r_pm, r1))
+        q_to_r, r_to_q = _infer(_stepper(c), i, pm, p0, p1, (j, q_pm, q1), (k, r_pm, r1))
         qr, rq = q_reg[q_to_r] is OUT, r_reg[r_to_q] is OUT
         if (qr and not rq) if ahead else (rq and not qr):  # closes the cycle
             return False

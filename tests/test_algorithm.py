@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trielect.lattice import Cell
+from trielect import views
+from trielect.lattice import Cell, N_DIRS
 from trielect.algorithm import activation_step, is_activable, step_register
 from trielect.config import Configuration, EdgeOrientation, IN, OUT, all_in_configuration
 from trielect.generators import (
@@ -15,6 +16,7 @@ from trielect.generators import (
 )
 from trielect.oracle import ConfigGraph
 from trielect.rules import check_r2, check_r3, check_r4
+from trielect.scheduler import Scripted, run
 from trielect.support import Support
 
 from reference import CellRegisters, resolve_conflicts
@@ -222,3 +224,31 @@ def test_reference_step_builds_no_configuration(monkeypatch):
     monkeypatch.setattr(Configuration, "with_registers", refuse)
     verdicts = {is_activable(cfg, p) for cfg in configs for p in cfg.support}
     assert verdicts == {False, True}
+
+
+def test_step_follows_the_particles_view(monkeypatch):
+    """``step_register`` decides line 2's R4 from the particle's view, not
+    omnisciently: with ``views._candidates`` answering the other value of
+    q's port toward r, the step disagrees with the engine's one-step run,
+    which reads the stored masks, on some state of a support with n <= 4
+    under random port maps."""
+    real = views._candidates
+
+    def other(step, i, pm, p0, p1, q, r):
+        q1 = q[2]
+        return [((2 * q1 - x) % N_DIRS, y) for x, y in real(step, i, pm, p0, p1, q, r)]
+
+    monkeypatch.setattr(views, "_candidates", other)
+    rng = random.Random(41)
+    disagreements = 0
+    for n in (3, 4):
+        for s in enumerate_supports(n):
+            graph = ConfigGraph(s)
+            portmaps = random_portmaps(s, rng.randrange(2**31))
+            for state in range(1 << 2 * graph.n_edges):
+                cfg = graph.unpack(state, portmaps)
+                for p in s.order:
+                    reg, _ = step_register(cfg, p)
+                    engine = run(cfg, Scripted((p,)), max_steps=1).config
+                    disagreements += CellRegisters(engine)[p] != reg
+    assert disagreements

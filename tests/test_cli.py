@@ -10,7 +10,7 @@ import trielect.cli as cli
 from reference import CellRegisters, reference_replay
 from trielect.cli import main
 from trielect.config import IN, OUT, all_in_configuration, load, save
-from trielect.generators import erosion_orientation, hexagon, ring18
+from trielect.generators import erosion_orientation, hexagon, line, ring18
 from trielect.lattice import Cell, neighbor
 from trielect.render import render_svg
 from trielect.rules import rule_report
@@ -275,6 +275,18 @@ def test_search_unfair_not_found_on_small_shapes(capsys):
     assert "no cycle" in capsys.readouterr().out
 
 
+def test_scan_skips_what_the_cycle_search_refuses(capsys, monkeypatch):
+    """At a budget of 3^17 states, ``line18``'s 17 edges are within
+    ``--max-states`` but over the 16 the rank tables cover: the named
+    shape exits 2, and a ``--max-n`` scan skips it."""
+    budget = str(3**17)
+    assert main(["search-unfair", "--shape", "line18", "--max-states", budget]) == 2
+    assert capsys.readouterr().err == "error: 17 edges is over the 16 the rank tables cover\n"
+    monkeypatch.setattr(cli.generators, "enumerate_supports", lambda n: [line(18)])
+    assert main(["search-unfair", "--max-n", "2", "--max-states", budget]) == 1
+    assert capsys.readouterr().out == "no cycle found within budget\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweeps_report_progress_on_stderr(capsys, jobs):
     assert main(["enum", "--n", "4", "--check", "silence", "--jobs", jobs]) == 0
@@ -368,7 +380,7 @@ def test_usage_error_exit_codes(tmp_path):
 def test_enum_over_budget_exits_2(capsys, monkeypatch):
     import trielect.oracle as oracle_mod
 
-    def tiny_budget(support, max_edges=24):
+    def tiny_budget(support):
         raise oracle_mod.StateSpaceTooLarge("over budget")
 
     monkeypatch.setattr(oracle_mod, "check_unique_sink", tiny_budget)
@@ -488,6 +500,12 @@ def _exit_code(argv):
          "0 \u0661 0 1 0 1 0\n"),
         (["render", "--config", "{cfg}", "--trace", "{trace}", "--frame", "1", "--out", "{out}"],
          "0 0 0_0 1 0 1 0\n"),
+        (["gen", "--random", "\u0665", "--seed", "1_0", "--init", "erosion", "--out", "{out}"], None),
+        (["run", "--config", "{cfg}", "--max-steps", "\u0661\u0660"], None),
+        (["gen", "--random", "5", "--init", "random", "--conflict-prob", "\u0660.\u0665",
+          "--out", "{out}"], None),
+        (["gen", "--random", "5", "--init", "random", "--conflict-prob", "0.2_5", "--out", "{out}"],
+         None),
     ],
 )
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, trace_text):

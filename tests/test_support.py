@@ -428,23 +428,7 @@ def test_articulation_matches_removal_definition():
     rng = random.Random(7)
     shapes = [s for n in (4, 5, 6) for s in enumerate_supports(n)]
     for s in rng.sample(shapes, 50):
-        expected = set()
-        for c in s.cells:
-            rest = s.cells - {c}
-            if not rest:
-                continue
-            seed = next(iter(rest))
-            seen = {seed}
-            stack = [seed]
-            while stack:
-                x = stack.pop()
-                for nb in s.occupied_neighbors(x):
-                    if nb != c and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(rest):
-                expected.add(c)
-        assert s.articulation_points() == frozenset(expected)
+        assert s.articulation_points() == reference_articulation_points(frozenset(s.cells))
 
 
 def _holed_fixtures() -> list[Support]:
